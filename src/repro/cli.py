@@ -573,11 +573,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import CorridorQueryService, run_server
 
-    service = CorridorQueryService(scenario=_scenario(args), warm=not args.cold)
+    service = CorridorQueryService(scenario=_scenario(args))
 
     def announce(url: str) -> None:
-        mode = "cold-per-request baseline" if args.cold else "shared warm engine"
-        print(f"serving corridor analytics on {url} ({mode})", flush=True)
+        print(f"serving corridor analytics on {url}", flush=True)
 
     run_server(service, host=args.host, port=args.port, announce=announce)
     return 0
@@ -598,9 +597,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         report = run_load(args.url, profile)
     else:
         # No URL: boot an in-process server, load it, tear it down.
-        service = CorridorQueryService(
-            scenario=_scenario(args), warm=not args.cold
-        )
+        service = CorridorQueryService(scenario=_scenario(args))
         with CorridorServer(service) as server:
             report = run_load(server.url, profile)
     print(report.describe())
@@ -720,19 +717,6 @@ def _obs_parent_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, metavar="N",
         help="fan analysis work out over N logical workers "
         "(repro.parallel; output is byte-identical for any N)",
-    )
-    execution.add_argument(
-        "--no-incremental", action="store_true",
-        help="disable incremental snapshot evolution (full active-set "
-        "scan per date, the pre-index behaviour; output is byte-"
-        "identical either way)",
-    )
-    execution.add_argument(
-        "--kernel", choices=("columnar", "object"), default=None,
-        metavar="{columnar,object}",
-        help="cold-reconstruction kernel: 'columnar' (flat array-backed "
-        "license store, the default) or 'object' (per-object stitching); "
-        "output is byte-identical either way",
     )
     persistence = parent.add_argument_group("persistence")
     persistence.add_argument(
@@ -886,11 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8181,
                        help="listening port (0 picks an ephemeral port)")
-    serve.add_argument(
-        "--cold", action="store_true",
-        help="build a fresh engine per request (the benchmark baseline) "
-        "instead of sharing one warm engine",
-    )
     serve.set_defaults(func=_cmd_serve)
 
     loadgen = sub.add_parser(
@@ -904,11 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--clients", type=int, default=4)
     loadgen.add_argument("--seed", type=int, default=7,
                          help="request-mix seed (same seed, same sequence)")
-    loadgen.add_argument(
-        "--cold", action="store_true",
-        help="(in-process server only) serve the cold-per-request "
-        "baseline instead of the shared warm engine",
-    )
     loadgen.set_defaults(func=_cmd_loadgen)
 
     cache = sub.add_parser(
@@ -990,25 +964,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "no_incremental", False):
-        # Flip the module default before any engine is constructed: the
-        # scenario's shared engine is built lazily on first use, so every
-        # consumer (and every worker it spawns) inherits full-scan mode.
-        from repro.core import engine as engine_mod
-
-        engine_mod.INCREMENTAL_DEFAULT = False
-    if getattr(args, "kernel", None):
-        # Same pre-construction window as --no-incremental: engines pin
-        # their kernel at build time and workers inherit it through the
-        # parallel cache-transplant protocol.
-        from repro.core import engine as engine_mod
-
-        engine_mod.KERNEL_DEFAULT = args.kernel
     store = None
     if args.command != "cache" and not getattr(args, "no_store", False):
         cache_dir = getattr(args, "cache_dir", None)
         if cache_dir is not None or os.environ.get("REPRO_CACHE_DIR"):
-            # Same pre-construction window again: every engine built
+            # Set before any engine is constructed (the scenario's shared
+            # engine is built lazily on first use): every engine built
             # during the command (the scenario's shared default, serve's
             # warm engine, even ad-hoc ones) attaches to the store and
             # auto-loads its entry; the finally block below checkpoints

@@ -5,8 +5,9 @@ FCC license records into analysable network graphs at any date in the past
 (§2.3), plus the latency model and routing machinery the analyses rely on.
 
 Typical usage goes through the engine, which caches snapshots and routes
-across repeated queries (the underlying cache-free kernel,
-:class:`NetworkReconstructor`, remains available for one-off use)::
+across repeated queries (the cache-free :class:`NetworkReconstructor`,
+which runs the same columnar kernel, remains available for one-off
+use)::
 
     from repro.core import CorridorEngine
     from repro.synth import paper2020_scenario

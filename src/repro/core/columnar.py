@@ -1,13 +1,15 @@
-"""Column-kernel reconstruction: the flat-array cold path (§2.3).
+"""Column-kernel reconstruction: the one reconstruction path (§2.3).
 
-This module is the ``kernel="columnar"`` implementation behind
-:class:`repro.core.engine.CorridorEngine` — a restatement of the object
-kernel (:func:`repro.core.stitching.stitch_licenses` +
-:func:`repro.core.fiber.attach_fiber_tails`) over the flat columns of a
-:class:`repro.uls.columnar.ColumnarLicenseStore`.  The output contract
-is **byte identity**: every tower, link and fiber tail — ids, ordering,
-floats — matches the object kernel exactly (property-tested in
-``tests/test_columnar.py`` and diff-gated in ``scripts/check.sh``).
+Every network :class:`repro.core.reconstruction.NetworkReconstructor`
+and :class:`repro.core.engine.CorridorEngine` build comes out of
+:func:`reconstruct_columnar`, over the flat columns of a
+:class:`repro.uls.columnar.ColumnarLicenseStore`.  It restates the
+paper's per-object tool — cluster license endpoints into towers, merge
+links per tower pair, attach data-center fiber tails — and its output
+contract is **byte identity** with that object kernel: every tower, link
+and fiber tail, ids, ordering and floats included.  The object kernel
+lives on as the test oracle (``tests/object_kernel.py``), and
+``tests/test_columnar.py`` property-tests the identity.
 
 What makes the columnar path fast where the object path is slow:
 
@@ -26,9 +28,8 @@ What makes the columnar path fast where the object path is slow:
   consults and feeds the engine's installed
   :class:`~repro.geodesy.memo.GeodesicMemo` in bulk.
 
-The kernels emit ``kernel.columnar.*`` obs counters (probe/solution/
-prune totals) alongside the same ``core.stitch``/``core.fiber`` spans
-the object path records, so traces stay comparable across kernels.
+The kernel emits ``kernel.columnar.*`` obs counters (probe/solution/
+prune totals) inside ``core.stitch``/``core.fiber`` spans.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ def reconstruct_columnar(
 ) -> HftNetwork:
     """Build ``licensee``'s network on ``on_date`` from flat columns.
 
-    Byte-identical to ``NetworkReconstructor.reconstruct`` over the same
-    records and parameters (towers, links, tails, and all metadata).
+    Byte-identical to the object kernel over the same records and
+    parameters (towers, links, tails, and all metadata).
     """
     if stitch_tolerance_m <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -112,7 +113,7 @@ def _stitch_columnar(
 ) -> tuple[list[Tower], list[MicrowaveLink], dict[str, int]]:
     """Grid bucketing + cluster assignment + link merging over columns.
 
-    Replicates ``EndpointStitcher`` exactly: the same
+    Replicates the object kernel's endpoint stitcher exactly: the same
     ``coordinate_key`` cell arithmetic, the same fixed 3x3 cell-scan
     order, per-cell insertion order, first anchor within tolerance wins,
     anchor/site-name first-seen and elevation/height max-merged.
@@ -285,9 +286,10 @@ def _fiber_columnar(
 ) -> list[FiberTail]:
     """Fiber tails over columns: spherical prune, then one bulk solve.
 
-    Replicates ``attach_fiber_tails`` exactly — every surviving pair is
-    measured with the same Vincenty inverse (through the installed
-    geodesic memo, in the same data-center-major order), the same
+    Replicates the object kernel's fiber attachment exactly — every
+    surviving pair is measured with the same Vincenty inverse (through
+    the installed geodesic memo, in the same data-center-major order),
+    the same
     ``0 < length <= max_tail_m`` filter, sorting and ``nearest``
     truncation.
     """

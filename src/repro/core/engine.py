@@ -32,7 +32,8 @@ stitch tolerances, fiber modes or latency models can never alias — and the
 engine itself is parameter-immutable: build one engine per parameterisation
 (see :meth:`repro.synth.scenario.Scenario.engine`).
 
-The :class:`NetworkReconstructor` remains the cache-free kernel; the
+The :class:`NetworkReconstructor` holds the corridor and parameters and
+runs the one cache-free reconstruction path, the columnar kernel; the
 engine wraps it and never changes its semantics.
 """
 
@@ -46,14 +47,12 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 from repro import obs
-from repro.core.columnar import reconstruct_columnar
 from repro.core.corridor import CorridorSpec
 from repro.core.latency import LatencyModel
 from repro.core.network import HftNetwork, Route
-from repro.core.reconstruction import NetworkReconstructor
+from repro.core.reconstruction import NetworkReconstructor, network_name
 from repro.core.timeline import TimelinePoint
 from repro.geodesy.memo import DEFAULT_MEMO_SIZE, GeodesicMemo, use_memo
-from repro.uls.columnar import ColumnarLicenseStore
 from repro.uls.database import UlsDatabase
 from repro.uls.records import License
 
@@ -65,23 +64,6 @@ DEFAULT_SNAPSHOT_CACHE_SIZE = 512
 #: Default bound on cached routes ((snapshot, source, target) triples).
 DEFAULT_ROUTE_CACHE_SIZE = 4096
 
-#: Process-wide default for :class:`CorridorEngine`'s ``incremental``
-#: flag.  The CLI's ``--no-incremental`` flips this to replay the
-#: pre-index behaviour (a full fingerprint scan per request) for the
-#: byte-identity diff gates and honest benchmarking.
-INCREMENTAL_DEFAULT = True
-
-#: Process-wide default for :class:`CorridorEngine`'s ``kernel``
-#: selection.  ``"columnar"`` runs cold reconstructions through the
-#: flat-column kernel (:func:`repro.core.columnar.reconstruct_columnar`
-#: over the database's :class:`~repro.uls.columnar.ColumnarLicenseStore`);
-#: ``"object"`` replays the per-object :class:`NetworkReconstructor`
-#: path.  Outputs are byte-identical (diff-gated in ``scripts/check.sh``),
-#: so the kernel deliberately does **not** participate in cache keys —
-#: snapshots built by either kernel are interchangeable.  The CLI's
-#: ``--kernel`` flips this before any engine is built.
-KERNEL_DEFAULT = "columnar"
-
 #: Process-wide default persistent store for :class:`CorridorEngine`'s
 #: ``store`` parameter.  Holds a :class:`repro.store.CacheStore` (or any
 #: object with ``attach``/``load_into``/``save_from`` — the engine never
@@ -90,8 +72,6 @@ KERNEL_DEFAULT = "columnar"
 #: built, so every engine constructed during a command auto-loads from
 #: and checkpoints to the on-disk store.
 STORE_DEFAULT = None
-
-_KERNELS = ("columnar", "object")
 
 _MISSING = object()
 
@@ -138,9 +118,9 @@ class CacheStats:
     resolutions by how the active-set fingerprint was derived: evolved
     from a per-licensee cursor via a :class:`~repro.uls.index
     .TemporalDelta` (incremental) versus computed from scratch (full —
-    first touch of a licensee, a stale cursor after a database mutation,
-    or ``incremental=False``).  ``index_events`` is the temporal index's
-    event count over the engine's database.
+    first touch of a licensee, or a stale cursor after a database
+    mutation).  ``index_events`` is the temporal index's event count over
+    the engine's database.
     """
 
     snapshot: CacheCounter
@@ -335,21 +315,6 @@ class CorridorEngine:
         entries.
     snapshot_cache_size / route_cache_size / geodesic_memo_size:
         Bounds on the three caches (LRU eviction).
-    incremental:
-        Whether snapshot keys evolve incrementally from per-licensee
-        cursors via the database's :class:`~repro.uls.index
-        .TemporalIndex` (the default; ``None`` defers to the
-        process-wide :data:`INCREMENTAL_DEFAULT`).  ``False`` replays
-        the pre-index behaviour — a linear active-set scan per request —
-        and is only useful for equivalence gates and benchmarks.
-    kernel:
-        ``"columnar"`` (cold reconstructions run over the database's
-        flat :class:`~repro.uls.columnar.ColumnarLicenseStore`) or
-        ``"object"`` (the per-object :class:`NetworkReconstructor`
-        path).  ``None`` defers to the process-wide
-        :data:`KERNEL_DEFAULT`.  Both kernels produce byte-identical
-        networks, so the choice affects cold-path speed only and is not
-        part of any cache key.
     store:
         A persistent on-disk cache store (:class:`repro.store
         .CacheStore`).  ``None`` defers to the process-wide
@@ -372,8 +337,6 @@ class CorridorEngine:
         snapshot_cache_size: int = DEFAULT_SNAPSHOT_CACHE_SIZE,
         route_cache_size: int = DEFAULT_ROUTE_CACHE_SIZE,
         geodesic_memo_size: int = DEFAULT_MEMO_SIZE,
-        incremental: bool | None = None,
-        kernel: str | None = None,
         store: object | None = None,
     ) -> None:
         params_given = any(
@@ -410,19 +373,9 @@ class CorridorEngine:
                 kwargs["fiber_mode"] = fiber_mode
             reconstructor = NetworkReconstructor(corridor, **kwargs)
 
-        kernel = KERNEL_DEFAULT if kernel is None else kernel
-        if kernel not in _KERNELS:
-            raise ValueError(
-                f"unknown reconstruction kernel: {kernel!r} "
-                f"(expected one of {_KERNELS})"
-            )
         self.database = database
         self.reconstructor = reconstructor
         self.corridor = reconstructor.corridor
-        self.kernel = kernel
-        self.incremental = (
-            INCREMENTAL_DEFAULT if incremental is None else bool(incremental)
-        )
         self._snapshots = _LruCache(snapshot_cache_size)
         self._routes = _LruCache(route_cache_size)
         self._geodesic_memo = GeodesicMemo(geodesic_memo_size)
@@ -480,33 +433,11 @@ class CorridorEngine:
         network is a pure function of (active license set, parameters), so
         any two dates with equal fingerprints share a snapshot.
 
-        Incremental engines derive the set from the database's
-        :class:`~repro.uls.index.TemporalIndex` (O(log n) warm, and the
-        *same* frozenset object per constant-active-set interval, so key
-        hashing stays cheap); full-rebuild engines scan the license list,
-        exactly as before the index existed.
+        The set comes from the database's :class:`~repro.uls.index
+        .TemporalIndex`: O(log n) warm, and the *same* frozenset object
+        per constant-active-set interval, so key hashing stays cheap.
         """
-        if self.incremental:
-            return self.database.temporal_index(licensee).active_ids_at(on_date)
-        return self._scan_fingerprint(licensee, on_date)
-
-    def _scan_fingerprint(
-        self, licensee: str, on_date: dt.date
-    ) -> frozenset[str]:
-        """The pre-index fingerprint path: one activity test per filing.
-
-        The columnar kernel scans the store's integer activity-interval
-        columns; the object kernel runs ``License.is_active`` per filing.
-        Both produce the identical frozenset (``license_interval`` mirrors
-        ``is_active`` exactly).
-        """
-        if self.kernel == "columnar":
-            return self.database.columnar_store().active_ids(licensee, on_date)
-        return frozenset(
-            lic.license_id
-            for lic in self.database.licenses_for(licensee)
-            if lic.is_active(on_date)
-        )
+        return self.database.temporal_index(licensee).active_ids_at(on_date)
 
     def snapshot_key(self, licensee: str, on_date: dt.date) -> tuple:
         """The snapshot-cache key for (licensee, date) under this engine.
@@ -528,16 +459,11 @@ class CorridorEngine:
         Returns ``(key, resolution, delta_size)`` where ``resolution`` is
         ``"incremental"`` (derived from an existing cursor via
         ``TemporalIndex.diff``) or ``"full"`` (computed from scratch:
-        first touch, stale cursor generation, or ``incremental=False``).
-        An empty delta reuses the cursor's key outright — the exact same
-        tuple object, fingerprint untouched — so consecutive grid dates
-        with no license events cost a bisect and nothing else.
+        first touch or stale cursor generation).  An empty delta reuses
+        the cursor's key outright — the exact same tuple object,
+        fingerprint untouched — so consecutive grid dates with no license
+        events cost a bisect and nothing else.
         """
-        if not self.incremental:
-            self._full_resolutions += 1
-            obs.count("engine.snapshot.full")
-            key = (licensee, self._scan_fingerprint(licensee, on_date), self.params_key)
-            return key, "full", 0
         generation = self.database.generation
         cursor = self._cursors.get(licensee)
         if cursor is not None and cursor.generation == generation:
@@ -591,39 +517,22 @@ class CorridorEngine:
         network = self._snapshots.get(key)
         if network is None:
             obs.count("engine.snapshot.miss")
+            # The license store is fetched (and, on generation change,
+            # rebuilt) *before* the memoised window opens: store
+            # construction is a per-generation cost with its own
+            # ``kernel.columnar.store.build`` span, not part of any single
+            # snapshot's build time.
+            store = self.database.columnar_store()
             network = self._reconstruct_memoised(
-                self._cold_build(licensee, on_date), licensee
+                lambda: self.reconstructor.reconstruct_from_store(
+                    store, licensee, on_date
+                ),
+                licensee,
             )
             self._snapshots.put(key, network)
         else:
             obs.count("engine.snapshot.hit")
         return network
-
-    def _cold_build(self, licensee: str, on_date: dt.date):
-        """The kernel-selected cold-reconstruction thunk for one snapshot.
-
-        For the columnar kernel the license store is fetched (and, on
-        generation change, rebuilt) *before* the memoised window opens:
-        store construction is a per-generation cost with its own
-        ``kernel.columnar.store.build`` span, not part of any single
-        snapshot's build time.
-        """
-        if self.kernel == "columnar":
-            store = self.database.columnar_store()
-            recon = self.reconstructor
-            return lambda: reconstruct_columnar(
-                store,
-                licensee,
-                on_date,
-                corridor=self.corridor,
-                latency_model=recon.latency_model,
-                stitch_tolerance_m=recon.stitch_tolerance_m,
-                max_fiber_tail_m=recon.max_fiber_tail_m,
-                fiber_mode=recon.fiber_mode,
-            )
-        return lambda: self.reconstructor.reconstruct_licensee(
-            self.database, licensee, on_date
-        )
 
     def _reconstruct_memoised(self, build, licensee: str) -> HftNetwork:
         """Run one reconstruction under the engine's geodesic memo.
@@ -672,14 +581,7 @@ class CorridorEngine:
         in scripts/check.sh and the serve tier pin this).
         """
         license_list = list(licenses)
-        if licensee is None:
-            names = {lic.licensee_name for lic in license_list}
-            if len(names) > 1:
-                raise ValueError(
-                    "licenses span multiple licensees; pass licensee= "
-                    f"explicitly (found {sorted(names)})"
-                )
-            licensee = next(iter(names)) if names else "(empty)"
+        licensee = network_name(license_list, licensee)
         active = [lic for lic in license_list if lic.is_active(on_date)]
         fingerprint = frozenset(lic.license_id for lic in active)
         verbatim = all(
@@ -699,33 +601,12 @@ class CorridorEngine:
             network = self._snapshots.get(key)
             if network is None:
                 obs.count("engine.snapshot.miss")
-                if self.kernel == "columnar":
-                    # An ephemeral store over just these records (they are
-                    # not the engine database's rows), built outside the
-                    # memoised window like the per-generation store.
-                    store = ColumnarLicenseStore({licensee: license_list})
-                    recon = self.reconstructor
-
-                    def build() -> HftNetwork:
-                        return reconstruct_columnar(
-                            store,
-                            licensee,
-                            on_date,
-                            corridor=self.corridor,
-                            latency_model=recon.latency_model,
-                            stitch_tolerance_m=recon.stitch_tolerance_m,
-                            max_fiber_tail_m=recon.max_fiber_tail_m,
-                            fiber_mode=recon.fiber_mode,
-                        )
-
-                else:
-
-                    def build() -> HftNetwork:
-                        return self.reconstructor.reconstruct(
-                            license_list, on_date, licensee=licensee
-                        )
-
-                network = self._reconstruct_memoised(build, licensee)
+                network = self._reconstruct_memoised(
+                    lambda: self.reconstructor.reconstruct(
+                        license_list, on_date, licensee=licensee
+                    ),
+                    licensee,
+                )
                 self._snapshots.put(key, network)
             else:
                 obs.count("engine.snapshot.hit")
@@ -1047,13 +928,7 @@ class CorridorEngine:
         of the constructor (``latency_model``, ``stitch_tolerance_m``,
         ``max_fiber_tail_m``, ``fiber_mode``).
         """
-        kernel = self.reconstructor
-        base = {
-            "latency_model": kernel.latency_model,
-            "stitch_tolerance_m": kernel.stitch_tolerance_m,
-            "max_fiber_tail_m": kernel.max_fiber_tail_m,
-            "fiber_mode": kernel.fiber_mode,
-        }
+        base = self.reconstructor.params()
         unknown = set(overrides) - set(base)
         if unknown:
             raise TypeError(f"unknown reconstruction parameters: {sorted(unknown)}")
@@ -1064,8 +939,6 @@ class CorridorEngine:
             snapshot_cache_size=self._snapshots.maxsize,
             route_cache_size=self._routes.maxsize,
             geodesic_memo_size=self._geodesic_memo.maxsize,
-            incremental=self.incremental,
-            kernel=self.kernel,
             store=False,
             **base,
         )

@@ -6,6 +6,12 @@ contributes its links iff it was granted and not cancelled/terminated on
 the date; links are stitched into towers, fiber tails connect the corridor
 data centers to towers within 50 km, and the result is an
 :class:`~repro.core.network.HftNetwork` ready for routing and metrics.
+
+:class:`NetworkReconstructor` holds one corridor and one set of
+reconstruction parameters.  Every network it builds comes out of the
+columnar kernel (:func:`repro.core.columnar.reconstruct_columnar`) over a
+:class:`~repro.uls.columnar.ColumnarLicenseStore`: the database's cached
+per-generation store, or a throwaway one over an explicit license list.
 """
 
 from __future__ import annotations
@@ -13,15 +19,28 @@ from __future__ import annotations
 import datetime as dt
 from typing import Iterable
 
-from repro import obs
 from repro.constants import MAX_FIBER_TAIL_M, STITCH_TOLERANCE_M
+from repro.core.columnar import reconstruct_columnar
 from repro.core.corridor import CorridorSpec
-from repro.core.fiber import attach_fiber_tails
 from repro.core.latency import LatencyModel
 from repro.core.network import HftNetwork
-from repro.core.stitching import stitch_licenses
+from repro.uls.columnar import ColumnarLicenseStore
 from repro.uls.database import UlsDatabase
-from repro.uls.records import License, active_licenses
+from repro.uls.records import License
+
+
+def network_name(licenses: list[License], licensee: str | None) -> str:
+    """The name of the network ``licenses`` form: ``licensee`` if given,
+    else the records' single licensee name (``"(empty)"`` for none)."""
+    if licensee is not None:
+        return licensee
+    names = {lic.licensee_name for lic in licenses}
+    if len(names) > 1:
+        raise ValueError(
+            "licenses span multiple licensees; pass licensee= explicitly "
+            f"(found {sorted(names)})"
+        )
+    return next(iter(names)) if names else "(empty)"
 
 
 class NetworkReconstructor:
@@ -57,6 +76,30 @@ class NetworkReconstructor:
         self.max_fiber_tail_m = max_fiber_tail_m
         self.fiber_mode = fiber_mode
 
+    def params(self) -> dict:
+        """The reconstruction parameters as constructor keywords."""
+        return {
+            "latency_model": self.latency_model,
+            "stitch_tolerance_m": self.stitch_tolerance_m,
+            "max_fiber_tail_m": self.max_fiber_tail_m,
+            "fiber_mode": self.fiber_mode,
+        }
+
+    def reconstruct_from_store(
+        self, store: ColumnarLicenseStore, licensee: str, on_date: dt.date
+    ) -> HftNetwork:
+        """``licensee``'s network on ``on_date`` from a license store."""
+        return reconstruct_columnar(
+            store,
+            licensee,
+            on_date,
+            corridor=self.corridor,
+            latency_model=self.latency_model,
+            stitch_tolerance_m=self.stitch_tolerance_m,
+            max_fiber_tail_m=self.max_fiber_tail_m,
+            fiber_mode=self.fiber_mode,
+        )
+
     def reconstruct(
         self,
         licenses: Iterable[License],
@@ -72,41 +115,16 @@ class NetworkReconstructor:
         (§2.4).
         """
         license_list = list(licenses)
-        names = {lic.licensee_name for lic in license_list}
-        if licensee is None:
-            if len(names) > 1:
-                raise ValueError(
-                    "licenses span multiple licensees; pass licensee= explicitly "
-                    f"(found {sorted(names)})"
-                )
-            licensee = next(iter(names)) if names else "(empty)"
-
-        active = active_licenses(license_list, on_date)
-        with obs.span("core.stitch", licensee=licensee, licenses=len(active)):
-            towers, links = stitch_licenses(active, self.stitch_tolerance_m)
-        with obs.span("core.fiber", licensee=licensee, towers=len(towers)):
-            tails = attach_fiber_tails(
-                self.corridor.data_centers,
-                towers,
-                self.max_fiber_tail_m,
-                self.fiber_mode,
-            )
-        return HftNetwork(
-            licensee=licensee,
-            as_of=on_date,
-            towers=towers,
-            links=links,
-            fiber_tails=tails,
-            data_centers=self.corridor.data_centers,
-            latency_model=self.latency_model,
-        )
+        licensee = network_name(license_list, licensee)
+        store = ColumnarLicenseStore({licensee: license_list})
+        return self.reconstruct_from_store(store, licensee, on_date)
 
     def reconstruct_licensee(
         self, database: UlsDatabase, licensee: str, on_date: dt.date
     ) -> HftNetwork:
         """Reconstruct one licensee's network from a database."""
-        return self.reconstruct(
-            database.licenses_for(licensee), on_date, licensee=licensee
+        return self.reconstruct_from_store(
+            database.columnar_store(), licensee, on_date
         )
 
     def connected_networks(

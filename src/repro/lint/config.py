@@ -61,17 +61,16 @@ DEFAULT_STORE_ALLOWED = (
 #: sets through the temporal index or the engine.
 DEFAULT_ACTIVE_ON_ALLOWED = (
     "src/repro/uls/",
-    "src/repro/core/engine.py",
 )
 
 #: Path prefixes allowed to construct a ``ColumnarLicenseStore`` directly.
 #: Stores are per-database-generation derived state; building one anywhere
 #: else risks stale columns after a mutation — everything outside the uls
 #: layer obtains the cached store via ``UlsDatabase.columnar_store()``
-#: (the engine constructs ephemeral stores for explicit license sets).
+#: (the reconstructor builds throwaway stores for explicit license sets).
 DEFAULT_COLUMNAR_ALLOWED = (
     "src/repro/uls/",
-    "src/repro/core/engine.py",
+    "src/repro/core/reconstruction.py",
 )
 
 #: Unit-suffix vocabulary: suffixes within one group share a dimension and
@@ -121,12 +120,11 @@ DEFAULT_SHARED_STATE_ROOTS = (
 
 #: Module globals whose mutation is deliberate and worker-safe:
 #: the obs session accumulator (reset per process, reduced explicitly),
-#: the engine's process-wide mode toggles (written only by CLI flag
-#: handling before any work runs), the geodesy memo scope handle and the
-#: per-worker context slot (written once in the worker initializer).
+#: the engine's process-wide store (written only by the CLI's
+#: ``--cache-dir`` handling before any work runs), the geodesy memo scope
+#: handle and the per-worker context slot (written once in the worker
+#: initializer).
 DEFAULT_SHARED_STATE_ALLOWED = (
-    "repro.core.engine.INCREMENTAL_DEFAULT",
-    "repro.core.engine.KERNEL_DEFAULT",
     "repro.core.engine.STORE_DEFAULT",
     "repro.geodesy.memo._active_memo",
     "repro.lint.registry._REGISTRY",

@@ -60,29 +60,11 @@ def _normalise_overrides(overrides: Mapping | None) -> ParamsKey:
     return tuple(sorted(overrides.items()))
 
 
-def _engine_base_params(engine: CorridorEngine) -> dict:
-    kernel = engine.reconstructor
-    return {
-        "latency_model": kernel.latency_model,
-        "stitch_tolerance_m": kernel.stitch_tolerance_m,
-        "max_fiber_tail_m": kernel.max_fiber_tail_m,
-        "fiber_mode": kernel.fiber_mode,
-    }
-
-
 def _engine_cache_sizes(engine: CorridorEngine) -> dict:
     return {
         "snapshot_cache_size": engine._snapshots.maxsize,
         "route_cache_size": engine._routes.maxsize,
         "geodesic_memo_size": engine._geodesic_memo.maxsize,
-        # Workers must resolve snapshot keys the same way the parent
-        # does, or merged-back counters would disagree with a serial run.
-        "incremental": engine.incremental,
-        # Kernel selection ships as a constructor argument, never as
-        # pickled columns: the database excludes its ColumnarLicenseStore
-        # from pickling, so a columnar worker rebuilds the store from the
-        # shipped license records under its own generation counter.
-        "kernel": engine.kernel,
     }
 
 
@@ -295,7 +277,7 @@ class GridSession:
                 (
                     engine.database,
                     engine.corridor,
-                    _engine_base_params(engine),
+                    engine.reconstructor.params(),
                     _engine_cache_sizes(engine),
                 ),
             ),

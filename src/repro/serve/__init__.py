@@ -11,7 +11,7 @@ tier.  Layers, bottom up:
 * :mod:`repro.serve.service`  — validation, routing, structured errors;
 * :mod:`repro.serve.server`   — the threaded stdlib HTTP adapter;
 * :mod:`repro.serve.loadgen`  — the ``repro.parallel``-powered load
-  harness behind ``hftnetview loadgen`` and ``BENCH_PR8.json``.
+  harness behind ``hftnetview loadgen``.
 
 See DESIGN.md §13 for the facade/coalescing protocol.
 """

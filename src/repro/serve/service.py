@@ -207,20 +207,14 @@ class CorridorQueryService:
     engine:
         The default scenario's shared warm engine behind its facade;
         defaults to the scenario's shared default engine.
-    warm:
-        ``False`` builds a *fresh* engine for every request — the
-        cold-per-request baseline the serve benchmark compares against
-        (``hftnetview serve --cold``).  Warm is the production mode.
     """
 
     def __init__(
         self,
         scenario: Scenario | None = None,
         engine: CorridorEngine | None = None,
-        warm: bool = True,
     ) -> None:
         self.scenario = scenario if scenario is not None else paper2020_scenario()
-        self.warm = warm
         shared = engine if engine is not None else self.scenario.engine()
         self._default_state = _ScenarioState(self.scenario, EngineFacade(shared))
         # Canonical scenario reference -> loaded state.  The default
@@ -295,13 +289,9 @@ class CorridorQueryService:
     def _body_key(self, url: str) -> tuple | None:
         """The body-cache key for ``url``, or ``None`` if uncacheable.
 
-        Only the warm shared-engine mode caches (the cold baseline must
-        pay full price per request), and only analysis endpoints —
-        ``/healthz``/``/stats`` report live state and unparseable
-        requests take the error path.
+        Only analysis endpoints cache — ``/healthz``/``/stats`` report
+        live state and unparseable requests take the error path.
         """
-        if not self.warm:
-            return None
         try:
             path, params = parse_request(url)
         except ServiceError:
@@ -334,7 +324,7 @@ class CorridorQueryService:
         """Dispatch a parsed request; raises :class:`ServiceError`."""
         if path == "/healthz":
             _check_params(params, ())
-            return {"status": "ok", "warm": self.warm}
+            return {"status": "ok"}
         if path == "/stats":
             _check_params(params, ())
             stats = self.facade.describe()
@@ -361,7 +351,7 @@ class CorridorQueryService:
             ):
                 obs.count("serve.request" + path.replace("/", "."))
                 return state.facade.coalesced(
-                    key, lambda: handler(self._engine(), params)
+                    key, lambda: handler(state.facade.engine, params)
                 )
         finally:
             self._local.state = None
@@ -440,16 +430,6 @@ class CorridorQueryService:
             ],
         }
 
-    def _engine(self) -> CorridorEngine:
-        state = self._current()
-        if self.warm:
-            return state.facade.engine
-        # Cold baseline: a private engine per request, empty caches, and
-        # no store — the baseline must really rebuild from scratch.
-        return CorridorEngine(
-            state.scenario.database, state.scenario.corridor, store=False
-        )
-
     def checkpoint(self):
         """Persist every loaded warm engine's caches to its store.
 
@@ -457,10 +437,8 @@ class CorridorQueryService:
         .CorridorServer.close` calls this after the last in-flight
         request completes, so the next server boot starts warm — for
         every scenario the table loaded, not just the default.  A no-op
-        without a store, or in cold-baseline mode.
+        without a store.
         """
-        if not self.warm:
-            return None
         with self._states_lock:
             states = list(self._states.values())
         result = None

@@ -92,9 +92,9 @@ class CacheStore:
     # ------------------------------------------------------------------
 
     def fingerprint_for(self, engine) -> str:
-        """The entry key for an engine's (database, params, kernel)."""
+        """The entry key for an engine's (database, params)."""
         return store_fingerprint(
-            engine.database.content_digest(), engine.params_key, engine.kernel
+            engine.database.content_digest(), engine.params_key
         )
 
     # ------------------------------------------------------------------

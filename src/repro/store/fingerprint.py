@@ -10,10 +10,6 @@ cached values is unchanged.  The fingerprint therefore hashes:
 - the engine's **reconstruction parameters** (``params_key``) — entries
   under different stitch tolerances, fiber modes, latency models, etc.
   must never be confused;
-- the **kernel** — columnar and object kernels are byte-identical (and
-  deliberately share in-memory cache keys), but persisted payloads
-  produced under one kernel should not mask a regression in the other,
-  so warm stores are kernel-scoped;
 - the **store schema version** — the on-disk payload envelope;
 - the **code version** — a manual guard bumped whenever the pickled
   payload classes (`EngineCacheExport`, networks, routes, memo entries)
@@ -39,15 +35,12 @@ STORE_SCHEMA_VERSION = 1
 CODE_VERSION = "2026.08"
 
 
-def store_fingerprint(
-    content_digest: str, params_key: tuple, kernel: str
-) -> str:
-    """The entry key for one (database, params, kernel) combination."""
+def store_fingerprint(content_digest: str, params_key: tuple) -> str:
+    """The entry key for one (database, params) combination."""
     hasher = hashlib.sha256()
     for part in (
         content_digest,
         repr(params_key),
-        kernel,
         str(STORE_SCHEMA_VERSION),
         CODE_VERSION,
     ):

@@ -88,8 +88,9 @@ class ColumnarLicenseStore:
     path (``UlsDatabase.licenses_for`` insertion order) exactly.
 
     The store is immutable once built.  Construction is confined by the
-    cache-discipline lint rule to :mod:`repro.uls` and the engine module
-    — everything else obtains one via
+    cache-discipline lint rule to :mod:`repro.uls` and
+    :mod:`repro.core.reconstruction` (throwaway stores over explicit
+    license lists) — everything else obtains one via
     :meth:`repro.uls.database.UlsDatabase.columnar_store`.
     """
 
@@ -403,17 +404,6 @@ class ColumnarLicenseStore:
             for row in range(start, end)
             if active_start[row] <= ordinal < active_end[row]
         ]
-
-    def active_ids(self, licensee: str, on_date: dt.date) -> frozenset[str]:
-        """The active-license fingerprint — the snapshot-cache key column.
-
-        Equals the object path's per-filing ``License.is_active`` scan
-        (``license_interval`` mirrors ``is_active`` exactly).
-        """
-        ids = self.license_ids
-        return frozenset(
-            ids[row] for row in self.active_rows(licensee, on_date)
-        )
 
     def __len__(self) -> int:
         return len(self.license_ids)

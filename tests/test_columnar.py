@@ -1,15 +1,15 @@
 """Columnar kernel: element-wise identity to the object kernel.
 
-The load-bearing property of the flat-array cold path
+The load-bearing property of the one reconstruction path
 (:func:`repro.core.columnar.reconstruct_columnar` over a
 :class:`repro.uls.columnar.ColumnarLicenseStore`): for ANY license set,
-date and parameterisation, its output equals the object kernel's —
-every tower, link and fiber tail, ids, ordering and floats included.
-Alongside the property, this module pins the supporting contracts: the
-batch geodesy kernels are bit-identical to the scalar path, the store
-is cached per database generation (and rebuilt, never pickled, across
-process boundaries), and the engine's ``kernel=`` switch changes speed
-only — never cache keys or results.
+date and parameterisation, its output equals the object kernel's
+(``tests/object_kernel.py``, the oracle) — every tower, link and fiber
+tail, ids, ordering and floats included.  Alongside the property, this
+module pins the supporting contracts: the batch geodesy kernels are
+bit-identical to the scalar path, the store is cached per database
+generation (and rebuilt, never pickled, across process boundaries), and
+the engine, the reconstructor and the CLI all agree with the oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro import obs
 from repro.core.columnar import reconstruct_columnar
 from repro.core.corridor import chicago_nj_corridor
 from repro.core.engine import CorridorEngine
-from repro.core import engine as engine_mod
 from repro.core.network import HftNetwork
 from repro.core.reconstruction import NetworkReconstructor
 from repro.geodesy import GeoPoint, geodesic_inverse
@@ -34,6 +33,7 @@ from repro.geodesy.batch import inverse_batch, inverse_trig, reduced_latitude_tr
 from repro.geodesy.memo import GeodesicMemo, use_memo
 from repro.uls.database import UlsDatabase
 
+from tests import object_kernel
 from tests.conftest import make_license
 
 _LICENSEES = (
@@ -69,7 +69,7 @@ def _reconstruct_both(
         max_fiber_tail_m=recon.max_fiber_tail_m,
         fiber_mode=recon.fiber_mode,
     )
-    obj = recon.reconstruct_licensee(database, licensee, on_date)
+    obj = object_kernel.reconstruct_licensee(recon, database, licensee, on_date)
     return columnar, obj
 
 
@@ -187,7 +187,8 @@ def test_degenerate_cases_match_object(licensee, on_date):
     ],
 )
 def test_columnar_validation_matches_object_messages(overrides, message):
-    """Both kernels reject bad parameters with the identical message."""
+    """The columnar kernel rejects bad parameters with the object
+    kernel's messages."""
     database = _small_database()
     params = {
         "stitch_tolerance_m": 30.0,
@@ -195,16 +196,13 @@ def test_columnar_validation_matches_object_messages(overrides, message):
         "fiber_mode": "nearest",
     }
     params.update(overrides)
-    corridor = chicago_nj_corridor()
-    recon = NetworkReconstructor(corridor)
-    with pytest.raises(ValueError, match=message.replace("(", "\\(")):
-        reconstruct_columnar(
-            database.columnar_store(),
-            "Test Networks LLC",
-            dt.date(2020, 4, 1),
-            corridor=corridor,
-            latency_model=recon.latency_model,
-            **params,
+    recon = NetworkReconstructor(chicago_nj_corridor(), **params)
+    on_date = dt.date(2020, 4, 1)
+    with pytest.raises(ValueError, match=message):
+        recon.reconstruct_licensee(database, "Test Networks LLC", on_date)
+    with pytest.raises(ValueError, match=message):
+        object_kernel.reconstruct_licensee(
+            recon, database, "Test Networks LLC", on_date
         )
 
 
@@ -223,14 +221,12 @@ def test_columnar_validation_matches_object_messages(overrides, message):
     on_date=st.dates(dt.date(2010, 1, 1), dt.date(2020, 12, 31)),
 )
 def test_store_fingerprint_equals_object_scan(scenario, licensee, on_date):
-    """active_ids (the full-rebuild cache-key column) == is_active scan."""
+    """The store's active rows are exactly the is_active scan's."""
     store = scenario.database.columnar_store()
-    expected = frozenset(
-        lic.license_id
-        for lic in scenario.database.licenses_for(licensee)
-        if lic.is_active(on_date)
+    active = {store.license_ids[row] for row in store.active_rows(licensee, on_date)}
+    assert active == object_kernel.scan_fingerprint(
+        scenario.database, licensee, on_date
     )
-    assert store.active_ids(licensee, on_date) == expected
 
 
 def test_store_cached_per_generation():
@@ -255,7 +251,7 @@ def test_store_rebuilt_after_pickle_not_shipped():
     rebuilt = shipped.columnar_store()
     assert rebuilt.license_ids == original.license_ids
     on_date = dt.date(2020, 4, 1)
-    assert rebuilt.active_ids("Test Networks LLC", on_date) == original.active_ids(
+    assert rebuilt.active_rows("Test Networks LLC", on_date) == original.active_rows(
         "Test Networks LLC", on_date
     )
 
@@ -352,58 +348,33 @@ def test_inverse_batch_rejects_ragged_columns():
 
 
 # ----------------------------------------------------------------------
-# Engine kernel selection
+# Engine, reconstructor and CLI against the object kernel
 # ----------------------------------------------------------------------
 
 
 def test_engine_kernels_produce_equal_snapshots(scenario):
-    columnar = CorridorEngine(scenario.database, scenario.corridor, kernel="columnar")
-    obj = CorridorEngine(scenario.database, scenario.corridor, kernel="object")
+    engine = CorridorEngine(scenario.database, scenario.corridor)
+    recon = NetworkReconstructor(scenario.corridor)
     for licensee, on_date in (
         ("New Line Networks", dt.date(2020, 4, 1)),
         ("Pierce Broadband", dt.date(2019, 6, 1)),
     ):
         _assert_networks_equal(
-            columnar.snapshot(licensee, on_date), obj.snapshot(licensee, on_date)
+            engine.snapshot(licensee, on_date),
+            object_kernel.reconstruct_licensee(
+                recon, scenario.database, licensee, on_date
+            ),
         )
-        # The kernel is not part of any cache key: snapshots built by
-        # either kernel are interchangeable.
-        assert columnar.snapshot_key(licensee, on_date) == obj.snapshot_key(
-            licensee, on_date
-        )
-    assert columnar.params_key == obj.params_key
-
-
-def test_engine_rejects_unknown_kernel(scenario):
-    with pytest.raises(ValueError, match="unknown reconstruction kernel"):
-        CorridorEngine(scenario.database, scenario.corridor, kernel="vectorised")
-
-
-def test_with_params_carries_kernel(scenario):
-    engine = CorridorEngine(scenario.database, scenario.corridor, kernel="object")
-    assert engine.with_params(fiber_mode="all").kernel == "object"
-
-
-def test_kernel_default_governs_construction(scenario, monkeypatch):
-    monkeypatch.setattr(engine_mod, "KERNEL_DEFAULT", "object")
-    assert CorridorEngine(scenario.database, scenario.corridor).kernel == "object"
-    monkeypatch.setattr(engine_mod, "KERNEL_DEFAULT", "columnar")
-    assert CorridorEngine(scenario.database, scenario.corridor).kernel == "columnar"
 
 
 def test_scan_fingerprint_equal_across_kernels(scenario):
-    """Full-rebuild engines fingerprint identically on either kernel."""
-    columnar = CorridorEngine(
-        scenario.database, scenario.corridor, incremental=False, kernel="columnar"
-    )
-    obj = CorridorEngine(
-        scenario.database, scenario.corridor, incremental=False, kernel="object"
-    )
+    """Index-resolved fingerprints equal the object kernel's scan."""
+    engine = CorridorEngine(scenario.database, scenario.corridor)
     for on_date in (dt.date(2016, 1, 1), dt.date(2020, 4, 1)):
         for licensee in _LICENSEES:
-            assert columnar.active_fingerprint(
+            assert engine.active_fingerprint(
                 licensee, on_date
-            ) == obj.active_fingerprint(licensee, on_date)
+            ) == object_kernel.scan_fingerprint(scenario.database, licensee, on_date)
 
 
 def test_snapshot_from_licenses_equal_across_kernels(scenario):
@@ -413,18 +384,18 @@ def test_snapshot_from_licenses_equal_across_kernels(scenario):
     ) + list(scenario.database.licenses_for("Webline Holdings"))
     on_date = dt.date(2020, 4, 1)
     columnar = CorridorEngine(
-        scenario.database, scenario.corridor, kernel="columnar"
+        scenario.database, scenario.corridor
     ).snapshot_from_licenses(pooled, on_date, licensee="Pooled Entity")
-    obj = CorridorEngine(
-        scenario.database, scenario.corridor, kernel="object"
-    ).snapshot_from_licenses(pooled, on_date, licensee="Pooled Entity")
+    obj = object_kernel.reconstruct(
+        NetworkReconstructor(scenario.corridor), pooled, on_date, "Pooled Entity"
+    )
     _assert_networks_equal(columnar, obj)
 
 
 def test_columnar_kernel_emits_obs_counters():
     database = _small_database()
     with obs.capture() as cap:
-        engine = CorridorEngine(database, chicago_nj_corridor(), kernel="columnar")
+        engine = CorridorEngine(database, chicago_nj_corridor())
         engine.snapshot("Test Networks LLC", dt.date(2020, 4, 1))
         counters = cap.counters()
     assert counters["kernel.columnar.store.build"] >= 1
@@ -433,20 +404,31 @@ def test_columnar_kernel_emits_obs_counters():
     assert "kernel.columnar.fiber.pruned" in counters
 
 
-# ----------------------------------------------------------------------
-# CLI: --kernel flips the process default, stdout stays byte-identical
-# ----------------------------------------------------------------------
-
-
-def test_cli_kernel_flag_stdout_identical(capsys, monkeypatch):
+def test_cli_stdout_identical_under_object_kernel(scenario, capsys, monkeypatch):
+    """``table1`` prints the same bytes when every cold build of a fresh
+    shared engine runs the object kernel instead."""
     from repro.cli import main
 
-    # main() writes the flag through to KERNEL_DEFAULT; restore it so the
-    # flip cannot leak into other tests.
-    monkeypatch.setattr(engine_mod, "KERNEL_DEFAULT", engine_mod.KERNEL_DEFAULT)
-    assert main(["table1", "--kernel", "object"]) == 0
-    object_out = capsys.readouterr().out
-    assert main(["table1", "--kernel", "columnar"]) == 0
+    assert main(["table1"]) == 0
     columnar_out = capsys.readouterr().out
-    assert columnar_out == object_out
-    assert "New Line Networks" in object_out
+
+    def object_from_store(recon, store, licensee, on_date):
+        start, end = store.span(licensee)
+        licenses = [
+            scenario.database.get(store.license_ids[row]) for row in range(start, end)
+        ]
+        return object_kernel.reconstruct(recon, licenses, on_date, licensee)
+
+    monkeypatch.setattr(
+        NetworkReconstructor, "reconstruct_from_store", object_from_store
+    )
+    # The CLI resolves the same cached scenario; give it an engine with
+    # empty caches so every snapshot is a cold build.
+    monkeypatch.setitem(
+        vars(scenario),
+        "_default_engine",
+        CorridorEngine(scenario.database, scenario.corridor),
+    )
+    assert main(["table1"]) == 0
+    assert capsys.readouterr().out == columnar_out
+    assert "New Line Networks" in columnar_out

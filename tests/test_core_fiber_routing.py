@@ -1,4 +1,5 @@
-"""Tests for fiber-tail attachment and near-optimal routing."""
+"""Tests for fiber-tail attachment (the object-kernel oracle) and
+near-optimal routing."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.corridor import DataCenterSite
-from repro.core.fiber import attach_fiber_tails
 from repro.core.network import Tower
 from repro.core.routing import (
     PathExplosionError,
@@ -18,6 +18,7 @@ from repro.core.routing import (
     path_edges,
 )
 from repro.geodesy import GeoPoint, geodesic_destination
+from tests.object_kernel import attach_fiber_tails
 
 DC = DataCenterSite("CME", GeoPoint(41.75, -88.00))
 

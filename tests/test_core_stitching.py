@@ -1,13 +1,13 @@
-"""Tests for endpoint stitching."""
+"""Tests for endpoint stitching (the object-kernel oracle)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.stitching import EndpointStitcher, stitch_licenses
 from repro.geodesy import GeoPoint, geodesic_destination
 from repro.uls.records import TowerLocation
 from tests.conftest import make_license
+from tests.object_kernel import EndpointStitcher, stitch_licenses
 
 BASE = GeoPoint(41.75, -88.00)
 

@@ -1,10 +1,10 @@
-"""CorridorEngine: cached results must be indistinguishable from the
-cache-free kernel, and cache keys must separate parameterisations.
+"""CorridorEngine: cached results must be indistinguishable from
+cache-free reconstruction, and cache keys must separate parameterisations.
 
 The load-bearing property: for ANY (licensee, date) — including dates
 that alias earlier queries through the active-license fingerprint — the
-engine's snapshot and route equal a fresh ``NetworkReconstructor``'s
-output exactly.  One engine instance is shared across all hypothesis
+engine's snapshot and route equal a fresh object-kernel reconstruction
+(``tests/object_kernel.py``) exactly.  One engine instance is shared across all hypothesis
 examples precisely so the cache is hot and the property exercises reuse.
 """
 
@@ -25,6 +25,7 @@ from repro.geodesy import GeoPoint, geodesic_inverse
 from repro.geodesy.memo import GeodesicMemo, active_memo, use_memo
 from repro.uls.database import UlsDatabase
 
+from tests import object_kernel
 from tests.conftest import make_license
 
 _LICENSEES = (
@@ -64,8 +65,8 @@ def _shared_engine(scenario) -> CorridorEngine:
 def test_snapshot_equals_fresh_reconstruction(scenario, licensee, on_date):
     engine = _shared_engine(scenario)
     cached = engine.snapshot(licensee, on_date)
-    fresh = NetworkReconstructor(scenario.corridor).reconstruct_licensee(
-        scenario.database, licensee, on_date
+    fresh = object_kernel.reconstruct_licensee(
+        NetworkReconstructor(scenario.corridor), scenario.database, licensee, on_date
     )
     assert cached.licensee == fresh.licensee
     assert cached.as_of == on_date == fresh.as_of

@@ -4,18 +4,21 @@ indistinguishable from full fingerprint rescans.
 The tentpole claims of this layer:
 
 * an incrementally-evolved timeline is element-wise identical to a
-  per-date full rebuild (``incremental=False``);
+  per-date full rebuild (the object-kernel oracle: a linear active-set
+  scan and a fresh reconstruction per date);
 * on dense date grids the vast majority (>80%) of snapshot resolutions
   are served incrementally;
 * empty deltas reuse the cached network object outright;
-* the CLI's ``--no-incremental`` escape hatch is byte-identical,
-  enforced here through real subprocesses at more than one ``--jobs``
-  width.
+* the CLI's output is byte-identical to a run whose every snapshot key
+  comes from the oracle's full scan, checked through real subprocesses
+  at more than one ``--jobs`` width.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
+import io
 import os
 import subprocess
 import sys
@@ -24,8 +27,10 @@ from pathlib import Path
 import pytest
 
 from repro.core.engine import CorridorEngine
-from repro.core.timeline import dense_date_grid
+from repro.core.reconstruction import NetworkReconstructor
+from repro.core.timeline import TimelinePoint, dense_date_grid
 from repro.uls.database import UlsDatabase
+from tests import object_kernel
 from tests.conftest import make_license
 
 _LICENSEES = (
@@ -38,46 +43,78 @@ _LICENSEES = (
 MONTHLY = dense_date_grid("monthly")
 
 
-def _engines(scenario):
-    return (
-        CorridorEngine(scenario.database, scenario.corridor, incremental=True),
-        CorridorEngine(scenario.database, scenario.corridor, incremental=False),
-    )
+def _engine(scenario):
+    return CorridorEngine(scenario.database, scenario.corridor)
+
+
+def _full_rebuild_timeline(scenario, licensee, dates):
+    """The Fig 1 series the slow way: scan, reconstruct and route per
+    date (networks shared between dates with equal scanned sets)."""
+    recon = NetworkReconstructor(scenario.corridor)
+    source, target = scenario.corridor.resolve_path(None, None)
+    routes: dict[frozenset, object] = {}
+    points = []
+    for date in dates:
+        fingerprint = object_kernel.scan_fingerprint(
+            scenario.database, licensee, date
+        )
+        if fingerprint not in routes:
+            network = object_kernel.reconstruct_licensee(
+                recon, scenario.database, licensee, date
+            )
+            routes[fingerprint] = network.lowest_latency_route(source, target)
+        route = routes[fingerprint]
+        if route is None:
+            points.append(TimelinePoint(date=date, latency_ms=None))
+        else:
+            points.append(
+                TimelinePoint(
+                    date=date,
+                    latency_ms=route.latency_ms,
+                    tower_count=route.tower_count,
+                )
+            )
+    return points
 
 
 class TestEquivalence:
     def test_timeline_identical_to_full_rebuild(self, scenario):
-        incremental, full = _engines(scenario)
+        engine = _engine(scenario)
         for name in _LICENSEES:
-            a = incremental.timeline(name, MONTHLY)
-            b = full.timeline(name, MONTHLY)
+            a = engine.timeline(name, MONTHLY)
+            b = _full_rebuild_timeline(scenario, name, MONTHLY)
             assert len(a) == len(b) == len(MONTHLY)
             for pa, pb in zip(a, b):
                 assert pa == pb
 
     def test_fingerprints_agree_with_scan(self, scenario):
-        incremental, full = _engines(scenario)
+        engine = _engine(scenario)
         for name in _LICENSEES:
             for date in MONTHLY[::7]:
-                assert incremental.active_fingerprint(
+                assert engine.active_fingerprint(
                     name, date
-                ) == full.active_fingerprint(name, date)
+                ) == object_kernel.scan_fingerprint(scenario.database, name, date)
 
     def test_snapshot_key_pure_and_mode_invariant(self, scenario):
-        incremental, full = _engines(scenario)
+        engine = _engine(scenario)
         date = dt.date(2018, 6, 1)
-        key_i = incremental.snapshot_key("New Line Networks", date)
-        key_f = full.snapshot_key("New Line Networks", date)
-        assert key_i == key_f
+        key = engine.snapshot_key("New Line Networks", date)
+        assert key == (
+            "New Line Networks",
+            object_kernel.scan_fingerprint(
+                scenario.database, "New Line Networks", date
+            ),
+            engine.params_key,
+        )
         # snapshot_key is an inspection helper: it must not move the
         # resolution counters or create cursors.
-        assert incremental.stats.snapshot_incremental == 0
-        assert incremental.stats.snapshot_full == 0
+        assert engine.stats.snapshot_incremental == 0
+        assert engine.stats.snapshot_full == 0
 
 
 class TestIncrementalShare:
     def test_dense_grid_mostly_incremental(self, scenario):
-        engine, _ = _engines(scenario)
+        engine = _engine(scenario)
         for name in _LICENSEES:
             engine.timeline(name, MONTHLY)
         stats = engine.stats
@@ -90,24 +127,17 @@ class TestIncrementalShare:
     def test_obs_counters_mirror_stats(self, scenario):
         from repro import obs
 
-        engine, _ = _engines(scenario)
+        engine = _engine(scenario)
         with obs.capture() as captured:
             engine.timeline("New Line Networks", MONTHLY)
         counters = captured.counters()
         assert counters["engine.snapshot.incremental"] == len(MONTHLY) - 1
         assert counters["engine.snapshot.full"] == 1
 
-    def test_full_mode_counts_only_full(self, scenario):
-        _, full = _engines(scenario)
-        full.timeline("New Line Networks", MONTHLY[:12])
-        assert full.stats.snapshot_incremental == 0
-        assert full.stats.snapshot_full == 12
-        assert full.stats.incremental_share == 0.0
-
 
 class TestEmptyDeltaReuse:
     def test_unchanged_window_reuses_network_object(self, scenario):
-        engine, _ = _engines(scenario)
+        engine = _engine(scenario)
         name = "New Line Networks"
         # Two dates inside the same constant-active-set interval must hit
         # the same snapshot key and return the identical cached object.
@@ -130,7 +160,7 @@ class TestEmptyDeltaReuse:
         assert stats.snapshot_full == 1
 
     def test_describe_reports_split_and_events(self, scenario):
-        engine, _ = _engines(scenario)
+        engine = _engine(scenario)
         engine.timeline("New Line Networks", MONTHLY[:6])
         text = engine.stats.describe()
         assert "snapshot resolutions:" in text
@@ -148,7 +178,7 @@ class TestStaleness:
         )
         from repro.core.corridor import chicago_nj_corridor
 
-        engine = CorridorEngine(db, chicago_nj_corridor(), incremental=True)
+        engine = CorridorEngine(db, chicago_nj_corridor())
         d = dt.date(2016, 1, 1)
         fp1 = engine.active_fingerprint("Solo", d)
         engine.snapshot("Solo", d)
@@ -167,7 +197,7 @@ class TestStaleness:
 
 class TestCursorTransplant:
     def test_export_and_seed_carry_cursors(self, scenario):
-        engine, _ = _engines(scenario)
+        engine = _engine(scenario)
         engine.timeline("New Line Networks", MONTHLY[:10])
         export = engine.export_cache_state()
         assert export.cursors
@@ -176,9 +206,7 @@ class TestCursorTransplant:
         assert date == MONTHLY[9]
         assert generation == scenario.database.generation
 
-        sibling = CorridorEngine(
-            scenario.database, scenario.corridor, incremental=True
-        )
+        sibling = _engine(scenario)
         sibling.seed_cache_state(export)
         # The seeded cursor serves the next resolution incrementally.
         sibling.snapshot("New Line Networks", MONTHLY[10])
@@ -186,13 +214,13 @@ class TestCursorTransplant:
         assert sibling.stats.snapshot_incremental == 1
 
     def test_geodesic_only_export_has_no_cursors(self, scenario):
-        engine, _ = _engines(scenario)
+        engine = _engine(scenario)
         engine.timeline("New Line Networks", MONTHLY[:4])
         export = engine.export_cache_state(geodesic_only=True)
         assert export.cursors == ()
 
     def test_delta_absorption_adopts_cursors_and_counters(self, scenario):
-        engine, _ = _engines(scenario)
+        engine = _engine(scenario)
         baseline = engine.cache_baseline()
         engine.timeline("Webline Holdings", MONTHLY[:8])
         delta = engine.collect_cache_delta(baseline)
@@ -200,9 +228,7 @@ class TestCursorTransplant:
         assert delta.stats.snapshot_full == 1
         assert delta.cursors
 
-        parent = CorridorEngine(
-            scenario.database, scenario.corridor, incremental=True
-        )
+        parent = _engine(scenario)
         parent.absorb_cache_delta(delta)
         assert parent.stats.snapshot_incremental == 7
         assert parent.stats.snapshot_full == 1
@@ -210,26 +236,17 @@ class TestCursorTransplant:
         assert parent.stats.snapshot_full == 1  # cursor reused, no full
 
 
-class TestWithParams:
-    def test_with_params_preserves_mode(self, scenario):
-        engine = CorridorEngine(
-            scenario.database, scenario.corridor, incremental=False
-        )
-        derived = engine.with_params(stitch_tolerance_m=5.0)
-        assert derived.incremental is False
-        derived2 = _engines(scenario)[0].with_params(stitch_tolerance_m=5.0)
-        assert derived2.incremental is True
-
-
 class TestCliByteIdentity:
-    """--no-incremental must be invisible in stdout at any --jobs width."""
+    """Cursor resolution must be invisible in stdout at any --jobs width."""
+
+    ARGV = ("timeline", "--step", "monthly")
 
     @staticmethod
     def _run(*extra: str) -> bytes:
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         result = subprocess.run(
-            [sys.executable, "-m", "repro", "timeline", *extra],
+            [sys.executable, "-m", "repro", *extra],
             capture_output=True,
             env=env,
             cwd=root,
@@ -237,7 +254,27 @@ class TestCliByteIdentity:
         )
         return result.stdout
 
+    @pytest.fixture(scope="class")
+    def full_scan_stdout(self, scenario) -> bytes:
+        """The command in-process, every snapshot key from a full scan."""
+        from repro.cli import main
+
+        def resolve_by_scan(engine, licensee, on_date):
+            fingerprint = object_kernel.scan_fingerprint(
+                engine.database, licensee, on_date
+            )
+            return (licensee, fingerprint, engine.params_key), "full", 0
+
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CorridorEngine, "_resolve_key", resolve_by_scan)
+            # The CLI resolves the same cached scenario; give it an engine
+            # with empty caches so no entry predates the patch.
+            patch.setitem(vars(scenario), "_default_engine", _engine(scenario))
+            with contextlib.redirect_stdout(out):
+                assert main([*self.ARGV, "--jobs", "1"]) == 0
+        return out.getvalue().encode("utf-8")
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_timeline_byte_identical(self, jobs):
-        base = ("--step", "monthly", "--jobs", jobs)
-        assert self._run(*base) == self._run(*base, "--no-incremental")
+    def test_timeline_byte_identical(self, jobs, full_scan_stdout):
+        assert self._run(*self.ARGV, "--jobs", jobs) == full_scan_stdout

@@ -78,14 +78,11 @@ PINNED_SIGNATURES = {
         "(self, licenses: 'Iterable[License]', on_date: 'dt.date', "
         "licensee: 'str | None' = None) -> 'HftNetwork'"
     ),
-    "repro.core.reconstruction.stitch_licenses": (
-        "(licenses: 'list[License]', tolerance_m: 'float' = 30.0) "
-        "-> 'tuple[list[Tower], list[MicrowaveLink]]'"
-    ),
-    "repro.core.reconstruction.attach_fiber_tails": (
-        "(data_centers: 'Iterable[DataCenterSite]', "
-        "towers: 'Iterable[Tower]', max_tail_m: 'float' = 50000.0, "
-        "mode: 'str' = 'nearest') -> 'list[FiberTail]'"
+    "repro.core.columnar.reconstruct_columnar": (
+        "(store: 'ColumnarLicenseStore', licensee: 'str', "
+        "on_date: 'dt.date', corridor: 'CorridorSpec', "
+        "latency_model: 'LatencyModel', stitch_tolerance_m: 'float', "
+        "max_fiber_tail_m: 'float', fiber_mode: 'str') -> 'HftNetwork'"
     ),
     "repro.core.network.HftNetwork.lowest_latency_route": (
         "(self, source: 'str', target: 'str') -> 'Route | None'"

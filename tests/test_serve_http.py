@@ -154,19 +154,14 @@ class TestLifecycle:
 
 
 class TestColdMode:
-    def test_cold_service_rebuilds_per_request(self, scenario):
-        shared = CorridorEngine(scenario.database, scenario.corridor)
-        service = CorridorQueryService(
-            scenario=scenario, engine=shared, warm=False
-        )
-        service.handle_url("/apa")
-        service.handle_url("/apa")
-        # The facade's engine never resolves anything: each request got
-        # a private cold engine instead.
-        assert shared.stats.snapshot.lookups == 0
-
     def test_cold_and_warm_payloads_are_identical(self, scenario, engine):
         warm = CorridorQueryService(scenario=scenario, engine=engine)
-        cold = CorridorQueryService(scenario=scenario, warm=False)
         for url in ("/rankings", "/apa", "/map"):
+            # A service over a brand-new engine: empty caches, no store.
+            cold = CorridorQueryService(
+                scenario=scenario,
+                engine=CorridorEngine(
+                    scenario.database, scenario.corridor, store=False
+                ),
+            )
             assert warm.handle_url(url) == cold.handle_url(url)

@@ -168,7 +168,11 @@ class TestCheckpointAll:
         assert len(europe_store.stat()) == 1
 
     def test_cold_service_checkpoint_is_noop(self, scenario):
-        service = CorridorQueryService(scenario=scenario, warm=False)
+        from repro.core.engine import CorridorEngine
+
+        engine = CorridorEngine(scenario.database, scenario.corridor, store=False)
+        service = CorridorQueryService(scenario=scenario, engine=engine)
+        service.handle_url("/rankings")
         assert service.checkpoint() is None
 
 

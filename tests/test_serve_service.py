@@ -45,7 +45,7 @@ class TestParseRequest:
 class TestEndpointPayloads:
     def test_healthz(self, serve_service):
         status, payload = serve_service.handle_url("/healthz")
-        assert (status, payload) == (200, {"status": "ok", "warm": True})
+        assert (status, payload) == (200, {"status": "ok"})
 
     def test_rankings_matches_metrics_layer(self, serve_service, scenario, engine):
         status, payload = serve_service.handle_url("/rankings")

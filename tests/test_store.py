@@ -86,11 +86,11 @@ class TestFingerprint:
         copy.add(make_license(license_id="ZZ9001", licensee="Digest Test LLC"))
         assert copy.content_digest() != before
 
-    def test_params_kernel_and_versions_separate_keys(self):
-        base = store_fingerprint("digest", (100.0, "slack"), "columnar")
-        assert store_fingerprint("digest", (120.0, "slack"), "columnar") != base
-        assert store_fingerprint("digest", (100.0, "slack"), "object") != base
-        assert store_fingerprint("other", (100.0, "slack"), "columnar") != base
+    def test_params_and_versions_separate_keys(self):
+        base = store_fingerprint("digest", (100.0, "slack"))
+        assert store_fingerprint("digest", (100.0, "slack")) == base
+        assert store_fingerprint("digest", (120.0, "slack")) != base
+        assert store_fingerprint("other", (100.0, "slack")) != base
 
     def test_engine_fingerprint_tracks_params(self, scenario, tmp_path):
         store = CacheStore(tmp_path)
@@ -567,12 +567,6 @@ class TestBodyCache:
             "invalidations",
             "generation",
         }
-
-    def test_cold_service_bypasses_body_cache(self, scenario):
-        service = CorridorQueryService(scenario=scenario, warm=False)
-        status, _ = service.handle_http("/healthz")
-        assert status == 200
-        assert service._body_key("/rankings") is None
 
 
 # ----------------------------------------------------------------------
