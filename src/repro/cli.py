@@ -990,6 +990,7 @@ def main(argv: list[str] | None = None) -> int:
             trace_sink = obs.JsonLinesSink(Path(trace_path))
             sinks.append(trace_sink)
         obs.enable(sinks=tuple(sinks))
+    from repro.parallel import WorkerPoolError
     from repro.scenarios import ScenarioParamError, UnknownScenarioError
 
     try:
@@ -997,6 +998,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UnknownScenarioError, ScenarioParamError) as error:
         print(f"scenario error: {error}", file=sys.stderr)
         status = 2
+    except WorkerPoolError as error:
+        print(f"parallel error: {error}", file=sys.stderr)
+        status = 1
     finally:
         if store is not None:
             # Persist whatever the command learned, then restore the

@@ -24,7 +24,11 @@ Public API
 ``GeodesicMemo``, ``use_memo``, ``active_memo``
     Opt-in bounded memoisation of the Vincenty inverse hot path (installed
     by :class:`repro.core.engine.CorridorEngine` around reconstruction).
-``inverse_batch``, ``inverse_trig``, ``reduced_latitude_trig``
+``inverse_trig``, ``reduced_latitude_trig``
+    The Vincenty inverse kernel with the per-point reduced-latitude trig
+    split out, so callers measuring many pairs over shared points compute
+    it once per point.
+``inverse_batch``
     Batch evaluation over coordinate columns (the columnar kernel's
     geodesic substrate), bit-identical to the scalar path and able to
     consult/feed a :class:`GeodesicMemo` in bulk.
@@ -41,12 +45,10 @@ from repro.geodesy.earth import (
     geodesic_distance,
     geodesic_inverse,
     great_circle_distance,
-)
-from repro.geodesy.batch import (
-    inverse_batch,
     inverse_trig,
     reduced_latitude_trig,
 )
+from repro.geodesy.batch import inverse_batch
 from repro.geodesy.coordinates import (
     format_dms,
     parse_dms,

@@ -10,11 +10,10 @@ thousands of times per batch.
 
 :func:`inverse_batch` amortises that overhead: the reduced-latitude trig
 (``U = atan((1-f)·tan(φ))``) is computed once per *point*, then every
-``(i, j)`` index pair is solved by :func:`inverse_trig`, an inline
-restatement of :func:`repro.geodesy.earth._geodesic_inverse_uncached`
-that performs the identical sequence of floating-point operations —
-batch solutions are bit-identical to scalar ones (pinned in
-``tests/test_columnar.py``).
+``(i, j)`` index pair is solved by
+:func:`repro.geodesy.earth.inverse_trig`, the same kernel the scalar
+:func:`~repro.geodesy.earth.geodesic_inverse` calls — batch solutions are
+bit-identical to scalar ones (pinned in ``tests/test_columnar.py``).
 
 When a :class:`~repro.geodesy.memo.GeodesicMemo` is passed, the batch
 consults it pair-by-pair before solving and feeds every fresh solution
@@ -24,128 +23,10 @@ semantics of the scalar memoised path.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
-from repro.geodesy.earth import (
-    EARTH_EQUATORIAL_RADIUS_M,
-    EARTH_FLATTENING,
-    EARTH_POLAR_RADIUS_M,
-    _VINCENTY_CONVERGENCE,
-    _VINCENTY_MAX_ITERATIONS,
-    GeoPoint,
-    _spherical_azimuth,
-    great_circle_distance,
-)
+from repro.geodesy.earth import inverse_trig, reduced_latitude_trig
 from repro.geodesy.memo import GeodesicMemo, InverseSolution
-
-
-def reduced_latitude_trig(lat_deg: float) -> tuple[float, float]:
-    """``(sin U, cos U)`` of the reduced latitude of ``lat_deg``.
-
-    This is the per-point half of Vincenty's inverse formula — the part a
-    column kernel precomputes once per coordinate instead of twice per
-    pair.
-    """
-    u = math.atan((1.0 - EARTH_FLATTENING) * math.tan(math.radians(lat_deg)))
-    return (math.sin(u), math.cos(u))
-
-
-def inverse_trig(
-    lat1: float,
-    lon1: float,
-    lat2: float,
-    lon2: float,
-    sin_u1: float,
-    cos_u1: float,
-    sin_u2: float,
-    cos_u2: float,
-) -> InverseSolution:
-    """Vincenty inverse with precomputed reduced-latitude trig.
-
-    Performs the exact floating-point operation sequence of
-    :func:`repro.geodesy.earth._geodesic_inverse_uncached` (including the
-    rounded-to-12-decimals coincident-point guard and the spherical
-    nearly-antipodal fallback), so results are bit-identical to the
-    scalar path.
-    """
-    # lint: disable=float-eq (the scalar kernel's coincident-point guard:
-    # GeoPoint.rounded(12) tuple equality, restated over raw floats)
-    if round(lat1, 12) == round(lat2, 12) and round(lon1, 12) == round(lon2, 12):
-        return (0.0, 0.0, 0.0)
-
-    f = EARTH_FLATTENING
-    a_ax = EARTH_EQUATORIAL_RADIUS_M
-    b_ax = EARTH_POLAR_RADIUS_M
-
-    big_l = math.radians(lon2 - lon1)
-    lam = big_l
-    for _ in range(_VINCENTY_MAX_ITERATIONS):
-        sin_lam, cos_lam = math.sin(lam), math.cos(lam)
-        sin_sigma = math.sqrt(
-            (cos_u2 * sin_lam) ** 2 + (cos_u1 * sin_u2 - sin_u1 * cos_u2 * cos_lam) ** 2
-        )
-        # lint: disable=float-eq (Vincenty's coincident-point guard: sqrt
-        # of a sum of squares is exactly 0.0 only for identical points)
-        if sin_sigma == 0.0:
-            return (0.0, 0.0, 0.0)
-        cos_sigma = sin_u1 * sin_u2 + cos_u1 * cos_u2 * cos_lam
-        sigma = math.atan2(sin_sigma, cos_sigma)
-        sin_alpha = cos_u1 * cos_u2 * sin_lam / sin_sigma
-        cos_sq_alpha = 1.0 - sin_alpha**2
-        # lint: disable=float-eq (exact equatorial-geodesic case; guards a
-        # division by cos_sq_alpha that only an exact 0.0 would break)
-        if cos_sq_alpha == 0.0:
-            cos_2sigma_m = 0.0  # equatorial geodesic
-        else:
-            cos_2sigma_m = cos_sigma - 2.0 * sin_u1 * sin_u2 / cos_sq_alpha
-        c = f / 16.0 * cos_sq_alpha * (4.0 + f * (4.0 - 3.0 * cos_sq_alpha))
-        lam_prev = lam
-        lam = big_l + (1.0 - c) * f * sin_alpha * (
-            sigma
-            + c * sin_sigma * (cos_2sigma_m + c * cos_sigma * (-1.0 + 2.0 * cos_2sigma_m**2))
-        )
-        if abs(lam - lam_prev) < _VINCENTY_CONVERGENCE:
-            break
-    else:
-        # Nearly antipodal: fall back to the spherical solution, exactly
-        # as the scalar kernel does.
-        a = GeoPoint(lat1, lon1)
-        b = GeoPoint(lat2, lon2)
-        dist = great_circle_distance(a, b)
-        az_fwd = _spherical_azimuth(a, b)
-        az_back = (_spherical_azimuth(b, a) + 180.0) % 360.0
-        return (dist, az_fwd, az_back)
-
-    u_sq = cos_sq_alpha * (a_ax**2 - b_ax**2) / b_ax**2
-    big_a = 1.0 + u_sq / 16384.0 * (4096.0 + u_sq * (-768.0 + u_sq * (320.0 - 175.0 * u_sq)))
-    big_b = u_sq / 1024.0 * (256.0 + u_sq * (-128.0 + u_sq * (74.0 - 47.0 * u_sq)))
-    delta_sigma = (
-        big_b
-        * sin_sigma
-        * (
-            cos_2sigma_m
-            + big_b
-            / 4.0
-            * (
-                cos_sigma * (-1.0 + 2.0 * cos_2sigma_m**2)
-                - big_b
-                / 6.0
-                * cos_2sigma_m
-                * (-3.0 + 4.0 * sin_sigma**2)
-                * (-3.0 + 4.0 * cos_2sigma_m**2)
-            )
-        )
-    )
-    distance = b_ax * big_a * (sigma - delta_sigma)
-
-    az_fwd = math.degrees(
-        math.atan2(cos_u2 * math.sin(lam), cos_u1 * sin_u2 - sin_u1 * cos_u2 * math.cos(lam))
-    )
-    az_back = math.degrees(
-        math.atan2(cos_u1 * math.sin(lam), -sin_u1 * cos_u2 + cos_u1 * sin_u2 * math.cos(lam))
-    )
-    return (distance, az_fwd % 360.0, az_back % 360.0)
 
 
 def inverse_batch(

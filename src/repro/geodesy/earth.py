@@ -120,20 +120,52 @@ def geodesic_inverse(a: GeoPoint, b: GeoPoint) -> tuple[float, float, float]:
 
 def _geodesic_inverse_uncached(a: GeoPoint, b: GeoPoint) -> tuple[float, float, float]:
     """The memo-free Vincenty inverse kernel."""
-    if a.rounded(12) == b.rounded(12):
+    sin_u1, cos_u1 = reduced_latitude_trig(a.latitude)
+    sin_u2, cos_u2 = reduced_latitude_trig(b.latitude)
+    return inverse_trig(
+        a.latitude, a.longitude, b.latitude, b.longitude, sin_u1, cos_u1, sin_u2, cos_u2
+    )
+
+
+def reduced_latitude_trig(lat_deg: float) -> tuple[float, float]:
+    """``(sin U, cos U)`` of the reduced latitude of ``lat_deg``.
+
+    This is the per-point half of Vincenty's inverse formula: a caller
+    that measures many pairs over the same points (a column kernel, a
+    polyline) computes it once per point instead of once per pair end.
+    """
+    u = math.atan((1.0 - EARTH_FLATTENING) * math.tan(math.radians(lat_deg)))
+    return (math.sin(u), math.cos(u))
+
+
+def inverse_trig(
+    lat1: float,
+    lon1: float,
+    lat2: float,
+    lon2: float,
+    sin_u1: float,
+    cos_u1: float,
+    sin_u2: float,
+    cos_u2: float,
+) -> tuple[float, float, float]:
+    """Vincenty inverse with precomputed reduced-latitude trig.
+
+    The one inverse kernel: :func:`geodesic_inverse`, the columnar batch
+    (:mod:`repro.geodesy.batch`) and tower-chain synthesis all solve
+    through it.  Points whose coordinates agree to 12 decimals are
+    coincident (distance 0); nearly-antipodal pairs fall back to the
+    spherical solution.
+    """
+    # lint: disable=float-eq (coincident-point guard: coordinates equal
+    # after rounding to 12 decimals, i.e. GeoPoint.rounded(12) equality)
+    if round(lat1, 12) == round(lat2, 12) and round(lon1, 12) == round(lon2, 12):
         return (0.0, 0.0, 0.0)
 
     f = EARTH_FLATTENING
     a_ax = EARTH_EQUATORIAL_RADIUS_M
     b_ax = EARTH_POLAR_RADIUS_M
 
-    u1 = math.atan((1.0 - f) * math.tan(math.radians(a.latitude)))
-    u2 = math.atan((1.0 - f) * math.tan(math.radians(b.latitude)))
-    big_l = math.radians(b.longitude - a.longitude)
-
-    sin_u1, cos_u1 = math.sin(u1), math.cos(u1)
-    sin_u2, cos_u2 = math.sin(u2), math.cos(u2)
-
+    big_l = math.radians(lon2 - lon1)
     lam = big_l
     for _ in range(_VINCENTY_MAX_ITERATIONS):
         sin_lam, cos_lam = math.sin(lam), math.cos(lam)
@@ -165,6 +197,8 @@ def _geodesic_inverse_uncached(a: GeoPoint, b: GeoPoint) -> tuple[float, float, 
     else:
         # Nearly antipodal: Vincenty does not converge.  Use the spherical
         # solution, which is accurate to ~0.5% — acceptable for a fallback.
+        a = GeoPoint(lat1, lon1)
+        b = GeoPoint(lat2, lon2)
         dist = great_circle_distance(a, b)
         az_fwd = _spherical_azimuth(a, b)
         az_back = (_spherical_azimuth(b, a) + 180.0) % 360.0
@@ -231,23 +265,66 @@ def geodesic_destination(start: GeoPoint, azimuth_deg: float, distance_m: float)
         return GeoPoint(start.latitude, start.longitude)
     if distance_m < 0.0:
         return geodesic_destination(start, (azimuth_deg + 180.0) % 360.0, -distance_m)
+    setup = destination_setup(start.latitude, start.longitude, azimuth_deg)
+    return GeoPoint(*destination_solve(setup, distance_m))
 
+
+#: The distance-invariant half of one Vincenty direct problem; see
+#: :func:`destination_setup`.
+DestinationSetup = tuple[float, ...]
+
+
+def destination_setup(lat_deg: float, lon_deg: float, azimuth_deg: float) -> DestinationSetup:
+    """Everything the direct problem from one (start, azimuth) needs
+    before the distance is known.
+
+    That is the reduced latitude, the azimuth trig, the geodesic's
+    equatorial azimuth and Vincenty's A/B series coefficients.  A caller
+    that solves several distances from the same start and azimuth builds
+    this once and passes it to :func:`destination_solve` per distance.
+    """
     f = EARTH_FLATTENING
     b_ax = EARTH_POLAR_RADIUS_M
     a_ax = EARTH_EQUATORIAL_RADIUS_M
 
     alpha1 = math.radians(azimuth_deg)
-    u1 = math.atan((1.0 - f) * math.tan(math.radians(start.latitude)))
+    u1 = math.atan((1.0 - f) * math.tan(math.radians(lat_deg)))
     sigma1 = math.atan2(math.tan(u1), math.cos(alpha1))
     sin_alpha = math.cos(u1) * math.sin(alpha1)
     cos_sq_alpha = 1.0 - sin_alpha**2
     u_sq = cos_sq_alpha * (a_ax**2 - b_ax**2) / b_ax**2
     big_a = 1.0 + u_sq / 16384.0 * (4096.0 + u_sq * (-768.0 + u_sq * (320.0 - 175.0 * u_sq)))
     big_b = u_sq / 1024.0 * (256.0 + u_sq * (-128.0 + u_sq * (74.0 - 47.0 * u_sq)))
+    c = f / 16.0 * cos_sq_alpha * (4.0 + f * (4.0 - 3.0 * cos_sq_alpha))
+    return (
+        b_ax * big_a,
+        big_b,
+        2.0 * sigma1,
+        math.sin(u1),
+        math.cos(u1),
+        math.sin(alpha1),
+        math.cos(alpha1),
+        sin_alpha**2,
+        c,
+        (1.0 - c) * f * sin_alpha,
+        math.radians(lon_deg),
+    )
 
-    sigma = distance_m / (b_ax * big_a)
+
+def destination_solve(setup: DestinationSetup, distance_m: float) -> tuple[float, float]:
+    """``(latitude, longitude)`` in degrees, ``distance_m > 0`` metres
+    along the geodesic that ``setup`` describes.
+
+    Longitude is normalised into [-180, 180).
+    """
+    (
+        b_big_a, big_b, two_sigma1, sin_u1, cos_u1,
+        sin_alpha1, cos_alpha1, sin_sq_alpha, c, lon_coefficient, lon1,
+    ) = setup
+    sigma_0 = distance_m / b_big_a
+    sigma = sigma_0
     for _ in range(_VINCENTY_MAX_ITERATIONS):
-        cos_2sigma_m = math.cos(2.0 * sigma1 + sigma)
+        cos_2sigma_m = math.cos(two_sigma1 + sigma)
         sin_sigma, cos_sigma = math.sin(sigma), math.cos(sigma)
         delta_sigma = (
             big_b
@@ -267,30 +344,28 @@ def geodesic_destination(start: GeoPoint, azimuth_deg: float, distance_m: float)
             )
         )
         sigma_prev = sigma
-        sigma = distance_m / (b_ax * big_a) + delta_sigma
+        sigma = sigma_0 + delta_sigma
         if abs(sigma - sigma_prev) < _VINCENTY_CONVERGENCE:
             break
 
     sin_sigma, cos_sigma = math.sin(sigma), math.cos(sigma)
-    sin_u1, cos_u1 = math.sin(u1), math.cos(u1)
-    cos_2sigma_m = math.cos(2.0 * sigma1 + sigma)
+    cos_2sigma_m = math.cos(two_sigma1 + sigma)
 
-    tmp = sin_u1 * sin_sigma - cos_u1 * cos_sigma * math.cos(alpha1)
+    tmp = sin_u1 * sin_sigma - cos_u1 * cos_sigma * cos_alpha1
     lat2 = math.atan2(
-        sin_u1 * cos_sigma + cos_u1 * sin_sigma * math.cos(alpha1),
-        (1.0 - f) * math.sqrt(sin_alpha**2 + tmp**2),
+        sin_u1 * cos_sigma + cos_u1 * sin_sigma * cos_alpha1,
+        (1.0 - EARTH_FLATTENING) * math.sqrt(sin_sq_alpha + tmp**2),
     )
     lam = math.atan2(
-        sin_sigma * math.sin(alpha1),
-        cos_u1 * cos_sigma - sin_u1 * sin_sigma * math.cos(alpha1),
+        sin_sigma * sin_alpha1,
+        cos_u1 * cos_sigma - sin_u1 * sin_sigma * cos_alpha1,
     )
-    c = f / 16.0 * cos_sq_alpha * (4.0 + f * (4.0 - 3.0 * cos_sq_alpha))
-    big_l = lam - (1.0 - c) * f * sin_alpha * (
+    big_l = lam - lon_coefficient * (
         sigma + c * sin_sigma * (cos_2sigma_m + c * cos_sigma * (-1.0 + 2.0 * cos_2sigma_m**2))
     )
-    lon2 = math.radians(start.longitude) + big_l
+    lon2 = lon1 + big_l
 
     lon_deg = math.degrees(lon2)
     # Normalise into [-180, 180].
     lon_deg = (lon_deg + 180.0) % 360.0 - 180.0
-    return GeoPoint(math.degrees(lat2), lon_deg)
+    return (math.degrees(lat2), lon_deg)

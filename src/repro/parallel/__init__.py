@@ -18,6 +18,7 @@ from repro.parallel.executor import (
     BACKENDS,
     ContextSpec,
     ParallelMap,
+    WorkerPoolError,
     chunk_spans,
     pmap,
     resolve_backend,
@@ -31,6 +32,7 @@ __all__ = [
     "GridSession",
     "GridTaskContext",
     "ParallelMap",
+    "WorkerPoolError",
     "chunk_spans",
     "grid_session",
     "pmap",

@@ -14,7 +14,12 @@ and every backend obeys one contract:
 * **Spawn safety.**  The process backend uses the ``spawn`` start method
   (no inherited interpreter state); worker context is rebuilt in each
   worker from a picklable :class:`ContextSpec` (a module-level factory
-  plus arguments), never captured from the parent by forking.
+  plus arguments), never captured from the parent by forking.  The
+  parent pickles the spec once to a temporary file and each worker is
+  spawned with only that file's path, so the spawn payload stays far
+  below a pipe buffer.  A worker that dies at start-up (before reading
+  its payload) therefore cannot block the parent's spawn write; the
+  pool breaks instead and ``map`` raises :class:`WorkerPoolError`.
 
 Backends
 --------
@@ -43,7 +48,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -120,14 +128,32 @@ class ContextSpec:
         return self.factory(*self.args)
 
 
+class WorkerPoolError(RuntimeError):
+    """A worker process exited before returning its chunk's results,
+    e.g. because it died at start-up."""
+
+
 # -- worker-process plumbing (process backend only) ---------------------
 
 _WORKER_CONTEXT: object | None = None
 
 
-def _worker_init(spec: ContextSpec | None) -> None:
+def _write_context(spec: ContextSpec) -> str:
+    """Pickle ``spec`` once to a private temporary file; returns its path."""
+    fd, path = tempfile.mkstemp(prefix="repro-context-", suffix=".pickle")
+    with os.fdopen(fd, "wb") as handle:
+        pickle.dump(spec, handle, protocol=pickle.HIGHEST_PROTOCOL)
+    return path
+
+
+def _worker_init(context_path: str | None) -> None:
     global _WORKER_CONTEXT
-    _WORKER_CONTEXT = spec.build() if spec is not None else None
+    if context_path is None:
+        _WORKER_CONTEXT = None
+        return
+    with open(context_path, "rb") as handle:
+        spec = pickle.load(handle)
+    _WORKER_CONTEXT = spec.build()
 
 
 def _run_task(fn, ctx, has_context, worker, index, item):
@@ -203,6 +229,7 @@ class ParallelMap:
         self._context = context
         self._local_context = local_context
         self._pool: ProcessPoolExecutor | None = None
+        self._context_path: str | None = None
 
     # -- pool lifecycle ------------------------------------------------
 
@@ -210,12 +237,15 @@ class ParallelMap:
         if self._pool is None:
             # The one place in the repository a process pool is built
             # (enforced by the parallel-discipline lint rule): spawn
-            # context, context rebuilt per worker from the picklable spec.
+            # context, context rebuilt per worker from the picklable spec,
+            # which travels as a file path (see the module docstring).
+            if self._context is not None:
+                self._context_path = _write_context(self._context)
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 mp_context=multiprocessing.get_context("spawn"),
                 initializer=_worker_init,
-                initargs=(self._context,),
+                initargs=(self._context_path,),
             )
         return self._pool
 
@@ -224,6 +254,9 @@ class ParallelMap:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        if self._context_path is not None:
+            os.unlink(self._context_path)
+            self._context_path = None
 
     def __enter__(self) -> "ParallelMap":
         return self
@@ -324,7 +357,13 @@ class ParallelMap:
         # no matter which worker finishes first, and chunk extras /
         # registry snapshots merge in the same deterministic order.
         for worker, future in enumerate(futures):
-            chunk_results, extra, registry_snapshot = future.result()
+            try:
+                chunk_results, extra, registry_snapshot = future.result()
+            except BrokenProcessPool as error:
+                raise WorkerPoolError(
+                    f"a worker process exited before returning chunk {worker} "
+                    f"of {len(futures)} ({error})"
+                ) from None
             results.extend(chunk_results)
             if registry_snapshot is not None and obs.is_enabled():
                 registry = obs.get_registry()

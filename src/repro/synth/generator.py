@@ -42,7 +42,7 @@ from repro.synth.specs import (
     FrequencyProfile,
     NetworkSpec,
 )
-from repro.synth.towers import bypass_point, chain_points
+from repro.synth.towers import ChainLayout, bypass_point
 from repro.uls.records import License, MicrowavePath, TowerLocation
 
 #: Calibration convergence: stop when the chain length is within this many
@@ -169,13 +169,12 @@ class NetworkBuilder:
         east = _along(east_dc, west_dc, self.spec.gateway_east_km * 1000.0)
         return west, east
 
-    def _trunk_chain(self, n_links: int, amplitude_m: float, salt: int) -> list[GeoPoint]:
+    def _trunk_layout(self, n_links: int, salt: int) -> ChainLayout:
         west, east = self._gateways()
-        return chain_points(
+        return ChainLayout(
             west,
             east,
             n_links,
-            amplitude_m,
             SmoothNoise(self.spec.seed * 1000 + salt),
             profile=self.spec.spacing_profile,
             spacing_seed=self.spec.seed * 77 + salt,
@@ -187,25 +186,23 @@ class NetworkBuilder:
         """Trunk chain whose end-to-end CME–NY4 latency equals ``target_ms``."""
         fiber = (self.spec.gateway_west_km + self.spec.gateway_east_km) * 1000.0
         target_length = _mw_length_target_m(target_ms, fiber)
+        layout = self._trunk_layout(n_links, salt)
         amplitude = _bisect_amplitude(
-            lambda a: polyline_length(self._trunk_chain(n_links, a, salt)),
+            layout.length,
             target_length,
             what=f"{self.spec.name} trunk (era salt {salt})",
         )
         self.calibration_report[f"trunk[{salt}]"] = amplitude
-        return self._trunk_chain(n_links, amplitude, salt)
+        return layout.points(amplitude)
 
-    def _branch_chain(
-        self, branch: BranchSpec, trunk: list[GeoPoint], amplitude_m: float
-    ) -> list[GeoPoint]:
+    def _branch_layout(self, branch: BranchSpec, trunk: list[GeoPoint]) -> ChainLayout:
         split_tower = trunk[branch.split_link]
         dc = self.corridor.site(branch.target_dc).point
         gateway = _along(dc, split_tower, branch.gateway_km * 1000.0)
-        return chain_points(
+        return ChainLayout(
             split_tower,
             gateway,
             branch.n_links,
-            amplitude_m,
             SmoothNoise(self.spec.seed * 1000 + 500 + branch.split_link),
             profile="jittered",
             spacing_seed=self.spec.seed * 99 + branch.split_link,
@@ -224,13 +221,14 @@ class NetworkBuilder:
                 f"{self.spec.name}: trunk prefix alone exceeds the "
                 f"{branch.target_dc} latency target"
             )
+        layout = self._branch_layout(branch, trunk)
         amplitude = _bisect_amplitude(
-            lambda a: polyline_length(self._branch_chain(branch, trunk, a)),
+            layout.length,
             branch_target,
             what=f"{self.spec.name} branch to {branch.target_dc}",
         )
         self.calibration_report[f"branch[{branch.target_dc}]"] = amplitude
-        return self._branch_chain(branch, trunk, amplitude)
+        return layout.points(amplitude)
 
     @staticmethod
     def _double_bypass_tower(
@@ -460,7 +458,7 @@ class NetworkBuilder:
         if era.latency_target_ms is not None:
             chain = self.calibrate_trunk(era.n_links, era.latency_target_ms, salt)
         else:
-            chain = self._trunk_chain(era.n_links, _DEFAULT_AMPLITUDE_M, salt)
+            chain = self._trunk_layout(era.n_links, salt).points(_DEFAULT_AMPLITUDE_M)
             keep = max(1, math.ceil(era.coverage * era.n_links))
             chain = chain[: keep + 1]
         links = list(zip(chain, chain[1:]))

@@ -41,7 +41,7 @@ from repro.synth.specs import (
     FrequencyProfile,
     NetworkSpec,
 )
-from repro.synth.towers import chain_points, perturb
+from repro.synth.towers import ChainLayout, perturb
 from repro.synth.noise import SmoothNoise
 from repro.uls.database import UlsDatabase
 from repro.uls.records import License, MicrowavePath, TowerLocation
@@ -420,9 +420,7 @@ def _split_network_chain(corridor: CorridorSpec) -> list:
 
     start = offset_point(west, east, 0.001, 0.0)
     end = offset_point(west, east, 0.999, 0.0)
-    return chain_points(
-        start, end, _SPLIT_TOTAL_LINKS, 16_000.0, SmoothNoise(8181)
-    )
+    return ChainLayout(start, end, _SPLIT_TOTAL_LINKS, SmoothNoise(8181)).points(16_000.0)
 
 
 def _split_half_licenses(
@@ -490,9 +488,8 @@ def partial_builder_licenses(corridor: CorridorSpec) -> list[License]:
         coverage = rng.uniform(0.3, 0.7)
         keep = max(11, int(n_links * coverage))
         start = geodesic_destination(cme, 95.0, rng.uniform(800.0, 6000.0))
-        chain = chain_points(
-            start, ny4, n_links, rng.uniform(2000.0, 15000.0), SmoothNoise(seed)
-        )[: keep + 1]
+        layout = ChainLayout(start, ny4, n_links, SmoothNoise(seed))
+        chain = layout.points(rng.uniform(2000.0, 15000.0))[: keep + 1]
         grant_year = rng.randint(2012, 2018)
         cancelled = rng.random() < 0.35
         for link_index, (a, b) in enumerate(zip(chain, chain[1:])):

@@ -3,9 +3,12 @@
 A synthetic route is a chain of tower sites between two anchor points:
 towers are placed at chosen fractions along the geodesic and displaced
 laterally by a smooth noise function scaled by a calibration amplitude.
-Larger amplitudes make longer (slower) routes; the generator bisects on
-the amplitude to hit a target latency measured through the real
-reconstruction pipeline.
+Larger amplitudes make longer (slower) routes; the generator
+(:mod:`repro.synth.generator`) bisects on the amplitude until the chain's
+geodesic length, under the paper's latency model, hits a target latency.
+:class:`ChainLayout` solves everything that does not depend on the
+amplitude once per chain, so each bisection step only places the towers
+laterally and measures the hops.
 """
 
 from __future__ import annotations
@@ -14,6 +17,13 @@ import random
 from typing import Sequence
 
 from repro.geodesy import GeoPoint
+from repro.geodesy.earth import (
+    destination_setup,
+    destination_solve,
+    geodesic_destination,
+    inverse_trig,
+    reduced_latitude_trig,
+)
 from repro.geodesy.path import offset_point
 from repro.synth.noise import SmoothNoise
 
@@ -67,40 +77,116 @@ def spacing_fractions(
     return fractions
 
 
-def chain_points(
-    start: GeoPoint,
-    end: GeoPoint,
-    n_links: int,
-    amplitude_m: float,
-    noise: SmoothNoise,
-    profile: str = "uniform",
-    spacing_seed: int = 0,
-    short_fraction: float = 0.6,
-    length_ratio: float = 2.0,
-) -> list[GeoPoint]:
-    """Tower sites for a chain of ``n_links`` hops from start to end.
+class ChainLayout:
+    """The amplitude-invariant geometry of one tower chain.
 
-    Returns ``n_links + 1`` points: the two anchors exactly, and
-    intermediate towers displaced laterally by
-    ``amplitude_m × noise.tapered(fraction)``.
+    A chain of ``n_links`` hops runs from ``start`` to ``end``.  Tower
+    ``i`` sits at spacing fraction ``f_i`` along the start→end geodesic,
+    displaced ``amplitude_m × noise.tapered(f_i)`` metres perpendicular to
+    it (positive = right of travel).  Everything here except the
+    amplitude is fixed per chain, so the constructor solves it once: the
+    start→end inverse, each tower's on-geodesic base point, its tapered
+    noise factor and the direct-problem setup of both perpendiculars
+    (:func:`repro.geodesy.earth.destination_setup`).  Each
+    :meth:`points` / :meth:`length` call then costs one lateral direct
+    solve per tower plus one inverse solve per hop, with the
+    reduced-latitude trig computed once per point.
+
+    The geometry is bit-identical to placing each tower with
+    :func:`repro.geodesy.path.offset_point` and measuring the chain with
+    :func:`repro.geodesy.path.polyline_length` (pinned in
+    ``tests/test_synth_noise_towers.py``), but it never consults a
+    :class:`~repro.geodesy.memo.GeodesicMemo`.
     """
-    fractions = [0.0] + spacing_fractions(
-        n_links,
-        profile,
-        spacing_seed,
-        short_fraction=short_fraction,
-        length_ratio=length_ratio,
-    )
-    points: list[GeoPoint] = []
-    for index, fraction in enumerate(fractions):
-        if index == 0:
-            points.append(start)
-        elif index == len(fractions) - 1:
-            points.append(end)
-        else:
-            lateral = amplitude_m * noise.tapered(fraction)
-            points.append(offset_point(start, end, fraction, lateral))
-    return points
+
+    def __init__(
+        self,
+        start: GeoPoint,
+        end: GeoPoint,
+        n_links: int,
+        noise: SmoothNoise,
+        profile: str = "uniform",
+        spacing_seed: int = 0,
+        short_fraction: float = 0.6,
+        length_ratio: float = 2.0,
+    ) -> None:
+        fractions = spacing_fractions(
+            n_links,
+            profile,
+            spacing_seed,
+            short_fraction=short_fraction,
+            length_ratio=length_ratio,
+        )
+        self.start = start
+        self.end = end
+        self._start_trig = reduced_latitude_trig(start.latitude)
+        self._end_trig = reduced_latitude_trig(end.latitude)
+        distance, azimuth, _ = inverse_trig(
+            start.latitude, start.longitude, end.latitude, end.longitude,
+            *self._start_trig, *self._end_trig,
+        )
+        right = (azimuth + 90.0) % 360.0
+        left = (azimuth - 90.0) % 360.0
+        self._towers = []
+        for fraction in fractions[:-1]:
+            base = geodesic_destination(start, azimuth, distance * fraction)
+            lat, lon = base.latitude, base.longitude
+            self._towers.append((
+                noise.tapered(fraction),
+                base,
+                reduced_latitude_trig(lat),
+                destination_setup(lat, lon, right),
+                destination_setup(lat, lon, left),
+            ))
+
+    def _sites(self, amplitude_m: float):
+        """Each intermediate tower at ``amplitude_m``, as ``(latitude,
+        longitude, base, base_trig)``: when the lateral offset is exactly
+        zero, the on-geodesic point and its reduced-latitude trig, else
+        ``None`` for both."""
+        for taper, base, base_trig, right, left in self._towers:
+            lateral = amplitude_m * taper
+            # lint: disable=float-eq (exact zero lateral offset leaves the
+            # tower on the geodesic, as offset_point does)
+            if lateral == 0.0:
+                yield base.latitude, base.longitude, base, base_trig
+            else:
+                lat, lon = destination_solve(right if lateral > 0.0 else left, abs(lateral))
+                yield lat, lon, None, None
+
+    def points(self, amplitude_m: float) -> list[GeoPoint]:
+        """The ``n_links + 1`` tower sites: the two anchors themselves and
+        the intermediate towers at lateral amplitude ``amplitude_m``."""
+        return [
+            self.start,
+            *(
+                base if base is not None else GeoPoint(lat, lon)
+                for lat, lon, base, _ in self._sites(amplitude_m)
+            ),
+            self.end,
+        ]
+
+    def length(self, amplitude_m: float) -> float:
+        """Geodesic length of the chain at ``amplitude_m``, metres: what
+        ``polyline_length(self.points(amplitude_m))`` returns, without
+        building the points."""
+        lat1, lon1 = self.start.latitude, self.start.longitude
+        sin_u1, cos_u1 = self._start_trig
+        hops = []
+        for lat2, lon2, _, trig in self._sites(amplitude_m):
+            sin_u2, cos_u2 = trig if trig is not None else reduced_latitude_trig(lat2)
+            hops.append(
+                inverse_trig(lat1, lon1, lat2, lon2, sin_u1, cos_u1, sin_u2, cos_u2)[0]
+            )
+            lat1, lon1, sin_u1, cos_u1 = lat2, lon2, sin_u2, cos_u2
+        sin_u2, cos_u2 = self._end_trig
+        hops.append(
+            inverse_trig(
+                lat1, lon1, self.end.latitude, self.end.longitude,
+                sin_u1, cos_u1, sin_u2, cos_u2,
+            )[0]
+        )
+        return sum(hops)
 
 
 def bypass_point(
@@ -121,31 +207,11 @@ def bypass_point(
     return offset_point(tower_a, tower_b, along_fraction, lateral_m)
 
 
-def gateway_point(data_center: GeoPoint, towards: GeoPoint, distance_m: float) -> GeoPoint:
-    """The gateway tower: ``distance_m`` from the data center towards the
-    far end of the corridor.  Its fiber tail is what §2.3's model pays at
-    2c/3."""
-    if distance_m <= 0.0:
-        raise ValueError("gateway distance must be positive")
-    return offset_point(data_center, towards, 0.0, 0.0) if distance_m == 0.0 else (
-        _along(data_center, towards, distance_m)
-    )
-
-
-def _along(start: GeoPoint, towards: GeoPoint, distance_m: float) -> GeoPoint:
-    from repro.geodesy import geodesic_inverse, geodesic_destination
-
-    _, azimuth, _ = geodesic_inverse(start, towards)
-    return geodesic_destination(start, azimuth, distance_m)
-
-
 def perturb(point: GeoPoint, seed: int, max_offset_m: float = 150.0) -> GeoPoint:
     """A small seeded displacement, used to make decoy sites look organic."""
     rng = random.Random(seed)
     bearing = rng.uniform(0.0, 360.0)
     distance = rng.uniform(0.0, max_offset_m)
-    from repro.geodesy import geodesic_destination
-
     return geodesic_destination(point, bearing, distance)
 
 

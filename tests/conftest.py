@@ -1,7 +1,7 @@
 """Shared fixtures.
 
-The ``paper2020`` scenario build calibrates ~30 chains by bisection
-(~1 s); it is cached per process, so the session-scoped fixtures here are
+The ``paper2020`` scenario build calibrates ~40 chains by bisection
+(~0.5 s); it is cached per process, so the session-scoped fixtures here are
 cheap for every test after the first.  Everything expensive downstream of
 the scenario is also session-scoped and routed through the scenario's
 *default* :class:`~repro.core.engine.CorridorEngine` — snapshots computed

@@ -104,7 +104,25 @@ class TestInverse:
         assert distance == pytest.approx(math.pi * EARTH_MEAN_RADIUS_M, rel=0.01)
 
 
+#: (start, azimuth, distance, destination) solved by the single-function
+#: Vincenty direct solver before it was split into destination_setup and
+#: destination_solve.  The split must not move a bit.
+DIRECT_PINS = [
+    ((41.758, -88.1801), 93.0, 12345.0, (41.75208737036096, -88.03187521354847)),
+    ((40.7773, -74.07), 271.5, 1000000.0, (40.406339229384976, -85.88197318055695)),
+    ((35.6242, 139.741), 225.0, 5300000.0, (-2.024661660594508, 108.24859425075533)),
+    ((-33.87, 151.21), 10.0, 250.0, (-33.86778036429188, 151.2104691790139)),
+    ((10.0, 179.9), 90.0, 50000.0, (9.999687605741057, -179.643959702914)),
+    ((41.758, -88.1801), 45.0, -7500.0, (41.71023414141803, -88.24382201052009)),
+]
+
+
 class TestDirect:
+    @pytest.mark.parametrize("start, azimuth, distance, expected", DIRECT_PINS)
+    def test_destination_bit_identical_to_pinned(self, start, azimuth, distance, expected):
+        destination = geodesic_destination(GeoPoint(*start), azimuth, distance)
+        assert (destination.latitude, destination.longitude) == expected
+
     def test_destination_roundtrip(self):
         destination = geodesic_destination(CME, 90.0, 10_000.0)
         assert geodesic_distance(CME, destination) == pytest.approx(10_000.0, abs=1e-4)

@@ -8,18 +8,22 @@ import pytest
 
 from repro.core.corridor import chicago_nj_corridor
 from repro.core.reconstruction import NetworkReconstructor
+from repro.geodesy import active_memo
+from repro.synth import generator
 from repro.synth.generator import (
     CalibrationError,
     NetworkBuilder,
     _mw_length_target_m,
     build_network_licenses,
 )
+from repro.synth.scenario import build_scenario
 from repro.synth.specs import (
     BranchSpec,
     EraSpec,
     FrequencyProfile,
     NetworkSpec,
 )
+from repro.synth.towers import ChainLayout
 
 CORRIDOR = chicago_nj_corridor()
 FREQS = FrequencyProfile(trunk_bands=(("11GHz", 1.0),))
@@ -125,6 +129,104 @@ class TestCalibration:
         )
         route = network.lowest_latency_route("CME", "NASDAQ")
         assert route.latency_ms == pytest.approx(3.9450, abs=2e-5)
+
+
+#: paper2020's bisection, one row per calibrate call in build order:
+#: (licensee, calibration_report key, amplitude, chain length
+#: evaluations).  Any change to the amplitude sequence, the bisection or
+#: the chain geometry moves a row.
+PAPER2020_CALIBRATION = (
+    ('New Line Networks', 'trunk[103]', 32812.5, 17),
+    ('New Line Networks', 'trunk[104]', 24812.5, 15),
+    ('New Line Networks', 'trunk[105]', 14312.5, 13),
+    ('New Line Networks', 'trunk[0]', 9125.0, 12),
+    ('New Line Networks', 'branch[NYSE]', 5437.5, 11),
+    ('New Line Networks', 'branch[NASDAQ]', 6937.5, 11),
+    ('Pierce Broadband', 'trunk[0]', 9656.25, 14),
+    ('Pierce Broadband', 'branch[NYSE]', 25648.4375, 18),
+    ('Pierce Broadband', 'branch[NASDAQ]', 16671.875, 17),
+    ('Jefferson Microwave', 'trunk[102]', 37203.125, 19),
+    ('Jefferson Microwave', 'trunk[103]', 28859.375, 17),
+    ('Jefferson Microwave', 'trunk[104]', 27234.375, 17),
+    ('Jefferson Microwave', 'trunk[105]', 23906.25, 16),
+    ('Jefferson Microwave', 'trunk[0]', 15718.75, 14),
+    ('Jefferson Microwave', 'branch[NYSE]', 6562.5, 11),
+    ('Jefferson Microwave', 'branch[NASDAQ]', 2750.0, 7),
+    ('Blueline Comm', 'trunk[101]', 40968.75, 18),
+    ('Blueline Comm', 'trunk[102]', 31421.875, 17),
+    ('Blueline Comm', 'trunk[0]', 18531.25, 16),
+    ('Blueline Comm', 'branch[NYSE]', 31156.25, 16),
+    ('Blueline Comm', 'branch[NASDAQ]', 21968.75, 16),
+    ('Webline Holdings', 'trunk[101]', 54640.625, 19),
+    ('Webline Holdings', 'trunk[102]', 46437.5, 17),
+    ('Webline Holdings', 'trunk[103]', 34828.125, 19),
+    ('Webline Holdings', 'trunk[104]', 28546.875, 17),
+    ('Webline Holdings', 'trunk[105]', 26343.75, 16),
+    ('Webline Holdings', 'trunk[106]', 24906.25, 16),
+    ('Webline Holdings', 'trunk[0]', 20125.0, 14),
+    ('Webline Holdings', 'branch[NYSE]', 83562.5, 19),
+    ('Webline Holdings', 'branch[NASDAQ]', 9500.0, 10),
+    ('AQ2AT', 'trunk[101]', 46492.1875, 20),
+    ('AQ2AT', 'trunk[0]', 43828.125, 19),
+    ('Wireless Internetwork', 'trunk[101]', 78625.0, 18),
+    ('Wireless Internetwork', 'trunk[0]', 72921.875, 21),
+    ('GTT Americas', 'trunk[101]', 111468.75, 20),
+    ('GTT Americas', 'trunk[0]', 95281.25, 20),
+    ('SW Networks', 'trunk[101]', 124246.09375, 23),
+    ('SW Networks', 'trunk[0]', 130109.375, 23),
+    ('National Tower Company', 'trunk[102]', 37750.0, 15),
+    ('National Tower Company', 'trunk[103]', 37156.25, 18),
+    ('National Tower Company', 'trunk[0]', 34656.25, 18),
+)
+
+
+class TestPaper2020Calibration:
+    @pytest.fixture(scope="class")
+    def calls(self):
+        """Every calibrate call of a fresh paper2020 build, with the
+        length evaluations it made and the memo active during it."""
+        calls = []
+        patch = pytest.MonkeyPatch()
+        evaluations = [0]
+        length = ChainLayout.length
+
+        def counted_length(layout, amplitude_m):
+            evaluations[0] += 1
+            return length(layout, amplitude_m)
+
+        def recorded(calibrate):
+            def wrapper(builder, *args, **kwargs):
+                evaluations[0] = 0
+                before = dict(builder.calibration_report)
+                memo = active_memo()
+                points = calibrate(builder, *args, **kwargs)
+                (key,) = builder.calibration_report.keys() - before.keys()
+                calls.append((
+                    builder.spec.name, key,
+                    builder.calibration_report[key], evaluations[0], memo,
+                ))
+                return points
+            return wrapper
+
+        patch.setattr(ChainLayout, "length", counted_length)
+        for name in ("calibrate_trunk", "calibrate_branch"):
+            patch.setattr(
+                generator.NetworkBuilder, name,
+                recorded(getattr(generator.NetworkBuilder, name)),
+            )
+        try:
+            build_scenario()
+        finally:
+            patch.undo()
+        return calls
+
+    def test_bisection_sequence_pinned(self, calls):
+        assert tuple(call[:4] for call in calls) == PAPER2020_CALIBRATION
+
+    def test_no_geodesic_memo_during_build(self, calls):
+        # ChainLayout solves without consulting a memo; that is only
+        # equivalent to the memoised path because none is installed here.
+        assert all(call[4] is None for call in calls)
 
 
 class TestStructure:
