@@ -10,7 +10,8 @@
 # verdict between the passes and is exposed as ordering-dependent.
 # Finally, the engine-equivalence property tests re-run standalone
 # (cached results must match the object-kernel oracle exactly, even in a
-# fresh interpreter).
+# fresh interpreter), and so does the scraper equivalence (the one-pass
+# page parser must read every rendered page as the html.parser oracle does).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -45,8 +46,9 @@ fi
 python -m pytest -q
 python -m pytest -q --ff
 
-# Engine equivalence in a fresh interpreter.
+# Engine and scraper equivalence, each in a fresh interpreter.
 python -m pytest -x -q tests/test_engine.py
+python -m pytest -x -q tests/test_scraper_equivalence.py
 
 # Parallel determinism gate: analysis output must be byte-identical no
 # matter the fan-out width (repro.parallel's ordered reduction + cache

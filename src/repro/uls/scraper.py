@@ -1,19 +1,26 @@
 """Scraping client for ULS portal pages.
 
 This is the data-collection half of the paper's tool (§2.2).  It drives
-the portal's search pages, parses the HTML with the standard library's
-:class:`html.parser.HTMLParser`, and rebuilds :class:`License` records.
+the portal's search pages, parses each page in one pass over its fixed
+block layout (results tables of rows and cells, the ``meta`` and
+``contact`` paragraphs, the ``<h1>`` heading), and rebuilds
+:class:`License` records.  A page that does not fit the layout (a missing
+table, a changed header, a short row, a field that does not convert)
+raises :class:`ScrapeError` naming the table and row.
 
-The scraper is written against page *structure* (table ids and column
-order), not against our renderer's internals, so it would work unchanged on
-any server producing the same page layout.  A per-license cache avoids
-refetching detail pages, mirroring the original tool's on-disk cache.
+The scraper is written against page *structure* (table ids, headers and
+column order), not against our renderer's internals, so it would work
+unchanged on any server producing the same page layout.  A per-license
+cache avoids refetching detail pages, mirroring the original tool's
+on-disk cache.
 """
 
 from __future__ import annotations
 
+import datetime as dt
+import re
 from dataclasses import dataclass
-from html.parser import HTMLParser
+from html import unescape
 
 from repro import obs
 from repro.geodesy import GeoPoint
@@ -53,100 +60,144 @@ class ScrapeError(ValueError):
     """Raised when a page cannot be parsed into the expected structure."""
 
 
-class _TableExtractor(HTMLParser):
-    """Collects every ``<table class="results">`` as a list of text rows.
+#: One alternation finds every block the scraper reads, in page order: a
+#: ``<table>`` (kept when its class names ``results``), the ``meta`` and
+#: ``contact`` paragraphs, and the ``<h1>`` heading.  A block's body may
+#: not contain another tag of its own kind, and the possessive ``++`` /
+#: ``*+`` never backtrack, so a scan stops at the next such tag: every
+#: pattern here runs in time linear in the page, however malformed.
+_BLOCK_RE = re.compile(
+    r"<table\b([^<>]*+)>((?:[^<]++|<(?!/?table\b))*+)</table>"
+    r'|<p id="(meta|contact)">((?:[^<]++|<(?!/?p\b))*+)</p>'
+    r"|<h1\b[^<>]*+>((?:[^<]++|<(?!/?h1\b))*+)</h1>"
+)
+_ATTR_RE = re.compile(r'([\w-]+)="([^"]*)"')
+_ROW_RE = re.compile(r"<tr\b[^<>]*+>((?:[^<]++|<(?!/?tr\b))*+)</tr>")
+_CELL_RE = re.compile(r"<t[dh]\b[^<>]*+>((?:[^<]++|<(?!/?t[dh]\b))*+)</t[dh]>")
+_TAG_RE = re.compile(r"</?[A-Za-z][^<>]*+>")
 
-    Tables are keyed by their ``id`` attribute ("" when absent); each table
-    is a list of rows, each row a list of cell strings (header row
-    included).
+#: The header row each results table must carry, column by column.
+_GEOGRAPHIC_HEADER = (
+    "Call Sign", "License ID", "Licensee", "Radio Service", "Station Class"
+)
+_GEOGRAPHIC_KEYS = (
+    "callsign", "license_id", "licensee_name", "radio_service_code", "station_class"
+)
+_NAME_HEADER = ("Call Sign", "License ID", "Licensee")
+_DATES_HEADER = ("Event", "Date")
+_LOCATIONS_HEADER = (
+    "Loc", "Latitude", "Longitude", "Ground Elev (m)", "Height (m)", "Site"
+)
+_PATHS_HEADER = ("Path", "TX Loc", "RX Loc", "Frequencies (MHz)")
+
+
+def _text(fragment: str) -> str:
+    """The character data of an HTML fragment: tags dropped, entities decoded."""
+    if "<" in fragment:
+        fragment = _TAG_RE.sub("", fragment)
+    if "&" in fragment:
+        fragment = unescape(fragment)
+    return fragment
+
+
+@dataclass
+class _Page:
+    """What the scraper reads off one portal page.
+
+    ``tables`` maps each results table's ``id`` (``table<n>`` when it has
+    none) to its rows of stripped cell text, header row included, in page
+    order.  ``meta``, ``contact`` and ``heading`` are the unstripped text
+    of the ``<p id="meta">``, ``<p id="contact">`` and ``<h1>`` blocks.
     """
 
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.tables: dict[str, list[list[str]]] = {}
-        self._table_order: list[str] = []
-        self._current_id: str | None = None
-        self._current_rows: list[list[str]] | None = None
-        self._current_row: list[str] | None = None
-        self._cell_parts: list[str] | None = None
-
-    def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
-        attributes = dict(attrs)
-        if tag == "table" and "results" in (attributes.get("class") or ""):
-            self._current_id = attributes.get("id") or f"table{len(self._table_order)}"
-            self._current_rows = []
-        elif tag == "tr" and self._current_rows is not None:
-            self._current_row = []
-        elif tag in ("td", "th") and self._current_row is not None:
-            self._cell_parts = []
-
-    def handle_endtag(self, tag: str) -> None:
-        if tag in ("td", "th") and self._cell_parts is not None:
-            assert self._current_row is not None
-            self._current_row.append("".join(self._cell_parts).strip())
-            self._cell_parts = None
-        elif tag == "tr" and self._current_row is not None:
-            assert self._current_rows is not None
-            self._current_rows.append(self._current_row)
-            self._current_row = None
-        elif tag == "table" and self._current_rows is not None:
-            assert self._current_id is not None
-            self.tables[self._current_id] = self._current_rows
-            self._table_order.append(self._current_id)
-            self._current_rows = None
-            self._current_id = None
-
-    def handle_data(self, data: str) -> None:
-        if self._cell_parts is not None:
-            self._cell_parts.append(data)
+    tables: dict[str, list[list[str]]]
+    meta: str = ""
+    contact: str = ""
+    heading: str = ""
 
     def first_table(self) -> list[list[str]]:
-        if not self._table_order:
+        if not self.tables:
             raise ScrapeError("page contains no results table")
-        return self.tables[self._table_order[0]]
+        return next(iter(self.tables.values()))
 
 
-class _MetaExtractor(HTMLParser):
-    """Extracts the license id / service / class line and the page h1."""
-
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self._in_meta = False
-        self._in_contact = False
-        self._in_h1 = False
-        self.meta_text = ""
-        self.contact_text = ""
-        self.heading = ""
-
-    def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
-        attributes = dict(attrs)
-        if tag == "p" and attributes.get("id") == "meta":
-            self._in_meta = True
-        elif tag == "p" and attributes.get("id") == "contact":
-            self._in_contact = True
-        elif tag == "h1":
-            self._in_h1 = True
-
-    def handle_endtag(self, tag: str) -> None:
-        if tag == "p":
-            self._in_meta = False
-            self._in_contact = False
-        elif tag == "h1":
-            self._in_h1 = False
-
-    def handle_data(self, data: str) -> None:
-        if self._in_meta:
-            self.meta_text += data
-        if self._in_contact:
-            self.contact_text += data
-        if self._in_h1:
-            self.heading += data
+def _parse_page(html: str) -> _Page:
+    """Parse a portal page in one pass over its fixed block layout."""
+    page = _Page({})
+    for match in _BLOCK_RE.finditer(html):
+        attrs, body, paragraph, paragraph_body, heading = match.groups()
+        if body is not None:
+            attributes = dict(_ATTR_RE.findall(attrs))
+            if "results" in attributes.get("class", ""):
+                table_id = attributes.get("id") or f"table{len(page.tables)}"
+                page.tables[table_id] = [
+                    [_text(cell).strip() for cell in _CELL_RE.findall(row)]
+                    for row in _ROW_RE.findall(body)
+                ]
+        elif paragraph == "meta":
+            page.meta += _text(paragraph_body)
+        elif paragraph == "contact":
+            page.contact += _text(paragraph_body)
+        else:
+            page.heading += _text(heading)
+    return page
 
 
-def _parse_table_page(html: str) -> list[list[str]]:
-    extractor = _TableExtractor()
-    extractor.feed(html)
-    return extractor.first_table()
+def _data_rows(
+    table: str, rows: list[list[str]], header: tuple[str, ...]
+) -> list[list[str]]:
+    """The rows below ``header``, each checked to have one cell per column."""
+    if not rows or tuple(rows[0]) != header:
+        raise ScrapeError(f"unexpected {table} header: {rows[0] if rows else []!r}")
+    for number, row in enumerate(rows[1:], 1):
+        if len(row) != len(header):
+            raise ScrapeError(
+                f"{table} row {number}: expected {len(header)} cells, got {len(row)}"
+            )
+    return rows[1:]
+
+
+def _convert_rows(table: str, rows: list[list[str]], convert) -> list:
+    """``convert`` each row; a bad field raises a ScrapeError naming the row."""
+    converted = []
+    number = 0
+    try:
+        for number, row in enumerate(rows, 1):
+            converted.append(convert(row))
+    except (ValueError, OverflowError) as exc:
+        raise ScrapeError(f"{table} row {number}: {exc}") from None
+    return converted
+
+
+def _date_row(row: list[str]) -> tuple[str, dt.date | None]:
+    event, text = row
+    return event, parse_date("" if text == "—" else text)
+
+
+def _location_row(row: list[str]) -> TowerLocation:
+    number, latitude, longitude, ground, height, site = row
+    return TowerLocation(
+        location_number=int(number),
+        point=GeoPoint(parse_dms(latitude), parse_dms(longitude)),
+        ground_elevation_m=float(ground),
+        structure_height_m=float(height),
+        site_name="" if site == "—" else site,
+    )
+
+
+def _path_row(row: list[str]) -> MicrowavePath:
+    number, tx, rx, freq_text = row
+    frequencies = (
+        ()
+        if freq_text == "—"
+        else tuple(float(part) for part in freq_text.split(","))
+    )
+    return MicrowavePath(
+        path_number=int(number),
+        tx_location_number=int(tx),
+        rx_location_number=int(rx),
+        frequencies_mhz=frequencies,
+    )
 
 
 @dataclass
@@ -175,35 +226,32 @@ class UlsScraper:
     ) -> list[dict[str, str]]:
         """Scrape the geographic results: one dict per row."""
         with obs.span("uls.scraper.search", kind="geographic"):
-            html = self._portal.geographic_search_page(
-                latitude, longitude, radius_km
-            )
+            with obs.span("uls.portal.render"):
+                html = self._portal.geographic_search_page(
+                    latitude, longitude, radius_km
+                )
             self.stats.search_pages += 1
             obs.count("uls.scraper.page.search")
-            table = _parse_table_page(html)
-        header, rows = table[0], table[1:]
-        expected = ["Call Sign", "License ID", "Licensee", "Radio Service", "Station Class"]
-        if header != expected:
-            raise ScrapeError(f"unexpected geographic results header: {header!r}")
-        return [
-            {
-                "callsign": row[0],
-                "license_id": row[1],
-                "licensee_name": row[2],
-                "radio_service_code": row[3],
-                "station_class": row[4],
-            }
-            for row in rows
-        ]
+            with obs.span("uls.scraper.parse"):
+                rows = _data_rows(
+                    "geographic results",
+                    _parse_page(html).first_table(),
+                    _GEOGRAPHIC_HEADER,
+                )
+        return [dict(zip(_GEOGRAPHIC_KEYS, row)) for row in rows]
 
     def licenses_of(self, licensee_name: str) -> list[str]:
         """License ids filed by a licensee (name-search page)."""
         with obs.span("uls.scraper.search", kind="name", licensee=licensee_name):
-            html = self._portal.name_search_page(licensee_name)
+            with obs.span("uls.portal.render"):
+                html = self._portal.name_search_page(licensee_name)
             self.stats.search_pages += 1
             obs.count("uls.scraper.page.search")
-            table = _parse_table_page(html)
-        return [row[1] for row in table[1:]]
+            with obs.span("uls.scraper.parse"):
+                rows = _data_rows(
+                    "name results", _parse_page(html).first_table(), _NAME_HEADER
+                )
+        return [row[1] for row in rows]
 
     # ------------------------------------------------------------------
     # Detail pages
@@ -217,10 +265,12 @@ class UlsScraper:
             return self._detail_cache[license_id]
         obs.count("uls.scraper.cache.miss")
         with obs.span("uls.scraper.detail", license_id=license_id):
-            html = self._portal.license_detail_page(license_id)
+            with obs.span("uls.portal.render"):
+                html = self._portal.license_detail_page(license_id)
             self.stats.detail_pages += 1
             obs.count("uls.scraper.page.detail")
-            lic = self._parse_detail(html)
+            with obs.span("uls.scraper.parse"):
+                lic = self._parse_detail(html)
         if lic.license_id != license_id:
             raise ScrapeError(
                 f"requested {license_id!r} but page is for {lic.license_id!r}"
@@ -291,17 +341,21 @@ class UlsScraper:
 
     @staticmethod
     def _parse_detail(html: str) -> License:
-        tables = _TableExtractor()
-        tables.feed(html)
-        meta = _MetaExtractor()
-        meta.feed(html)
-
-        for required in ("dates", "locations", "paths"):
-            if required not in tables.tables:
-                raise ScrapeError(f"detail page missing {required!r} table")
+        page = _parse_page(html)
+        tables = {}
+        for table_id, header in (
+            ("dates", _DATES_HEADER),
+            ("locations", _LOCATIONS_HEADER),
+            ("paths", _PATHS_HEADER),
+        ):
+            if table_id not in page.tables:
+                raise ScrapeError(f"detail page missing {table_id!r} table")
+            tables[table_id] = _data_rows(
+                f"{table_id} table", page.tables[table_id], header
+            )
 
         meta_fields: dict[str, str] = {}
-        for chunk in meta.meta_text.split("|"):
+        for chunk in page.meta.split("|"):
             if ":" in chunk:
                 key, _, value = chunk.partition(":")
                 meta_fields[key.strip()] = value.strip()
@@ -310,61 +364,37 @@ class UlsScraper:
             raise ScrapeError("detail page has no license id")
 
         contact_email = ""
-        if ":" in meta.contact_text:
-            value = meta.contact_text.partition(":")[2].strip()
+        if ":" in page.contact:
+            value = page.contact.partition(":")[2].strip()
             contact_email = "" if value == "—" else value
 
-        heading = meta.heading
-        if "—" in heading:
-            callsign_part, _, licensee_name = heading.partition("—")
-            callsign = callsign_part.replace("License", "").strip()
-            licensee_name = licensee_name.strip()
-        else:
-            raise ScrapeError(f"unparseable detail heading: {heading!r}")
+        if "—" not in page.heading:
+            raise ScrapeError(f"unparseable detail heading: {page.heading!r}")
+        callsign_part, _, licensee_name = page.heading.partition("—")
+        callsign = callsign_part.lstrip().removeprefix("License ").strip()
 
-        dates: dict[str, str] = {}
-        for row in tables.tables["dates"][1:]:
-            dates[row[0]] = "" if row[1] == "—" else row[1]
-
-        locations: dict[int, TowerLocation] = {}
-        for row in tables.tables["locations"][1:]:
-            number = int(row[0])
-            locations[number] = TowerLocation(
-                location_number=number,
-                point=GeoPoint(parse_dms(row[1]), parse_dms(row[2])),
-                ground_elevation_m=float(row[3]),
-                structure_height_m=float(row[4]),
-                site_name="" if row[5] == "—" else row[5],
+        dates = dict(_convert_rows("dates table", tables["dates"], _date_row))
+        locations = {
+            loc.location_number: loc
+            for loc in _convert_rows(
+                "locations table", tables["locations"], _location_row
             )
-
-        paths: list[MicrowavePath] = []
-        for row in tables.tables["paths"][1:]:
-            freq_text = row[3]
-            frequencies = (
-                ()
-                if freq_text == "—"
-                else tuple(float(part) for part in freq_text.split(","))
+        }
+        paths = _convert_rows("paths table", tables["paths"], _path_row)
+        try:
+            return License(
+                license_id=license_id,
+                callsign=callsign,
+                licensee_name=licensee_name.strip(),
+                contact_email=contact_email,
+                radio_service_code=meta_fields.get("Radio Service", ""),
+                station_class=meta_fields.get("Station Class", ""),
+                grant_date=dates.get("Grant"),
+                expiration_date=dates.get("Expiration"),
+                cancellation_date=dates.get("Cancellation"),
+                termination_date=dates.get("Termination"),
+                locations=locations,
+                paths=paths,
             )
-            paths.append(
-                MicrowavePath(
-                    path_number=int(row[0]),
-                    tx_location_number=int(row[1]),
-                    rx_location_number=int(row[2]),
-                    frequencies_mhz=frequencies,
-                )
-            )
-
-        return License(
-            license_id=license_id,
-            callsign=callsign,
-            licensee_name=licensee_name,
-            contact_email=contact_email,
-            radio_service_code=meta_fields.get("Radio Service", ""),
-            station_class=meta_fields.get("Station Class", ""),
-            grant_date=parse_date(dates.get("Grant")),
-            expiration_date=parse_date(dates.get("Expiration")),
-            cancellation_date=parse_date(dates.get("Cancellation")),
-            termination_date=parse_date(dates.get("Termination")),
-            locations=locations,
-            paths=paths,
-        )
+        except ValueError as exc:
+            raise ScrapeError(f"detail page for {license_id!r}: {exc}") from None
