@@ -10,8 +10,10 @@
 # verdict between the passes and is exposed as ordering-dependent.
 # Finally, the engine-equivalence property tests re-run standalone
 # (cached results must match the object-kernel oracle exactly, even in a
-# fresh interpreter), and so does the scraper equivalence (the one-pass
-# page parser must read every rendered page as the html.parser oracle does).
+# fresh interpreter), and so do the scraper equivalence (the one-pass
+# page parser must read every rendered page as the html.parser oracle does)
+# and the routing equivalence (the stdlib Dijkstra must route and score
+# APA exactly as the networkx oracle does).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -46,9 +48,10 @@ fi
 python -m pytest -q
 python -m pytest -q --ff
 
-# Engine and scraper equivalence, each in a fresh interpreter.
+# Engine, scraper and routing equivalence, each in a fresh interpreter.
 python -m pytest -x -q tests/test_engine.py
 python -m pytest -x -q tests/test_scraper_equivalence.py
+python -m pytest -x -q tests/test_routing_equivalence.py
 
 # Parallel determinism gate: analysis output must be byte-identical no
 # matter the fan-out width (repro.parallel's ordered reduction + cache

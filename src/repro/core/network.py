@@ -3,7 +3,10 @@
 An :class:`HftNetwork` is what the paper's tool produces for one licensee
 at one date: towers (license endpoints stitched across filings), microwave
 links between them, fiber tails to the corridor's data centers, and a
-latency-weighted graph to route over.
+latency-weighted adjacency to route over.  Routing, connectivity and APA
+run :func:`dijkstra` over that adjacency; :attr:`HftNetwork.graph` builds
+the equivalent networkx graph for the analyses that need a full graph
+library (Fig 4 path enumeration, storms, LEO comparisons).
 """
 
 from __future__ import annotations
@@ -11,14 +14,17 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
-
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from repro import obs
 from repro.core.corridor import CorridorSpec, DataCenterSite
 from repro.core.latency import LatencyModel, seconds_to_ms
 from repro.geodesy import GeoPoint
+
+if TYPE_CHECKING:  # pragma: no cover - networkx loads only where a graph is built
+    import networkx as nx
 
 #: Node-attribute value for data center nodes.
 NODE_KIND_DATACENTER = "datacenter"
@@ -156,6 +162,73 @@ class Route:
         return len(self.nodes) - 1
 
 
+class Edge(NamedTuple):
+    """One routing-adjacency entry; both directions of a link share it."""
+
+    #: Dijkstra weight: ``latency_s`` plus half the per-tower overhead for
+    #: each tower endpoint, so a path through n towers pays n overheads.
+    weight: float
+    #: Propagation latency alone.
+    latency_s: float
+    length_m: float
+    #: ``"microwave"`` or ``"fiber"``.
+    medium: str
+
+
+#: The :class:`Edge` field :func:`dijkstra` sums: the routing weight, or
+#: propagation latency alone (APA's weight).
+ROUTING_WEIGHT = 0
+PROPAGATION_LATENCY = 1
+
+Adjacency = dict[str, dict[str, Edge]]
+
+
+def dijkstra(
+    adjacency: Adjacency,
+    source: str,
+    target: str,
+    by: int = ROUTING_WEIGHT,
+    skip: Edge | None = None,
+) -> tuple[float, dict[str, str]] | None:
+    """Shortest distance source→target and the predecessor map of the
+    search, or None when ``target`` is unreachable.
+
+    ``by`` is the :class:`Edge` field summed; ``skip`` is an edge treated
+    as removed.  The search is networkx's ``_dijkstra_multisource`` for
+    one source and a target, step for step: a heap of
+    ``(dist, counter, node)``, a node final when first popped, strict
+    ``<`` relaxation, an early stop at the target and a node's
+    predecessor set at its last improvement.  Paths, tie-breaks included,
+    and distances are therefore bit-identical to networkx's.
+    """
+    final: dict[str, float] = {}
+    seen = {source: 0}
+    pred: dict[str, str] = {}
+    tiebreak = count()
+    fringe = [(0, next(tiebreak), source)]
+    while fringe:
+        dist_v, _, v = heappop(fringe)
+        if v in final:
+            continue
+        final[v] = dist_v
+        if v == target:
+            return dist_v, pred
+        for u, edge in adjacency[v].items():
+            if edge is skip or u in final:
+                continue
+            dist_u = dist_v + edge[by]
+            if u not in seen or dist_u < seen[u]:
+                seen[u] = dist_u
+                pred[u] = v
+                heappush(fringe, (dist_u, next(tiebreak), u))
+    return None
+
+
+#: The cached_properties of :class:`HftNetwork` derived from its towers,
+#: links and tails: shared by re-dated views, never pickled.
+_DERIVED = ("_adjacency", "graph")
+
+
 class HftNetwork:
     """One licensee's network at one reconstruction date."""
 
@@ -201,13 +274,42 @@ class HftNetwork:
     # ------------------------------------------------------------------
 
     @cached_property
+    def _adjacency(self) -> Adjacency:
+        """Node → neighbour → :class:`Edge`, in the insertion order of
+        :attr:`graph` (data centers, towers, then links and fiber tails;
+        a repeated pair keeps its first position and its last entry)."""
+        model = self.latency_model
+        overhead = model.per_tower_overhead_s
+        adjacency: Adjacency = {name: {} for name in self.data_centers}
+        adjacency.update((tower_id, {}) for tower_id in self.towers)
+        for link in self.links:
+            latency = model.microwave_latency_s(link.length_m)
+            weight = latency
+            if overhead:
+                weight += overhead / 2.0
+                weight += overhead / 2.0
+            edge = Edge(weight, latency, link.length_m, "microwave")
+            adjacency[link.tower_a][link.tower_b] = edge
+            adjacency[link.tower_b][link.tower_a] = edge
+        for tail in self.fiber_tails:
+            latency = model.fiber_latency_s(tail.length_m)
+            weight = latency + overhead / 2.0 if overhead else latency
+            edge = Edge(weight, latency, tail.length_m, "fiber")
+            adjacency[tail.data_center][tail.tower_id] = edge
+            adjacency[tail.tower_id][tail.data_center] = edge
+        return adjacency
+
+    @cached_property
     def graph(self) -> nx.Graph:
-        """The latency-weighted graph (nodes: towers + data centers).
+        """The latency-weighted networkx graph (nodes: towers + data centers).
 
         Edge attributes: ``medium`` ("microwave"/"fiber"), ``length_m``,
         ``latency_s`` (propagation only), ``frequencies_mhz``,
-        ``license_ids``.
+        ``license_ids``.  Routing does not need it; it serves the analyses
+        that use a full graph library.
         """
+        import networkx as nx
+
         graph = nx.Graph()
         for name, dc in self.data_centers.items():
             graph.add_node(name, kind=NODE_KIND_DATACENTER, point=dc.point)
@@ -235,29 +337,16 @@ class HftNetwork:
             )
         return graph
 
-    def _edge_weight(self, u: str, v: str, data: dict) -> float:
-        """Dijkstra weight: propagation latency plus half the per-tower
-        overhead for each tower endpoint (so a path through n towers pays
-        exactly n overheads)."""
-        weight = data["latency_s"]
-        overhead = self.latency_model.per_tower_overhead_s
-        if overhead:
-            if u in self.towers:
-                weight += overhead / 2.0
-            if v in self.towers:
-                weight += overhead / 2.0
-        return weight
-
     # ------------------------------------------------------------------
     # Routing and properties
     # ------------------------------------------------------------------
 
     def is_connected(self, source: str, target: str) -> bool:
         """Whether an end-to-end path exists between two data centers."""
-        graph = self.graph
-        if source not in graph or target not in graph:
+        adjacency = self._adjacency
+        if source not in adjacency or target not in adjacency:
             return False
-        return nx.has_path(graph, source, target)
+        return dijkstra(adjacency, source, target) is not None
 
     def lowest_latency_route(self, source: str, target: str) -> Route | None:
         """The lowest-latency route between two data centers, or None.
@@ -265,28 +354,30 @@ class HftNetwork:
         Latency accounts for medium-specific speeds and (when configured)
         per-tower overheads, exactly as §2.3 describes.
         """
-        graph = self.graph
-        if source not in graph or target not in graph:
+        adjacency = self._adjacency
+        if source not in adjacency or target not in adjacency:
             return None
         with obs.span(
             "core.routing", licensee=self.licensee, source=source, target=target
         ):
-            try:
-                latency, nodes = nx.single_source_dijkstra(
-                    graph, source, target, weight=self._edge_weight
-                )
-            except nx.NetworkXNoPath:
+            found = dijkstra(adjacency, source, target)
+            if found is None:
                 return None
+        latency, pred = found
+        nodes = [target]
+        while nodes[-1] in pred:
+            nodes.append(pred[nodes[-1]])
+        nodes.reverse()
         length = 0.0
         mw_length = 0.0
         fiber_length = 0.0
         for u, v in zip(nodes, nodes[1:]):
-            data = graph.edges[u, v]
-            length += data["length_m"]
-            if data["medium"] == "microwave":
-                mw_length += data["length_m"]
+            edge = adjacency[u][v]
+            length += edge.length_m
+            if edge.medium == "microwave":
+                mw_length += edge.length_m
             else:
-                fiber_length += data["length_m"]
+                fiber_length += edge.length_m
         tower_count = sum(1 for node in nodes if node in self.towers)
         return Route(
             source=source,
@@ -342,9 +433,9 @@ class HftNetwork:
 
         The engine's snapshot cache keys on the *active license set*, so
         one stitched network can serve many dates; this produces the view
-        carrying the caller's date.  The already-built latency graph is
-        shared — all consumers treat it as read-only (mutating analyses
-        like APA work on ``graph.copy()``).
+        carrying the caller's date.  The already-built adjacency and graph
+        are shared — all consumers treat them as read-only (APA skips an
+        edge inside the search; storms work on ``graph.copy()``).
         """
         if as_of == self.as_of:
             return self
@@ -357,18 +448,21 @@ class HftNetwork:
             data_centers=self.data_centers.values(),
             latency_model=self.latency_model,
         )
-        if "graph" in self.__dict__:
-            clone.__dict__["graph"] = self.graph
+        for cached in _DERIVED:
+            if cached in self.__dict__:
+                clone.__dict__[cached] = self.__dict__[cached]
         return clone
 
     def __getstate__(self):
-        # The latency graph is a cached_property rebuilt deterministically
-        # from towers/links; persisting it (store entries, parallel seed
-        # exports) would pickle a networkx adjacency per snapshot — the
-        # bulk of the payload — that warm consumers mostly never touch
-        # (routes ship separately in the engine's route cache).
+        # The adjacency and the latency graph are cached_properties
+        # rebuilt deterministically from towers/links; persisting them
+        # (store entries, parallel seed exports) would pickle an adjacency
+        # per snapshot — the bulk of the payload — that warm consumers
+        # mostly never touch (routes ship separately in the engine's
+        # route cache).
         state = dict(self.__dict__)
-        state.pop("graph", None)
+        for cached in _DERIVED:
+            state.pop(cached, None)
         return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

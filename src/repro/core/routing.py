@@ -18,9 +18,10 @@ still finish within the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator
+from typing import TYPE_CHECKING, Callable, Hashable, Iterator
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover - networkx loads only where a graph is used
+    import networkx as nx
 
 Node = Hashable
 EdgeKey = frozenset
@@ -45,6 +46,8 @@ def distance_maps(
     graph: nx.Graph, source: Node, target: Node
 ) -> tuple[dict[Node, float], dict[Node, float]]:
     """Shortest latencies from ``source`` and to ``target`` for all nodes."""
+    import networkx as nx
+
     from_source = nx.single_source_dijkstra_path_length(graph, source, weight="latency_s")
     to_target = nx.single_source_dijkstra_path_length(graph, target, weight="latency_s")
     return from_source, to_target
@@ -73,6 +76,8 @@ def enumerate_paths_within_bound(
     callers that only need the *edges* of such paths should use
     :func:`edges_within_latency_bound` instead, which never explodes.
     """
+    import networkx as nx
+
     if source not in graph or target not in graph:
         return []
     to_target = nx.single_source_dijkstra_path_length(graph, target, weight="latency_s")
@@ -114,6 +119,8 @@ def _avoiding_distance(
     graph: nx.Graph, source: Node, target: Node, avoid: Node
 ) -> float | None:
     """Shortest latency source→target in ``graph`` minus node ``avoid``."""
+    import networkx as nx
+
     if source == avoid or target == avoid:
         return None
     view = nx.restricted_view(graph, [avoid], [])

@@ -8,15 +8,20 @@ propagation latency at c.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.constants import SPEED_OF_LIGHT
 from repro.leo.constellation import Constellation
+
+if TYPE_CHECKING:  # pragma: no cover - networkx loads only where a graph is used
+    import networkx as nx
 
 
 def isl_graph(constellation: Constellation) -> nx.Graph:
     """The +Grid ISL graph; nodes are (plane, slot), edges carry
     ``length_m`` and ``latency_s``."""
+    import networkx as nx
+
     shell = constellation.shell
     graph = nx.Graph()
     for sat in constellation.satellites:

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.constants import FIBER_SPEED, SPEED_OF_LIGHT
 from repro.geodesy import GeoPoint, geodesic_destination, geodesic_distance
 from repro.geodesy.earth import EARTH_MEAN_RADIUS_M
@@ -97,6 +95,8 @@ def constellation_latency_s(
     is the lowest-latency combination of up-link, ISL path and down-link.
     Returns None when either endpoint sees no satellite above the mask.
     """
+    import networkx as nx
+
     up = constellation.visible_from(source, min_elevation_deg)[:gateway_candidates]
     down = constellation.visible_from(target, min_elevation_deg)[:gateway_candidates]
     if not up or not down:

@@ -14,11 +14,9 @@ network slower than 1.05× the geodesic c-latency reports an APA of 0.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.constants import APA_SLACK_FACTOR
 from repro.core.latency import LatencyModel
-from repro.core.network import HftNetwork
+from repro.core.network import PROPAGATION_LATENCY, HftNetwork, dijkstra
 from repro.geodesy import geodesic_distance
 
 
@@ -58,34 +56,27 @@ def alternate_path_availability(
     if route.latency_s > bound:
         return 0.0
 
-    graph = network.graph
+    # Each candidate is one shared adjacency entry; the search skips it
+    # instead of removing it.  Duplicate filings of one tower pair share
+    # one entry, so the network scope counts each pair once.
+    adjacency = network._adjacency
     if scope == "route":
         candidates = [
-            (u, v)
+            adjacency[u][v]
             for u, v in zip(route.nodes, route.nodes[1:])
-            if graph.edges[u, v]["medium"] == "microwave"
+            if adjacency[u][v].medium == "microwave"
         ]
     else:
-        candidates = [
-            (u, v)
-            for u, v, data in graph.edges(data=True)
-            if data["medium"] == "microwave"
-        ]
+        edges = (adjacency[link.tower_a][link.tower_b] for link in network.links)
+        candidates = list({id(edge): edge for edge in edges}.values())
     if not candidates:
         return 0.0
 
-    work = graph.copy()
     removable = 0
-    for u, v in candidates:
-        data = work.edges[u, v]
-        work.remove_edge(u, v)
-        try:
-            latency = nx.dijkstra_path_length(work, source, target, weight="latency_s")
-            if latency <= bound:
-                removable += 1
-        except nx.NetworkXNoPath:
-            pass
-        work.add_edge(u, v, **data)
+    for edge in candidates:
+        found = dijkstra(adjacency, source, target, PROPAGATION_LATENCY, skip=edge)
+        if found is not None and found[0] <= bound:
+            removable += 1
     return removable / len(candidates)
 
 

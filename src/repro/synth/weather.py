@@ -14,14 +14,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.network import HftNetwork
 from repro.geodesy import GeoPoint, geodesic_distance, geodesic_interpolate
 from repro.radio.budget import LinkBudget
 from repro.radio.itu import rain_attenuation_db
+
+if TYPE_CHECKING:  # pragma: no cover - networkx loads only where a graph is used
+    import networkx as nx
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,6 +135,8 @@ def storm_latency_ms(
     budget: LinkBudget | None = None,
 ) -> float | None:
     """End-to-end latency under a storm, or None if disconnected."""
+    import networkx as nx
+
     graph = apply_storm(network, storm, budget)
     try:
         latency = nx.dijkstra_path_length(graph, source, target, weight="latency_s")

@@ -1,0 +1,81 @@
+"""networkx stays off the hot path, and derived routing state stays off disk.
+
+Routing, connectivity and APA run the stdlib Dijkstra in
+:mod:`repro.core.network`; networkx is imported only inside the analyses
+that build a full graph.  A fresh interpreter must therefore get through
+``import repro``, ``import repro.cli`` and the benchmarked commands
+without loading it.  A routed :class:`HftNetwork` must pickle (store
+entries, worker seeds) without its cached adjacency or graph.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+from repro.core.timeline import yearly_snapshot_dates
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_PROBE = textwrap.dedent(
+    """
+    import contextlib, io, sys
+
+    def check(stage):
+        assert "networkx" not in sys.modules, f"networkx loaded by {stage}"
+
+    import repro
+    check("import repro")
+    import repro.cli
+    check("import repro.cli")
+    for argv in (
+        ["table1"],
+        ["funnel"],
+        ["compare"],
+        ["timeline", "--step", "weekly"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert repro.cli.main(argv) == 0, argv
+        check(" ".join(argv))
+    """
+)
+
+
+def test_hot_commands_never_import_networkx():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("REPRO_CACHE_DIR", None)
+    result = subprocess.run(
+        [sys.executable, "-c", _PROBE],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+
+
+def test_routed_network_pickles_without_derived_state(scenario):
+    on_date = yearly_snapshot_dates()[-1]
+    network = scenario.engine().snapshot("New Line Networks", on_date)
+    route = network.lowest_latency_route("CME", "NY4")
+    assert route is not None
+    network.graph  # build the networkx view too
+    assert {"_adjacency", "graph"} <= network.__dict__.keys()
+
+    shipped = pickle.loads(pickle.dumps(network))
+    assert "_adjacency" not in shipped.__dict__
+    assert "graph" not in shipped.__dict__
+    assert repr(shipped.lowest_latency_route("CME", "NY4")) == repr(route)
+
+
+def test_redated_view_shares_adjacency(scenario):
+    dates = yearly_snapshot_dates()
+    network = scenario.engine().snapshot("New Line Networks", dates[-1])
+    network.lowest_latency_route("CME", "NY4")
+    view = network.with_as_of(dates[-2])
+    assert view is not network
+    assert view.__dict__["_adjacency"] is network.__dict__["_adjacency"]
