@@ -38,11 +38,6 @@ def _fig1_task(ctx, item):
     return ctx.engine.timeline(name, dates, source=source, target=target)
 
 
-def _fig2_task(ctx, item):
-    name, dates = item
-    return license_count_timeline(ctx.database, name, dates)
-
-
 def _date_spans(dates, jobs: int) -> list[tuple[int, int]] | None:
     """Contiguous per-licensee date spans, or None to keep whole grids."""
     if jobs > 1 and len(dates) >= _DATE_CHUNK_THRESHOLD:
@@ -103,45 +98,22 @@ def fig2_active_licenses(
     scenario: Scenario,
     licensees: tuple[str, ...] | None = None,
     dates: list[dt.date] | None = None,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> dict[str, LicenseCountSeries]:
     """Fig 2: active-license counts for the same networks.
 
-    Counts come from each licensee's temporal index (one bisect per
-    point); dense grids fan out in contiguous date spans exactly like
-    :func:`fig1_latency_evolution`.
+    Counts come from each licensee's temporal index, one bisect per
+    point, so even a weekly grid costs less in-process than shipping the
+    engine's caches to a worker pool; they never fan out.
     """
     licensees = licensees or scenario.featured_names
     dates = list(dates or yearly_snapshot_dates())
     with obs.span(
         "analysis.fig2", licensees=len(licensees), points=len(dates)
     ):
-        if jobs == 1 and session is None:
-            return {
-                name: license_count_timeline(scenario.database, name, dates)
-                for name in licensees
-            }
-        with grid_session(scenario.engine(), jobs, session) as live:
-            spans = _date_spans(dates, live.jobs)
-            if spans is None:
-                items = [(name, dates) for name in licensees]
-                series = live.map(_fig2_task, items, label="fig2")
-                return dict(zip(licensees, series))
-            items = [
-                (name, dates[lo:hi]) for name in licensees for lo, hi in spans
-            ]
-            chunks = iter(live.map(_fig2_task, items, label="fig2"))
-            return {
-                name: LicenseCountSeries(
-                    licensee=name,
-                    dates=tuple(dates),
-                    counts=tuple(
-                        count for _ in spans for count in next(chunks).counts
-                    ),
-                )
-                for name in licensees
-            }
+        return {
+            name: license_count_timeline(scenario.database, name, dates)
+            for name in licensees
+        }
 
 
 @dataclass(frozen=True)

@@ -174,19 +174,18 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     dates = dense_date_grid(args.step) if args.step != "paper" else None
     if args.jobs == 1:
         latencies = fig1_latency_evolution(scenario, dates=dates)
-        counts = fig2_active_licenses(scenario, dates=dates)
     else:
         from repro.parallel import GridSession
 
-        # One session (one pool, one set of merged caches) serves both
-        # figure grids.
+        # Only the Fig 1 grid fans out; Fig 2's counts are one bisect per
+        # point, cheaper in-process than a worker's cache transplant.
         with GridSession(
             scenario.engine(), args.jobs, scenario=scenario.name
         ) as session:
             latencies = fig1_latency_evolution(
                 scenario, dates=dates, session=session
             )
-            counts = fig2_active_licenses(scenario, dates=dates, session=session)
+    counts = fig2_active_licenses(scenario, dates=dates)
     dates = next(iter(counts.values())).dates
     header = ("Licensee", *(d.isoformat() for d in dates))
     latency_rows = [
