@@ -53,7 +53,9 @@ BENCH_JSON = Path(__file__).parent.parent / "BENCH_PR9.json"
 
 def _boot_and_sweep(scenario, store):
     """One process boot: fresh engine (store-attached or not) + sweep."""
-    engine = CorridorEngine(scenario.database, scenario.corridor, store=store)
+    engine = CorridorEngine(scenario.database, scenario.corridor)
+    if store is not None:
+        store.attach(engine)
     results = []
     for name in scenario.connected_names:
         for date in DATES:
@@ -91,7 +93,7 @@ def test_bench_store_warm_boot_vs_cold(
     assert warmed_results == cold_results
     assert warmed_engine.stats.snapshot.misses == 0
 
-    cold_s = _best_of(TRIALS, scenario, False)
+    cold_s = _best_of(TRIALS, scenario, None)
     warm_s = _best_of(TRIALS, scenario, store)
     speedup = cold_s / warm_s
 

@@ -76,8 +76,9 @@ python scripts/serve_smoke.py --requests 50 --clients 4
 # --cache-dir run, populating), and warm (second --cache-dir run,
 # loading what the first published).  Each command gets its own store
 # so a cache populated by one driver can't mask another's cold path.
+# `compare` attaches one store to three scenarios' engines.
 store_dir=".repro-store-check"
-for cmd in funnel timeline table1; do
+for cmd in funnel timeline table1 compare; do
     for jobs in 1 4; do
         rm -rf "$store_dir"
         if ! diff <(python -m repro "$cmd" --jobs "$jobs") \

@@ -69,9 +69,15 @@ class CorridorComparison:
         }
 
 
-def compare_corridor(ref: str, jobs: int = 1) -> CorridorComparison:
-    """The hybrid comparison row for one scenario reference."""
-    scenario = resolve_scenario(ref)
+def compare_corridor(
+    ref: str, jobs: int = 1, store=None
+) -> CorridorComparison:
+    """The hybrid comparison row for one scenario reference.
+
+    ``store`` is attached to the scenario's engine (see
+    :func:`repro.scenarios.resolve_scenario`).
+    """
+    scenario = resolve_scenario(ref, store=store)
     source, target = scenario.primary_path
     distance_m = scenario.corridor.geodesic_m(source, target)
     rankings = rank_connected_networks(
@@ -99,7 +105,7 @@ def compare_corridor(ref: str, jobs: int = 1) -> CorridorComparison:
 
 
 def compare_corridors(
-    refs: tuple[str, ...] | None = None, jobs: int = 1
+    refs: tuple[str, ...] | None = None, jobs: int = 1, store=None
 ) -> list[CorridorComparison]:
     """Hybrid rows for every requested corridor, shortest first.
 
@@ -111,6 +117,6 @@ def compare_corridors(
     if refs is None:
         refs = scenario_names(concrete_only=True)
     with obs.span("analysis.compare", corridors=len(refs), jobs=jobs):
-        rows = [compare_corridor(ref, jobs=jobs) for ref in refs]
+        rows = [compare_corridor(ref, jobs=jobs, store=store) for ref in refs]
     rows.sort(key=lambda row: (row.geodesic_km, row.scenario))
     return rows

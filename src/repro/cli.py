@@ -66,11 +66,15 @@ def _scenario(args: argparse.Namespace) -> Scenario:
     Every subcommand routes through this one resolver; the registry
     caches by canonical reference, so repeated calls (the command body,
     ``--cache-stats``, in-process test invocations) share one scenario
-    and one warm default engine.
+    and one warm default engine.  The command's store (``args.store``,
+    set by :func:`main`) is attached to that engine.
     """
     from repro.scenarios import resolve_scenario
 
-    return resolve_scenario(getattr(args, "scenario", None) or "paper2020")
+    return resolve_scenario(
+        getattr(args, "scenario", None) or "paper2020",
+        store=args.store,
+    )
 
 
 def _cmd_funnel(args: argparse.Namespace) -> int:
@@ -526,7 +530,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.serve.payloads import render_payload
 
     refs = tuple(args.scenarios) if args.scenarios else None
-    rows = compare_corridors(refs, jobs=args.jobs)
+    rows = compare_corridors(refs, jobs=args.jobs, store=args.store)
     if args.format == "json":
         payload = {
             "endpoint": "compare",
@@ -572,7 +576,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import CorridorQueryService, run_server
 
-    service = CorridorQueryService(scenario=_scenario(args))
+    service = CorridorQueryService(scenario=_scenario(args), store=args.store)
 
     def announce(url: str) -> None:
         print(f"serving corridor analytics on {url}", flush=True)
@@ -596,7 +600,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         report = run_load(args.url, profile)
     else:
         # No URL: boot an in-process server, load it, tear it down.
-        service = CorridorQueryService(scenario=_scenario(args))
+        service = CorridorQueryService(
+            scenario=_scenario(args), store=args.store
+        )
         with CorridorServer(service) as server:
             report = run_load(server.url, profile)
     print(report.describe())
@@ -967,17 +973,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command != "cache" and not getattr(args, "no_store", False):
         cache_dir = getattr(args, "cache_dir", None)
         if cache_dir is not None or os.environ.get("REPRO_CACHE_DIR"):
-            # Set before any engine is constructed (the scenario's shared
-            # engine is built lazily on first use): every engine built
-            # during the command (the scenario's shared default, serve's
-            # warm engine, even ad-hoc ones) attaches to the store and
-            # auto-loads its entry; the finally block below checkpoints
-            # them all back.
-            from repro.core import engine as engine_mod
             from repro.store import CacheStore
 
+            # One store per command: _scenario(args) and the drivers that
+            # resolve their own scenarios attach to it explicitly.
             store = CacheStore(cache_dir)
-            engine_mod.STORE_DEFAULT = store
+    args.store = store
     trace_path = getattr(args, "trace", None)
     want_metrics = getattr(args, "metrics", False)
     trace_sink = None
@@ -1002,13 +1003,13 @@ def main(argv: list[str] | None = None) -> int:
         status = 1
     finally:
         if store is not None:
-            # Persist whatever the command learned, then restore the
-            # module default so in-process callers (tests invoking
-            # main() repeatedly) stay hermetic.
+            # Persist whatever the command learned, then detach: the
+            # scenario engines outlive the command (the registry caches
+            # them), and must not keep writing to this store from a later
+            # in-process command.
             store.checkpoint_all()
-            from repro.core import engine as engine_mod
-
-            engine_mod.STORE_DEFAULT = None
+            store.detach_all()
+            args.store = None
         if trace_path or want_metrics:
             registry = obs.disable()
             if trace_sink is not None:
@@ -1021,7 +1022,8 @@ def main(argv: list[str] | None = None) -> int:
         # same scenario (and thus the same warm engine) the command body
         # used, so the stats describe the work just done — and compose
         # with --scenario and --cache-dir instead of always describing
-        # a throwaway paper2020 engine.
+        # a throwaway paper2020 engine.  The store is detached by now
+        # (args.store is None), so this resolve loads nothing.
         try:
             print(_scenario(args).engine().stats.describe(), file=sys.stderr)
         except (UnknownScenarioError, ScenarioParamError):

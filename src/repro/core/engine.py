@@ -64,15 +64,6 @@ DEFAULT_SNAPSHOT_CACHE_SIZE = 512
 #: Default bound on cached routes ((snapshot, source, target) triples).
 DEFAULT_ROUTE_CACHE_SIZE = 4096
 
-#: Process-wide default persistent store for :class:`CorridorEngine`'s
-#: ``store`` parameter.  Holds a :class:`repro.store.CacheStore` (or any
-#: object with ``attach``/``load_into``/``save_from`` — the engine never
-#: imports :mod:`repro.store`, keeping the layering DAG acyclic) or
-#: ``None``.  The CLI's ``--cache-dir`` sets this before any engine is
-#: built, so every engine constructed during a command auto-loads from
-#: and checkpoints to the on-disk store.
-STORE_DEFAULT = None
-
 _MISSING = object()
 
 
@@ -302,12 +293,7 @@ class CorridorEngine:
     database:
         The license records every query runs against.
     corridor:
-        The corridor's data centers.  May be omitted when
-        ``reconstructor`` is given (taken from it); when both are given
-        they must agree.
-    reconstructor:
-        An existing cache-free kernel to wrap.  Mutually exclusive with
-        the individual parameter keywords below.
+        The corridor's data centers.
     latency_model / stitch_tolerance_m / max_fiber_tail_m / fiber_mode:
         Reconstruction parameters, forwarded to the kernel
         :class:`NetworkReconstructor`.  All parameters participate in
@@ -315,13 +301,14 @@ class CorridorEngine:
         entries.
     snapshot_cache_size / route_cache_size / geodesic_memo_size:
         Bounds on the three caches (LRU eviction).
-    store:
-        A persistent on-disk cache store (:class:`repro.store
-        .CacheStore`).  ``None`` defers to the process-wide
-        :data:`STORE_DEFAULT` (itself ``None`` unless the CLI engaged a
-        store); ``False`` opts out explicitly.  With a store attached the
-        engine auto-loads a matching entry on construction and
-        :meth:`checkpoint` persists its caches back.
+
+    An engine starts without a persistent store (``store`` is ``None``);
+    :meth:`repro.store.CacheStore.attach` is the only way to give it one.
+    Attaching loads the store's matching entry, and :meth:`checkpoint`
+    persists the caches back.  Only a scenario's default-parameter engine
+    is ever attached (through :func:`repro.scenarios.resolve_scenario`);
+    parameter engines (:meth:`with_params`, ``Scenario.engine(**params)``)
+    never persist.
     """
 
     def __init__(
@@ -329,7 +316,6 @@ class CorridorEngine:
         database: UlsDatabase,
         corridor: CorridorSpec | None = None,
         *,
-        reconstructor: NetworkReconstructor | None = None,
         latency_model: LatencyModel | None = None,
         stitch_tolerance_m: float | None = None,
         max_fiber_tail_m: float | None = None,
@@ -337,45 +323,21 @@ class CorridorEngine:
         snapshot_cache_size: int = DEFAULT_SNAPSHOT_CACHE_SIZE,
         route_cache_size: int = DEFAULT_ROUTE_CACHE_SIZE,
         geodesic_memo_size: int = DEFAULT_MEMO_SIZE,
-        store: object | None = None,
     ) -> None:
-        params_given = any(
-            value is not None
-            for value in (
-                latency_model,
-                stitch_tolerance_m,
-                max_fiber_tail_m,
-                fiber_mode,
-            )
-        )
-        if reconstructor is not None:
-            if params_given:
-                raise ValueError(
-                    "pass reconstruction parameters either via reconstructor= "
-                    "or via keywords, not both"
-                )
-            if corridor is not None and corridor != reconstructor.corridor:
-                raise ValueError(
-                    "corridor disagrees with reconstructor.corridor; "
-                    "pass one or the other"
-                )
-        else:
-            if corridor is None:
-                raise ValueError("pass a corridor (or a reconstructor)")
-            kwargs: dict = {}
-            if latency_model is not None:
-                kwargs["latency_model"] = latency_model
-            if stitch_tolerance_m is not None:
-                kwargs["stitch_tolerance_m"] = stitch_tolerance_m
-            if max_fiber_tail_m is not None:
-                kwargs["max_fiber_tail_m"] = max_fiber_tail_m
-            if fiber_mode is not None:
-                kwargs["fiber_mode"] = fiber_mode
-            reconstructor = NetworkReconstructor(corridor, **kwargs)
-
+        if corridor is None:
+            raise ValueError("pass a corridor")
+        kwargs: dict = {}
+        if latency_model is not None:
+            kwargs["latency_model"] = latency_model
+        if stitch_tolerance_m is not None:
+            kwargs["stitch_tolerance_m"] = stitch_tolerance_m
+        if max_fiber_tail_m is not None:
+            kwargs["max_fiber_tail_m"] = max_fiber_tail_m
+        if fiber_mode is not None:
+            kwargs["fiber_mode"] = fiber_mode
         self.database = database
-        self.reconstructor = reconstructor
-        self.corridor = reconstructor.corridor
+        self.reconstructor = NetworkReconstructor(corridor, **kwargs)
+        self.corridor = corridor
         self._snapshots = _LruCache(snapshot_cache_size)
         self._routes = _LruCache(route_cache_size)
         self._geodesic_memo = GeodesicMemo(geodesic_memo_size)
@@ -389,13 +351,9 @@ class CorridorEngine:
         # never pickled — parallel workers rebuild their own — so the
         # lock never crosses a process boundary.
         self._lock = threading.RLock()
-        if store is None:
-            store = STORE_DEFAULT
-        elif store is False:
-            store = None
-        self.store = store
-        if self.store is not None:
-            self.store.attach(self)
+        #: The attached :class:`repro.store.CacheStore`, set and cleared
+        #: only by the store's ``attach``/``detach_all``.
+        self.store = None
 
     def locked(self) -> threading.RLock:
         """The engine's reentrant guard, for ``with engine.locked():``.
@@ -832,9 +790,9 @@ class CorridorEngine:
 
         A no-op (returning ``None``) without a store; otherwise returns
         the path the store published the entry at.  Because an attached
-        engine loaded the store's entry on construction, its caches are a
-        superset of the entry (modulo LRU eviction), so a checkpoint
-        never loses previously persisted state.
+        engine loaded the store's entry when it was attached, its caches
+        are a superset of the entry (modulo LRU eviction), so a
+        checkpoint never loses previously persisted state.
         """
         if self.store is None:
             return None
@@ -939,7 +897,6 @@ class CorridorEngine:
             snapshot_cache_size=self._snapshots.maxsize,
             route_cache_size=self._routes.maxsize,
             geodesic_memo_size=self._geodesic_memo.maxsize,
-            store=False,
             **base,
         )
 

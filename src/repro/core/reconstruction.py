@@ -155,35 +155,17 @@ def reconstruct_all(
     corridor: CorridorSpec,
     on_date: dt.date,
     latency_model: LatencyModel | None = None,
-    reconstructor: NetworkReconstructor | None = None,
 ) -> dict[str, HftNetwork]:
     """Reconstruct every licensee's network at ``on_date``.
 
     Returns a name → network mapping (networks may be empty or
     disconnected; callers filter with :meth:`HftNetwork.is_connected`).
-
-    ``reconstructor`` carries non-default reconstruction parameters
-    (stitch tolerance, fiber mode, ...); its corridor must match
-    ``corridor``.  Passing both ``latency_model`` and ``reconstructor``
-    is ambiguous and rejected.  The work is routed through a
-    :class:`repro.core.engine.CorridorEngine`, so the bulk reconstruction
-    benefits from the geodesic memo.
+    The work is routed through a :class:`repro.core.engine.CorridorEngine`,
+    so the bulk reconstruction benefits from the geodesic memo.
     """
-    if reconstructor is not None:
-        if latency_model is not None:
-            raise ValueError(
-                "pass either latency_model or reconstructor, not both"
-            )
-        if reconstructor.corridor != corridor:
-            raise ValueError(
-                "reconstructor.corridor disagrees with the corridor argument"
-            )
     from repro.core.engine import CorridorEngine
 
-    if reconstructor is not None:
-        engine = CorridorEngine(database, reconstructor=reconstructor)
-    else:
-        engine = CorridorEngine(database, corridor, latency_model=latency_model)
+    engine = CorridorEngine(database, corridor, latency_model=latency_model)
     return {
         name: engine.snapshot(name, on_date)
         for name in database.licensee_names()

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.corridor import CorridorSpec
-from repro.core.reconstruction import NetworkReconstructor
 from repro.uls.database import UlsDatabase
 from repro.uls.records import License
 
@@ -101,7 +100,6 @@ def latency_timeline(
     dates: Sequence[dt.date],
     source: str | None = None,
     target: str | None = None,
-    reconstructor: NetworkReconstructor | None = None,
     engine: CorridorEngine | None = None,
 ) -> list[TimelinePoint]:
     """The Fig 1 series: end-to-end latency of one licensee over time.
@@ -109,24 +107,13 @@ def latency_timeline(
     Runs through a :class:`repro.core.engine.CorridorEngine`, so grid
     points whose active license set is unchanged reuse the stitched
     network and its routes.  Pass ``engine`` to share caches with other
-    queries; ``reconstructor`` carries non-default reconstruction
-    parameters — its corridor must agree with ``corridor`` (historically
-    this silently trusted the caller).
+    queries; its corridor must agree with ``corridor``.
     """
     from repro.core.engine import CorridorEngine
 
     source, target = corridor.resolve_path(source, target)
-    if reconstructor is not None and reconstructor.corridor != corridor:
-        raise ValueError(
-            "reconstructor.corridor disagrees with the corridor argument"
-        )
     if engine is None:
-        if reconstructor is not None:
-            engine = CorridorEngine(database, reconstructor=reconstructor)
-        else:
-            engine = CorridorEngine(database, corridor)
-    elif reconstructor is not None:
-        raise ValueError("pass either engine or reconstructor, not both")
+        engine = CorridorEngine(database, corridor)
     elif engine.corridor != corridor:
         raise ValueError("engine.corridor disagrees with the corridor argument")
     return engine.timeline(licensee, dates, source=source, target=target)

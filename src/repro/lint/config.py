@@ -120,12 +120,9 @@ DEFAULT_SHARED_STATE_ROOTS = (
 
 #: Module globals whose mutation is deliberate and worker-safe:
 #: the obs session accumulator (reset per process, reduced explicitly),
-#: the engine's process-wide store (written only by the CLI's
-#: ``--cache-dir`` handling before any work runs), the geodesy memo scope
-#: handle and the per-worker context slot (written once in the worker
-#: initializer).
+#: the geodesy memo scope handle and the per-worker context slot (written
+#: once in the worker initializer).
 DEFAULT_SHARED_STATE_ALLOWED = (
-    "repro.core.engine.STORE_DEFAULT",
     "repro.geodesy.memo._active_memo",
     "repro.lint.registry._REGISTRY",
     "repro.obs.spans._STATE",

@@ -14,7 +14,7 @@ Direct effect kinds extracted here (the effect lattice's generators; see
 ``global-write``
     A store to (or mutating method call on) a module-level name — of this
     module via ``global``/attribute/subscript stores, or of another module
-    through an imported-module alias (``engine_mod.STORE_DEFAULT = ...``).
+    through an imported-module alias (``executor_mod._WORKER_CONTEXT = ...``).
 ``arg-mutate``
     A store to an attribute/subscript of a parameter (including ``self``),
     or a mutating method call on one.

@@ -14,7 +14,6 @@ from repro.constants import APA_SLACK_FACTOR
 from repro.core.corridor import CorridorSpec
 from repro.core.engine import CorridorEngine
 from repro.core.network import HftNetwork, Route
-from repro.core.reconstruction import NetworkReconstructor
 from repro.metrics.apa import apa_percent
 from repro.parallel.grid import GridSession, grid_session
 from repro.uls.database import UlsDatabase
@@ -57,7 +56,6 @@ def rank_connected_networks(
     target: str | None = None,
     licensees: list[str] | None = None,
     slack: float = APA_SLACK_FACTOR,
-    reconstructor: NetworkReconstructor | None = None,
     engine: CorridorEngine | None = None,
     jobs: int = 1,
     session: GridSession | None = None,
@@ -67,18 +65,16 @@ def rank_connected_networks(
     ``licensees`` restricts the candidate set (the paper applies this to
     its 29 shortlisted licensees); by default every licensee in the
     database is considered.  Pass ``engine`` to share snapshot/route
-    caches across rankings (e.g. over a date grid); ``reconstructor``
-    carries non-default reconstruction parameters and gets a private
-    engine.  With ``jobs > 1`` (or a ``session``) the per-licensee work
-    fans out; disconnected licensees drop out and the latency sort runs
+    caches across rankings (e.g. over a date grid); without one the
+    ranking runs on a private default-parameter engine.  With
+    ``jobs > 1`` (or a ``session``) the per-licensee work fans out;
+    disconnected licensees drop out and the latency sort runs
     parent-side, so the ranking is jobs-invariant.  ``source`` /
     ``target`` default to the corridor's primary path.
     """
     source, target = corridor.resolve_path(source, target)
     if engine is None:
-        engine = CorridorEngine(database, corridor, reconstructor=reconstructor)
-    elif reconstructor is not None:
-        raise ValueError("pass either engine or reconstructor, not both")
+        engine = CorridorEngine(database, corridor)
     names = licensees if licensees is not None else database.licensee_names()
     if jobs == 1 and session is None:
         rankings: list[NetworkRanking] = []
@@ -124,7 +120,6 @@ def top_networks_per_path(
     on_date: dt.date,
     top_n: int = 3,
     licensees: list[str] | None = None,
-    reconstructor: NetworkReconstructor | None = None,
     engine: CorridorEngine | None = None,
     jobs: int = 1,
     session: GridSession | None = None,
@@ -136,9 +131,7 @@ def top_networks_per_path(
     ``session`` fan the per-licensee ranking work out within each path.
     """
     if engine is None:
-        engine = CorridorEngine(database, corridor, reconstructor=reconstructor)
-    elif reconstructor is not None:
-        raise ValueError("pass either engine or reconstructor, not both")
+        engine = CorridorEngine(database, corridor)
     if jobs == 1 and session is None:
         return _top_networks_loop(
             database, corridor, on_date, top_n, licensees, engine, 1, None

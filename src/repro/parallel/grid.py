@@ -149,16 +149,10 @@ class _WorkerState:
             params = dict(self.base_params)
             if key is not None:
                 params.update(dict(key))
+            # Workers never attach to the persistent store: they are
+            # seeded explicitly (below) from what the parent shipped.
             engine = CorridorEngine(
-                self.database,
-                self.corridor,
-                # Workers never attach to the persistent store directly:
-                # they are seeded explicitly (below), and letting every
-                # worker auto-load/checkpoint would race the parent's own
-                # entry for no benefit.
-                store=False,
-                **params,
-                **self.cache_sizes,
+                self.database, self.corridor, **params, **self.cache_sizes
             )
             seed = self._seeds.get(key)
             if seed is not None:
@@ -363,7 +357,7 @@ class GridSession:
             seeds = {}
             for key in dict.fromkeys(keys):
                 engine = self.engine_for(key)
-                store = getattr(engine, "store", None)
+                store = engine.store
                 if store is not None:
                     engine.checkpoint()
                     from repro.store import StoreSeedRef

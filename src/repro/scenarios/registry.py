@@ -163,14 +163,16 @@ def scenario_names(concrete_only: bool = False) -> tuple[str, ...]:
     )
 
 
-def resolve_scenario(ref: str | ScenarioRef) -> Scenario:
+def resolve_scenario(ref: str | ScenarioRef, store=None) -> Scenario:
     """Resolve a reference to its (builder-cached) :class:`Scenario`.
 
     Two spellings of the same parameters (``synthetic:links=20,seed=7``
     vs ``synthetic:seed=7,links=20``) canonicalise to the same keyword
     arguments and — because every built-in builder memoises — share one
-    scenario object and one default engine.  Raises
-    :class:`UnknownScenarioError` for unknown names and
+    scenario object and one default engine.  A ``store``
+    (:class:`repro.store.CacheStore`) is attached to that default engine,
+    which loads the store's entry for it; attaching is idempotent.
+    Raises :class:`UnknownScenarioError` for unknown names and
     :class:`ScenarioParamError` for bad parameters.
     """
     parsed = parse_scenario_ref(ref)
@@ -181,7 +183,10 @@ def resolve_scenario(ref: str | ScenarioRef) -> Scenario:
         raise UnknownScenarioError(
             f"unknown scenario {parsed.name!r} (registered: {known})"
         )
-    return entry.build(parsed)
+    scenario = entry.build(parsed)
+    if store is not None:
+        store.attach(scenario.engine())
+    return scenario
 
 
 def _register_builtins() -> None:

@@ -152,7 +152,7 @@ class EngineFacade:
                 "snapshot_full": stats.snapshot_full,
             },
         }
-        store = getattr(self.engine, "store", None)
+        store = self.engine.store
         if store is not None:
             described["store"] = store.counters()
         return described

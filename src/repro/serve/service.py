@@ -207,15 +207,23 @@ class CorridorQueryService:
     engine:
         The default scenario's shared warm engine behind its facade;
         defaults to the scenario's shared default engine.
+    store:
+        A :class:`repro.store.CacheStore` attached to the default engine
+        and to every scenario engine loaded on demand, so a draining
+        :meth:`checkpoint` persists them all.
     """
 
     def __init__(
         self,
         scenario: Scenario | None = None,
         engine: CorridorEngine | None = None,
+        store=None,
     ) -> None:
         self.scenario = scenario if scenario is not None else paper2020_scenario()
+        self.store = store
         shared = engine if engine is not None else self.scenario.engine()
+        if store is not None:
+            store.attach(shared)
         self._default_state = _ScenarioState(self.scenario, EngineFacade(shared))
         # Canonical scenario reference -> loaded state.  The default
         # scenario sits under its own name, so `?scenario=<default>`
@@ -392,7 +400,10 @@ class CorridorQueryService:
                 if state.scenario is scenario:
                     self._states[canonical] = state
                     return state
-            state = _ScenarioState(scenario, EngineFacade(scenario.engine()))
+            engine = scenario.engine()
+            if self.store is not None:
+                self.store.attach(engine)
+            state = _ScenarioState(scenario, EngineFacade(engine))
             self._states[canonical] = state
             return state
 

@@ -70,10 +70,13 @@ class CacheStore:
         Store root.  ``None`` resolves ``$REPRO_CACHE_DIR``, then
         ``$XDG_CACHE_HOME/repro``, then ``~/.cache/repro``.
 
-    Engines attach via the constructor's ``store=`` parameter (or the
-    process-wide :data:`repro.core.engine.STORE_DEFAULT` the CLI sets):
-    :meth:`attach` registers the engine for :meth:`checkpoint_all` and
-    immediately loads a matching entry if one exists.
+    Attachment is explicit: :meth:`attach` is the only code that gives an
+    engine a store.  It registers the engine for :meth:`checkpoint_all`
+    and immediately loads a matching entry if one exists;
+    :meth:`detach_all` hands every engine back store-less, so no engine
+    outlives its command still writing here.  The CLI builds one store
+    per command and attaches scenario default engines through
+    :func:`repro.scenarios.resolve_scenario`.
     """
 
     def __init__(self, cache_dir: "Path | str | None" = None) -> None:
@@ -101,14 +104,27 @@ class CacheStore:
     # Engine attachment
     # ------------------------------------------------------------------
 
-    def attach(self, engine) -> bool:
-        """Register ``engine`` for checkpointing and warm it if possible.
+    def attach(self, engine):
+        """Register ``engine`` for checkpointing and warm it; returns it.
 
-        Returns whether a store entry was loaded into the engine.
+        Idempotent: attaching an engine this store already holds neither
+        registers nor loads it again.
         """
         with self._lock:
+            if engine.store is self:
+                return engine
             self._engines.append(engine)
-        return self.load_into(engine)
+            engine.store = self
+        self.load_into(engine)
+        return engine
+
+    def detach_all(self) -> None:
+        """Unregister every attached engine and clear its ``store``."""
+        with self._lock:
+            for engine in self._engines:
+                if engine.store is self:
+                    engine.store = None
+            self._engines.clear()
 
     def engines(self) -> tuple:
         """Engines attached to this store, in attachment order."""

@@ -623,11 +623,12 @@ class Scenario:
 
         With no arguments, returns one shared default-parameter engine per
         scenario — every analysis driver and CLI subcommand that calls
-        this reuses its snapshot/route/geodesic caches.  With parameter
-        overrides (``latency_model``, ``stitch_tolerance_m``,
-        ``max_fiber_tail_m``, ``fiber_mode``, ``reconstructor``), returns
-        a *fresh* parameter-distinct engine: sweeps must never share cache
-        entries across parameterisations.
+        this reuses its snapshot/route/geodesic caches, and it is the
+        engine :func:`repro.scenarios.resolve_scenario` attaches a store
+        to.  With parameter overrides (``latency_model``,
+        ``stitch_tolerance_m``, ``max_fiber_tail_m``, ``fiber_mode``),
+        returns a *fresh* parameter-distinct engine that never persists:
+        sweeps must never share cache entries across parameterisations.
         """
         from repro.core.engine import CorridorEngine
 

@@ -258,62 +258,25 @@ def test_timeline_matches_routes(scenario):
 # ----------------------------------------------------------------------
 
 
-def test_engine_rejects_conflicting_construction(scenario):
-    kernel = NetworkReconstructor(scenario.corridor, fiber_mode="all")
-    with pytest.raises(ValueError):
-        CorridorEngine(scenario.database, reconstructor=kernel, fiber_mode="all")
-    with pytest.raises(ValueError):
-        CorridorEngine(
-            scenario.database, london_frankfurt_corridor(), reconstructor=kernel
-        )
+def test_engine_requires_a_corridor(scenario):
     with pytest.raises(ValueError):
         CorridorEngine(scenario.database)
-    # Wrapping a kernel adopts its corridor and parameters.
-    engine = CorridorEngine(scenario.database, reconstructor=kernel)
-    assert engine.corridor == scenario.corridor
-    assert engine.params_key[2] == "all"
 
 
-def test_reconstruct_all_honours_reconstructor():
+def test_reconstruct_all_honours_latency_model():
     database = UlsDatabase()
     database.extend([make_license()])
     corridor = chicago_nj_corridor()
     model = LatencyModel(per_tower_overhead_s=2e-6)
-    custom = NetworkReconstructor(corridor, latency_model=model)
 
     networks = reconstruct_all(
-        database, corridor, dt.date(2020, 4, 1), reconstructor=custom
+        database, corridor, dt.date(2020, 4, 1), latency_model=model
     )
     assert networks["Test Networks LLC"].latency_model == model
-
-    with pytest.raises(ValueError):
-        reconstruct_all(
-            database,
-            corridor,
-            dt.date(2020, 4, 1),
-            latency_model=model,
-            reconstructor=custom,
-        )
-    with pytest.raises(ValueError):
-        reconstruct_all(
-            database,
-            london_frankfurt_corridor(),
-            dt.date(2020, 4, 1),
-            reconstructor=custom,
-        )
 
 
 def test_latency_timeline_validates_corridor(scenario):
     dates = [dt.date(2020, 4, 1)]
-    mismatched = NetworkReconstructor(london_frankfurt_corridor())
-    with pytest.raises(ValueError):
-        latency_timeline(
-            scenario.database,
-            scenario.corridor,
-            "New Line Networks",
-            dates,
-            reconstructor=mismatched,
-        )
     engine = CorridorEngine(scenario.database, london_frankfurt_corridor())
     with pytest.raises(ValueError):
         latency_timeline(
@@ -324,15 +287,6 @@ def test_latency_timeline_validates_corridor(scenario):
             engine=engine,
         )
     good = CorridorEngine(scenario.database, scenario.corridor)
-    with pytest.raises(ValueError):
-        latency_timeline(
-            scenario.database,
-            scenario.corridor,
-            "New Line Networks",
-            dates,
-            engine=good,
-            reconstructor=NetworkReconstructor(scenario.corridor),
-        )
     points = latency_timeline(
         scenario.database, scenario.corridor, "New Line Networks", dates, engine=good
     )

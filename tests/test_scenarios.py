@@ -337,17 +337,13 @@ def test_synthetic_roundtrip_serial_grid_and_store(
 
     with tempfile.TemporaryDirectory() as tmp:
         store_dir = Path(tmp)
-        cold = CorridorEngine(
-            scenario.database,
-            scenario.corridor,
-            store=CacheStore(store_dir),
+        cold = CacheStore(store_dir).attach(
+            CorridorEngine(scenario.database, scenario.corridor)
         )
         assert serial == _roundtrip_bytes(scenario, engine=cold)
         cold.checkpoint()
-        warmed = CorridorEngine(
-            scenario.database,
-            scenario.corridor,
-            store=CacheStore(store_dir),
+        warmed = CacheStore(store_dir).attach(
+            CorridorEngine(scenario.database, scenario.corridor)
         )
         assert serial == _roundtrip_bytes(scenario, engine=warmed)
         # The warm engine really loaded the checkpoint: the snapshots the

@@ -160,8 +160,6 @@ class TestColdMode:
             # A service over a brand-new engine: empty caches, no store.
             cold = CorridorQueryService(
                 scenario=scenario,
-                engine=CorridorEngine(
-                    scenario.database, scenario.corridor, store=False
-                ),
+                engine=CorridorEngine(scenario.database, scenario.corridor),
             )
             assert warm.handle_url(url) == cold.handle_url(url)

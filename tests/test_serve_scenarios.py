@@ -146,8 +146,8 @@ class TestCheckpointAll:
         # Two scenarios, each on its own store-attached engine.
         default_store = CacheStore(tmp_path / "default")
         copy = UlsDatabase(list(scenario.database))
-        default_engine = CorridorEngine(
-            copy, scenario.corridor, store=default_store
+        default_engine = default_store.attach(
+            CorridorEngine(copy, scenario.corridor)
         )
         service = CorridorQueryService(
             scenario=dataclasses.replace(scenario, database=copy),
@@ -155,8 +155,8 @@ class TestCheckpointAll:
         )
         europe = resolve_scenario("europe2020")
         europe_store = CacheStore(tmp_path / "europe")
-        europe_engine = CorridorEngine(
-            europe.database, europe.corridor, store=europe_store
+        europe_engine = europe_store.attach(
+            CorridorEngine(europe.database, europe.corridor)
         )
         state = service._resolve_state("europe2020")
         state.facade = type(state.facade)(europe_engine)
@@ -170,7 +170,7 @@ class TestCheckpointAll:
     def test_cold_service_checkpoint_is_noop(self, scenario):
         from repro.core.engine import CorridorEngine
 
-        engine = CorridorEngine(scenario.database, scenario.corridor, store=False)
+        engine = CorridorEngine(scenario.database, scenario.corridor)
         service = CorridorQueryService(scenario=scenario, engine=engine)
         service.handle_url("/rankings")
         assert service.checkpoint() is None

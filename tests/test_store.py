@@ -30,7 +30,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.core import engine as engine_mod
 from repro.core.engine import CorridorEngine, EngineCacheExport
 from repro.parallel.grid import GridSession, _resolve_seed
 from repro.serve.service import CorridorQueryService
@@ -48,9 +47,11 @@ from tests.conftest import make_license
 DATES = (dt.date(2016, 1, 1), dt.date(2019, 1, 1), dt.date(2020, 4, 1))
 
 
-def _engine(scenario, store=False) -> CorridorEngine:
-    """A private engine (never the scenario's shared default)."""
-    return CorridorEngine(scenario.database, scenario.corridor, store=store)
+def _engine(scenario, store=None) -> CorridorEngine:
+    """A private engine (never the scenario's shared default), attached
+    to ``store`` when one is given."""
+    engine = CorridorEngine(scenario.database, scenario.corridor)
+    return engine if store is None else store.attach(engine)
 
 
 @pytest.fixture(scope="module")
@@ -101,11 +102,11 @@ class TestFingerprint:
     def test_mutated_database_misses_old_entry(self, scenario, tmp_path):
         store = CacheStore(tmp_path)
         copy = UlsDatabase(list(scenario.database))
-        warm = CorridorEngine(copy, scenario.corridor, store=store)
+        warm = store.attach(CorridorEngine(copy, scenario.corridor))
         warm.snapshot(scenario.connected_names[0], DATES[-1])
         warm.checkpoint()
         copy.add(make_license(license_id="ZZ9002", licensee="Digest Test LLC"))
-        fresh = CorridorEngine(copy, scenario.corridor, store=False)
+        fresh = CorridorEngine(copy, scenario.corridor)
         assert store.load_into(fresh) is False
         # Attach on the empty store was miss #1; the post-mutation lookup
         # is miss #2 — and never a hit against the pre-mutation entry.
@@ -179,7 +180,9 @@ class TestFallbacks:
         store = CacheStore(tmp_path)
         _, path = self._entry(store, scenario)
         path.write_bytes(b"not a pickle at all")
-        fresh = CorridorEngine(scenario.database, scenario.corridor, store=store)
+        fresh = store.attach(
+            CorridorEngine(scenario.database, scenario.corridor)
+        )
         assert fresh.stats.snapshot.size == 0
         counters = store.counters()
         assert counters["corrupt"] == 1
@@ -360,17 +363,38 @@ class TestGc:
 
 
 class TestEngineWiring:
-    def test_store_false_opts_out_of_module_default(self, scenario, tmp_path):
+    def test_attach_twice_registers_and_loads_once(self, scenario, tmp_path):
         store = CacheStore(tmp_path)
-        engine_mod.STORE_DEFAULT = store
+        engine = CorridorEngine(scenario.database, scenario.corridor)
+        assert store.attach(engine) is engine
+        assert store.attach(engine) is engine
+        assert engine.store is store
+        assert store.engines() == (engine,)
+        assert store.counters()["loads"] == 1
+        assert store.checkpoint_all() == 1
+        assert store.counters()["saves"] == 1
+
+    def test_detach_all_clears_every_engine(self, scenario, tmp_path):
+        store = CacheStore(tmp_path)
+        engines = [_engine(scenario, store=store) for _ in range(2)]
+        store.detach_all()
+        assert store.engines() == ()
+        assert all(engine.store is None for engine in engines)
+        assert engines[0].checkpoint() is None
+        assert store.checkpoint_all() == 0
+
+    def test_resolve_scenario_attaches_only_the_default_engine(self, tmp_path):
+        from repro.scenarios import resolve_scenario
+
+        store = CacheStore(tmp_path)
         try:
-            defaulted = _engine(scenario, store=None)
-            opted_out = _engine(scenario, store=False)
+            europe = resolve_scenario("europe2020", store=store)
+            assert store.engines() == (europe.engine(),)
+            assert europe.engine().store is store
+            # Parameter engines never persist.
+            assert europe.engine(stitch_tolerance_m=120.0).store is None
         finally:
-            engine_mod.STORE_DEFAULT = None
-        assert defaulted.store is store
-        assert opted_out.store is None
-        assert store.engines() == (defaulted,)
+            store.detach_all()
 
     def test_checkpoint_without_store_is_noop(self, scenario):
         assert _engine(scenario).checkpoint() is None
@@ -407,8 +431,9 @@ class TestCacheCli:
     @staticmethod
     def _reset_default_engine():
         # The paper scenario (and its shared default engine) is
-        # lru-cached per process; the store only attaches at engine
-        # construction.  Clearing mimics the fresh process each real CLI
+        # lru-cached per process, so its caches stay warm across
+        # in-process main() calls.  Clearing drops them, which is what
+        # makes a run cold, like the fresh process each real CLI
         # invocation gets (scripts/check.sh's store gate runs
         # subprocesses; these tests run main() in-process).
         from repro.synth.scenario import paper2020_scenario
@@ -430,7 +455,6 @@ class TestCacheCli:
         assert main(["table1", "--cache-dir", str(tmp_path)]) == 0
         assert capsys.readouterr().out == plain
         assert len(CacheStore(tmp_path).stat()) == 1
-        assert engine_mod.STORE_DEFAULT is None  # restored after the run
         self._reset_default_engine()
         assert main(["table1", "--cache-dir", str(tmp_path)]) == 0
         assert capsys.readouterr().out == plain
@@ -468,6 +492,64 @@ class TestCacheCli:
         assert main(["cache", "stat"]) == 0
         assert str(tmp_path) in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["table1", "compare"])
+    def test_no_engine_keeps_the_store_after_the_command(
+        self, capsys, tmp_path, command
+    ):
+        from repro.scenarios import resolve_scenario
+
+        assert main([command, "--cache-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        for name in ("paper2020", "europe2020", "tokyo-singapore"):
+            assert resolve_scenario(name).engine().store is None
+
+    def test_later_no_store_run_leaves_the_entry_alone(self, capsys, tmp_path):
+        assert main(["table1", "--cache-dir", str(tmp_path)]) == 0
+        (entry,) = CacheStore(tmp_path).stat()
+        before = (entry.path.read_bytes(), os.stat(entry.path))
+        # The scenario's engine stays warm in this process; a fanned-out
+        # run without a store must not checkpoint it into the old store.
+        assert main(["table1", "--no-store", "--jobs", "2"]) == 0
+        capsys.readouterr()
+        after = os.stat(entry.path)
+        assert entry.path.read_bytes() == before[0]
+        assert (after.st_ino, after.st_mtime_ns) == (
+            before[1].st_ino,
+            before[1].st_mtime_ns,
+        )
+
+    def test_store_attaches_to_an_already_built_engine(self, capsys, tmp_path):
+        assert main(["table1"]) == 0
+        assert main(["table1", "--cache-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert len(CacheStore(tmp_path).stat()) == 1
+
+    def test_warm_compare_loads_each_scenario_once(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import repro.store
+
+        stores = []
+
+        class RecordingStore(CacheStore):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                stores.append(self)
+
+        monkeypatch.setattr(repro.store, "CacheStore", RecordingStore)
+        assert main(["compare", "--cache-dir", str(tmp_path)]) == 0
+        cold = capsys.readouterr().out
+        assert main(
+            ["--cache-stats", "compare", "--cache-dir", str(tmp_path)]
+        ) == 0
+        assert capsys.readouterr().out == cold
+        counters = stores[-1].counters()
+        assert (counters["loads"], counters["hits"], counters["saves"]) == (
+            3,
+            3,
+            3,
+        )
+
 
 # ----------------------------------------------------------------------
 # Serve: store-warmed boot, checkpoint on shutdown, body cache
@@ -491,6 +573,27 @@ class TestServeStore:
         assert stats["store"]["hits"] >= 1
         assert stats["store"]["loads"] >= 1
 
+    def test_scenario_loaded_on_demand_is_checkpointed(
+        self, scenario, tmp_path
+    ):
+        from repro.scenarios import resolve_scenario
+        from repro.serve import CorridorServer
+
+        store = CacheStore(tmp_path)
+        service = CorridorQueryService(
+            scenario=scenario, engine=_engine(scenario), store=store
+        )
+        try:
+            with CorridorServer(service):
+                status, _ = service.handle_url("/rankings?scenario=europe2020")
+                assert status == 200
+            europe = resolve_scenario("europe2020").engine()
+            assert europe.store is store
+            published = {entry.fingerprint for entry in store.stat()}
+            assert store.fingerprint_for(europe) in published
+        finally:
+            store.detach_all()
+
     def test_server_close_checkpoints_store(self, scenario, tmp_path):
         from repro.serve import CorridorServer
 
@@ -510,7 +613,7 @@ class TestServeStore:
 class TestBodyCache:
     def _service(self, scenario):
         copy = UlsDatabase(list(scenario.database))
-        engine = CorridorEngine(copy, scenario.corridor, store=False)
+        engine = CorridorEngine(copy, scenario.corridor)
         replaced = dataclasses.replace(scenario, database=copy)
         return CorridorQueryService(scenario=replaced, engine=engine), copy
 
