@@ -3,21 +3,21 @@
 The workload is the warm timeline+ablation grid the analysis drivers
 replay constantly: the featured licensees' Fig 1 timelines at default
 parameters plus the same timelines under a stitch-tolerance sweep.  The
-serial leg runs the pre-parallel sweep discipline — one fresh, unseeded
-engine per knob value, rebuilt every replay.  The ``--jobs N`` legs run
-the same grid through one :class:`~repro.parallel.grid.GridSession`,
-whose pooled, geodesic-seeded sibling engines persist across replays and
-whose worker cache deltas merge back into the parent.
+serial leg runs the pre-parallel sweep discipline — one fresh engine per
+knob value, rebuilt every replay.  The ``--jobs N`` legs run the same
+grid through one :class:`~repro.parallel.grid.GridSession`.  On a pool,
+each worker builds its own engines (one per override set) from the
+shipped database and parameters, keeps them across replays, and returns
+only results; on a one-CPU host the session runs in-process against the
+parent engine and one sibling per knob.
 
 Two assertions are pinned: the fan-out legs return exactly the serial
 results (the determinism contract), and the 4-job leg beats serial by
-``MIN_SPEEDUP``.  On a single-CPU host the backend resolves to inline,
-so the measured win is the cache machinery itself (seeding + sibling
-pooling + merge-back); on multi-core hosts the process pool stacks real
-concurrency on top.  Results land in ``benchmarks/output/parallel.txt``
-and the consolidated ``BENCH_PR4.json`` at the repository root.
+``MIN_SPEEDUP``.  The backend the 4-job session ran on is recorded from
+``GridSession.backend``.  Results land in
+``benchmarks/output/parallel.txt`` and the consolidated
+``BENCH_PR4.json`` at the repository root.
 """
-
 from __future__ import annotations
 
 import json
@@ -25,7 +25,7 @@ import time
 from pathlib import Path
 
 from repro.core.timeline import yearly_snapshot_dates
-from repro.parallel import GridSession, resolve_backend, usable_cpu_count
+from repro.parallel import GridSession, usable_cpu_count
 
 from conftest import emit
 
@@ -90,7 +90,8 @@ def _time_session(engine, dates, jobs):
         for _ in range(REPLAYS):
             result = _session_replay(session, dates)
         elapsed = time.perf_counter() - start
-    return result, elapsed
+        backend = session.backend
+    return result, elapsed, backend
 
 
 def test_bench_parallel_grid(benchmark, scenario, engine, output_dir):
@@ -98,8 +99,8 @@ def test_bench_parallel_grid(benchmark, scenario, engine, output_dir):
     engine.timeline(NAMES[0], dates)  # ensure the parent grid is warm
 
     serial_result, serial_s = _time_serial(engine, dates)
-    jobs2_result, jobs2_s = _time_session(engine, dates, 2)
-    jobs4_result, jobs4_s = _time_session(engine, dates, 4)
+    jobs2_result, jobs2_s, _ = _time_session(engine, dates, 2)
+    jobs4_result, jobs4_s, backend = _time_session(engine, dates, 4)
 
     # Determinism contract: fan-out changes wall time, never a value.
     assert jobs2_result == serial_result
@@ -107,12 +108,11 @@ def test_bench_parallel_grid(benchmark, scenario, engine, output_dir):
 
     # pytest-benchmark pins the steady state of the 4-job session.
     with GridSession(engine, 4) as session:
-        _session_replay(session, dates)  # build + seed the sibling pool
+        _session_replay(session, dates)  # build the sibling engines
         benchmark(_session_replay, session, dates)
 
     speedup2 = serial_s / jobs2_s
     speedup4 = serial_s / jobs4_s
-    backend = resolve_backend(4, "auto")
 
     record = {
         "bench": "warm timeline+ablation grid",
@@ -140,9 +140,9 @@ def test_bench_parallel_grid(benchmark, scenario, engine, output_dir):
         f"{'--jobs 2':10s} {jobs2_s * 1e3:8.1f}ms {speedup2:8.2f}x",
         f"{'--jobs 4':10s} {jobs4_s * 1e3:8.1f}ms {speedup4:8.2f}x",
         "",
-        "serial rebuilds one unseeded engine per sweep knob per replay;",
-        "the session pools geodesic-seeded siblings and merges worker",
-        "cache deltas back, so replays after the first are cache hits.",
+        "serial rebuilds one engine per sweep knob per replay; the session",
+        "keeps one engine per knob (in each worker on a pool) across",
+        "replays and returns only results.",
     ]
     emit(output_dir, "parallel.txt", "\n".join(lines))
 

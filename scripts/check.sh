@@ -54,8 +54,9 @@ python -m pytest -x -q tests/test_scraper_equivalence.py
 python -m pytest -x -q tests/test_routing_equivalence.py
 
 # Parallel determinism gate: analysis output must be byte-identical no
-# matter the fan-out width (repro.parallel's ordered reduction + cache
-# merge-back contract).  "timeline" covers the Fig 1/2 grid.
+# matter the fan-out width (repro.parallel's ordered reduction; pool
+# workers rebuild their engines and return only results).  "timeline"
+# covers the Fig 1/2 grid.
 for cmd in funnel timeline table1; do
     if ! diff <(python -m repro "$cmd" --jobs 1) \
               <(python -m repro "$cmd" --jobs 4); then

@@ -7,19 +7,15 @@ to each — including §3's observation that a per-tower overhead above
 ~1.4 µs would let Jefferson Microwave (22 towers) overtake New Line
 Networks (25 towers) on CME–NY4.
 
-Each sweep that varies a reconstruction parameter builds a
-parameter-distinct :class:`~repro.core.engine.CorridorEngine` per knob
-value (``scenario.engine(param=...)``), so snapshots computed under
-different parameterisations can never alias in a shared cache.  Sweeps
-that only vary a *metric* parameter (the APA slack) share the scenario's
-default engine.
-
-Every sweep accepts ``jobs`` (and an optional shared
-:class:`~repro.parallel.grid.GridSession`): at ``jobs=1`` the original
-serial loops run unchanged; above that, knob values fan out through the
-session, which routes each override set to a pooled, memo-seeded sibling
-engine and merges worker cache learning back — knob order in the result
-and every computed value are jobs-invariant.
+Every sweep maps its knob values through a
+:class:`~repro.parallel.grid.GridSession` (a shared one, or a private one
+``jobs`` wide).  A sweep that varies a reconstruction parameter maps each
+knob value with that override, so the session routes it to a
+parameter-distinct sibling engine and snapshots computed under different
+parameterisations can never alias in a shared cache.  Sweeps that only
+vary a *metric* parameter (the APA slack) run on the scenario's default
+engine.  Knob order in the result and every computed value are
+jobs-invariant.
 """
 
 from __future__ import annotations
@@ -88,17 +84,11 @@ def apa_slack_sweep(
 ) -> dict[float, int]:
     """APA (CME–NY4) as a function of the latency-slack factor.
 
-    The slack is a metric knob, not a reconstruction knob: one snapshot
-    from the shared engine serves every slack value.
+    The slack is a metric knob, not a reconstruction knob: every slack
+    value reads the same snapshot from the scenario's default engine.
     """
     date = on_date or scenario.snapshot_date
     with obs.span("analysis.ablation", sweep="apa-slack", knobs=len(slacks)):
-        if jobs == 1 and session is None:
-            network = scenario.engine().snapshot(licensee, date)
-            return {
-                slack: apa_percent(network, "CME", "NY4", slack=slack)
-                for slack in slacks
-            }
         items = [(licensee, date, slack) for slack in slacks]
         with grid_session(scenario.engine(), jobs, session) as live:
             values = live.map(_apa_slack_task, items, label="apa-slack")
@@ -122,14 +112,6 @@ def fiber_mode_comparison(
     date = on_date or scenario.snapshot_date
     modes = ("nearest", "all")
     with obs.span("analysis.ablation", sweep="fiber-mode", knobs=len(modes)):
-        if jobs == 1 and session is None:
-            result = {}
-            for mode in modes:
-                network = scenario.engine(fiber_mode=mode).snapshot(
-                    licensee, date
-                )
-                result[mode] = apa_percent(network, "CME", "NY4")
-            return result
         items = [(licensee, date, mode) for mode in modes]
         with grid_session(scenario.engine(), jobs, session) as live:
             values = live.map(
@@ -167,8 +149,6 @@ def per_tower_overhead_crossover(
     with obs.span(
         "analysis.ablation", sweep="per-tower-overhead", knobs=len(overheads_us)
     ):
-        if jobs == 1 and session is None:
-            return _overhead_crossovers(scenario, overheads_us, licensees, date)
         items = [
             (licensees, date, overhead_us) for overhead_us in overheads_us
         ]
@@ -183,25 +163,6 @@ def per_tower_overhead_crossover(
                 },
                 label="per-tower-overhead",
             )
-
-
-def _overhead_crossovers(scenario, overheads_us, licensees, date):
-    results = []
-    for overhead_us in overheads_us:
-        model = LatencyModel(per_tower_overhead_s=overhead_us * 1e-6)
-        engine = scenario.engine(latency_model=model)
-        latencies = {}
-        for name in licensees:
-            route = engine.route(name, date, "CME", "NY4")
-            if route is not None:
-                latencies[name] = route.latency_ms
-        leader = min(latencies, key=latencies.get) if latencies else ""
-        results.append(
-            OverheadCrossover(
-                overhead_us=overhead_us, leader=leader, latency_ms=latencies
-            )
-        )
-    return results
 
 
 def stitch_tolerance_sweep(
@@ -221,17 +182,6 @@ def stitch_tolerance_sweep(
     with obs.span(
         "analysis.ablation", sweep="stitch-tolerance", knobs=len(tolerances_m)
     ):
-        if jobs == 1 and session is None:
-            result = {}
-            for tolerance in tolerances_m:
-                network = scenario.engine(
-                    stitch_tolerance_m=tolerance
-                ).snapshot(licensee, date)
-                result[tolerance] = (
-                    network.tower_count,
-                    network.is_connected("CME", "NY4"),
-                )
-            return result
         items = [(licensee, date, tolerance) for tolerance in tolerances_m]
         with grid_session(scenario.engine(), jobs, session) as live:
             values = live.map(
@@ -255,20 +205,6 @@ def fiber_radius_sweep(
     with obs.span(
         "analysis.ablation", sweep="fiber-radius", knobs=len(radii_km)
     ):
-        if jobs == 1 and session is None:
-            result = {}
-            for radius_km in radii_km:
-                rankings = rank_connected_networks(
-                    scenario.database,
-                    scenario.corridor,
-                    date,
-                    licensees=list(scenario.connected_names),
-                    engine=scenario.engine(
-                        max_fiber_tail_m=radius_km * 1000.0
-                    ),
-                )
-                result[radius_km] = len(rankings)
-            return result
         names = tuple(scenario.connected_names)
         items = [(names, date, radius_km) for radius_km in radii_km]
         with grid_session(scenario.engine(), jobs, session) as live:

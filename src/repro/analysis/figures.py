@@ -56,11 +56,11 @@ def fig1_latency_evolution(
 ) -> dict[str, list[TimelinePoint]]:
     """Fig 1: primary-path latency trajectories of the featured networks.
 
-    The licensee × date grid fans out one licensee per task when
-    ``jobs > 1`` (or a ``session`` is passed); results and cache learning
-    land in submission order, so output is jobs-invariant.  Dense grids
-    (``--step monthly``/``weekly``) additionally split each licensee's
-    dates into contiguous spans so workers evolve snapshots
+    The licensee × date grid maps one licensee per task through a grid
+    session (``session``, or a private one ``jobs`` wide); results land
+    in submission order, so output is jobs-invariant.  Above one job,
+    dense grids (``--step monthly``/``weekly``) additionally split each
+    licensee's dates into contiguous spans so workers evolve snapshots
     incrementally within their span; the per-licensee series is the
     concatenation of its spans, identical to the unchunked result.
     """
@@ -70,12 +70,6 @@ def fig1_latency_evolution(
     with obs.span(
         "analysis.fig1", licensees=len(licensees), points=len(dates)
     ):
-        if jobs == 1 and session is None:
-            engine = scenario.engine()
-            return {
-                name: engine.timeline(name, dates, source=source, target=target)
-                for name in licensees
-            }
         with grid_session(scenario.engine(), jobs, session) as live:
             spans = _date_spans(dates, live.jobs)
             if spans is None:
@@ -102,8 +96,8 @@ def fig2_active_licenses(
     """Fig 2: active-license counts for the same networks.
 
     Counts come from each licensee's temporal index, one bisect per
-    point, so even a weekly grid costs less in-process than shipping the
-    engine's caches to a worker pool; they never fan out.
+    point, so even a weekly grid costs less in-process than spawning a
+    worker pool; they never fan out.
     """
     licensees = licensees or scenario.featured_names
     dates = list(dates or yearly_snapshot_dates())

@@ -27,6 +27,10 @@ from repro.uls.records import licenses_by_licensee
 from repro.uls.scraper import UlsScraper
 
 
+def _count_task(ctx, name):
+    return len(ctx.scraper.licenses_of(name))
+
+
 def _connect_task(ctx, item):
     name, on_date, source, target = item
     licenses = ctx.scraper.scrape_licensee(name)
@@ -78,12 +82,11 @@ def run_scraping_funnel(
     engine's memo but never alias (or overwrite) the database-derived
     snapshots the ranking/timeline drivers serve.
 
-    With ``jobs > 1``, stage 2 batches its name searches through
-    :meth:`~repro.uls.scraper.UlsScraper.count_filings` and stage 3 fans
-    licensees out through a grid session; worker page counts, parsed
-    licenses, and engine caches merge back, so every funnel field —
-    including ``pages_scraped`` — is jobs-invariant (each licensee's
-    detail pages are its own, so no worker refetches another's).
+    Stages 2 and 3 map licensees through one grid session ``jobs``
+    wide.  Pool workers send their scrapers' page counts home, so every
+    funnel field — including ``pages_scraped`` — is jobs-invariant (each
+    licensee's detail pages are its own, so no worker refetches
+    another's).
     """
     source, target = corridor.resolve_path(source, target)
     if engine is None:
@@ -108,49 +111,37 @@ def run_scraping_funnel(
                 }
             )
 
-        # Stage 2: scrape every candidate's license list; shortlist
-        # licensees with enough filings to span the corridor.
-        with obs.span("analysis.funnel.shortlist", candidates=len(candidates)):
-            if jobs == 1:
-                shortlisted = [
-                    name
-                    for name in candidates
-                    if len(scraper.licenses_of(name)) >= min_filings
-                ]
-            else:
-                counts = scraper.count_filings(candidates, jobs=jobs)
+        # Stages 2 and 3 map licensees through one grid session that
+        # shares this scraper in-process; pool workers scrape with their
+        # own and send their page counts home to it.
+        with grid_session(engine, jobs, scraper=scraper) as live:
+            # Stage 2: scrape every candidate's license list; shortlist
+            # licensees with enough filings to span the corridor.
+            with obs.span(
+                "analysis.funnel.shortlist", candidates=len(candidates)
+            ):
+                counts = live.map(_count_task, candidates, label="shortlist")
                 shortlisted = [
                     name
                     for name, count in zip(candidates, counts)
                     if count >= min_filings
                 ]
 
-        # Stage 3: scrape the shortlisted licensees' license details and
-        # reconstruct their networks at the snapshot date.
-        connected = []
-        with obs.span("analysis.funnel.connect", shortlisted=len(shortlisted)):
-            if jobs == 1:
-                for name in shortlisted:
-                    licenses = scraper.scrape_licensee(name)
-                    grouped = licenses_by_licensee(licenses)
-                    network = engine.snapshot_from_licenses(
-                        grouped[name], on_date, licensee=name
-                    )
-                    if network.is_connected(source, target):
-                        connected.append(name)
-            else:
+            # Stage 3: scrape the shortlisted licensees' license details
+            # and reconstruct their networks at the snapshot date.
+            with obs.span(
+                "analysis.funnel.connect", shortlisted=len(shortlisted)
+            ):
                 items = [
                     (name, on_date, source, target) for name in shortlisted
                 ]
-                with grid_session(engine, jobs, scraper=scraper) as live:
-                    flags = live.map(_connect_task, items, label="funnel")
+                flags = live.map(_connect_task, items, label="funnel")
                 connected = [
                     name for name, flag in zip(shortlisted, flags) if flag
                 ]
 
-    # All portal traffic flows through the scraper, so its absorbed page
-    # counts equal portal.page_requests at jobs=1 and additionally include
-    # worker pages when fanned out.
+    # All portal traffic flows through a scraper: this one in-process, a
+    # worker's on a pool (whose page counts the session added here).
     pages_scraped = scraper.stats.search_pages + scraper.stats.detail_pages
     return FunnelResult(
         candidate_licensees=tuple(candidates),

@@ -87,8 +87,8 @@ def table3_apa(
     """Table 3: per-path APA for selected networks (default: the
     scenario's spotlight pair, the paper's NLN vs WH).
 
-    Fans out one licensee per task (its full APA column) when parallel;
-    rows are reassembled path-major either way.
+    Maps one licensee per task (its full APA column); rows are
+    reassembled path-major.
     """
     if licensees is None:
         licensees = scenario.spotlight_names
@@ -96,20 +96,10 @@ def table3_apa(
     engine = scenario.engine()
     paths = tuple(scenario.corridor.paths)
     with obs.span("analysis.table3", date=date.isoformat()):
-        if jobs == 1 and session is None:
-            networks = {name: engine.snapshot(name, date) for name in licensees}
-            columns = {
-                name: {
-                    path: apa_percent(network, path[0], path[1])
-                    for path in paths
-                }
-                for name, network in networks.items()
-            }
-        else:
-            items = [(name, date, paths) for name in licensees]
-            with grid_session(engine, jobs, session) as live:
-                results = live.map(_table3_task, items, label="table3")
-            columns = dict(zip(licensees, results))
+        items = [(name, date, paths) for name in licensees]
+        with grid_session(engine, jobs, session) as live:
+            results = live.map(_table3_task, items, label="table3")
+        columns = dict(zip(licensees, results))
         return [
             ApaRow(
                 path=path,

@@ -60,6 +60,17 @@ def _parse_date(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _scenario(args: argparse.Namespace) -> Scenario:
     """Resolve the subcommand's ``--scenario`` reference.
 
@@ -176,19 +187,9 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         print(render_payload(payload))
         return 0
     dates = dense_date_grid(args.step) if args.step != "paper" else None
-    if args.jobs == 1:
-        latencies = fig1_latency_evolution(scenario, dates=dates)
-    else:
-        from repro.parallel import GridSession
-
-        # Only the Fig 1 grid fans out; Fig 2's counts are one bisect per
-        # point, cheaper in-process than a worker's cache transplant.
-        with GridSession(
-            scenario.engine(), args.jobs, scenario=scenario.name
-        ) as session:
-            latencies = fig1_latency_evolution(
-                scenario, dates=dates, session=session
-            )
+    # Only the Fig 1 grid fans out; Fig 2's counts are one bisect per
+    # point, cheaper in-process than spawning a worker pool.
+    latencies = fig1_latency_evolution(scenario, dates=dates, jobs=args.jobs)
     counts = fig2_active_licenses(scenario, dates=dates)
     dates = next(iter(counts.values())).dates
     header = ("Licensee", *(d.isoformat() for d in dates))
@@ -719,7 +720,7 @@ def _obs_parent_parser() -> argparse.ArgumentParser:
         "default paper2020",
     )
     execution.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_positive_int, default=1, metavar="N",
         help="fan analysis work out over N logical workers "
         "(repro.parallel; output is byte-identical for any N)",
     )
@@ -885,7 +886,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="server to load (default: boot an "
                          "in-process server for the run)")
     loadgen.add_argument("--requests", type=int, default=200)
-    loadgen.add_argument("--clients", type=int, default=4)
+    loadgen.add_argument("--clients", type=_positive_int, default=4)
     loadgen.add_argument("--seed", type=int, default=7,
                          help="request-mix seed (same seed, same sequence)")
     loadgen.set_defaults(func=_cmd_loadgen)

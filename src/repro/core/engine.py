@@ -187,10 +187,6 @@ class _LruCache:
         """Every cached (key, value) pair, LRU order (oldest first)."""
         return tuple(self._entries.items())
 
-    def keys(self) -> frozenset:
-        """The cached keys (for delta computation)."""
-        return frozenset(self._entries)
-
     def clear(self) -> None:
         self._entries.clear()
 
@@ -203,24 +199,14 @@ class _LruCache:
         )
 
 
-def _counter_delta(now: CacheCounter, before: CacheCounter) -> CacheCounter:
-    """Counter activity between two snapshots (``size`` = current size)."""
-    return CacheCounter(
-        hits=now.hits - before.hits,
-        misses=now.misses - before.misses,
-        evictions=now.evictions - before.evictions,
-        size=now.size,
-    )
-
-
 @dataclass(frozen=True)
 class EngineCacheExport:
     """A picklable copy of an engine's cache *contents* (no counters).
 
     Produced by :meth:`CorridorEngine.export_cache_state` and installed
-    with :meth:`CorridorEngine.seed_cache_state`: the parallel layer ships
-    one of these to each worker so a fanned-out grid starts from the same
-    warm state a serial run would have at that point.  Every entry is
+    with :meth:`CorridorEngine.seed_cache_state`: the persistent store
+    (:mod:`repro.store`) pickles one of these per (database, params) so a
+    later process starts from this one's warm state.  Every entry is
     exact (memoised Vincenty solutions, the cached network/route objects
     themselves), so seeding never perturbs results.
     """
@@ -230,41 +216,9 @@ class EngineCacheExport:
     routes: tuple[tuple[Hashable, Route | None], ...]
     geodesic: tuple[tuple[tuple, tuple], ...]
     #: Per-licensee snapshot cursors ((licensee, date, key, generation)),
-    #: sorted by licensee — workers adopt them so their first touch of a
-    #: cursored licensee evolves incrementally, exactly as the parent
-    #: would have.
-    cursors: tuple[tuple[str, dt.date, tuple, int], ...] = ()
-
-
-@dataclass(frozen=True)
-class EngineCacheBaseline:
-    """Key sets + counters at one instant (delta bookkeeping, not pickled)."""
-
-    snapshot_keys: frozenset
-    route_keys: frozenset
-    geodesic_keys: frozenset
-    stats: CacheStats
-
-
-@dataclass(frozen=True)
-class EngineCacheDelta:
-    """What one engine learned since a baseline: new entries + counters.
-
-    Workers return these to the parent process, which
-    :meth:`CorridorEngine.absorb_cache_delta`\\ s them so the parallel run
-    leaves the parent engine in the same warm cache state a serial run
-    would — entries are installed without inflating hit/miss counters and
-    the worker's counter activity is added on top.
-    """
-
-    params_key: tuple
-    snapshots: tuple[tuple[Hashable, HftNetwork], ...]
-    routes: tuple[tuple[Hashable, Route | None], ...]
-    geodesic: tuple[tuple[tuple, tuple], ...]
-    stats: CacheStats
-    #: The worker's snapshot cursors at collection time (same shape as
-    #: :attr:`EngineCacheExport.cursors`); the parent adopts them so its
-    #: next request for those licensees evolves incrementally.
+    #: sorted by licensee — a seeded engine adopts them so its first touch
+    #: of a cursored licensee evolves incrementally, exactly as the
+    #: exporting engine would have.
     cursors: tuple[tuple[str, dt.date, tuple, int], ...] = ()
 
 
@@ -359,7 +313,7 @@ class CorridorEngine:
         """The engine's reentrant guard, for ``with engine.locked():``.
 
         Every mutation of engine state (snapshot resolution, route
-        lookups, cache transplants) by concurrent callers must run under
+        lookups, cache seeding) by concurrent callers must run under
         this lock; single-threaded drivers may ignore it.
         """
         return self._lock
@@ -716,27 +670,17 @@ class CorridorEngine:
         self._cursors.clear()
 
     # ------------------------------------------------------------------
-    # Cache transplanting (the repro.parallel merge-back protocol)
+    # Cache export and seeding (the persistent store's payload)
     # ------------------------------------------------------------------
 
-    def export_cache_state(
-        self, geodesic_only: bool = False
-    ) -> EngineCacheExport:
-        """A picklable copy of the current cache contents (no counters).
-
-        With ``geodesic_only`` the snapshot/route caches are omitted:
-        geodesic memo entries are parameter-independent exact solutions,
-        so they may seed a *differently*-parameterised engine (sibling
-        seeding in a sweep), while snapshots/routes are only meaningful
-        under the same ``params_key``.
-        """
-        memo = self._geodesic_memo
+    def export_cache_state(self) -> EngineCacheExport:
+        """A picklable copy of the current cache contents (no counters)."""
         return EngineCacheExport(
             params_key=self.params_key,
-            snapshots=() if geodesic_only else self._snapshots.items(),
-            routes=() if geodesic_only else self._routes.items(),
-            geodesic=memo.entries(),
-            cursors=() if geodesic_only else self._export_cursors(),
+            snapshots=self._snapshots.items(),
+            routes=self._routes.items(),
+            geodesic=self._geodesic_memo.entries(),
+            cursors=self._export_cursors(),
         )
 
     def _export_cursors(self) -> tuple[tuple[str, dt.date, tuple, int], ...]:
@@ -759,26 +703,20 @@ class CorridorEngine:
             if cursor_generation == generation:
                 self._cursors[licensee] = _SnapshotCursor(date, key, generation)
 
-    def seed_cache_state(
-        self, export: EngineCacheExport, geodesic_only: bool = False
-    ) -> None:
+    def seed_cache_state(self, export: EngineCacheExport) -> None:
         """Install exported entries into this engine's caches.
 
         Installation counts no hits or misses (it is not a lookup);
-        entries beyond a cache's capacity evict LRU-first as usual.
-        Snapshot/route entries require a matching ``params_key`` — pass
-        ``geodesic_only`` to transplant only the memo across
-        parameterisations.
+        entries beyond a cache's capacity evict LRU-first as usual.  The
+        export must have been taken under this engine's ``params_key``.
         """
-        if not geodesic_only and export.params_key != self.params_key:
+        if export.params_key != self.params_key:
             raise ValueError(
                 "cache export was taken under different reconstruction "
-                "parameters; re-export with geodesic_only=True"
+                "parameters"
             )
         for key, solution in export.geodesic:
             self._geodesic_memo.store(key, solution)
-        if geodesic_only:
-            return
         for key, network in export.snapshots:
             self._snapshots.put(key, network)
         for key, route in export.routes:
@@ -798,84 +736,6 @@ class CorridorEngine:
             return None
         with self._lock:
             return self.store.save_from(self)
-
-    def cache_baseline(self) -> EngineCacheBaseline:
-        """A point-in-time marker for :meth:`collect_cache_delta`."""
-        return EngineCacheBaseline(
-            snapshot_keys=self._snapshots.keys(),
-            route_keys=self._routes.keys(),
-            geodesic_keys=self._geodesic_memo.keys(),
-            stats=self.stats,
-        )
-
-    def collect_cache_delta(
-        self, baseline: EngineCacheBaseline
-    ) -> EngineCacheDelta:
-        """Entries learned and counter activity since ``baseline``."""
-        now = self.stats
-        return EngineCacheDelta(
-            params_key=self.params_key,
-            snapshots=tuple(
-                (key, value)
-                for key, value in self._snapshots.items()
-                if key not in baseline.snapshot_keys
-            ),
-            routes=tuple(
-                (key, value)
-                for key, value in self._routes.items()
-                if key not in baseline.route_keys
-            ),
-            geodesic=tuple(
-                (key, value)
-                for key, value in self._geodesic_memo.entries()
-                if key not in baseline.geodesic_keys
-            ),
-            stats=CacheStats(
-                snapshot=_counter_delta(now.snapshot, baseline.stats.snapshot),
-                route=_counter_delta(now.route, baseline.stats.route),
-                geodesic=_counter_delta(now.geodesic, baseline.stats.geodesic),
-                snapshot_incremental=(
-                    now.snapshot_incremental
-                    - baseline.stats.snapshot_incremental
-                ),
-                snapshot_full=now.snapshot_full - baseline.stats.snapshot_full,
-                index_events=now.index_events,
-            ),
-            cursors=self._export_cursors(),
-        )
-
-    def absorb_cache_delta(self, delta: EngineCacheDelta) -> None:
-        """Merge a worker's delta back: entries installed, counters added.
-
-        After absorbing every worker's delta, the parent engine holds the
-        same cache contents a serial run would have produced, and its
-        counters account for the work the workers did on its behalf.
-        """
-        if delta.params_key != self.params_key:
-            raise ValueError(
-                "cache delta was collected under different reconstruction "
-                "parameters than this engine's"
-            )
-        for key, solution in delta.geodesic:
-            self._geodesic_memo.store(key, solution)
-        for key, network in delta.snapshots:
-            self._snapshots.put(key, network)
-        for key, route in delta.routes:
-            self._routes.put(key, route)
-        memo = self._geodesic_memo
-        memo.hits += delta.stats.geodesic.hits
-        memo.misses += delta.stats.geodesic.misses
-        memo.evictions += delta.stats.geodesic.evictions
-        for cache, counter in (
-            (self._snapshots, delta.stats.snapshot),
-            (self._routes, delta.stats.route),
-        ):
-            cache.hits += counter.hits
-            cache.misses += counter.misses
-            cache.evictions += counter.evictions
-        self._incremental_resolutions += delta.stats.snapshot_incremental
-        self._full_resolutions += delta.stats.snapshot_full
-        self._install_cursors(delta.cursors)
 
     def with_params(self, **overrides) -> "CorridorEngine":
         """A fresh engine sharing this database with parameter overrides.

@@ -85,14 +85,10 @@ class GeodesicMemo:
         """Every memoised (key, solution) pair, LRU order (oldest first).
 
         Solutions are exact and parameter-independent, so entries can be
-        transplanted between memos (worker seeding and merge-back in
-        :mod:`repro.parallel`) without perturbing any result.
+        transplanted between memos (a store-warmed engine's seeding)
+        without perturbing any result.
         """
         return tuple(self._entries.items())
-
-    def keys(self) -> frozenset[tuple[float, float, float, float]]:
-        """The memoised coordinate keys (for delta computation)."""
-        return frozenset(self._entries)
 
     def clear(self) -> None:
         self._entries.clear()

@@ -113,7 +113,7 @@ DEFAULT_SHARED_STATE_ROOTS = (
     "repro.parallel.executor._run_chunk_in_worker",
     "repro.parallel.grid._grid_task",
     "repro.parallel.grid._build_worker_state",
-    "repro.parallel.grid._install_seeds",
+    "repro.parallel.grid._collect_worker_pages",
     "repro.cli.main",
     "repro.cli._cmd_*",
 )

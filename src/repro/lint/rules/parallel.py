@@ -2,10 +2,10 @@
 
 The parallel package is the one place in the codebase where worker pools
 are constructed — it is what guarantees spawn safety (no forked
-interpreter state), ordered reduction, and cache/metrics merge-back.  A
+interpreter state), ordered reduction, and worker metrics merge-back.  A
 module that builds its own ``ProcessPoolExecutor`` or calls
 ``multiprocessing.Pool`` bypasses all three: results may arrive in
-completion order, worker caches are silently discarded, and the fork
+completion order, worker metrics are silently discarded, and the fork
 start method can capture half-initialised parent state.  This rule
 confines pool and process construction to ``src/repro/parallel/``.
 """
@@ -43,7 +43,7 @@ class ParallelDisciplineRule(Rule):
     description = (
         "direct pool/process construction outside repro.parallel; fan "
         "out through repro.parallel (pmap/ParallelMap/GridSession) so "
-        "results stay ordered and worker caches merge back"
+        "results stay ordered and worker metrics merge back"
     )
     interests = (ast.Call,)
 

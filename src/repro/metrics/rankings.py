@@ -66,40 +66,23 @@ def rank_connected_networks(
     its 29 shortlisted licensees); by default every licensee in the
     database is considered.  Pass ``engine`` to share snapshot/route
     caches across rankings (e.g. over a date grid); without one the
-    ranking runs on a private default-parameter engine.  With
-    ``jobs > 1`` (or a ``session``) the per-licensee work fans out;
-    disconnected licensees drop out and the latency sort runs
-    parent-side, so the ranking is jobs-invariant.  ``source`` /
-    ``target`` default to the corridor's primary path.
+    ranking runs on a private default-parameter engine.  The
+    per-licensee work maps through a grid session (``session``, or a
+    private one ``jobs`` wide); disconnected licensees drop out and the
+    latency sort runs parent-side, so the ranking is jobs-invariant.
+    ``source`` / ``target`` default to the corridor's primary path.
     """
     source, target = corridor.resolve_path(source, target)
     if engine is None:
         engine = CorridorEngine(database, corridor)
     names = licensees if licensees is not None else database.licensee_names()
-    if jobs == 1 and session is None:
-        rankings: list[NetworkRanking] = []
-        for name in names:
-            route = engine.route(name, on_date, source, target)
-            if route is None:
-                continue
-            network = engine.snapshot(name, on_date)
-            rankings.append(
-                NetworkRanking(
-                    licensee=name,
-                    latency_ms=route.latency_ms,
-                    apa_percent=apa_percent(network, source, target, slack),
-                    tower_count=route.tower_count,
-                    route=route,
-                )
-            )
-    else:
-        items = [(name, on_date, source, target, slack) for name in names]
-        with grid_session(engine, jobs, session) as live:
-            rankings = [
-                ranking
-                for ranking in live.map(_rank_task, items, label="rankings")
-                if ranking is not None
-            ]
+    items = [(name, on_date, source, target, slack) for name in names]
+    with grid_session(engine, jobs, session) as live:
+        rankings = [
+            ranking
+            for ranking in live.map(_rank_task, items, label="rankings")
+            if ranking is not None
+        ]
     rankings.sort(key=lambda ranking: ranking.latency_ms)
     return rankings
 
@@ -132,41 +115,28 @@ def top_networks_per_path(
     """
     if engine is None:
         engine = CorridorEngine(database, corridor)
-    if jobs == 1 and session is None:
-        return _top_networks_loop(
-            database, corridor, on_date, top_n, licensees, engine, 1, None
-        )
+    results = []
     # One session (and one worker pool) serves every path's fan-out.
     with grid_session(engine, jobs, session) as live:
-        return _top_networks_loop(
-            database, corridor, on_date, top_n, licensees, engine, jobs, live
-        )
-
-
-def _top_networks_loop(
-    database, corridor, on_date, top_n, licensees, engine, jobs, session
-):
-    results = []
-    for source, target in corridor.paths:
-        rankings = rank_connected_networks(
-            database,
-            corridor,
-            on_date,
-            source=source,
-            target=target,
-            licensees=licensees,
-            engine=engine,
-            jobs=jobs,
-            session=session,
-        )
-        results.append(
-            PathTopRanking(
+        for source, target in corridor.paths:
+            rankings = rank_connected_networks(
+                database,
+                corridor,
+                on_date,
                 source=source,
                 target=target,
-                geodesic_km=corridor.geodesic_m(source, target) / 1000.0,
-                top=tuple(rankings[:top_n]),
+                licensees=licensees,
+                engine=engine,
+                session=live,
             )
-        )
+            results.append(
+                PathTopRanking(
+                    source=source,
+                    target=target,
+                    geodesic_km=corridor.geodesic_m(source, target) / 1000.0,
+                    top=tuple(rankings[:top_n]),
+                )
+            )
     return results
 
 

@@ -4,18 +4,18 @@ Two layers:
 
 * :mod:`repro.parallel.executor` — the raw :class:`ParallelMap` /
   :func:`pmap` fan-out contract: contiguous balanced chunks, ordered
-  reduction, spawn-safe process pool, ``jobs=1`` = plain serial loop.
+  reduction, spawn-safe process pool, and a plain in-process loop when
+  ``jobs=1`` or the machine has one usable CPU.
 * :mod:`repro.parallel.grid` — :class:`GridSession`, which adds the
-  engine routing, geodesic-memo seeding and cache merge-back the analysis
-  drivers need so a parallel run produces byte-identical artefacts *and*
-  leaves the parent engine in the same warm state as a serial run.
+  engine routing the analysis drivers need: default-parameter tasks on
+  the parent engine, one sibling engine per override set, and workers
+  that rebuild their engines and return only results.
 
 Pool/process construction anywhere else in ``src/repro`` is rejected by
 the ``parallel-discipline`` lint rule.
 """
 
 from repro.parallel.executor import (
-    BACKENDS,
     ContextSpec,
     ParallelMap,
     WorkerPoolError,
@@ -27,7 +27,6 @@ from repro.parallel.executor import (
 from repro.parallel.grid import GridSession, GridTaskContext, grid_session
 
 __all__ = [
-    "BACKENDS",
     "ContextSpec",
     "GridSession",
     "GridTaskContext",

@@ -2,38 +2,27 @@
 
 Every parallel code path in this repository runs through here — the lint
 rule ``parallel-discipline`` confines pool construction to this package —
-and every backend obeys one contract:
+and both execution modes obey one contract:
 
-* **Ordered reduction.**  Items are split into contiguous, balanced
-  chunks; chunk index is the logical *worker id*; results are reassembled
-  in submission order regardless of completion order.  ``map`` therefore
-  returns exactly ``[fn(item) for item in items]`` no matter the backend.
-* **jobs=1 is the serial code path.**  With one job there is no chunking
-  machinery between the caller and its function: the items run in a plain
-  in-process loop, in order, against the caller's own objects.
-* **Spawn safety.**  The process backend uses the ``spawn`` start method
-  (no inherited interpreter state); worker context is rebuilt in each
-  worker from a picklable :class:`ContextSpec` (a module-level factory
-  plus arguments), never captured from the parent by forking.  The
-  parent pickles the spec once to a temporary file and each worker is
-  spawned with only that file's path, so the spawn payload stays far
-  below a pipe buffer.  A worker that dies at start-up (before reading
-  its payload) therefore cannot block the parent's spawn write; the
-  pool breaks instead and ``map`` raises :class:`WorkerPoolError`.
-
-Backends
---------
-``serial``
-    ``jobs == 1``.  One chunk, run inline.
-``inline``
-    ``jobs > 1`` but executed sequentially in-process with the same
-    chunking and worker ids the process backend would use.  This is the
-    automatic choice when the machine has no second usable CPU — fanning
-    out processes there only adds spawn latency — and it keeps worker-id
-    span tagging and chunk bookkeeping identical across hosts.
-``process``
-    A spawn-safe :class:`concurrent.futures.ProcessPoolExecutor`, one
-    task per chunk, pool reused across ``map`` calls.
+* **Ordered reduction.**  ``map`` returns exactly
+  ``[fn(item) for item in items]``.  On a pool, items are split into
+  contiguous, balanced chunks; the chunk index is the logical *worker
+  id*; results are reassembled in submission order regardless of
+  completion order.
+* **In-process when fan-out cannot help.**  With ``jobs == 1``, or on a
+  machine with one usable CPU, the items run in a plain in-process loop,
+  in order, against the caller's own objects (``backend == "serial"``).
+* **Spawn safety.**  Otherwise a spawn-safe
+  :class:`concurrent.futures.ProcessPoolExecutor` runs one task per chunk
+  and is reused across ``map`` calls (``backend == "process"``).  Worker
+  context is rebuilt in each worker from a picklable :class:`ContextSpec`
+  (a module-level factory plus arguments), never captured from the
+  parent by forking.  The parent pickles the spec once to a temporary
+  file and each worker is spawned with only that file's path, so the
+  spawn payload stays far below a pipe buffer.  A worker that dies at
+  start-up (before reading its payload) therefore cannot block the
+  parent's spawn write; the pool breaks instead and ``map`` raises
+  :class:`WorkerPoolError`.
 
 Observability: each task runs under an ``obs.span("parallel.task", ...)``
 carrying its worker id and submission index.  Process workers run their
@@ -57,9 +46,6 @@ from typing import Callable, Sequence
 
 from repro import obs
 
-#: Backends a caller may force; "auto" resolves per machine.
-BACKENDS = ("serial", "inline", "process")
-
 
 def usable_cpu_count() -> int:
     """CPUs this process may actually schedule on (affinity-aware)."""
@@ -68,23 +54,15 @@ def usable_cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def resolve_backend(jobs: int, backend: str = "auto") -> str:
-    """The backend a (jobs, request) pair runs under.
+def resolve_backend(jobs: int) -> str:
+    """How ``jobs`` workers run on this machine.
 
-    ``jobs == 1`` is always ``serial``.  ``auto`` picks ``process`` when a
-    second usable CPU exists and ``inline`` otherwise; forcing
-    ``"inline"`` or ``"process"`` overrides the machine check (tests
-    force ``process`` to exercise spawn transport on any host).
+    ``"process"`` (a spawn pool) when ``jobs > 1`` and a second usable
+    CPU exists; ``"serial"`` (the in-process loop) otherwise.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        return "serial"
-    if backend == "auto":
-        return "process" if usable_cpu_count() > 1 else "inline"
-    if backend in ("inline", "process"):
-        return backend
-    raise ValueError(f"unknown backend {backend!r} (use {BACKENDS})")
+    return "process" if jobs > 1 and usable_cpu_count() > 1 else "serial"
 
 
 def chunk_spans(n_items: int, jobs: int) -> list[tuple[int, int]]:
@@ -116,9 +94,9 @@ class ContextSpec:
     chunk that worker runs receives the resulting object as ``ctx``.
 
     If the context object defines ``begin_chunk(worker_id)``, it is
-    invoked at the start of every chunk (both in workers and for the
-    local backends) so per-chunk state — e.g. which logical worker a
-    grid task is running as — is available to tasks.
+    invoked at the start of every chunk (in workers, and once with
+    worker id 0 for an in-process run) so per-chunk state — e.g. which
+    logical worker a grid task is running as — is available to tasks.
     """
 
     factory: Callable[..., object]
@@ -162,20 +140,16 @@ def _run_task(fn, ctx, has_context, worker, index, item):
         return fn(ctx, item) if has_context else fn(item)
 
 
-def _run_chunk_local(fn, ctx, has_context, worker, pairs, setup, setup_arg):
+def _run_chunk_local(fn, ctx, has_context, worker, pairs):
     if ctx is not None and hasattr(ctx, "begin_chunk"):
         ctx.begin_chunk(worker)
-    if setup is not None:
-        setup(ctx, setup_arg)
     return [
         _run_task(fn, ctx, has_context, worker, index, item)
         for index, item in pairs
     ]
 
 
-def _run_chunk_in_worker(
-    fn, has_context, worker, pairs, setup, setup_arg, finalize, observe
-):
+def _run_chunk_in_worker(fn, has_context, worker, pairs, finalize, observe):
     """One chunk, executed in a worker process.
 
     Returns ``(results, finalize_result, registry_snapshot)``; the parent
@@ -184,48 +158,43 @@ def _run_chunk_in_worker(
     ctx = _WORKER_CONTEXT
     if observe:
         with obs.capture() as cap:
-            results = _run_chunk_local(
-                fn, ctx, has_context, worker, pairs, setup, setup_arg
-            )
+            results = _run_chunk_local(fn, ctx, has_context, worker, pairs)
             extra = finalize(ctx) if finalize is not None else None
         return results, extra, cap.registry.snapshot()
-    results = _run_chunk_local(
-        fn, ctx, has_context, worker, pairs, setup, setup_arg
-    )
+    results = _run_chunk_local(fn, ctx, has_context, worker, pairs)
     extra = finalize(ctx) if finalize is not None else None
     return results, extra, None
 
 
 class ParallelMap:
-    """A reusable fan-out executor with a fixed jobs/backend/context.
+    """A reusable fan-out executor with a fixed width and context.
 
     Parameters
     ----------
     jobs:
-        Worker count.  ``1`` short-circuits to the serial code path.
-    backend:
-        ``"auto"`` (default), or force ``"inline"`` / ``"process"``.
+        Worker count (``>= 1``).  ``1``, or a machine with one usable
+        CPU, runs every item in-process; otherwise a spawn pool of
+        ``jobs`` workers does.  :attr:`backend` names the mode chosen
+        (see :func:`resolve_backend`).
     context:
         Optional :class:`ContextSpec`; when given, tasks are invoked as
         ``fn(ctx, item)`` (``fn(item)`` otherwise).
     local_context:
-        The context object used by the serial/inline backends instead of
-        building one from ``context`` — callers whose parent-side state
-        *is* the context (a :class:`~repro.parallel.grid.GridSession`, a
-        scraper) pass themselves here so ``jobs=1`` touches exactly the
-        objects a pre-parallel caller would have.
+        The context object used in-process instead of building one from
+        ``context`` — callers whose parent-side state *is* the context (a
+        :class:`~repro.parallel.grid.GridSession`) pass themselves here so
+        an in-process run touches exactly the caller's own objects.
     """
 
     def __init__(
         self,
         jobs: int = 1,
         *,
-        backend: str = "auto",
         context: ContextSpec | None = None,
         local_context: object | None = None,
     ) -> None:
         self.jobs = jobs
-        self.backend = resolve_backend(jobs, backend)
+        self.backend = resolve_backend(jobs)
         self._context = context
         self._local_context = local_context
         self._pool: ProcessPoolExecutor | None = None
@@ -250,7 +219,7 @@ class ParallelMap:
         return self._pool
 
     def close(self) -> None:
-        """Shut the worker pool down (no-op for local backends)."""
+        """Shut the worker pool down (no-op for in-process runs)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -266,14 +235,11 @@ class ParallelMap:
         return False
 
     def _local(self) -> object | None:
-        if self._local_context is not None:
-            return self._local_context
-        if self._context is not None:
-            # Built once and kept: repeated map() calls on the local
-            # backends reuse one context, as one worker process would.
+        if self._local_context is None and self._context is not None:
+            # Built once and kept: repeated in-process map() calls reuse
+            # one context, as one worker process would.
             self._local_context = self._context.build()
-            return self._local_context
-        return None
+        return self._local_context
 
     # -- the API -------------------------------------------------------
 
@@ -282,20 +248,17 @@ class ParallelMap:
         fn: Callable,
         items: Sequence,
         *,
-        setup: Callable | None = None,
-        setup_arg: object = None,
         finalize: Callable | None = None,
         on_chunk_result: Callable | None = None,
     ) -> list:
         """``[fn(item) for item in items]``, fanned out and re-ordered.
 
-        ``setup(ctx, setup_arg)`` runs once per chunk before its tasks
-        (workers receive ``setup_arg`` pickled once per chunk — this is
-        how cache seeds travel).  ``finalize(ctx)`` runs once per chunk
-        after its tasks; its return value is handed to
+        On a pool, ``finalize(ctx)`` runs in the worker once per chunk
+        after its tasks, and its return value is handed to
         ``on_chunk_result(worker, value)`` in chunk order back in the
-        parent (how cache deltas travel home).  All hooks must be
-        module-level callables under the process backend.
+        parent — how worker-side tallies travel home.  Both must be
+        module-level callables.  An in-process run skips them: its tasks
+        already ran against the caller's own context.
         """
         items = list(items)
         has_context = self._context is not None or self._local_context is not None
@@ -305,40 +268,16 @@ class ParallelMap:
             backend=self.backend,
             items=len(items),
         ):
-            if self.backend == "process":
-                return self._map_process(
-                    fn, items, has_context, setup, setup_arg,
-                    finalize, on_chunk_result,
+            if self.backend == "serial":
+                return _run_chunk_local(
+                    fn, self._local(), has_context, 0, list(enumerate(items))
                 )
-            return self._map_local(
-                fn, items, has_context, setup, setup_arg,
-                finalize, on_chunk_result,
+            return self._map_process(
+                fn, items, has_context, finalize, on_chunk_result
             )
-
-    def _map_local(
-        self, fn, items, has_context, setup, setup_arg, finalize, on_chunk_result
-    ) -> list:
-        ctx = self._local()
-        spans = (
-            [(0, len(items))] if self.backend == "serial"
-            else chunk_spans(len(items), self.jobs)
-        )
-        results: list = []
-        for worker, (start, stop) in enumerate(spans):
-            pairs = [(index, items[index]) for index in range(start, stop)]
-            results.extend(
-                _run_chunk_local(
-                    fn, ctx, has_context, worker, pairs, setup, setup_arg
-                )
-            )
-            if finalize is not None:
-                extra = finalize(ctx)
-                if on_chunk_result is not None:
-                    on_chunk_result(worker, extra)
-        return results
 
     def _map_process(
-        self, fn, items, has_context, setup, setup_arg, finalize, on_chunk_result
+        self, fn, items, has_context, finalize, on_chunk_result
     ) -> list:
         observe = obs.is_enabled()
         pool = self._ensure_pool()
@@ -348,8 +287,7 @@ class ParallelMap:
             futures.append(
                 pool.submit(
                     _run_chunk_in_worker,
-                    fn, has_context, worker, pairs,
-                    setup, setup_arg, finalize, observe,
+                    fn, has_context, worker, pairs, finalize, observe,
                 )
             )
         results: list = []
@@ -379,14 +317,13 @@ def pmap(
     items: Sequence,
     jobs: int = 1,
     *,
-    backend: str = "auto",
     context: ContextSpec | None = None,
 ) -> list:
     """One-shot :class:`ParallelMap`: ``[fn(item) for item in items]``.
 
     The convenience entry point for stateless fan-out; drivers that reuse
-    a pool or merge caches hold a :class:`ParallelMap` (or a
+    a pool hold a :class:`ParallelMap` (or a
     :class:`~repro.parallel.grid.GridSession`) instead.
     """
-    with ParallelMap(jobs, backend=backend, context=context) as executor:
+    with ParallelMap(jobs, context=context) as executor:
         return executor.map(fn, items)

@@ -8,9 +8,9 @@ compare and hash equal and two spellings of the same parameters build the
 same keyword arguments.  Caching lives in the *builders* (each built-in
 is ``lru_cache``'d), not here — every caller of the same reference shares
 one :class:`~repro.synth.scenario.Scenario` and therefore one warm
-default engine, and ``paper2020_scenario.cache_clear()`` (the test
-fixtures' fresh-process mimic) drops the registry's view too, instead of
-leaving a stale scenario behind a second cache layer.
+default engine, and ``paper2020_scenario.cache_clear()`` drops the
+registry's view too, instead of leaving a stale scenario behind a second
+cache layer.
 
 Built-in entries:
 

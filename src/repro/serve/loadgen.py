@@ -106,17 +106,13 @@ def _fetch(item: tuple[str, str]) -> RequestSample:
     return RequestSample(path=path, status=status, elapsed_ms=elapsed_ms)
 
 
-def run_load(
-    base_url: str,
-    profile: LoadProfile | None = None,
-    backend: str = "auto",
-) -> LoadReport:
+def run_load(base_url: str, profile: LoadProfile | None = None) -> LoadReport:
     """Replay ``profile`` against ``base_url`` with a parallel fleet."""
     profile = profile if profile is not None else LoadProfile()
     base = base_url.rstrip("/")
     items = [(base, path) for path in request_sequence(profile)]
     start = time.perf_counter()
-    samples = pmap(_fetch, items, jobs=profile.clients, backend=backend)
+    samples = pmap(_fetch, items, jobs=profile.clients)
     wall_s = time.perf_counter() - start
     latencies = [s.elapsed_ms for s in samples]
     errors = sum(1 for s in samples if s.status != 200)

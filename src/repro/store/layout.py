@@ -74,7 +74,7 @@ def write_entry(cache_dir: Path, fingerprint: str, payload: bytes) -> Path:
     """Atomically publish ``payload`` as the entry for ``fingerprint``.
 
     The temp name carries pid and thread id so concurrent writers (two
-    drivers, or a driver and its workers) never collide on the staging
+    drivers, or two server threads) never collide on the staging
     file; :func:`os.replace` makes the publication itself atomic.
     """
     directory = entry_dir(cache_dir)

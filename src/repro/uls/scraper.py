@@ -34,28 +34,6 @@ from repro.uls.records import (
 )
 
 
-def _scraper_worker(database) -> "UlsScraper":
-    """Rebuild a scraper (and portal) inside a worker process."""
-    return UlsScraper(UlsPortal(database))
-
-
-def _count_filings_task(scraper: "UlsScraper", name: str) -> int:
-    return len(scraper.licenses_of(name))
-
-
-def _scrape_licensee_task(scraper: "UlsScraper", name: str) -> list:
-    return scraper.scrape_licensee(name)
-
-
-def _collect_scrape_delta(scraper: "UlsScraper"):
-    """Chunk finalizer: page counts since the last collect + the worker's
-    parsed-license cache (idempotent to re-absorb)."""
-    stats = scraper.stats
-    scraper.stats = ScrapeStats()
-    pages = (stats.search_pages, stats.detail_pages, stats.cache_hits)
-    return pages, dict(scraper._detail_cache)
-
-
 class ScrapeError(ValueError):
     """Raised when a page cannot be parsed into the expected structure."""
 
@@ -282,58 +260,11 @@ class UlsScraper:
         """All filings of one licensee, via name search + detail pages."""
         return [self.license_detail(lid) for lid in self.licenses_of(licensee_name)]
 
-    # ------------------------------------------------------------------
-    # Batched scraping (repro.parallel fan-out)
-    # ------------------------------------------------------------------
-
-    def count_filings(self, names: list[str], jobs: int = 1) -> list[int]:
-        """Filing counts per licensee (one name-search page each).
-
-        ``jobs=1`` scrapes through this object exactly as a caller's own
-        ``len(scraper.licenses_of(name))`` loop would; above that, names
-        fan out in contiguous chunks and worker page counts and parsed
-        licenses are absorbed back here, so ``stats`` stays jobs-invariant
-        whenever the names are distinct.
-        """
-        return self._batched(_count_filings_task, names, jobs)
-
-    def scrape_licensees(self, names: list[str], jobs: int = 1) -> list[list[License]]:
-        """Full filings per licensee, batched like :meth:`count_filings`."""
-        return self._batched(_scrape_licensee_task, names, jobs)
-
-    def _batched(self, task, names: list[str], jobs: int) -> list:
-        # Imported here, not at module level: repro.core's reconstruction
-        # stack imports repro.uls, and repro.parallel.grid imports
-        # repro.core.engine — a module-level import would close that loop.
-        from repro.parallel.executor import ContextSpec, ParallelMap
-
-        with ParallelMap(
-            jobs,
-            context=ContextSpec(_scraper_worker, (self._portal.database,)),
-            local_context=self,
-        ) as executor:
-            if executor.backend == "process":
-                return executor.map(
-                    task,
-                    list(names),
-                    finalize=_collect_scrape_delta,
-                    on_chunk_result=self._absorb_chunk,
-                )
-            # Local backends run against this scraper directly — stats and
-            # cache are already ours, nothing to merge.
-            return executor.map(task, list(names))
-
-    def _absorb_chunk(self, worker: int, delta) -> None:
-        pages, cache = delta
-        self.absorb(pages, cache)
-
-    def absorb(self, pages: tuple[int, int, int], cache: dict[str, License]) -> None:
-        """Fold a worker scraper's page counts and parsed licenses in."""
-        search_pages, detail_pages, cache_hits = pages
-        self.stats.search_pages += search_pages
-        self.stats.detail_pages += detail_pages
-        self.stats.cache_hits += cache_hits
-        self._detail_cache.update(cache)
+    def absorb(self, stats: ScrapeStats) -> None:
+        """Add another scraper's page counts (a grid worker's) to ours."""
+        self.stats.search_pages += stats.search_pages
+        self.stats.detail_pages += stats.detail_pages
+        self.stats.cache_hits += stats.cache_hits
 
     # ------------------------------------------------------------------
     # Detail page parsing

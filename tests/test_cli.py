@@ -65,6 +65,24 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--jobs", "0"],
+            ["timeline", "--jobs", "-2"],
+            ["funnel", "--jobs", "two"],
+            ["loadgen", "--clients", "0"],
+        ],
+    )
+    def test_nonpositive_counts_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {argv[1]}" in err
+        assert "Traceback" not in err
+
 
 class TestExtensionCommands:
     def test_entities(self, capsys):

@@ -213,28 +213,6 @@ class TestCursorTransplant:
         assert sibling.stats.snapshot_full == 0
         assert sibling.stats.snapshot_incremental == 1
 
-    def test_geodesic_only_export_has_no_cursors(self, scenario):
-        engine = _engine(scenario)
-        engine.timeline("New Line Networks", MONTHLY[:4])
-        export = engine.export_cache_state(geodesic_only=True)
-        assert export.cursors == ()
-
-    def test_delta_absorption_adopts_cursors_and_counters(self, scenario):
-        engine = _engine(scenario)
-        baseline = engine.cache_baseline()
-        engine.timeline("Webline Holdings", MONTHLY[:8])
-        delta = engine.collect_cache_delta(baseline)
-        assert delta.stats.snapshot_incremental == 7
-        assert delta.stats.snapshot_full == 1
-        assert delta.cursors
-
-        parent = _engine(scenario)
-        parent.absorb_cache_delta(delta)
-        assert parent.stats.snapshot_incremental == 7
-        assert parent.stats.snapshot_full == 1
-        parent.snapshot("Webline Holdings", MONTHLY[8])
-        assert parent.stats.snapshot_full == 1  # cursor reused, no full
-
 
 class TestCliByteIdentity:
     """Cursor resolution must be invisible in stdout at any --jobs width."""

@@ -1,9 +1,11 @@
 """Tests for the deterministic fan-out executor (repro.parallel.executor).
 
-The process-backend tests force ``backend="process"`` explicitly: on a
-single-CPU host ``auto`` resolves to the inline backend, and the spawn
-transport (pickling of tasks, contexts, and chunk extras) must be
-exercised regardless of the machine the suite runs on.
+The executor has two modes: in-process (``jobs == 1`` or one usable CPU)
+and a spawn pool.  Tests pick the mode on any host by patching
+``usable_cpu_count``: ``one_cpu`` forces the in-process loop at any
+width, ``two_cpus`` forces the pool, so the spawn transport (pickling of
+tasks, contexts, and chunk extras) is exercised regardless of the
+machine the suite runs on.
 """
 
 from __future__ import annotations
@@ -12,14 +14,24 @@ import pytest
 
 from repro import obs
 from repro.parallel import (
-    BACKENDS,
     ContextSpec,
     ParallelMap,
     chunk_spans,
+    executor,
     pmap,
     resolve_backend,
     usable_cpu_count,
 )
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(executor, "usable_cpu_count", lambda: 1)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(executor, "usable_cpu_count", lambda: 2)
 
 
 # -- module-level task/context functions (picklable by reference, as the
@@ -50,6 +62,10 @@ def _make_recorder(tag: str) -> _Recorder:
 
 def _finalize_tag(ctx) -> str:
     return ctx.tag
+
+
+def _last_chunk_task(ctx, item):
+    return ctx.chunks[-1]
 
 
 class TestChunkSpans:
@@ -85,68 +101,86 @@ class TestChunkSpans:
 
 
 class TestResolveBackend:
-    def test_jobs_one_is_always_serial(self):
-        for requested in ("auto", "inline", "process"):
-            assert resolve_backend(1, requested) == "serial"
+    def test_jobs_one_is_always_serial(self, two_cpus):
+        assert resolve_backend(1) == "serial"
+        assert ParallelMap(1).backend == "serial"
 
     def test_auto_matches_machine(self):
-        resolved = resolve_backend(4, "auto")
-        expected = "process" if usable_cpu_count() > 1 else "inline"
-        assert resolved == expected
+        expected = "process" if usable_cpu_count() > 1 else "serial"
+        assert resolve_backend(4) == expected
+        assert ParallelMap(4).backend == expected
 
-    def test_forced_backends_override_machine_check(self):
-        assert resolve_backend(4, "inline") == "inline"
-        assert resolve_backend(4, "process") == "process"
+    def test_one_cpu_runs_any_width_in_process(self, one_cpu):
+        assert resolve_backend(4) == "serial"
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             resolve_backend(0)
         with pytest.raises(ValueError):
-            resolve_backend(2, "threads")
-
-    def test_backends_tuple(self):
-        assert BACKENDS == ("serial", "inline", "process")
+            ParallelMap(-2)
 
 
 class TestPmapLocal:
+    """The in-process loop, forced at widths above one (``one_cpu``), and
+    the per-chunk context hooks (``begin_chunk``, ``finalize``)."""
+
     def test_serial_matches_list_comprehension(self):
         items = list(range(10))
         assert pmap(_square, items, jobs=1) == [x * x for x in items]
 
-    def test_inline_preserves_submission_order(self):
+    def test_inline_preserves_submission_order(self, one_cpu):
         items = list(range(11))
-        assert pmap(_square, items, jobs=3, backend="inline") == [
-            x * x for x in items
-        ]
+        assert pmap(_square, items, jobs=3) == [x * x for x in items]
 
-    def test_empty_items(self):
-        assert pmap(_square, [], jobs=4, backend="inline") == []
+    def test_empty_items(self, one_cpu):
+        assert pmap(_square, [], jobs=4) == []
 
-    def test_context_tasks_receive_context(self):
+    def test_context_tasks_receive_context(self, one_cpu):
         spec = ContextSpec(_make_recorder, ("w",))
-        results = pmap(_ctx_task, [1, 2, 3], jobs=2, backend="inline", context=spec)
+        results = pmap(_ctx_task, [1, 2, 3], jobs=2, context=spec)
         assert results == [("w", 1), ("w", 2), ("w", 3)]
 
-    def test_begin_chunk_reports_dense_worker_ids(self):
+    def test_in_process_run_is_one_chunk_as_worker_zero(self, one_cpu):
         recorder = _Recorder("r")
-        with ParallelMap(2, backend="inline", local_context=recorder) as executor:
-            executor.map(_ctx_task, list(range(4)))
-        assert recorder.chunks == [0, 1]
+        with ParallelMap(2, local_context=recorder) as executor_:
+            executor_.map(_ctx_task, list(range(4)))
+        assert recorder.chunks == [0]
 
-    def test_local_context_is_built_once_and_reused(self):
+    def test_local_context_is_built_once_and_reused(self, one_cpu):
         spec = ContextSpec(_make_recorder, ("once",))
-        with ParallelMap(2, backend="inline", context=spec) as executor:
-            executor.map(_ctx_task, [1, 2])
-            executor.map(_ctx_task, [3, 4])
-            recorder = executor._local()
-        # One recorder saw every chunk of both map calls.
-        assert recorder.chunks == [0, 1, 0, 1]
+        with ParallelMap(2, context=spec) as executor_:
+            executor_.map(_ctx_task, [1, 2])
+            executor_.map(_ctx_task, [3, 4])
+            recorder = executor_._local()
+        # One recorder saw both map calls.
+        assert recorder.chunks == [0, 0]
 
-    def test_finalize_and_on_chunk_result_run_in_chunk_order(self):
-        collected: list[tuple[int, str]] = []
+    def test_in_process_run_skips_finalize(self, one_cpu):
+        collected: list = []
         recorder = _Recorder("tag")
-        with ParallelMap(3, backend="inline", local_context=recorder) as executor:
-            executor.map(
+        with ParallelMap(3, local_context=recorder) as executor_:
+            executor_.map(
+                _ctx_task,
+                list(range(6)),
+                finalize=_finalize_tag,
+                on_chunk_result=lambda worker, extra: collected.append(extra),
+            )
+        # The tasks ran against the caller's own context: nothing to
+        # bring home.
+        assert collected == []
+
+    def test_begin_chunk_reports_dense_worker_ids(self, two_cpus):
+        spec = ContextSpec(_make_recorder, ("r",))
+        with ParallelMap(2, context=spec) as executor_:
+            assert executor_.backend == "process"
+            workers = executor_.map(_last_chunk_task, list(range(4)))
+        assert workers == [0, 0, 1, 1]
+
+    def test_finalize_and_on_chunk_result_run_in_chunk_order(self, two_cpus):
+        collected: list[tuple[int, str]] = []
+        spec = ContextSpec(_make_recorder, ("tag",))
+        with ParallelMap(3, context=spec) as executor_:
+            executor_.map(
                 _ctx_task,
                 list(range(6)),
                 finalize=_finalize_tag,
@@ -156,9 +190,9 @@ class TestPmapLocal:
             )
         assert collected == [(0, "tag"), (1, "tag"), (2, "tag")]
 
-    def test_task_counter_and_spans_under_obs(self):
+    def test_task_counter_and_spans_under_obs(self, one_cpu):
         with obs.capture() as cap:
-            pmap(_square, list(range(5)), jobs=2, backend="inline")
+            pmap(_square, list(range(5)), jobs=2)
         assert cap.counters().get("parallel.tasks") == 5
         names = [record.name for record in cap.spans]
         assert names.count("parallel.task") == 5
@@ -166,26 +200,21 @@ class TestPmapLocal:
 
 
 class TestPmapProcess:
-    """Spawn transport, forced explicitly (auto would pick inline on a
-    one-CPU host)."""
+    """Spawn transport, forced on any host (``two_cpus``)."""
 
-    def test_results_match_serial_and_keep_order(self):
+    def test_results_match_serial_and_keep_order(self, two_cpus):
         items = list(range(9))
-        assert pmap(_square, items, jobs=2, backend="process") == [
-            x * x for x in items
-        ]
+        assert pmap(_square, items, jobs=2) == [x * x for x in items]
 
-    def test_builtin_task_without_context(self):
+    def test_builtin_task_without_context(self, two_cpus):
         words = ["alpha", "beta", "gamma"]
-        assert pmap(str.upper, words, jobs=2, backend="process") == [
-            "ALPHA", "BETA", "GAMMA"
-        ]
+        assert pmap(str.upper, words, jobs=2) == ["ALPHA", "BETA", "GAMMA"]
 
-    def test_context_rebuilt_in_workers_and_extras_come_home(self):
+    def test_context_rebuilt_in_workers_and_extras_come_home(self, two_cpus):
         collected: list[tuple[int, str]] = []
         spec = ContextSpec(_make_recorder, ("worker-made",))
-        with ParallelMap(2, backend="process", context=spec) as executor:
-            results = executor.map(
+        with ParallelMap(2, context=spec) as executor_:
+            results = executor_.map(
                 _ctx_task,
                 [10, 20, 30, 40],
                 finalize=_finalize_tag,
@@ -201,8 +230,8 @@ class TestPmapProcess:
         ]
         assert collected == [(0, "worker-made"), (1, "worker-made")]
 
-    def test_worker_metrics_merge_into_parent_registry(self):
+    def test_worker_metrics_merge_into_parent_registry(self, two_cpus):
         with obs.capture() as cap:
-            pmap(_square, list(range(6)), jobs=2, backend="process")
+            pmap(_square, list(range(6)), jobs=2)
         # Worker-side task counters ship home via the registry snapshot.
         assert cap.counters().get("parallel.tasks") == 6

@@ -1,23 +1,26 @@
-"""Tests for grid fan-out sessions and the cache merge-back contract.
+"""Tests for grid fan-out sessions: routing and the results-only contract.
 
-The core promise under test: a parallel grid run returns exactly the
-results a serial run would, and leaves the parent
-:class:`~repro.core.engine.CorridorEngine` in the same warm cache state —
-identical geodesic-memo contents and equivalent
-:class:`~repro.core.engine.CacheStats` totals.  Process-backend tests
-force ``backend="process"`` (auto resolves to inline on one-CPU hosts).
+The core promise under test: a grid run returns exactly the results a
+``jobs=1`` run would at any width.  In-process runs (``jobs=1``, or any
+width on a one-CPU machine) work on the parent
+:class:`~repro.core.engine.CorridorEngine` and its siblings themselves;
+pool workers build their own engines and send home only results (plus
+scraper page counts), so the parent engine's caches never see their
+work.  Tests pick the mode by patching ``usable_cpu_count``
+(``one_cpu`` / ``two_cpus``), as ``tests/test_parallel.py`` does.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import CorridorEngine
-from repro.parallel import GridSession, grid_session
+from repro.parallel import GridSession, executor, grid_session
 
 FEATURED = (
     "National Tower Company",
@@ -56,6 +59,16 @@ def _memo_contents(engine: CorridorEngine) -> dict:
     return dict(engine._geodesic_memo.entries())
 
 
+@pytest.fixture
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(executor, "usable_cpu_count", lambda: 1)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(executor, "usable_cpu_count", lambda: 2)
+
+
 class TestEngineCacheTransplant:
     def test_export_seed_roundtrip_serves_hits(self, scenario):
         warm = _fresh_engine(scenario)
@@ -78,60 +91,6 @@ class TestEngineCacheTransplant:
         with pytest.raises(ValueError):
             sibling.seed_cache_state(warm.export_cache_state())
 
-    def test_geodesic_only_seed_crosses_parameterisations(self, scenario):
-        warm = _fresh_engine(scenario)
-        warm.snapshot("Webline Holdings", DATES[1])
-        sibling = warm.with_params(stitch_tolerance_m=120.0)
-        sibling.seed_cache_state(
-            warm.export_cache_state(geodesic_only=True), geodesic_only=True
-        )
-        assert _memo_contents(sibling) == _memo_contents(warm)
-        assert len(sibling._snapshots) == 0
-
-    def test_delta_reports_only_new_entries_and_activity(self, scenario):
-        engine = _fresh_engine(scenario)
-        engine.snapshot("Webline Holdings", DATES[1])
-        baseline = engine.cache_baseline()
-        empty = engine.collect_cache_delta(baseline)
-        assert not (empty.snapshots or empty.routes or empty.geodesic)
-        assert empty.stats.snapshot.lookups == 0
-
-        engine.snapshot("Webline Holdings", DATES[1])  # pure cache hit
-        engine.snapshot("New Line Networks", DATES[1])  # new entry
-        delta = engine.collect_cache_delta(baseline)
-        assert [key for key, _ in delta.snapshots] == [
-            engine.snapshot_key("New Line Networks", DATES[1])
-        ]
-        assert delta.stats.snapshot.hits == 1
-        assert delta.stats.snapshot.misses == 1
-
-    def test_absorb_reproduces_serial_cache_state(self, scenario):
-        serial = _fresh_engine(scenario)
-        serial.snapshot("Webline Holdings", DATES[1])
-        serial.snapshot("New Line Networks", DATES[1])
-
-        parent = _fresh_engine(scenario)
-        parent.snapshot("Webline Holdings", DATES[1])
-        worker = _fresh_engine(scenario)
-        worker.seed_cache_state(parent.export_cache_state())
-        baseline = worker.cache_baseline()
-        worker.snapshot("New Line Networks", DATES[1])
-        parent.absorb_cache_delta(worker.collect_cache_delta(baseline))
-
-        assert _memo_contents(parent) == _memo_contents(serial)
-        assert parent._snapshots.keys() == serial._snapshots.keys()
-        assert parent.stats == serial.stats
-
-    def test_absorb_rejects_mismatched_params(self, scenario):
-        engine = _fresh_engine(scenario)
-        sibling = engine.with_params(stitch_tolerance_m=120.0)
-        sibling.snapshot("Webline Holdings", DATES[1])
-        delta = sibling.collect_cache_delta(_fresh_engine(scenario)
-                                            .with_params(stitch_tolerance_m=120.0)
-                                            .cache_baseline())
-        with pytest.raises(ValueError):
-            engine.absorb_cache_delta(delta)
-
 
 class TestGridSessionRouting:
     def test_default_params_route_to_parent(self, scenario):
@@ -139,36 +98,32 @@ class TestGridSessionRouting:
         with GridSession(engine, 1) as session:
             assert session.engine_for(None) is engine
 
-    def test_serial_overrides_get_fresh_engines_per_call(self, scenario):
-        engine = _fresh_engine(scenario)
-        key = (("stitch_tolerance_m", 120.0),)
-        with GridSession(engine, 1) as session:
-            first = session.engine_for(key)
-            second = session.engine_for(key)
-        assert first is not second
-        assert first is not engine
-
-    def test_parallel_overrides_pool_seeded_siblings(self, scenario):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_overrides_share_one_sibling_per_session(self, scenario, jobs):
         engine = _fresh_engine(scenario)
         engine.snapshot("Webline Holdings", DATES[1])  # warm the memo
         key = (("stitch_tolerance_m", 120.0),)
-        with GridSession(engine, 2, backend="inline") as session:
+        with GridSession(engine, jobs) as session:
             first = session.engine_for(key)
             second = session.engine_for(key)
-            assert first is second
-            assert _memo_contents(first) == _memo_contents(engine)
-            assert len(first._snapshots) == 0  # geodesic-only seed
+        assert first is second
+        assert first is not engine
+        # The sibling starts cold: nothing is transplanted into it.
+        assert _memo_contents(first) == {}
+        assert len(first._snapshots) == 0
 
-    def test_worker_ids_are_chunk_indices(self, scenario):
+    def test_worker_ids_are_chunk_indices(self, scenario, two_cpus):
         engine = _fresh_engine(scenario)
-        with GridSession(engine, 2, backend="inline") as session:
+        with GridSession(engine, 2) as session:
             workers = session.map(_worker_id_task, list(range(4)))
         assert workers == [0, 0, 1, 1]
 
-    def test_params_callable_pools_one_sibling_per_override_set(self, scenario):
+    def test_params_callable_pools_one_sibling_per_override_set(
+        self, scenario, one_cpu
+    ):
         engine = _fresh_engine(scenario)
         items = [("Webline Holdings", 90.0), ("Webline Holdings", 120.0)]
-        with GridSession(engine, 2, backend="inline") as session:
+        with GridSession(engine, 2) as session:
             session.map(
                 _worker_id_task,
                 items,
@@ -181,7 +136,7 @@ class TestGridSessionRouting:
 
 
 class TestSerialParallelEquivalence:
-    """The ISSUE's property: serial and parallel runs agree on results,
+    """In-process runs at any width agree with ``jobs=1`` on results,
     geodesic-memo contents, and CacheStats totals on the parent engine."""
 
     @settings(max_examples=10, deadline=None)
@@ -201,14 +156,20 @@ class TestSerialParallelEquivalence:
             expected = session.map(_latency_series, items)
 
         parallel_engine = _fresh_engine(scenario)
-        with GridSession(parallel_engine, jobs, backend="inline") as session:
-            got = session.map(_latency_series, items)
+        # A one-CPU machine runs any width in-process (patched by hand:
+        # hypothesis rejects function-scoped fixtures).
+        with mock.patch.object(executor, "usable_cpu_count", lambda: 1):
+            with GridSession(parallel_engine, jobs) as session:
+                assert session.backend == "serial"
+                got = session.map(_latency_series, items)
 
         assert got == expected
         assert _memo_contents(parallel_engine) == _memo_contents(serial_engine)
         assert parallel_engine.stats == serial_engine.stats
 
-    def test_override_sweep_matches_serial_and_spares_parent(self, scenario):
+    def test_override_sweep_matches_serial_and_spares_parent(
+        self, scenario, one_cpu
+    ):
         items = [("Webline Holdings", DATES), ("New Line Networks", DATES)]
         params = {"stitch_tolerance_m": 120.0}
 
@@ -218,7 +179,7 @@ class TestSerialParallelEquivalence:
         serial_stats = serial_engine.stats
 
         parallel_engine = _fresh_engine(scenario)
-        with GridSession(parallel_engine, 3, backend="inline") as session:
+        with GridSession(parallel_engine, 3) as session:
             got = session.map(_latency_series, items, params=params)
 
         assert got == expected
@@ -229,9 +190,11 @@ class TestSerialParallelEquivalence:
 
 
 class TestProcessGrid:
-    """Spawn transport for the grid: seeds out, deltas home."""
+    """Spawn transport for the grid: items out, results home."""
 
-    def test_process_grid_matches_serial_and_merges_back(self, scenario):
+    def test_process_grid_matches_serial_and_spares_parent(
+        self, scenario, two_cpus
+    ):
         items = [(name, DATES) for name in FEATURED[:4]]
 
         serial_engine = _fresh_engine(scenario)
@@ -239,26 +202,27 @@ class TestProcessGrid:
             expected = session.map(_latency_series, items)
 
         parallel_engine = _fresh_engine(scenario)
-        with GridSession(parallel_engine, 2, backend="process") as session:
+        parallel_engine.snapshot("Webline Holdings", DATES[1])
+        before = (
+            parallel_engine.stats,
+            _memo_contents(parallel_engine),
+            parallel_engine.export_cache_state(),
+        )
+        with GridSession(parallel_engine, 2) as session:
+            assert session.backend == "process"
             got = session.map(_latency_series, items)
 
         assert got == expected
-        # Merge-back left the parent holding the same learned entries.
-        assert _memo_contents(parallel_engine) == _memo_contents(serial_engine)
-        assert parallel_engine._snapshots.keys() == serial_engine._snapshots.keys()
-        assert parallel_engine._routes.keys() == serial_engine._routes.keys()
-        # Lookup totals match exactly: each licensee's reconstruction work
-        # is fixed, only the hit/miss split may shift with worker-local
-        # memo warmth.
-        for cache in ("snapshot", "route", "geodesic"):
-            parallel_counter = getattr(parallel_engine.stats, cache)
-            serial_counter = getattr(serial_engine.stats, cache)
-            assert parallel_counter.lookups == serial_counter.lookups
+        # Workers built their own engines: the parent's caches, cursors
+        # and counters are exactly as they were before the fan-out.
+        assert parallel_engine.stats == before[0]
+        assert _memo_contents(parallel_engine) == before[1]
+        assert parallel_engine.export_cache_state() == before[2]
 
-    def test_process_session_reuses_pool_across_maps(self, scenario):
+    def test_process_session_reuses_pool_across_maps(self, scenario, two_cpus):
         engine = _fresh_engine(scenario)
         items = [(name, (DATES[1],)) for name in FEATURED[:2]]
-        with GridSession(engine, 2, backend="process") as session:
+        with GridSession(engine, 2) as session:
             first = session.map(_latency_series, items)
             pool = session._pmap._pool
             second = session.map(_latency_series, items)
@@ -267,19 +231,19 @@ class TestProcessGrid:
 
 
 class TestScraperBatching:
-    def test_count_filings_parallel_matches_serial(self, scenario):
-        from repro.uls.portal import UlsPortal
-        from repro.uls.scraper import UlsScraper
-
+    def test_count_filings_parallel_matches_serial(self, scenario, two_cpus):
         names = list(FEATURED[:3])
-        serial = UlsScraper(UlsPortal(scenario.database))
-        expected = serial.count_filings(names)
+        with GridSession(_fresh_engine(scenario), 1) as session:
+            expected = session.map(_count_filings, names)
+            serial_stats = session.scraper.stats
 
-        batched = UlsScraper(UlsPortal(scenario.database))
-        got = batched.count_filings(names, jobs=2)
+        with GridSession(_fresh_engine(scenario), 2) as session:
+            got = session.map(_count_filings, names)
+            stats = session.scraper.stats
 
         assert got == expected
-        assert batched.stats == serial.stats
+        # The workers' page counts came home to the session's scraper.
+        assert stats == serial_stats
 
     def test_grid_tasks_share_session_scraper(self, scenario):
         engine = _fresh_engine(scenario)
@@ -288,5 +252,5 @@ class TestScraperBatching:
             stats = session.scraper.stats
         assert all(count > 0 for count in counts)
         # Both tasks' page traffic landed on the session's one scraper
-        # (inline backends share it; process workers merge theirs back).
+        # (in-process runs share it; pool workers send their counts home).
         assert stats.search_pages >= 2

@@ -23,7 +23,6 @@ from repro.analysis.funnel import run_scraping_funnel
 from repro.core.engine import CorridorEngine
 from repro.core.timeline import yearly_snapshot_dates
 from repro.metrics.rankings import rank_connected_networks
-from repro.parallel import GridSession
 from repro.scenarios import (
     ScenarioEntry,
     ScenarioParamError,
@@ -285,15 +284,7 @@ def _roundtrip_bytes(scenario, jobs: int = 1, engine=None) -> tuple:
         rankings_payload(scenario, engine, scenario.snapshot_date)
     )
     dates = yearly_snapshot_dates()
-    if jobs == 1:
-        series = fig1_latency_evolution(scenario, dates=dates)
-    else:
-        with GridSession(
-            engine, jobs, backend="inline", scenario=scenario.name
-        ) as session:
-            series = fig1_latency_evolution(
-                scenario, dates=dates, session=session
-            )
+    series = fig1_latency_evolution(scenario, dates=dates, jobs=jobs)
     timeline = {
         name: tuple(point.latency_ms for point in points)
         for name, points in series.items()

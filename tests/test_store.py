@@ -13,7 +13,7 @@ The store's load-bearing properties, in rough order of importance:
 
 Plus the integration seams: engine attach/checkpoint, the CLI's
 ``--cache-dir`` / ``cache {stat,gc,clear}``, serve's store-warmed boot
-and rendered-body cache, and parallel's store-seeded workers.
+and rendered-body cache, and process fan-out under an attached store.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core.engine import CorridorEngine, EngineCacheExport
-from repro.parallel.grid import GridSession, _resolve_seed
+from repro.parallel import GridSession, executor
 from repro.serve.service import CorridorQueryService
 from repro.store import (
     STORE_SCHEMA_VERSION,
     CacheStore,
-    StoreSeedRef,
     store_fingerprint,
 )
 from repro.store import layout
@@ -432,19 +431,23 @@ class TestCacheCli:
     def _reset_default_engine():
         # The paper scenario (and its shared default engine) is
         # lru-cached per process, so its caches stay warm across
-        # in-process main() calls.  Clearing drops them, which is what
-        # makes a run cold, like the fresh process each real CLI
+        # in-process main() calls.  Dropping the default engine makes the
+        # next run build a cold one, like the fresh process each real CLI
         # invocation gets (scripts/check.sh's store gate runs
-        # subprocesses; these tests run main() in-process).
+        # subprocesses; these tests run main() in-process).  The scenario
+        # object itself stays, so session fixtures still resolve to it.
         from repro.synth.scenario import paper2020_scenario
 
-        paper2020_scenario.cache_clear()
+        vars(paper2020_scenario()).pop("_default_engine", None)
 
     @pytest.fixture(autouse=True)
-    def _fresh_scenario(self):
-        self._reset_default_engine()
-        yield
-        self._reset_default_engine()
+    def _fresh_scenario(self, scenario):
+        # Restore the session's warm default engine afterwards, so later
+        # tests see the engine the session fixtures hold.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.delitem(vars(scenario), "_default_engine", raising=False)
+            yield
+            self._reset_default_engine()
 
     def test_cache_dir_populates_store_and_output_is_identical(
         self, capsys, tmp_path
@@ -548,6 +551,36 @@ class TestCacheCli:
             3,
             3,
             3,
+        )
+
+
+    def test_warm_fanned_out_table1_loads_and_saves_once(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import repro.store
+
+        stores = []
+
+        class RecordingStore(CacheStore):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                stores.append(self)
+
+        monkeypatch.setattr(repro.store, "CacheStore", RecordingStore)
+        monkeypatch.setattr(executor, "usable_cpu_count", lambda: 2)
+        argv = ["table1", "--jobs", "2", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        self._reset_default_engine()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        # One load at attach, one save at exit: no checkpoint before the
+        # fan-out, since workers never read the store.
+        counters = stores[-1].counters()
+        assert (counters["loads"], counters["hits"], counters["saves"]) == (
+            1,
+            1,
+            1,
         )
 
 
@@ -673,7 +706,7 @@ class TestBodyCache:
 
 
 # ----------------------------------------------------------------------
-# Parallel: workers seed from the store
+# Parallel: pool workers start from the shipped parts, not the store
 # ----------------------------------------------------------------------
 
 
@@ -684,20 +717,10 @@ def _store_latency_task(ctx, item):
 
 
 class TestParallelSeeding:
-    def test_resolve_seed_passthrough_and_ref(self, scenario, populated_store):
-        export = _engine(scenario).export_cache_state()
-        assert _resolve_seed(None) is None
-        assert _resolve_seed(export) is export
-        fingerprint = populated_store.fingerprint_for(_engine(scenario))
-        ref = StoreSeedRef(str(populated_store.cache_dir), fingerprint)
-        resolved = ref.load()
-        assert isinstance(resolved, EngineCacheExport)
-        missing = StoreSeedRef(str(populated_store.cache_dir), "0" * 64)
-        assert _resolve_seed(missing) is None
-
-    def test_process_workers_seed_from_store(
-        self, scenario, populated_store, tmp_path
+    def test_process_workers_leave_the_store_alone(
+        self, scenario, tmp_path, monkeypatch
     ):
+        monkeypatch.setattr(executor, "usable_cpu_count", lambda: 2)
         items = [
             (name, scenario.snapshot_date)
             for name in scenario.connected_names[:4]
@@ -706,9 +729,14 @@ class TestParallelSeeding:
         with GridSession(serial, 1) as session:
             expected = session.map(_store_latency_task, items)
 
-        parent = _engine(scenario, store=populated_store)
-        with GridSession(parent, 2, backend="process") as session:
+        store = CacheStore(tmp_path)
+        parent = _engine(scenario, store=store)
+        with GridSession(parent, 2) as session:
+            assert session.backend == "process"
             got = session.map(_store_latency_task, items)
         assert got == expected
-        # The parent checkpointed before fan-out (seed publication).
-        assert populated_store.counters()["saves"] >= 1
+        # The attach-time load is the only store traffic: nothing is
+        # checkpointed for the workers, and they never open the store.
+        counters = store.counters()
+        assert (counters["loads"], counters["saves"]) == (1, 0)
+        assert store.stat() == ()
