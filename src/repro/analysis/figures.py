@@ -26,10 +26,10 @@ from repro.viz.geojson import network_to_geojson
 from repro.viz.svgmap import render_network_svg
 
 #: Fan a licensee's dates out in contiguous chunks once the grid is this
-#: dense.  Each chunk is an ascending date span, so every worker evolves
-#: its snapshot cursors incrementally within the span; results are
-#: concatenated per licensee, which reproduces the serial series exactly
-#: (each point is a pure function of licensee and date).
+#: dense.  Each chunk is an ascending date span whose quiet stretches
+#: share snapshots within one worker; results are concatenated per
+#: licensee, which reproduces the serial series exactly (each point is a
+#: pure function of licensee and date).
 _DATE_CHUNK_THRESHOLD = 16
 
 
@@ -60,9 +60,9 @@ def fig1_latency_evolution(
     session (``session``, or a private one ``jobs`` wide); results land
     in submission order, so output is jobs-invariant.  Above one job,
     dense grids (``--step monthly``/``weekly``) additionally split each
-    licensee's dates into contiguous spans so workers evolve snapshots
-    incrementally within their span; the per-licensee series is the
-    concatenation of its spans, identical to the unchunked result.
+    licensee's dates into contiguous spans, one per worker; the
+    per-licensee series is the concatenation of its spans, identical to
+    the unchunked result.
     """
     licensees = licensees or scenario.featured_names
     source, target = scenario.corridor.resolve_path(source, target)

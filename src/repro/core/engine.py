@@ -105,27 +105,14 @@ class CacheCounter:
 class CacheStats:
     """A point-in-time snapshot of all three engine caches.
 
-    ``snapshot_incremental`` / ``snapshot_full`` split snapshot-key
-    resolutions by how the active-set fingerprint was derived: evolved
-    from a per-licensee cursor via a :class:`~repro.uls.index
-    .TemporalDelta` (incremental) versus computed from scratch (full —
-    first touch of a licensee, or a stale cursor after a database
-    mutation).  ``index_events`` is the temporal index's event count over
-    the engine's database.
+    ``index_events`` is the temporal index's event count over the
+    engine's database.
     """
 
     snapshot: CacheCounter
     route: CacheCounter
     geodesic: CacheCounter
-    snapshot_incremental: int = 0
-    snapshot_full: int = 0
     index_events: int = 0
-
-    @property
-    def incremental_share(self) -> float:
-        """Fraction of snapshot-key resolutions served incrementally."""
-        total = self.snapshot_incremental + self.snapshot_full
-        return self.snapshot_incremental / total if total else 0.0
 
     def describe(self) -> str:
         """A short human-readable summary (the CLI's ``--cache-stats``)."""
@@ -140,11 +127,6 @@ class CacheStats:
                 f"evictions={counter.evictions}  entries={counter.size}  "
                 f"hit-rate={counter.hit_rate:.1%}"
             )
-        lines.append(
-            f"  snapshot resolutions: incremental={self.snapshot_incremental}  "
-            f"full={self.snapshot_full}  "
-            f"incremental-share={self.incremental_share:.1%}"
-        )
         lines.append(f"  temporal index: events={self.index_events}")
         return "\n".join(lines)
 
@@ -215,28 +197,6 @@ class EngineCacheExport:
     snapshots: tuple[tuple[Hashable, HftNetwork], ...]
     routes: tuple[tuple[Hashable, Route | None], ...]
     geodesic: tuple[tuple[tuple, tuple], ...]
-    #: Per-licensee snapshot cursors ((licensee, date, key, generation)),
-    #: sorted by licensee — a seeded engine adopts them so its first touch
-    #: of a cursored licensee evolves incrementally, exactly as the
-    #: exporting engine would have.
-    cursors: tuple[tuple[str, dt.date, tuple, int], ...] = ()
-
-
-class _SnapshotCursor:
-    """Per-licensee incremental-evolution state.
-
-    Remembers the last resolved ``(date, snapshot key)`` for a licensee
-    and the database generation it was derived under; the next request
-    for that licensee consults ``TemporalIndex.diff`` from here instead
-    of recomputing the fingerprint from scratch.
-    """
-
-    __slots__ = ("date", "key", "generation")
-
-    def __init__(self, date: dt.date, key: tuple, generation: int) -> None:
-        self.date = date
-        self.key = key
-        self.generation = generation
 
 
 class CorridorEngine:
@@ -295,11 +255,7 @@ class CorridorEngine:
         self._snapshots = _LruCache(snapshot_cache_size)
         self._routes = _LruCache(route_cache_size)
         self._geodesic_memo = GeodesicMemo(geodesic_memo_size)
-        self._cursors: dict[str, _SnapshotCursor] = {}
-        self._incremental_resolutions = 0
-        self._full_resolutions = 0
-        self._delta_ids_total = 0
-        # The engine's caches (LRU dicts, cursors, counters) are not
+        # The engine's caches (LRU dicts and their counters) are not
         # internally synchronised; concurrent callers serialise through
         # this lock (see repro.serve.facade.EngineFacade).  Engines are
         # never pickled — parallel workers rebuild their own — so the
@@ -354,53 +310,16 @@ class CorridorEngine:
     def snapshot_key(self, licensee: str, on_date: dt.date) -> tuple:
         """The snapshot-cache key for (licensee, date) under this engine.
 
-        Pure (no counters moved, no cursor state touched) — the counting
-        resolution path every query runs through is :meth:`_resolve_key`.
+        Every query builds its key here.  Pure: the fingerprint is the
+        temporal index's interned frozenset, so dates with equal active
+        sets get equal (cheaply hashed) keys whatever order they are
+        queried in.
         """
         return (
             licensee,
             self.active_fingerprint(licensee, on_date),
             self.params_key,
         )
-
-    def _resolve_key(
-        self, licensee: str, on_date: dt.date
-    ) -> tuple[tuple, str, int]:
-        """Resolve a snapshot key, evolving the licensee's cursor.
-
-        Returns ``(key, resolution, delta_size)`` where ``resolution`` is
-        ``"incremental"`` (derived from an existing cursor via
-        ``TemporalIndex.diff``) or ``"full"`` (computed from scratch:
-        first touch or stale cursor generation).  An empty delta reuses
-        the cursor's key outright — the exact same tuple object,
-        fingerprint untouched — so consecutive grid dates with no license
-        events cost a bisect and nothing else.
-        """
-        generation = self.database.generation
-        cursor = self._cursors.get(licensee)
-        if cursor is not None and cursor.generation == generation:
-            delta_size = 0
-            if cursor.date != on_date:
-                index = self.database.temporal_index(licensee)
-                delta = index.diff(cursor.date, on_date)
-                if delta:
-                    delta_size = delta.size
-                    self._delta_ids_total += delta_size
-                    cursor.key = (
-                        licensee,
-                        index.active_ids_at(on_date),
-                        self.params_key,
-                    )
-                cursor.date = on_date
-            self._incremental_resolutions += 1
-            obs.count("engine.snapshot.incremental")
-            return cursor.key, "incremental", delta_size
-        fingerprint = self.database.temporal_index(licensee).active_ids_at(on_date)
-        key = (licensee, fingerprint, self.params_key)
-        self._cursors[licensee] = _SnapshotCursor(on_date, key, generation)
-        self._full_resolutions += 1
-        obs.count("engine.snapshot.full")
-        return key, "full", 0
 
     # ------------------------------------------------------------------
     # Queries
@@ -413,19 +332,17 @@ class CorridorEngine:
         returned network always carries the requested ``as_of`` date, even
         when its topology was stitched for an earlier query.
         """
-        with obs.span("engine.snapshot", licensee=licensee) as span:
-            key, resolution, delta_size = self._resolve_key(licensee, on_date)
-            span.tag(resolution=resolution, delta_ids=delta_size)
-            network = self._snapshot_for_key(key, licensee, on_date)
+        with obs.span("engine.snapshot", licensee=licensee):
+            network = self._snapshot_for_key(
+                self.snapshot_key(licensee, on_date), licensee, on_date
+            )
         return network.with_as_of(on_date)
 
     def _snapshot_for_key(
         self, key: tuple, licensee: str, on_date: dt.date
     ) -> HftNetwork:
         """The cached network for a resolved key (``as_of`` = first query's
-        date).  The lookup always runs — even when an empty delta proved
-        the key unchanged — so hit/miss accounting and LRU order are
-        exactly what a full-rebuild engine would produce."""
+        date)."""
         network = self._snapshots.get(key)
         if network is None:
             obs.count("engine.snapshot.miss")
@@ -530,11 +447,10 @@ class CorridorEngine:
         """The lowest-latency ``source``→``target`` route, or None.
 
         Routes are cached per snapshot (so per active-set fingerprint, not
-        per date) and per endpoint pair.  The snapshot key is resolved
-        once — incrementally when the licensee has a cursor — and shared
-        between the route lookup and any snapshot rebuild.
+        per date) and per endpoint pair.  The snapshot key is computed
+        once and shared between the route lookup and any snapshot rebuild.
         """
-        snapshot_key, _, _ = self._resolve_key(licensee, on_date)
+        snapshot_key = self.snapshot_key(licensee, on_date)
         key = (snapshot_key, source, target)
         route = self._routes.get(key, _MISSING)
         if route is _MISSING:
@@ -587,52 +503,30 @@ class CorridorEngine:
     ) -> list[TimelinePoint]:
         """The Fig 1 series: one licensee's route latency over a date grid.
 
-        The grid is walked in order as successive deltas: each date's
-        snapshot key evolves from the previous one via the temporal
-        index, so dates with no license events between them cost a
-        bisect, a route-cache hit and nothing else.  The span records
-        how the grid resolved (incremental vs full) and the total number
-        of license ids that changed state across it.
+        Dates whose active license set is unchanged share one snapshot key,
+        so they cost a bisect, a route-cache hit and nothing else.
         """
         source, target = self.corridor.resolve_path(source, target)
+        points = []
         with obs.span(
             "engine.timeline",
             licensee=licensee,
             points=len(dates),
             source=source,
             target=target,
-        ) as span:
-            incremental_before = self._incremental_resolutions
-            full_before = self._full_resolutions
-            delta_before = self._delta_ids_total
-            points = self._timeline_points(licensee, dates, source, target)
-            span.tag(
-                incremental=self._incremental_resolutions - incremental_before,
-                full=self._full_resolutions - full_before,
-                delta_ids=self._delta_ids_total - delta_before,
-            )
-            return points
-
-    def _timeline_points(
-        self,
-        licensee: str,
-        dates: Sequence[dt.date],
-        source: str,
-        target: str,
-    ) -> list[TimelinePoint]:
-        points = []
-        for date in dates:
-            route = self.route(licensee, date, source, target)
-            if route is None:
-                points.append(TimelinePoint(date=date, latency_ms=None))
-            else:
-                points.append(
-                    TimelinePoint(
-                        date=date,
-                        latency_ms=route.latency_ms,
-                        tower_count=route.tower_count,
+        ):
+            for date in dates:
+                route = self.route(licensee, date, source, target)
+                if route is None:
+                    points.append(TimelinePoint(date=date, latency_ms=None))
+                else:
+                    points.append(
+                        TimelinePoint(
+                            date=date,
+                            latency_ms=route.latency_ms,
+                            tower_count=route.tower_count,
+                        )
                     )
-                )
         return points
 
     # ------------------------------------------------------------------
@@ -652,14 +546,11 @@ class CorridorEngine:
                 evictions=memo.evictions,
                 size=len(memo),
             ),
-            snapshot_incremental=self._incremental_resolutions,
-            snapshot_full=self._full_resolutions,
             index_events=self.database.temporal_index().event_count,
         )
 
     def clear_caches(self) -> None:
-        """Drop all cached snapshots, routes, geodesic solutions and
-        snapshot cursors.
+        """Drop all cached snapshots, routes and geodesic solutions.
 
         Counters are preserved (they describe lifetime behaviour); sizes
         return to zero.
@@ -667,7 +558,6 @@ class CorridorEngine:
         self._snapshots.clear()
         self._routes.clear()
         self._geodesic_memo.clear()
-        self._cursors.clear()
 
     # ------------------------------------------------------------------
     # Cache export and seeding (the persistent store's payload)
@@ -680,28 +570,7 @@ class CorridorEngine:
             snapshots=self._snapshots.items(),
             routes=self._routes.items(),
             geodesic=self._geodesic_memo.entries(),
-            cursors=self._export_cursors(),
         )
-
-    def _export_cursors(self) -> tuple[tuple[str, dt.date, tuple, int], ...]:
-        """Picklable cursor state, sorted by licensee for determinism."""
-        return tuple(
-            (licensee, cursor.date, cursor.key, cursor.generation)
-            for licensee, cursor in sorted(self._cursors.items())
-        )
-
-    def _install_cursors(
-        self, cursors: tuple[tuple[str, dt.date, tuple, int], ...]
-    ) -> None:
-        """Adopt exported cursors (no counters move — not a resolution).
-
-        Cursors from a different database generation are ignored: their
-        fingerprints may predate a mutation this engine has seen.
-        """
-        generation = self.database.generation
-        for licensee, date, key, cursor_generation in cursors:
-            if cursor_generation == generation:
-                self._cursors[licensee] = _SnapshotCursor(date, key, generation)
 
     def seed_cache_state(self, export: EngineCacheExport) -> None:
         """Install exported entries into this engine's caches.
@@ -721,7 +590,6 @@ class CorridorEngine:
             self._snapshots.put(key, network)
         for key, route in export.routes:
             self._routes.put(key, route)
-        self._install_cursors(export.cursors)
 
     def checkpoint(self):
         """Persist this engine's cache contents to its attached store.

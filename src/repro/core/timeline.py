@@ -50,10 +50,9 @@ def dense_date_grid(
     ``step`` is ``"paper"`` (the eight paper dates), ``"monthly"`` (the
     first of every month) or ``"weekly"`` (every seventh day from
     ``start``).  Dense grids are what the temporal index and the
-    engine's incremental snapshot evolution make affordable: between
-    consecutive grid dates only a handful of licenses change state, so
-    each point beyond the first costs a bisect and a delta walk rather
-    than a full active-set scan.
+    engine's snapshot cache make affordable: between consecutive grid
+    dates only a handful of licenses change state, so most points cost a
+    bisect and a cache hit rather than an active-set scan and a rebuild.
     """
     if end < start:
         raise ValueError("end must not precede start")

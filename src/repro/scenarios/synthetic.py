@@ -26,6 +26,7 @@ from functools import lru_cache
 from repro.constants import SPEED_OF_LIGHT
 from repro.core.corridor import CorridorSpec, DataCenterSite
 from repro.geodesy import GeoPoint, geodesic_destination, geodesic_distance
+from repro.scenarios.registry import ScenarioParamError
 from repro.synth.scenario import SNAPSHOT_DATE, Scenario, build_scenario, simple_license
 from repro.synth.specs import EraSpec, FrequencyProfile, NetworkSpec
 
@@ -149,23 +150,28 @@ def synthetic_scenario(
     build-out eras (each faster than the last) before the final era;
     ``decoys`` adds small near-anchor licensees the funnel must filter
     out.  All derived values depend only on the arguments — equal calls
-    return the same (cached) scenario.
+    return the same (cached) scenario.  Out-of-range parameters raise
+    :class:`~repro.scenarios.registry.ScenarioParamError`.
     """
-    if networks < 1 or networks > 64:
-        raise ValueError("networks must be in 1..64")
-    if links < 12 or links > 400:
-        raise ValueError("links must be in 12..400")
-    if eras < 1 or eras > 6:
-        raise ValueError("eras must be in 1..6")
-    if decoys < 0 or decoys > 200:
-        raise ValueError("decoys must be in 0..200")
+    for name, value, low, high in (
+        ("networks", networks, 1, 64),
+        ("links", links, 12, 400),
+        ("eras", eras, 1, 6),
+        ("decoys", decoys, 0, 200),
+        ("west_lat", west_lat, -90, 90),
+        ("east_lat", east_lat, -90, 90),
+        ("west_lon", west_lon, -180, 180),
+        ("east_lon", east_lon, -180, 180),
+    ):
+        if not low <= value <= high:
+            raise ScenarioParamError(f"{name} must be in {low}..{high} (got {value})")
     corridor = CorridorSpec(
         west=DataCenterSite("WDC", GeoPoint(west_lat, west_lon)),
         east=(DataCenterSite("EDC", GeoPoint(east_lat, east_lon)),),
     )
     distance_m = geodesic_distance(corridor.west.point, corridor.east[0].point)
     if distance_m < MIN_CORRIDOR_M:
-        raise ValueError(
+        raise ScenarioParamError(
             f"synthetic corridor must span at least {MIN_CORRIDOR_M / 1000:.0f} km "
             f"(got {distance_m / 1000:.1f} km)"
         )

@@ -1,7 +1,7 @@
 """The concurrency-safe facade in front of one shared warm engine.
 
-A :class:`~repro.core.engine.CorridorEngine` is a nest of LRU dicts,
-cursors and counters with no internal synchronisation — correct for the
+A :class:`~repro.core.engine.CorridorEngine` is a nest of LRU dicts
+and counters with no internal synchronisation — correct for the
 one-shot CLI drivers, fatal under a threaded server.  The facade makes
 one engine safe to share:
 
@@ -16,7 +16,7 @@ one engine safe to share:
   under the engine lock; later arrivals become *followers*, wait on an
   event, and receive the leader's payload (or its error) without
   touching the engine.  N concurrent identical cache misses therefore
-  trigger exactly one cold build (``engine.snapshot.full`` increments
+  trigger exactly one cold build (``engine.snapshot.miss`` increments
   once — pinned in ``tests/test_serve_concurrency.py``).
 
 The facade also keeps always-on service counters (requests, coalesce
@@ -148,8 +148,6 @@ class EngineFacade:
                 "snapshot_misses": stats.snapshot.misses,
                 "route_hits": stats.route.hits,
                 "route_misses": stats.route.misses,
-                "snapshot_incremental": stats.snapshot_incremental,
-                "snapshot_full": stats.snapshot_full,
             },
         }
         store = self.engine.store

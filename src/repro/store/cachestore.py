@@ -2,7 +2,7 @@
 
 :class:`CacheStore` persists :class:`~repro.core.engine
 .EngineCacheExport` payloads (snapshot cache, route cache, geodesic
-memo, temporal-index cursors) under content-addressed fingerprints
+memo) under content-addressed fingerprints
 (:func:`~repro.store.fingerprint.store_fingerprint`), so a cold process
 — a CLI driver or a restarted server — starts from the previous run's
 warm state instead of rebuilding it.

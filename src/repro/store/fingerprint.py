@@ -30,9 +30,9 @@ STORE_SCHEMA_VERSION = 1
 
 #: Manual guard over the *pickled value* classes.  Bump whenever
 #: ``EngineCacheExport`` or anything reachable from it (networks, routes,
-#: geodesic solutions, cursors) changes in a way that would make an old
+#: geodesic solutions) changes in a way that would make an old
 #: pickle wrong or unreadable.
-CODE_VERSION = "2026.08"
+CODE_VERSION = "2026.10"
 
 
 def store_fingerprint(content_digest: str, params_key: tuple) -> str:

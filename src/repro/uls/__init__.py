@@ -33,7 +33,7 @@ from repro.uls.records import (
 )
 from repro.uls.columnar import ColumnarLicenseStore
 from repro.uls.database import UlsDatabase
-from repro.uls.index import TemporalDelta, TemporalIndex, license_interval
+from repro.uls.index import TemporalIndex, license_interval
 from repro.uls.search import UlsSearchService
 from repro.uls.dumpio import read_uls_dump, write_uls_dump
 from repro.uls.portal import UlsPortal
@@ -53,7 +53,6 @@ __all__ = [
     "active_licenses",
     "UlsDatabase",
     "ColumnarLicenseStore",
-    "TemporalDelta",
     "TemporalIndex",
     "license_interval",
     "UlsSearchService",

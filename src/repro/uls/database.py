@@ -41,9 +41,9 @@ class UlsDatabase:
         self._by_callsign: dict[str, License] = {}
         self._by_licensee: dict[str, list[License]] = {}
         self._grid: dict[tuple[int, int], list[tuple[GeoPoint, str]]] = {}
-        #: Bumped on every mutation; temporal-index consumers (the
-        #: engine's snapshot cursors) compare generations to detect
-        #: stale evolution state.
+        #: Bumped on every mutation; per-generation derived state (the
+        #: temporal indices, the columnar store, the server's body cache)
+        #: compares generations to detect staleness.
         self._generation: int = 0
         #: Lazily-built temporal indices: None = database-wide, a
         #: licensee name = that licensee's filings only.

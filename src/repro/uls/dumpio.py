@@ -175,70 +175,89 @@ def _parse_records(lines: Iterable[str]) -> Iterator[License]:
         if not line:
             continue
         fields = line.split("|")
-        tag = fields[0]
-        if tag == "HD":
-            if current is not None:
-                yield finish(current)
-            if len(fields) != 9:
-                raise DumpFormatError(f"line {line_number}: HD needs 9 fields")
-            current = {
-                "license_id": fields[1],
-                "callsign": fields[2],
-                "service": fields[3],
-                "station_class": fields[4],
-                "grant": parse_date(fields[5]),
-                "expiration": parse_date(fields[6]),
-                "cancellation": parse_date(fields[7]),
-                "termination": parse_date(fields[8]),
-                "licensee_name": "",
-                "contact_email": "",
-                "locations": {},
-                "paths": {},
-                "freqs": {},
-            }
-            continue
-        if current is None:
-            raise DumpFormatError(f"line {line_number}: {tag} record before any HD")
-        if fields[1] != current["license_id"]:
+        if fields[0] == "HD" and current is not None:
+            yield finish(current)
+        try:
+            current = _parse_line(fields, current)
+        except DumpFormatError as error:
+            raise DumpFormatError(f"line {line_number}: {error}") from None
+        except ValueError as error:
+            # int()/float()/date parsing and coordinate range checks.
             raise DumpFormatError(
-                f"line {line_number}: {tag} for {fields[1]!r} inside "
-                f"{current['license_id']!r} group"
-            )
-        if tag == "EN":
-            if len(fields) not in (3, 4):
-                raise DumpFormatError(f"line {line_number}: EN needs 3 or 4 fields")
-            current["licensee_name"] = fields[2]
-            if len(fields) == 4:
-                current["contact_email"] = fields[3]
-        elif tag == "LO":
-            if len(fields) != 14:
-                raise DumpFormatError(f"line {line_number}: LO needs 14 fields")
-            number = int(fields[2])
-            latitude = parse_uls_coordinate(fields[3], fields[4], fields[5], fields[6])
-            longitude = parse_uls_coordinate(fields[7], fields[8], fields[9], fields[10])
-            current["locations"][number] = TowerLocation(
-                location_number=number,
-                point=GeoPoint(latitude, longitude),
-                ground_elevation_m=float(fields[11]),
-                structure_height_m=float(fields[12]),
-                site_name=fields[13],
-            )
-        elif tag == "PA":
-            if len(fields) != 5:
-                raise DumpFormatError(f"line {line_number}: PA needs 5 fields")
-            current["paths"][int(fields[2])] = (int(fields[3]), int(fields[4]))
-        elif tag == "FR":
-            if len(fields) != 4:
-                raise DumpFormatError(f"line {line_number}: FR needs 4 fields")
-            frequency = float(fields[3])
-            if not math.isfinite(frequency) or frequency <= 0.0:
-                raise DumpFormatError(f"line {line_number}: bad frequency {fields[3]!r}")
-            current["freqs"].setdefault(int(fields[2]), []).append(frequency)
-        else:
-            raise DumpFormatError(f"line {line_number}: unknown record type {tag!r}")
+                f"line {line_number}: bad {fields[0]} record: {error}"
+            ) from error
 
     if current is not None:
         yield finish(current)
+
+
+def _parse_line(fields: list[str], current: dict | None) -> dict:
+    """Apply one record's fields to the open license group.
+
+    Returns the group the next line continues: a fresh one for ``HD``,
+    else ``current`` updated in place.  Errors carry no line number; the
+    caller adds it.
+    """
+    tag = fields[0]
+    if tag == "HD":
+        if len(fields) != 9:
+            raise DumpFormatError("HD needs 9 fields")
+        return {
+            "license_id": fields[1],
+            "callsign": fields[2],
+            "service": fields[3],
+            "station_class": fields[4],
+            "grant": parse_date(fields[5]),
+            "expiration": parse_date(fields[6]),
+            "cancellation": parse_date(fields[7]),
+            "termination": parse_date(fields[8]),
+            "licensee_name": "",
+            "contact_email": "",
+            "locations": {},
+            "paths": {},
+            "freqs": {},
+        }
+    if current is None:
+        raise DumpFormatError(f"{tag} record before any HD")
+    if len(fields) < 2:
+        raise DumpFormatError(f"{tag} record has no license id")
+    if fields[1] != current["license_id"]:
+        raise DumpFormatError(
+            f"{tag} for {fields[1]!r} inside {current['license_id']!r} group"
+        )
+    if tag == "EN":
+        if len(fields) not in (3, 4):
+            raise DumpFormatError("EN needs 3 or 4 fields")
+        current["licensee_name"] = fields[2]
+        if len(fields) == 4:
+            current["contact_email"] = fields[3]
+    elif tag == "LO":
+        if len(fields) != 14:
+            raise DumpFormatError("LO needs 14 fields")
+        number = int(fields[2])
+        latitude = parse_uls_coordinate(fields[3], fields[4], fields[5], fields[6])
+        longitude = parse_uls_coordinate(fields[7], fields[8], fields[9], fields[10])
+        current["locations"][number] = TowerLocation(
+            location_number=number,
+            point=GeoPoint(latitude, longitude),
+            ground_elevation_m=float(fields[11]),
+            structure_height_m=float(fields[12]),
+            site_name=fields[13],
+        )
+    elif tag == "PA":
+        if len(fields) != 5:
+            raise DumpFormatError("PA needs 5 fields")
+        current["paths"][int(fields[2])] = (int(fields[3]), int(fields[4]))
+    elif tag == "FR":
+        if len(fields) != 4:
+            raise DumpFormatError("FR needs 4 fields")
+        frequency = float(fields[3])
+        if not math.isfinite(frequency) or frequency <= 0.0:
+            raise DumpFormatError(f"bad frequency {fields[3]!r}")
+        current["freqs"].setdefault(int(fields[2]), []).append(frequency)
+    else:
+        raise DumpFormatError(f"unknown record type {tag!r}")
+    return current
 
 
 def read_uls_dump(source: str | Path | TextIO) -> list[License]:

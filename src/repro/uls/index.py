@@ -17,21 +17,16 @@ active set is constant, so
 * ``active_ids_at(date)`` is a ``bisect`` plus a memoised per-interval
   frozenset — O(log n) warm;
 * ``active_count_at(date)`` is a ``bisect`` into a cumulative-count
-  array — O(log n) always, no set materialised;
-* ``diff(d1, d2)`` walks only the events *between* two dates and returns
-  the ``(granted, lapsed)`` delta — the primitive the
-  :class:`~repro.core.engine.CorridorEngine` evolves snapshots with.
+  array — O(log n) always, no set materialised.
 
-Because each license has a single activity interval (ULS filings are not
-re-granted under the same id), window deltas reduce to set arithmetic:
-ids granted and lapsed inside the same window cancel out.
+The memoised frozenset is the fingerprint in every
+:class:`~repro.core.engine.CorridorEngine` snapshot key.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.uls.records import License
@@ -63,42 +58,6 @@ def license_interval(lic: License) -> tuple[dt.date, dt.date | None] | None:
     if end is not None and end <= lic.grant_date:
         return None
     return (lic.grant_date, end)
-
-
-@dataclass(frozen=True, slots=True)
-class TemporalDelta:
-    """What changed between two dates: ids granted, ids lapsed.
-
-    ``apply`` evolves an active-set fingerprint from the first date to
-    the second: ``active(d2) == delta.apply(active(d1))``.  An empty
-    delta is the licence-to-reuse a cached snapshot outright.
-    """
-
-    granted: frozenset[str]
-    lapsed: frozenset[str]
-
-    def __bool__(self) -> bool:
-        return bool(self.granted or self.lapsed)
-
-    @property
-    def is_empty(self) -> bool:
-        return not (self.granted or self.lapsed)
-
-    @property
-    def size(self) -> int:
-        """Total ids touched (granted + lapsed)."""
-        return len(self.granted) + len(self.lapsed)
-
-    def apply(self, fingerprint: frozenset[str]) -> frozenset[str]:
-        """Evolve ``fingerprint`` (active ids at d1) to the d2 active set."""
-        return (fingerprint - self.lapsed) | self.granted
-
-    def reversed(self) -> "TemporalDelta":
-        """The delta walking the same window backwards."""
-        return TemporalDelta(granted=self.lapsed, lapsed=self.granted)
-
-
-_EMPTY_DELTA = TemporalDelta(granted=frozenset(), lapsed=frozenset())
 
 
 class TemporalIndex:
@@ -167,10 +126,6 @@ class TemporalIndex:
         #: Total activation/deactivation events on the timeline.
         self.event_count: int = events
 
-    @classmethod
-    def for_licenses(cls, licenses: Iterable[License]) -> "TemporalIndex":
-        return cls(licenses)
-
     # ------------------------------------------------------------------
     # Interval arithmetic
     # ------------------------------------------------------------------
@@ -222,36 +177,8 @@ class TemporalIndex:
         return frozen
 
     # ------------------------------------------------------------------
-    # Deltas
+    # Raw events
     # ------------------------------------------------------------------
-
-    def diff(self, d1: dt.date, d2: dt.date) -> TemporalDelta:
-        """The ``(granted, lapsed)`` delta from ``d1`` to ``d2``.
-
-        ``granted`` holds ids active on ``d2`` but not ``d1``; ``lapsed``
-        the reverse.  Walking backwards (``d2 < d1``) swaps the roles.
-        Cost is proportional to the number of events strictly between the
-        two dates, not to the size of the license set.
-        """
-        if d1 == d2:
-            return _EMPTY_DELTA
-        if d2 < d1:
-            return self.diff(d2, d1).reversed()
-        lo = self.interval_of(d1)
-        hi = self.interval_of(d2)
-        if lo == hi:
-            return _EMPTY_DELTA
-        added: set[str] = set()
-        removed: set[str] = set()
-        for i in range(lo, hi):
-            added.update(self._added[i])
-            removed.update(self._removed[i])
-        # Single activity interval per license: an id that both starts
-        # and ends inside the window is a net no-op.
-        return TemporalDelta(
-            granted=frozenset(added - removed),
-            lapsed=frozenset(removed - added),
-        )
 
     def event_ids_between(self, start: dt.date, end: dt.date) -> list[str]:
         """Ids with *any* raw life-cycle date in ``(start, end]``, sorted.

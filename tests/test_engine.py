@@ -6,11 +6,23 @@ that alias earlier queries through the active-license fingerprint — the
 engine's snapshot and route equal a fresh object-kernel reconstruction
 (``tests/object_kernel.py``) exactly.  One engine instance is shared across all hypothesis
 examples precisely so the cache is hot and the property exercises reuse.
+
+Snapshot keys are checked against the oracle's linear active-set scan
+(``object_kernel.scan_fingerprint``) in any query order, and the CLI's
+timeline is byte-identical to a run whose every fingerprint comes from
+that scan, through real subprocesses at more than one ``--jobs`` width.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
+import io
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,7 +32,7 @@ from repro.core.corridor import chicago_nj_corridor, london_frankfurt_corridor
 from repro.core.engine import CacheStats, CorridorEngine
 from repro.core.latency import LatencyModel
 from repro.core.reconstruction import NetworkReconstructor, reconstruct_all
-from repro.core.timeline import latency_timeline
+from repro.core.timeline import TimelinePoint, dense_date_grid, latency_timeline
 from repro.geodesy import GeoPoint, geodesic_inverse
 from repro.geodesy.memo import GeodesicMemo, active_memo, use_memo
 from repro.uls.database import UlsDatabase
@@ -36,6 +48,8 @@ _LICENSEES = (
     "National Tower Company",
     "Midwest Relay Partners",
 )
+
+MONTHLY = dense_date_grid("monthly")
 
 _ENGINES: dict[int, CorridorEngine] = {}
 
@@ -251,6 +265,200 @@ def test_timeline_matches_routes(scenario):
     assert points[1].latency_ms == engine.route(
         "Pierce Broadband", dates[1], "CME", "NY4"
     ).latency_ms
+
+
+def test_obs_counters_mirror_stats(scenario):
+    from repro import obs
+
+    engine = CorridorEngine(scenario.database, scenario.corridor)
+    with obs.capture() as captured:
+        engine.timeline("New Line Networks", MONTHLY)
+    counters = captured.counters()
+    stats = engine.stats
+    assert counters["engine.snapshot.miss"] == stats.snapshot.misses
+    assert counters["engine.route.miss"] == stats.route.misses
+    assert counters["engine.route.hit"] == stats.route.hits
+    assert stats.route.lookups == len(MONTHLY)
+
+
+def test_describe_reports_caches_and_events(scenario):
+    engine = CorridorEngine(scenario.database, scenario.corridor)
+    engine.timeline("New Line Networks", MONTHLY[:6])
+    text = engine.stats.describe()
+    for name in ("snapshot", "route", "geodesic"):
+        assert f"  {name} " in text
+    assert "temporal index: events=" in text
+    assert engine.stats.index_events == scenario.database.temporal_index().event_count
+
+
+# ----------------------------------------------------------------------
+# Snapshot keys and timelines against the scan oracle
+# ----------------------------------------------------------------------
+
+
+def _full_rebuild_timeline(scenario, licensee, dates):
+    """The Fig 1 series the slow way: scan, reconstruct and route per
+    date (networks shared between dates with equal scanned sets)."""
+    recon = NetworkReconstructor(scenario.corridor)
+    source, target = scenario.corridor.resolve_path(None, None)
+    routes: dict[frozenset, object] = {}
+    points = []
+    for date in dates:
+        fingerprint = object_kernel.scan_fingerprint(
+            scenario.database, licensee, date
+        )
+        if fingerprint not in routes:
+            network = object_kernel.reconstruct_licensee(
+                recon, scenario.database, licensee, date
+            )
+            routes[fingerprint] = network.lowest_latency_route(source, target)
+        route = routes[fingerprint]
+        if route is None:
+            points.append(TimelinePoint(date=date, latency_ms=None))
+        else:
+            points.append(
+                TimelinePoint(
+                    date=date,
+                    latency_ms=route.latency_ms,
+                    tower_count=route.tower_count,
+                )
+            )
+    return points
+
+
+def test_timeline_identical_to_full_rebuild(scenario):
+    engine = CorridorEngine(scenario.database, scenario.corridor)
+    for name in _LICENSEES[:4]:
+        points = engine.timeline(name, MONTHLY)
+        assert points == _full_rebuild_timeline(scenario, name, MONTHLY)
+
+
+def _shuffled_monthly() -> list[dt.date]:
+    """The monthly grid in a fixed random order with backward jumps."""
+    shuffled = list(MONTHLY)
+    random.Random(18).shuffle(shuffled)
+    assert any(b < a for a, b in zip(shuffled, shuffled[1:]))
+    return shuffled
+
+
+def test_fingerprints_agree_with_scan(scenario):
+    """Fingerprints depend on the date alone, not on query order."""
+    engine = CorridorEngine(scenario.database, scenario.corridor)
+    for dates in (MONTHLY, _shuffled_monthly()):
+        for name in _LICENSEES[:4]:
+            for date in dates:
+                assert engine.active_fingerprint(
+                    name, date
+                ) == object_kernel.scan_fingerprint(scenario.database, name, date)
+
+
+def test_snapshot_key_pure_and_order_invariant(scenario):
+    """snapshot_key is the scanned key in any query order, and asking
+    for it touches no cache."""
+    engine = CorridorEngine(scenario.database, scenario.corridor)
+    name = "New Line Networks"
+    for date in _shuffled_monthly():
+        assert engine.snapshot_key(name, date) == (
+            name,
+            object_kernel.scan_fingerprint(scenario.database, name, date),
+            engine.params_key,
+        )
+    stats = engine.stats
+    for counter in (stats.snapshot, stats.route):
+        assert (counter.hits, counter.misses, counter.size) == (0, 0, 0)
+
+
+def test_unchanged_window_reuses_network_object(scenario):
+    """Two dates inside one constant-active-set interval share one
+    stitched network: the second query hits the snapshot cache."""
+    engine = CorridorEngine(scenario.database, scenario.corridor)
+    name = "New Line Networks"
+    d1 = dt.date(2018, 3, 5)
+    d2 = dt.date(2018, 3, 25)
+    # Guard: no license of this licensee starts or ends in between.
+    assert object_kernel.scan_fingerprint(
+        scenario.database, name, d1
+    ) == object_kernel.scan_fingerprint(scenario.database, name, d2)
+    n1 = engine.snapshot(name, d1)
+    n2 = engine.snapshot(name, d2)
+    assert n2.as_of == d2
+    assert n1.towers == n2.towers
+    assert list(n1.links) == list(n2.links)
+    assert engine.stats.snapshot.hits == 1
+    assert engine.stats.snapshot.misses == 1
+
+
+def test_database_mutation_invalidates_snapshot_key():
+    db = UlsDatabase(
+        [make_license("L1", licensee="Solo", grant=dt.date(2015, 1, 1))]
+    )
+    engine = CorridorEngine(db, chicago_nj_corridor())
+    d = dt.date(2016, 1, 1)
+    before = engine.snapshot("Solo", d)
+    db.add(
+        make_license(
+            "L2",
+            licensee="Solo",
+            points=((41.60, -87.80), (41.40, -87.20)),
+            grant=dt.date(2015, 6, 1),
+        )
+    )
+    assert engine.active_fingerprint("Solo", d) == {"L1", "L2"}
+    # The post-mutation query must see L2's towers, not the cached
+    # pre-mutation network.
+    after = engine.snapshot("Solo", d)
+    fresh = object_kernel.reconstruct_licensee(
+        NetworkReconstructor(chicago_nj_corridor()), db, "Solo", d
+    )
+    assert after.towers == fresh.towers
+    assert after.towers != before.towers
+    assert engine.stats.snapshot.misses == 2
+
+
+class TestCliByteIdentity:
+    """Snapshot-key resolution must be invisible in stdout at any --jobs
+    width: the CLI matches a run keyed by the oracle's full scan."""
+
+    ARGV = ("timeline", "--step", "monthly")
+
+    @staticmethod
+    def _run(*extra: str) -> bytes:
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", *extra],
+            capture_output=True,
+            env=env,
+            cwd=root,
+            check=True,
+        )
+        return result.stdout
+
+    @pytest.fixture(scope="class")
+    def full_scan_stdout(self, scenario) -> bytes:
+        """The command in-process, every fingerprint from a full scan."""
+        from repro.cli import main
+
+        def scan(engine, licensee, on_date):
+            return object_kernel.scan_fingerprint(engine.database, licensee, on_date)
+
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CorridorEngine, "active_fingerprint", scan)
+            # The CLI resolves the same cached scenario; give it an engine
+            # with empty caches so no entry predates the patch.
+            patch.setitem(
+                vars(scenario),
+                "_default_engine",
+                CorridorEngine(scenario.database, scenario.corridor),
+            )
+            with contextlib.redirect_stdout(out):
+                assert main([*self.ARGV, "--jobs", "1"]) == 0
+        return out.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_timeline_byte_identical(self, jobs, full_scan_stdout):
+        assert self._run(*self.ARGV, "--jobs", jobs) == full_scan_stdout
 
 
 # ----------------------------------------------------------------------

@@ -213,7 +213,7 @@ class TestProcessGrid:
             got = session.map(_latency_series, items)
 
         assert got == expected
-        # Workers built their own engines: the parent's caches, cursors
+        # Workers built their own engines: the parent's caches
         # and counters are exactly as they were before the fan-out.
         assert parallel_engine.stats == before[0]
         assert _memo_contents(parallel_engine) == before[1]

@@ -203,10 +203,15 @@ class TestSyntheticScenario:
             # Corridor below the 200 km calibration floor.
             {"west_lat": 32.7, "west_lon": -96.8,
              "east_lat": 32.9, "east_lon": -96.5},
+            # Coordinates off the globe, rejected before any GeoPoint.
+            {"west_lat": 95.0},
+            {"east_lat": -90.5},
+            {"west_lon": -180.5},
+            {"east_lon": 181.0},
         ],
     )
     def test_out_of_range_parameters_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioParamError):
             synthetic_scenario(seed=1, **kwargs)
 
 
@@ -268,6 +273,10 @@ class TestEuropeTokyoGoldenPins:
 
         assert main(["table1", "--scenario", "atlantis"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
+        # Out-of-range generator parameters are scenario errors too.
+        for ref in ("synthetic:links=0", "synthetic:west_lat=95"):
+            assert main(["table1", "--scenario", ref]) == 2
+            assert capsys.readouterr().err.startswith("scenario error: ")
 
 
 def _roundtrip_bytes(scenario, jobs: int = 1, engine=None) -> tuple:

@@ -3,9 +3,8 @@
 Three nets, per the serve design (DESIGN.md §13):
 
 * **Single-build coalescing** — N threads barrier-released on the same
-  cold (date, params) key observe exactly one ``engine.snapshot.full``
-  resolution and one ``engine.snapshot.miss`` build (obs counters), and
-  byte-identical payloads.
+  cold (date, params) key observe exactly one ``engine.snapshot.miss``
+  build (obs counter), and byte-identical payloads.
 * **Thread/serial equivalence** — a hypothesis-driven fleet of random
   timeline/ranking/APA interleavings produces responses element-wise
   identical to a fresh serial engine, and leaves the engine's
@@ -86,8 +85,7 @@ class TestCoalescingSingleBuild:
         assert len(bodies) == 1  # byte-identical payloads for everyone
 
         counters = cap.counters()
-        # Exactly one cold resolution and one cold build for N requests.
-        assert counters.get("engine.snapshot.full", 0) == 1
+        # Exactly one cold build for N requests.
         assert counters.get("engine.snapshot.miss", 0) == 1
         assert counters.get("serve.coalesce.leader") == 1
         assert counters.get("serve.coalesce.follower") == self.N - 1
@@ -172,7 +170,3 @@ class TestThreadedMatchesSerial:
         assert t_stats.snapshot.misses == s_stats.snapshot.misses
         assert t_stats.snapshot.size == s_stats.snapshot.size
         assert t_stats.snapshot.lookups <= s_stats.snapshot.lookups
-        assert (
-            t_stats.snapshot_full + t_stats.snapshot_incremental
-            <= s_stats.snapshot_full + s_stats.snapshot_incremental
-        )

@@ -70,11 +70,14 @@ class TestScenarioParam:
         assert payload["error"]["code"] == "unknown-scenario"
 
     def test_bad_parameters_are_structured_400(self, service):
-        status, payload = service.handle_url(
-            "/rankings?scenario=synthetic:seed=many"
-        )
-        assert status == 400
-        assert payload["error"]["code"] == "bad-scenario"
+        for ref in (
+            "synthetic:seed=many",
+            "synthetic:links=0",
+            "synthetic:west_lat=95",
+        ):
+            status, payload = service.handle_url(f"/rankings?scenario={ref}")
+            assert status == 400
+            assert payload["error"]["code"] == "bad-scenario"
 
     def test_sites_validated_against_the_requested_corridor(self, service):
         status, payload = service.handle_url(

@@ -137,7 +137,8 @@ class TestEndpointPayloads:
         assert stats["facade"]["errors"] == 1
         assert stats["facade"]["in_flight"] == 1  # the /stats call itself
         # Neither /healthz nor a validation failure touches the engine.
-        assert stats["engine"]["snapshot_full"] == 0
+        assert stats["engine"]["snapshot_hits"] == 0
+        assert stats["engine"]["snapshot_misses"] == 0
 
 
 class TestFaultPaths:

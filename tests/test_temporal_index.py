@@ -3,8 +3,7 @@
 The index's whole value proposition is that its O(log n) answers are
 *exactly* the answers a naive per-license ``is_active`` scan gives, so
 the core tests are hypothesis properties over randomly-generated license
-life cycles: membership, counts, delta application, delta composition,
-and backward symmetry.
+life cycles: membership and counts, probed in arbitrary date order.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.uls import TemporalDelta, TemporalIndex, license_interval
+from repro.uls import TemporalIndex, license_interval
 from repro.uls.database import UlsDatabase
 from tests.conftest import make_license
 
@@ -85,67 +84,6 @@ class TestActiveSetProperties:
         assert "L1" not in index.active_ids_at(_date(20))
 
 
-class TestDeltaProperties:
-    @settings(max_examples=200, deadline=None)
-    @given(specs=license_sets, d1=probe, d2=probe)
-    def test_diff_apply_round_trip(self, specs, d1, d2):
-        """active(d2) == diff(d1, d2).apply(active(d1)), both directions."""
-        index = TemporalIndex(_build_licenses(specs))
-        a, b = _date(d1), _date(d2)
-        delta = index.diff(a, b)
-        assert delta.apply(index.active_ids_at(a)) == index.active_ids_at(b)
-        back = index.diff(b, a)
-        assert back.apply(index.active_ids_at(b)) == index.active_ids_at(a)
-
-    @settings(max_examples=200, deadline=None)
-    @given(specs=license_sets, d1=probe, d2=probe, d3=probe)
-    def test_diff_composes(self, specs, d1, d2, d3):
-        """diff(a, c) == diff(a, b) then diff(b, c), up to cancellation.
-
-        Composition is on *application*: ids granted in (a, b] that lapse
-        again in (b, c] cancel out of diff(a, c), so the deltas are
-        compared through their effect on the d1 fingerprint rather than
-        member-by-member.
-        """
-        index = TemporalIndex(_build_licenses(specs))
-        a, b, c = _date(d1), _date(d2), _date(d3)
-        composed = index.diff(b, c).apply(index.diff(a, b).apply(index.active_ids_at(a)))
-        assert composed == index.diff(a, c).apply(index.active_ids_at(a))
-        assert composed == index.active_ids_at(c)
-
-    @settings(max_examples=100, deadline=None)
-    @given(specs=license_sets, d1=probe, d2=probe)
-    def test_reversed_symmetry(self, specs, d1, d2):
-        index = TemporalIndex(_build_licenses(specs))
-        a, b = _date(d1), _date(d2)
-        forward = index.diff(a, b)
-        backward = index.diff(b, a)
-        assert backward.granted == forward.lapsed
-        assert backward.lapsed == forward.granted
-        assert backward == forward.reversed()
-
-    def test_same_date_and_eventless_window_are_empty(self):
-        lic = make_license("L1", grant=_date(0))
-        lic.expiration_date = _date(100)
-        index = TemporalIndex([lic])
-        assert index.diff(_date(50), _date(50)).is_empty
-        assert not index.diff(_date(40), _date(60))
-        delta = index.diff(_date(40), _date(60))
-        assert delta.size == 0
-
-    def test_net_noop_inside_window_cancels(self):
-        # A license both granted and lapsed inside the window contributes
-        # nothing to the net delta.
-        lic = make_license("L1", grant=_date(10))
-        lic.cancellation_date = _date(20)
-        index = TemporalIndex([lic])
-        delta = index.diff(_date(0), _date(30))
-        assert delta.is_empty
-        inner = index.diff(_date(0), _date(15))
-        assert inner.granted == frozenset({"L1"})
-        assert inner.lapsed == frozenset()
-
-
 class TestLicenseInterval:
     def test_no_grant_is_never_active(self):
         lic = make_license("L1", grant=None)
@@ -193,7 +131,6 @@ class TestEmptyAndIntrospection:
         index = TemporalIndex([])
         assert index.active_ids_at(_date(0)) == frozenset()
         assert index.active_count_at(_date(0)) == 0
-        assert index.diff(_date(0), _date(100)).is_empty
         assert index.event_count == 0
         assert index.event_dates == ()
 
@@ -246,10 +183,3 @@ class TestDatabaseIntegration:
         assert db.temporal_index("Beta").active_ids_at(_date(5)) == {"L2"}
         assert db.temporal_index("Nobody").active_ids_at(_date(5)) == frozenset()
 
-
-class TestDeltaDataclass:
-    def test_bool_size_and_apply(self):
-        delta = TemporalDelta(granted=frozenset({"A"}), lapsed=frozenset({"B"}))
-        assert delta
-        assert delta.size == 2
-        assert delta.apply(frozenset({"B", "C"})) == {"A", "C"}

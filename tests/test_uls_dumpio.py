@@ -95,14 +95,41 @@ class TestErrors:
             dumpio.loads("\n".join(lines) + "\n")
 
     def test_rejects_bad_frequency(self):
-        text = dumpio.dumps([make_license("L1")]) + "FR|L0001|1|-5.0\n"
-        # FR for the finished license group: 'L0001' doesn't match... use
-        # an in-group malformed frequency instead.
         lic = make_license("L2", frequencies=(11225.0,))
         good = dumpio.dumps([lic])
         bad = good.replace("11225.0", "nan")
-        with pytest.raises((dumpio.DumpFormatError, ValueError)):
+        with pytest.raises(dumpio.DumpFormatError, match="bad frequency"):
             dumpio.loads(bad)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            # A record with no license id after a header.
+            ("HD|L1|W1|MG|FXO|2015-03-01|||\nEN\n", 2),
+            # A non-integer path number.
+            ("HD|L1|W1|MG|FXO|2015-03-01|||\nPA|L1|x|1|2\n", 2),
+            # A non-numeric frequency.
+            ("HD|L1|W1|MG|FXO|2015-03-01|||\nFR|L1|1|abc\n", 2),
+            # An impossible grant date.
+            ("HD|L1|W1|MG|FXO|2015-13-01|||\n", 1),
+            # A hemisphere that is not N/S/E/W.
+            (
+                "HD|L1|W1|MG|FXO|2015-03-01|||\n"
+                "LO|L1|1|41|45|0.0000|Q|87|0|0.0000|W|200.0|90.0|site\n",
+                2,
+            ),
+            # A longitude off the globe.
+            (
+                "HD|L1|W1|MG|FXO|2015-03-01|||\n"
+                "EN|L1|Someone\n"
+                "LO|L1|1|41|45|0.0000|N|181|0|0.0000|W|200.0|90.0|site\n",
+                3,
+            ),
+        ],
+    )
+    def test_malformed_line_names_its_line(self, text, line):
+        with pytest.raises(dumpio.DumpFormatError, match=f"^line {line}: "):
+            dumpio.loads(text)
 
     def test_blank_lines_ignored(self):
         text = "\n" + dumpio.dumps([make_license()]) + "\n\n"
