@@ -13,14 +13,14 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.synth.scenario import paper2020_scenario
+from repro.scenarios import resolve_scenario
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 
 
 @pytest.fixture(scope="session")
 def scenario():
-    return paper2020_scenario()
+    return resolve_scenario("paper2020")
 
 
 @pytest.fixture(scope="session")

@@ -101,7 +101,9 @@ rm -rf "$store_dir"
 # and driver: serial vs fanned-out must agree, and a store-warmed rerun
 # must agree with a no-store run (per-scenario fingerprints may share
 # one store directory without cross-talk).
-for scenario in europe2020 tokyo-singapore; do
+# The parameterized reference round-trips its params through a scenario
+# entry.
+for scenario in europe2020 tokyo-singapore synthetic:seed=7,networks=12; do
     rm -rf "$store_dir"
     for cmd in funnel timeline table1; do
         if ! diff <(python -m repro "$cmd" --scenario "$scenario" --jobs 1) \

@@ -9,10 +9,10 @@ of the paper's evaluation.
 
 Quickstart::
 
-    import repro
+    from repro.scenarios import resolve_scenario
 
-    scenario = repro.paper2020_scenario()
-    engine = repro.CorridorEngine(scenario.database, scenario.corridor)
+    scenario = resolve_scenario("paper2020")
+    engine = scenario.engine()
     route = engine.route(
         "New Line Networks", scenario.snapshot_date, "CME", "NY4"
     )

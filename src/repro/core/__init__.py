@@ -10,9 +10,9 @@ which runs the same columnar kernel, remains available for one-off
 use)::
 
     from repro.core import CorridorEngine
-    from repro.synth import paper2020_scenario
+    from repro.scenarios import resolve_scenario
 
-    scenario = paper2020_scenario()
+    scenario = resolve_scenario("paper2020")
     engine = CorridorEngine(scenario.database, scenario.corridor)
     route = engine.route(
         "New Line Networks", datetime.date(2020, 4, 1), "CME", "NY4"

@@ -25,6 +25,15 @@ class DataCenterSite:
         if not self.name:
             raise ValueError("data center name must be non-empty")
 
+    # Fast pickle path (see GeoPoint.__getstate__): every network value
+    # in a store entry is its own pickle and carries its data centers.
+    def __getstate__(self):
+        return (self.name, self.point)
+
+    def __setstate__(self, state) -> None:
+        object.__setattr__(self, "name", state[0])
+        object.__setattr__(self, "point", state[1])
+
 
 @dataclass(frozen=True)
 class CorridorSpec:

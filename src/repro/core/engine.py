@@ -41,7 +41,9 @@ from __future__ import annotations
 
 import datetime as dt
 import hashlib
+import pickle
 import threading
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
@@ -84,12 +86,17 @@ def _license_content_digest(licenses: Iterable[License]) -> str:
 
 @dataclass(frozen=True, slots=True)
 class CacheCounter:
-    """Hit/miss/eviction counts for one cache."""
+    """Hit/miss/eviction counts for one cache.
+
+    ``corrupt`` counts store-seeded values that failed to decode (each
+    was rebuilt, and also counts as a miss).
+    """
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
     size: int = 0
+    corrupt: int = 0
 
     @property
     def lookups(self) -> int:
@@ -126,13 +133,48 @@ class CacheStats:
                 f"  {name:9s} hits={counter.hits}  misses={counter.misses}  "
                 f"evictions={counter.evictions}  entries={counter.size}  "
                 f"hit-rate={counter.hit_rate:.1%}"
+                + (f"  corrupt={counter.corrupt}" if counter.corrupt else "")
             )
         lines.append(f"  temporal index: events={self.index_events}")
         return "\n".join(lines)
 
 
+class EncodedValue:
+    """A cache value still in its pickled form, decoded on first hit.
+
+    The persistent store seeds engines with these placeholders, so a
+    command pays to unpickle only the snapshots and routes it reads.  A
+    value never decoded is exported with its original bytes.  ``crc``
+    (CRC-32 of ``data``) is checked before unpickling, so a flipped byte
+    is a detected failure, never a silently different value.
+    """
+
+    __slots__ = ("data", "crc")
+
+    def __init__(self, data: bytes, crc: int) -> None:
+        self.data = data
+        self.crc = crc
+
+    @classmethod
+    def encode(cls, value: object) -> "EncodedValue":
+        data = pickle.dumps(value, protocol=4)
+        return cls(data, zlib.crc32(data))
+
+    def decode(self) -> object:
+        """The value; raises on a checksum mismatch or a bad pickle."""
+        if zlib.crc32(self.data) != self.crc:
+            raise ValueError("encoded cache value fails its checksum")
+        return pickle.loads(self.data)
+
+
 class _LruCache:
-    """A bounded LRU mapping with hit/miss/eviction accounting."""
+    """A bounded LRU mapping with hit/miss/eviction accounting.
+
+    ``dirty`` records whether the cache holds anything its last
+    :meth:`seed` source lacks: a :meth:`put` sets it, and so does a
+    seeded :class:`EncodedValue` that fails to decode (counted in
+    ``corrupt`` and served as a miss, so the caller rebuilds it).
+    """
 
     def __init__(self, maxsize: int) -> None:
         if maxsize <= 0:
@@ -141,6 +183,8 @@ class _LruCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.corrupt = 0
+        self.dirty = False
         self._entries: OrderedDict[Hashable, object] = OrderedDict()
 
     def __len__(self) -> int:
@@ -151,22 +195,54 @@ class _LruCache:
         if entry is _MISSING:
             self.misses += 1
             return default
+        if type(entry) is EncodedValue:
+            try:
+                entry = entry.decode()
+            except Exception:  # lint: disable=broad-except (unpickling corrupt bytes can raise nearly anything; a bad value is dropped and rebuilt, never a crash)
+                del self._entries[key]
+                self.corrupt += 1
+                self.dirty = True
+                self.misses += 1
+                obs.count("engine.value.corrupt")
+                return default
+            self._entries[key] = entry
         self._entries.move_to_end(key)
         self.hits += 1
         return entry
 
     def put(self, key: Hashable, value: object) -> None:
+        self.dirty = True
         if key in self._entries:
             self._entries.move_to_end(key)
             self._entries[key] = value
             return
+        self._insert(key, value)
+
+    def _insert(self, key: Hashable, value: object) -> None:
         if len(self._entries) >= self.maxsize:
             self._entries.popitem(last=False)
             self.evictions += 1
         self._entries[key] = value
 
+    def seed(self, pairs: Iterable[tuple[Hashable, object]]) -> None:
+        """Install ``pairs`` without counting a lookup or a put.
+
+        Keys already cached keep their (possibly decoded) value.
+        Afterwards the cache is dirty iff it holds a key ``pairs`` lacks.
+        """
+        extra = set(self._entries)
+        for key, value in pairs:
+            extra.discard(key)
+            if key not in self._entries:
+                self._insert(key, value)
+        self.dirty = bool(extra)
+
     def items(self) -> tuple[tuple[Hashable, object], ...]:
-        """Every cached (key, value) pair, LRU order (oldest first)."""
+        """Every cached (key, value) pair, LRU order (oldest first).
+
+        Values never looked up since seeding are still
+        :class:`EncodedValue` placeholders.
+        """
         return tuple(self._entries.items())
 
     def clear(self) -> None:
@@ -178,6 +254,7 @@ class _LruCache:
             misses=self.misses,
             evictions=self.evictions,
             size=len(self._entries),
+            corrupt=self.corrupt,
         )
 
 
@@ -187,10 +264,12 @@ class EngineCacheExport:
 
     Produced by :meth:`CorridorEngine.export_cache_state` and installed
     with :meth:`CorridorEngine.seed_cache_state`: the persistent store
-    (:mod:`repro.store`) pickles one of these per (database, params) so a
-    later process starts from this one's warm state.  Every entry is
+    (:mod:`repro.store`) persists one of these per (database, params) so
+    a later process starts from this one's warm state.  Every entry is
     exact (memoised Vincenty solutions, the cached network/route objects
-    themselves), so seeding never perturbs results.
+    themselves), so seeding never perturbs results.  Snapshot and route
+    values may be :class:`EncodedValue` placeholders, decoded on first
+    hit.
     """
 
     params_key: tuple
@@ -219,7 +298,8 @@ class CorridorEngine:
     An engine starts without a persistent store (``store`` is ``None``);
     :meth:`repro.store.CacheStore.attach` is the only way to give it one.
     Attaching loads the store's matching entry, and :meth:`checkpoint`
-    persists the caches back.  Only a scenario's default-parameter engine
+    persists the caches back when they hold anything the entry lacks
+    (:attr:`dirty`).  Only a scenario's default-parameter engine
     is ever attached (through :func:`repro.scenarios.resolve_scenario`);
     parameter engines (:meth:`with_params`, ``Scenario.engine(**params)``)
     never persist.
@@ -575,9 +655,12 @@ class CorridorEngine:
     def seed_cache_state(self, export: EngineCacheExport) -> None:
         """Install exported entries into this engine's caches.
 
-        Installation counts no hits or misses (it is not a lookup);
-        entries beyond a cache's capacity evict LRU-first as usual.  The
-        export must have been taken under this engine's ``params_key``.
+        Installation counts no hits or misses (it is not a lookup), and
+        keys already cached keep their values; entries beyond a cache's
+        capacity evict LRU-first as usual.  Afterwards the engine is
+        :attr:`dirty` iff it holds a snapshot or route the export lacks.
+        The export must have been taken under this engine's
+        ``params_key``.
         """
         if export.params_key != self.params_key:
             raise ValueError(
@@ -586,24 +669,34 @@ class CorridorEngine:
             )
         for key, solution in export.geodesic:
             self._geodesic_memo.store(key, solution)
-        for key, network in export.snapshots:
-            self._snapshots.put(key, network)
-        for key, route in export.routes:
-            self._routes.put(key, route)
+        self._snapshots.seed(export.snapshots)
+        self._routes.seed(export.routes)
+
+    @property
+    def dirty(self) -> bool:
+        """Whether the caches hold anything the last seed or checkpoint
+        did not: a new snapshot or route, or a seeded value that failed
+        to decode."""
+        return self._snapshots.dirty or self._routes.dirty
 
     def checkpoint(self):
         """Persist this engine's cache contents to its attached store.
 
-        A no-op (returning ``None``) without a store; otherwise returns
-        the path the store published the entry at.  Because an attached
-        engine loaded the store's entry when it was attached, its caches
-        are a superset of the entry (modulo LRU eviction), so a
-        checkpoint never loses previously persisted state.
+        Returns the path the store published the entry at, or ``None``
+        without a store or when the engine is not :attr:`dirty` (the
+        entry already holds everything).  Because an attached engine
+        loaded the store's entry when it was attached, its caches are a
+        superset of the entry (modulo LRU eviction), so a checkpoint
+        never loses previously persisted state.
         """
         if self.store is None:
             return None
         with self._lock:
-            return self.store.save_from(self)
+            if not self.dirty:
+                return None
+            path = self.store.save_from(self)
+            self._snapshots.dirty = self._routes.dirty = False
+            return path
 
     def with_params(self, **overrides) -> "CorridorEngine":
         """A fresh engine sharing this database with parameter overrides.

@@ -42,6 +42,17 @@ class LatencyModel:
         if self.per_tower_overhead_s < 0.0:
             raise ValueError("per-tower overhead cannot be negative")
 
+    # Fast pickle path (see GeoPoint.__getstate__): every network value
+    # in a store entry is its own pickle and carries its latency model.
+    def __getstate__(self):
+        return (self.microwave_speed, self.fiber_speed, self.per_tower_overhead_s)
+
+    def __setstate__(self, state) -> None:
+        set_ = object.__setattr__
+        set_(self, "microwave_speed", state[0])
+        set_(self, "fiber_speed", state[1])
+        set_(self, "per_tower_overhead_s", state[2])
+
     def microwave_latency_s(self, length_m: float) -> float:
         """Propagation latency of a microwave hop of ``length_m`` metres."""
         if length_m < 0.0:

@@ -34,7 +34,7 @@ _COLUMNAR_CALLS = frozenset({"ColumnarLicenseStore"})
 #: quarantine; everything outside the store package goes through
 #: ``CacheStore``.
 _STORE_CALLS = frozenset(
-    {"entry_path", "read_entry", "write_entry", "quarantine_entry"}
+    {"entry_path", "read_entry", "write_entry", "quarantine_entry", "touch_entry"}
 )
 
 

@@ -5,19 +5,28 @@ A :class:`ScenarioRef` is the parsed form of the reference string the CLI
 registered builder name plus optional ``key=value`` parameters.  The
 reference is canonicalised (parameters sorted by key) so equal references
 compare and hash equal and two spellings of the same parameters build the
-same keyword arguments.  Caching lives in the *builders* (each built-in
-is ``lru_cache``'d), not here — every caller of the same reference shares
-one :class:`~repro.synth.scenario.Scenario` and therefore one warm
-default engine, and ``paper2020_scenario.cache_clear()`` drops the
-registry's view too, instead of leaving a stale scenario behind a second
-cache layer.
+same keyword arguments.
+
+The registry owns the only scenario memo: each :class:`ScenarioEntry`
+keeps its resolved scenarios keyed by converted parameters (one for a
+fixed scenario, an LRU of :data:`MEMO_SIZE` for the parameterized
+generator), so every caller of the same reference shares one
+:class:`~repro.synth.scenario.Scenario` and therefore one warm default
+engine.  The builders themselves are plain functions: a second cache
+beside them could hand out a second scenario (and a second engine) for
+the same reference.  Re-registering a name drops its memo with the old
+entry.
+
+A ``store`` (:class:`repro.store.CacheStore`) passed to
+:func:`resolve_scenario` is asked for the built scenario before the
+builder runs, and receives every scenario the builder does build, so a
+warm process skips synthesis (DESIGN.md §15).
 
 Built-in entries:
 
 ``paper2020``
     The calibrated Chicago–New Jersey scenario (the default everywhere;
-    resolves to the same cached singleton as
-    :func:`repro.synth.scenario.paper2020_scenario`).
+    built by :func:`repro.synth.scenario.paper2020_scenario`).
 ``europe2020``
     London–Frankfurt (LD4–FR2), three synthetic networks.
 ``tokyo-singapore``
@@ -30,7 +39,9 @@ Built-in entries:
 
 from __future__ import annotations
 
+import pickle
 import threading
+from collections import OrderedDict
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
@@ -48,6 +59,11 @@ class UnknownScenarioError(ValueError):
 
 class ScenarioParamError(ValueError):
     """The reference carries malformed or unsupported parameters."""
+
+
+#: Resolved scenarios each entry keeps, least recently used evicted
+#: first (a fixed scenario only ever has one reference).
+MEMO_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -101,7 +117,7 @@ def parse_scenario_ref(text: str | ScenarioRef) -> ScenarioRef:
 
 @dataclass(frozen=True)
 class ScenarioEntry:
-    """One registered scenario builder.
+    """One registered scenario builder and its memo of built scenarios.
 
     ``builder`` receives the converted parameters as keyword arguments.
     ``params`` declares the accepted parameter names and their
@@ -117,8 +133,17 @@ class ScenarioEntry:
     builder: Callable[..., Scenario]
     params: Mapping[str, Callable[[str], object]] = field(default_factory=dict)
     concrete: bool = True
+    _memo: OrderedDict = field(
+        default_factory=OrderedDict, init=False, repr=False, compare=False
+    )
 
-    def build(self, ref: ScenarioRef) -> Scenario:
+    def normalise(self, ref: ScenarioRef) -> tuple[ScenarioRef, dict]:
+        """``ref`` with converted values, and the builder's keyword args.
+
+        The normalised reference keys the memo and the store entry, so
+        ``seed=07`` and ``seed=7`` share one scenario, as they share one
+        build.
+        """
         kwargs = {}
         for key, raw in ref.params:
             converter = self.params.get(key)
@@ -134,7 +159,31 @@ class ScenarioEntry:
                 raise ScenarioParamError(
                     f"bad value {raw!r} for scenario parameter {key!r}: {exc}"
                 ) from exc
-        return self.builder(**kwargs)
+        normal = ScenarioRef(
+            self.name, tuple((key, repr(value)) for key, value in kwargs.items())
+        )
+        return normal, kwargs
+
+    def memoised(self, ref: ScenarioRef) -> Scenario | None:
+        """The scenario already resolved for normalised ``ref``, if any."""
+        with _LOCK:
+            scenario = self._memo.get(ref)
+            if scenario is not None:
+                self._memo.move_to_end(ref)
+            return scenario
+
+    def memoise(self, ref: ScenarioRef, scenario: Scenario) -> Scenario:
+        """Record ``scenario`` for ``ref``; returns the memoised one.
+
+        When another thread memoised ``ref`` first, its scenario wins and
+        is returned, so one reference never maps to two scenarios.
+        """
+        with _LOCK:
+            winner = self._memo.setdefault(ref, scenario)
+            self._memo.move_to_end(ref)
+            while len(self._memo) > MEMO_SIZE:
+                self._memo.popitem(last=False)
+            return winner
 
 
 _REGISTRY: dict[str, ScenarioEntry] = {}
@@ -163,15 +212,49 @@ def scenario_names(concrete_only: bool = False) -> tuple[str, ...]:
     )
 
 
+def _decode_scenario(data: bytes) -> Scenario:
+    scenario = pickle.loads(data)
+    if not isinstance(scenario, Scenario):
+        raise TypeError(f"scenario entry holds a {type(scenario).__name__}")
+    return scenario
+
+
+def _encode_scenario(scenario: Scenario) -> bytes:
+    # Fingerprint before pickling: the database carries its cached
+    # (generation, digest) pair, so a warm process never re-pickles the
+    # whole database just to key the engine entry.
+    scenario.database.content_digest()
+    return pickle.dumps(scenario, protocol=4)
+
+
+def _build(entry: ScenarioEntry, ref: ScenarioRef, kwargs: dict, store):
+    """Load ``ref``'s scenario from ``store``, else build and publish it."""
+    if store is None:
+        return entry.builder(**kwargs)
+    from repro.store.fingerprint import scenario_fingerprint
+
+    fingerprint = scenario_fingerprint(ref.canonical)
+    scenario = store.load_entry(fingerprint, "scenario", _decode_scenario)
+    if scenario is None:
+        scenario = entry.builder(**kwargs)
+        store.save_entry(
+            fingerprint, "scenario", lambda: _encode_scenario(scenario)
+        )
+    return scenario
+
+
 def resolve_scenario(ref: str | ScenarioRef, store=None) -> Scenario:
-    """Resolve a reference to its (builder-cached) :class:`Scenario`.
+    """Resolve a reference to its (registry-memoised) :class:`Scenario`.
 
     Two spellings of the same parameters (``synthetic:links=20,seed=7``
-    vs ``synthetic:seed=7,links=20``) canonicalise to the same keyword
-    arguments and — because every built-in builder memoises — share one
-    scenario object and one default engine.  A ``store``
-    (:class:`repro.store.CacheStore`) is attached to that default engine,
-    which loads the store's entry for it; attaching is idempotent.
+    vs ``synthetic:seed=7,links=20``) normalise to the same keyword
+    arguments and share one scenario object and one default engine.  On
+    a memo miss, a ``store`` (:class:`repro.store.CacheStore`) is asked
+    for the built scenario first and receives any scenario the builder
+    builds.  The store is then attached to the scenario's default engine,
+    which loads the store's entry for it; attaching is idempotent.  The
+    store never changes which object comes back:
+    ``resolve_scenario(r) is resolve_scenario(r, store=s)``.
     Raises :class:`UnknownScenarioError` for unknown names and
     :class:`ScenarioParamError` for bad parameters.
     """
@@ -183,7 +266,10 @@ def resolve_scenario(ref: str | ScenarioRef, store=None) -> Scenario:
         raise UnknownScenarioError(
             f"unknown scenario {parsed.name!r} (registered: {known})"
         )
-    scenario = entry.build(parsed)
+    normal, kwargs = entry.normalise(parsed)
+    scenario = entry.memoised(normal)
+    if scenario is None:
+        scenario = entry.memoise(normal, _build(entry, normal, kwargs, store))
     if store is not None:
         store.attach(scenario.engine())
     return scenario

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import datetime as dt
 import random
-from functools import lru_cache
 
 from repro.constants import SPEED_OF_LIGHT
 from repro.core.corridor import CorridorSpec, DataCenterSite
@@ -130,7 +129,6 @@ def _decoy_licenses(corridor: CorridorSpec, seed: int, decoys: int) -> list:
     return licenses
 
 
-@lru_cache(maxsize=16)
 def synthetic_scenario(
     seed: int = 0,
     networks: int = 3,
@@ -150,7 +148,7 @@ def synthetic_scenario(
     build-out eras (each faster than the last) before the final era;
     ``decoys`` adds small near-anchor licensees the funnel must filter
     out.  All derived values depend only on the arguments — equal calls
-    return the same (cached) scenario.  Out-of-range parameters raise
+    build identical scenarios.  Out-of-range parameters raise
     :class:`~repro.scenarios.registry.ScenarioParamError`.
     """
     for name, value, low, high in (

@@ -36,7 +36,7 @@ from repro.core.engine import CorridorEngine
 from repro.serve import payloads
 from repro.serve.facade import EngineFacade
 from repro.serve.payloads import DATE_MAX, DATE_MIN, render_payload
-from repro.synth.scenario import Scenario, paper2020_scenario
+from repro.synth.scenario import Scenario
 
 
 class ServiceError(Exception):
@@ -219,7 +219,11 @@ class CorridorQueryService:
         engine: CorridorEngine | None = None,
         store=None,
     ) -> None:
-        self.scenario = scenario if scenario is not None else paper2020_scenario()
+        if scenario is None:
+            from repro.scenarios import resolve_scenario
+
+            scenario = resolve_scenario("paper2020")
+        self.scenario = scenario
         self.store = store
         shared = engine if engine is not None else self.scenario.engine()
         if store is not None:
@@ -387,7 +391,13 @@ class CorridorQueryService:
 
         try:
             canonical = parse_scenario_ref(text).canonical
-            scenario = resolve_scenario(canonical)
+            with self._states_lock:
+                state = self._states.get(canonical)
+            if state is not None:
+                return state
+            # The store (if any) supplies the built scenario and is
+            # attached to its engine outside the table lock.
+            scenario = resolve_scenario(canonical, store=self.store)
         except UnknownScenarioError as error:
             raise ServiceError(404, "unknown-scenario", str(error)) from None
         except ScenarioParamError as error:
@@ -400,10 +410,7 @@ class CorridorQueryService:
                 if state.scenario is scenario:
                     self._states[canonical] = state
                     return state
-            engine = scenario.engine()
-            if self.store is not None:
-                self.store.attach(engine)
-            state = _ScenarioState(scenario, EngineFacade(engine))
+            state = _ScenarioState(scenario, EngineFacade(scenario.engine()))
             self._states[canonical] = state
             return state
 

@@ -1,36 +1,52 @@
-"""The persistent cache store: disk-backed warm starts for engines.
+"""The persistent cache store: disk-backed warm starts.
 
-:class:`CacheStore` persists :class:`~repro.core.engine
-.EngineCacheExport` payloads (snapshot cache, route cache, geodesic
-memo) under content-addressed fingerprints
-(:func:`~repro.store.fingerprint.store_fingerprint`), so a cold process
-— a CLI driver or a restarted server — starts from the previous run's
-warm state instead of rebuilding it.
+:class:`CacheStore` persists two kinds of entry under content-addressed
+fingerprints (:mod:`repro.store.fingerprint`):
+
+* **engine** entries — an engine's :class:`~repro.core.engine
+  .EngineCacheExport` (snapshot cache, route cache, geodesic memo), so a
+  cold process (a CLI driver or a restarted server) starts from the
+  previous run's warm state instead of rebuilding it.  Each snapshot
+  and route value is pickled on its own inside the one entry file and
+  seeded as an :class:`~repro.core.engine.EncodedValue`, so a command
+  unpickles only what it reads;
+* **scenario** entries — opaque bytes a higher tier hands in
+  (:meth:`load_entry` / :meth:`save_entry`): the scenario registry
+  stores pickled, built scenarios there, so a warm run skips
+  synthesis.  The store never imports the tiers above it.
+
+Every entry file is one pickled envelope ``{"schema", "fingerprint",
+"kind", "body"}``, published atomically by :mod:`repro.store.layout`.
 
 Failure discipline: the store **never makes an answer wrong and never
-crashes a driver**.  Unreadable or unpicklable entries are quarantined
+crashes a driver**.  Unreadable or undecodable entries are quarantined
 and treated as misses; entries whose envelope (schema / fingerprint /
-payload type / params) does not match are stale misses; every error path
-degrades to a cold start that produces byte-identical output anyway.
+kind) does not match are stale misses; every error path degrades to a
+cold start that produces byte-identical output anyway.
 """
 
 from __future__ import annotations
 
 import pickle
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TypeVar
 
 from repro import obs
-from repro.core.engine import EngineCacheExport
+from repro.core.engine import EncodedValue, EngineCacheExport
 from repro.store.fingerprint import STORE_SCHEMA_VERSION, store_fingerprint
 from repro.store.layout import (
     default_cache_dir,
     list_entries,
     quarantine_entry,
     read_entry,
+    touch_entry,
     write_entry,
 )
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -43,8 +59,49 @@ class StoreEntry:
     mtime_s: float
 
 
+class _StaleEntry(Exception):
+    """A well-formed entry whose envelope does not match the request."""
+
+
+def _encode_values(pairs) -> tuple:
+    """``(key, bytes, crc)`` per value, reusing the bytes of any value
+    still encoded (never looked up since it was seeded)."""
+    encoded = []
+    for key, value in pairs:
+        if type(value) is not EncodedValue:
+            value = EncodedValue.encode(value)
+        encoded.append((key, value.data, value.crc))
+    return tuple(encoded)
+
+
+def _decode_values(triples) -> tuple:
+    return tuple((key, EncodedValue(data, crc)) for key, data, crc in triples)
+
+
+def _encode_export(export: EngineCacheExport) -> tuple:
+    """An engine entry's body: keys and geodesic memo pickled in place,
+    each snapshot and route value as its own checksummed pickle."""
+    return (
+        export.params_key,
+        _encode_values(export.snapshots),
+        _encode_values(export.routes),
+        export.geodesic,
+    )
+
+
+def _decode_export(body: tuple) -> EngineCacheExport:
+    """The export an engine body holds, values left as placeholders."""
+    params_key, snapshots, routes, geodesic = body
+    return EngineCacheExport(
+        params_key=params_key,
+        snapshots=_decode_values(snapshots),
+        routes=_decode_values(routes),
+        geodesic=geodesic,
+    )
+
+
 class CacheStore:
-    """A content-addressed on-disk store of engine cache exports.
+    """A content-addressed on-disk store of engine and scenario entries.
 
     Parameters
     ----------
@@ -114,20 +171,18 @@ class CacheStore:
             return tuple(self._engines)
 
     def load_into(self, engine) -> bool:
-        """Seed ``engine`` from its matching entry; ``False`` on any miss."""
-        fingerprint = self.fingerprint_for(engine)
-        with obs.span("store.load", fingerprint=fingerprint[:12]) as span:
-            export = self.load_export(fingerprint)
-            if export is None or export.params_key != engine.params_key:
-                span.tag(outcome="miss")
-                return False
-            engine.seed_cache_state(export)
-            span.tag(
-                outcome="hit",
-                snapshots=len(export.snapshots),
-                routes=len(export.routes),
-            )
-        return True
+        """Seed ``engine`` from its matching entry; ``False`` on any miss.
+
+        A miss seeds nothing but still re-bases the engine's dirty flag
+        on this store: an engine that already holds entries will publish
+        them at its next checkpoint.
+        """
+        export = self.load_export(self.fingerprint_for(engine))
+        hit = export is not None and export.params_key == engine.params_key
+        if not hit:
+            export = EngineCacheExport(engine.params_key, (), (), ())
+        engine.seed_cache_state(export)
+        return hit
 
     def save_from(self, engine) -> Path:
         """Publish ``engine``'s current cache contents as its entry.
@@ -136,26 +191,18 @@ class CacheStore:
         :meth:`~repro.core.engine.CorridorEngine.checkpoint`, which holds
         the engine lock across the export.
         """
-        fingerprint = self.fingerprint_for(engine)
-        payload = pickle.dumps(
-            {
-                "schema": STORE_SCHEMA_VERSION,
-                "fingerprint": fingerprint,
-                "export": engine.export_cache_state(),
-            },
-            protocol=4,
+        return self.save_entry(
+            self.fingerprint_for(engine),
+            "engine",
+            lambda: _encode_export(engine.export_cache_state()),
         )
-        with obs.span(
-            "store.save", fingerprint=fingerprint[:12], bytes=len(payload)
-        ):
-            path = write_entry(self.cache_dir, fingerprint, payload)
-        with self._lock:
-            self.saves += 1
-        obs.count("store.save")
-        return path
 
     def checkpoint_all(self) -> int:
-        """Checkpoint every attached engine; returns how many saved."""
+        """Checkpoint every attached engine; returns how many saved.
+
+        Engines that learned nothing since they were attached save
+        nothing.
+        """
         saved = 0
         for engine in self.engines():
             if engine.checkpoint() is not None:
@@ -163,51 +210,96 @@ class CacheStore:
         return saved
 
     # ------------------------------------------------------------------
-    # Raw entry access
+    # Entry access
     # ------------------------------------------------------------------
 
     def load_export(self, fingerprint: str) -> EngineCacheExport | None:
-        """The export stored under ``fingerprint``, or ``None``.
+        """The engine export stored under ``fingerprint``, or ``None``.
 
-        Misses are silent; corrupt entries (unreadable pickles) are
-        quarantined and counted; well-formed pickles with a mismatched
-        envelope (schema bump, foreign fingerprint, wrong payload type)
-        are *stale* misses left in place for ``cache gc`` to age out.
+        Snapshot and route values come back as
+        :class:`~repro.core.engine.EncodedValue` placeholders.
         """
-        with self._lock:
-            self.loads += 1
-        obs.count("store.load")
-        data = read_entry(self.cache_dir, fingerprint)
-        if data is None:
-            return self._miss()
-        try:
-            payload = pickle.loads(data)
-        except Exception:  # lint: disable=broad-except (unpickling an arbitrary corrupt file can raise nearly anything; the contract is quarantine-and-go-cold, never crash the driver)
-            quarantine_entry(self.cache_dir, fingerprint)
-            with self._lock:
-                self.corrupt += 1
-            obs.count("store.corrupt")
-            return self._miss()
+        return self.load_entry(fingerprint, "engine", _decode_export)
+
+    def load_entry(
+        self, fingerprint: str, kind: str, decode: Callable[[object], _T]
+    ) -> _T | None:
+        """``decode(body)`` of the ``kind`` entry under ``fingerprint``.
+
+        ``body`` is what the publishing :meth:`save_entry`'s ``encode``
+        returned; callers above the store (the scenario registry) pass
+        opaque pickled bytes.  Reading, unpickling and ``decode`` all run
+        inside the ``store.load`` span.  Misses are silent; corrupt
+        entries (unreadable pickles, bodies ``decode`` raises on) are
+        quarantined and counted; well-formed pickles with a mismatched
+        envelope (schema bump, foreign fingerprint, other kind) are
+        *stale* misses left in place for ``cache gc`` to age out.  A hit
+        refreshes the entry's mtime, so gc sees it as recently used.
+        """
+        self._count("loads", "store.load")
+        with obs.span(
+            "store.load", kind=kind, fingerprint=fingerprint[:12]
+        ) as span:
+            data = read_entry(self.cache_dir, fingerprint)
+            outcome, value = "miss", None
+            if data is not None:
+                try:
+                    payload = pickle.loads(data)
+                    value = decode(self._body(payload, fingerprint, kind))
+                    outcome = "hit"
+                except _StaleEntry:
+                    outcome = "stale"
+                except Exception:  # lint: disable=broad-except (unpickling an arbitrary corrupt file can raise nearly anything; the contract is quarantine-and-go-cold, never crash the driver)
+                    quarantine_entry(self.cache_dir, fingerprint)
+                    outcome = "corrupt"
+            span.tag(outcome=outcome)
+        if outcome == "hit":
+            touch_entry(self.cache_dir, fingerprint)
+            self._count("hits", "store.hit")
+            return value
+        if outcome != "miss":
+            self._count(outcome, f"store.{outcome}")
+        self._count("misses", "store.miss")
+        return None
+
+    @staticmethod
+    def _body(payload: object, fingerprint: str, kind: str) -> object:
         if (
             not isinstance(payload, dict)
             or payload.get("schema") != STORE_SCHEMA_VERSION
             or payload.get("fingerprint") != fingerprint
-            or not isinstance(payload.get("export"), EngineCacheExport)
+            or payload.get("kind") != kind
         ):
-            with self._lock:
-                self.stale += 1
-            obs.count("store.stale")
-            return self._miss()
-        with self._lock:
-            self.hits += 1
-        obs.count("store.hit")
-        return payload["export"]
+            raise _StaleEntry(fingerprint)
+        return payload["body"]
 
-    def _miss(self) -> None:
+    def save_entry(
+        self, fingerprint: str, kind: str, encode: Callable[[], object]
+    ) -> Path:
+        """Publish ``encode()`` as the body of the ``kind`` entry
+        ``fingerprint``; encoding and pickling run inside the
+        ``store.save`` span."""
+        with obs.span(
+            "store.save", kind=kind, fingerprint=fingerprint[:12]
+        ) as span:
+            payload = pickle.dumps(
+                {
+                    "schema": STORE_SCHEMA_VERSION,
+                    "fingerprint": fingerprint,
+                    "kind": kind,
+                    "body": encode(),
+                },
+                protocol=4,
+            )
+            span.tag(bytes=len(payload))
+            path = write_entry(self.cache_dir, fingerprint, payload)
+        self._count("saves", "store.save")
+        return path
+
+    def _count(self, counter: str, metric: str) -> None:
         with self._lock:
-            self.misses += 1
-        obs.count("store.miss")
-        return None
+            setattr(self, counter, getattr(self, counter) + 1)
+        obs.count(metric)
 
     # ------------------------------------------------------------------
     # Maintenance (cache stat / gc / clear)
@@ -239,6 +331,7 @@ class CacheStore:
     ) -> tuple[StoreEntry, ...]:
         """Remove entries beyond a size or age bound; returns the removed.
 
+        Age is mtime, which every write and every hit refreshes.
         ``max_bytes`` keeps the newest entries whose cumulative size fits
         the bound; ``max_age_s`` removes entries older than the bound
         relative to ``now_s``.  The store never reads the wall clock

@@ -70,6 +70,20 @@ def read_entry(cache_dir: Path, fingerprint: str) -> bytes | None:
         return None
 
 
+def touch_entry(cache_dir: Path, fingerprint: str) -> None:
+    """Refresh an entry's mtime to now, marking it recently used.
+
+    A clean run reads entries without rewriting them, so without this
+    their mtimes would record the last *write*, and ``cache gc``'s age
+    and size bounds (newest first) would evict the most-read entries
+    first.  Failures are ignored: a stale mtime only affects gc order.
+    """
+    try:
+        os.utime(entry_path(cache_dir, fingerprint))
+    except OSError:
+        pass
+
+
 def write_entry(cache_dir: Path, fingerprint: str, payload: bytes) -> Path:
     """Atomically publish ``payload`` as the entry for ``fingerprint``.
 

@@ -12,7 +12,9 @@ numbers.
 The reconstruction/analysis code never sees the calibration targets — it
 measures everything back out of the raw license records.
 
-Entry point: :func:`repro.synth.scenario.paper2020_scenario`.
+Entry point: :func:`repro.synth.scenario.paper2020_scenario` (callers
+that want the process's shared scenario resolve ``"paper2020"`` through
+:func:`repro.scenarios.resolve_scenario`).
 """
 
 from repro.synth.noise import SmoothNoise

@@ -30,7 +30,6 @@ import datetime as dt
 import random
 import zlib
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.core.corridor import CorridorSpec, chicago_nj_corridor
 from repro.geodesy import GeoPoint, geodesic_destination
@@ -640,6 +639,13 @@ class Scenario:
             object.__setattr__(self, "_default_engine", cached)
         return cached
 
+    def __getstate__(self) -> dict:
+        """Pickle without the default engine (its caches persist as their
+        own store entry, and its lock cannot be pickled)."""
+        state = self.__dict__.copy()
+        state.pop("_default_engine", None)
+        return state
+
 
 #: The five networks of the paper's Figs 1 and 2.
 PAPER_FEATURED_NAMES = (
@@ -701,9 +707,13 @@ def build_scenario(
     )
 
 
-@lru_cache(maxsize=1)
 def paper2020_scenario() -> Scenario:
-    """The calibrated corridor scenario (cached; fully deterministic)."""
+    """Build the calibrated corridor scenario (fully deterministic).
+
+    Builds afresh on every call; resolve ``"paper2020"`` through
+    :func:`repro.scenarios.resolve_scenario` to share the process's one
+    scenario and its warm default engine.
+    """
     return build_scenario()
 
 
@@ -757,9 +767,8 @@ def europe_network_specs() -> tuple[NetworkSpec, ...]:
     )
 
 
-@lru_cache(maxsize=1)
 def europe2020_scenario() -> Scenario:
-    """A London–Frankfurt scenario (cached; corridor-agnosticism demo)."""
+    """Build a London–Frankfurt scenario (corridor-agnosticism demo)."""
     from repro.core.corridor import london_frankfurt_corridor
 
     return build_scenario(
@@ -823,9 +832,8 @@ def asia_network_specs() -> tuple[NetworkSpec, ...]:
     )
 
 
-@lru_cache(maxsize=1)
 def tokyo_singapore_scenario() -> Scenario:
-    """A Tokyo–Singapore long-haul scenario (cached)."""
+    """Build a Tokyo–Singapore long-haul scenario."""
     from repro.core.corridor import tokyo_singapore_corridor
 
     return build_scenario(

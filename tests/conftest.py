@@ -1,12 +1,13 @@
 """Shared fixtures.
 
 The ``paper2020`` scenario build calibrates ~40 chains by bisection
-(~0.5 s); it is cached per process, so the session-scoped fixtures here are
-cheap for every test after the first.  Everything expensive downstream of
+(~0.5 s); the scenario registry memoises it per process, so the
+session-scoped fixtures here are cheap for every test after the first.
+Everything expensive downstream of
 the scenario is also session-scoped and routed through the scenario's
 *default* :class:`~repro.core.engine.CorridorEngine` — snapshots computed
-for one test file warm the cache for every other (the CLI's commands use
-the same process-cached scenario, so even ``main(...)`` calls share it).
+for one test file warm the cache for every other (the CLI's commands
+resolve the same memoised scenario, so even ``main(...)`` calls share it).
 The §2.2 scraping funnel (~3 s: it really scrapes ~3 000 portal pages)
 runs once per session via ``funnel_result``.
 """
@@ -21,13 +22,13 @@ from repro.analysis.funnel import run_scraping_funnel
 from repro.core.corridor import chicago_nj_corridor
 from repro.core.reconstruction import NetworkReconstructor
 from repro.geodesy import GeoPoint
-from repro.synth.scenario import paper2020_scenario
+from repro.scenarios import resolve_scenario
 from repro.uls.records import License, MicrowavePath, TowerLocation
 
 
 @pytest.fixture(scope="session")
 def scenario():
-    return paper2020_scenario()
+    return resolve_scenario("paper2020")
 
 
 @pytest.fixture(scope="session")

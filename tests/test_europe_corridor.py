@@ -18,14 +18,14 @@ from repro.core.corridor import london_frankfurt_corridor
 from repro.core.reconstruction import NetworkReconstructor
 from repro.metrics.apa import apa_percent
 from repro.metrics.rankings import rank_connected_networks
+from repro.scenarios import resolve_scenario
 from repro.synth.generator import build_network_licenses
-from repro.synth.scenario import europe2020_scenario
 from repro.synth.specs import FrequencyProfile, NetworkSpec
 
 
 @pytest.fixture(scope="module")
 def europe():
-    return europe2020_scenario()
+    return resolve_scenario("europe2020")
 
 
 class TestCorridor:

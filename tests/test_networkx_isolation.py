@@ -69,6 +69,8 @@ def test_routed_network_pickles_without_derived_state(scenario):
     shipped = pickle.loads(pickle.dumps(network))
     assert "_adjacency" not in shipped.__dict__
     assert "graph" not in shipped.__dict__
+    assert shipped.data_centers == network.data_centers
+    assert shipped.latency_model == network.latency_model
     assert repr(shipped.lowest_latency_route("CME", "NY4")) == repr(route)
 
 

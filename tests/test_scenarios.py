@@ -11,7 +11,9 @@ registry refactor can never drift the default output.
 
 from __future__ import annotations
 
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -37,11 +39,7 @@ from repro.scenarios import (
 )
 from repro.serve.payloads import render_payload, rankings_payload
 from repro.store import CacheStore
-from repro.synth.scenario import (
-    europe2020_scenario,
-    paper2020_scenario,
-    tokyo_singapore_scenario,
-)
+from repro.synth.scenario import europe2020_scenario
 
 
 class TestScenarioRef:
@@ -96,19 +94,65 @@ class TestRegistry:
         assert not by_name["synthetic"].concrete
         assert by_name["paper2020"].concrete
 
-    def test_resolution_shares_the_builder_singletons(self):
+    def test_resolution_shares_one_scenario_per_reference(
+        self, scenario, tmp_path
+    ):
         # The whole engine-sharing story rests on this: the registry
-        # answers with the *same* cached object the direct builders (and
-        # the test fixtures) use, so there is exactly one warm default
-        # engine per scenario per process.
-        assert resolve_scenario("paper2020") is paper2020_scenario()
-        assert resolve_scenario("europe2020") is europe2020_scenario()
-        assert resolve_scenario("tokyo-singapore") is tokyo_singapore_scenario()
+        # memo answers every caller of a reference (the test fixtures
+        # included) with the *same* object, with or without a store, so
+        # there is exactly one warm default engine per scenario per
+        # process.
+        assert resolve_scenario("paper2020") is scenario
+        store = CacheStore(tmp_path)
+        try:
+            for name in ("paper2020", "europe2020", "tokyo-singapore"):
+                first = resolve_scenario(name)
+                assert resolve_scenario(ScenarioRef(name)) is first
+                assert resolve_scenario(name, store=store) is first
+                assert first.engine().store is store
+        finally:
+            store.detach_all()
+
+    def test_builders_build_afresh(self):
+        # The builders are plain functions: the registry owns the only
+        # memo, so no second cache can hold a second scenario.
+        built = europe2020_scenario()
+        assert built is not europe2020_scenario()
+        assert built is not resolve_scenario("europe2020")
+        assert (
+            built.database.content_digest()
+            == resolve_scenario("europe2020").database.content_digest()
+        )
 
     def test_synthetic_spellings_share_one_scenario(self):
         a = resolve_scenario("synthetic:seed=11,networks=1,links=12")
         b = resolve_scenario("synthetic:links=12,seed=11,networks=1")
         assert a is b
+        # Values are compared converted, as the builder receives them.
+        assert resolve_scenario("synthetic:seed=011,networks=1,links=12") is a
+
+    def test_concurrent_resolvers_share_one_scenario(self):
+        # Threads racing on a new reference may each build, but the
+        # first to memoise wins and every caller gets its scenario.
+        ref = "synthetic:seed=23,networks=1,links=12"
+        results = []
+        threads = [
+            threading.Thread(target=lambda: results.append(resolve_scenario(ref)))
+            for _ in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == len(threads)
+        assert all(scenario is results[0] for scenario in results)
+        assert resolve_scenario(ref) is results[0]
 
     def test_unknown_name_lists_the_registry(self):
         with pytest.raises(UnknownScenarioError) as excinfo:
@@ -129,21 +173,24 @@ class TestRegistry:
             resolve_scenario("synthetic:seed=many")
 
     def test_register_replaces_same_name(self):
+        paper = resolve_scenario("paper2020")
+        europe = resolve_scenario("europe2020")
         entry = ScenarioEntry(
             name="_test_only",
             summary="unit-test entry",
-            builder=paper2020_scenario,
+            builder=lambda: paper,
         )
         try:
             register_scenario(entry)
-            assert resolve_scenario("_test_only") is paper2020_scenario()
+            assert resolve_scenario("_test_only") is paper
             replacement = ScenarioEntry(
                 name="_test_only",
                 summary="replacement",
-                builder=europe2020_scenario,
+                builder=lambda: europe,
             )
             register_scenario(replacement)
-            assert resolve_scenario("_test_only") is europe2020_scenario()
+            # The replaced entry's memo went with it.
+            assert resolve_scenario("_test_only") is europe
         finally:
             from repro.scenarios import registry
 
@@ -155,7 +202,8 @@ class TestSyntheticScenario:
     def test_determinism_same_seed_same_world(self):
         a = synthetic_scenario(seed=5, networks=2, links=14)
         b = synthetic_scenario(seed=5, networks=2, links=14)
-        assert a is b  # builder-level memoisation
+        assert a is not b  # the builder memoises nothing
+        assert a.database.content_digest() == b.database.content_digest()
         assert a.name == "synthetic-s5-n2-l14"
 
     def test_networks_are_connected_and_ranked(self):

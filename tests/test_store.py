@@ -22,15 +22,18 @@ import dataclasses
 import datetime as dt
 import os
 import pickle
+import shutil
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.core.engine import CorridorEngine, EngineCacheExport
+from repro.core.engine import CorridorEngine, EncodedValue, EngineCacheExport
 from repro.parallel import GridSession, executor
 from repro.serve.service import CorridorQueryService
 from repro.store import (
@@ -354,6 +357,24 @@ class TestGc:
         assert store.stat() == ()
         assert not list(layout.quarantine_dir(store.cache_dir).glob("*"))
 
+    def test_read_entry_survives_age_gc(self, scenario, tmp_path):
+        # Clean runs read entries without rewriting them, so a hit must
+        # refresh the mtime gc ages entries by.
+        store = CacheStore(tmp_path)
+        engine = _engine(scenario, store=store)
+        engine.snapshot(scenario.connected_names[0], DATES[-1])
+        hot = engine.checkpoint()
+        cold = layout.write_entry(store.cache_dir, "6" * 64, b"never read")
+        long_ago = 1_700_000_000.0
+        for path in (hot, cold):
+            os.utime(path, (long_ago, long_ago))
+        reader = CacheStore(tmp_path)
+        assert reader.load_into(_engine(scenario)) is True
+        assert reader.counters()["saves"] == 0
+        removed = reader.gc(max_age_s=86400.0, now_s=time.time())
+        assert [entry.fingerprint for entry in removed] == ["6" * 64]
+        assert hot.exists()
+
 
 # ----------------------------------------------------------------------
 # Engine wiring
@@ -369,6 +390,11 @@ class TestEngineWiring:
         assert engine.store is store
         assert store.engines() == (engine,)
         assert store.counters()["loads"] == 1
+        # An engine that learned nothing since it was attached saves
+        # nothing; one new snapshot makes the next checkpoint publish.
+        assert store.checkpoint_all() == 0
+        assert store.counters()["saves"] == 0
+        engine.snapshot(scenario.connected_names[0], DATES[0])
         assert store.checkpoint_all() == 1
         assert store.counters()["saves"] == 1
 
@@ -428,16 +454,16 @@ class TestEngineWiring:
 class TestCacheCli:
     @staticmethod
     def _reset_default_engine():
-        # The paper scenario (and its shared default engine) is
-        # lru-cached per process, so its caches stay warm across
+        # The paper scenario (and its shared default engine) is memoised
+        # by the registry per process, so its caches stay warm across
         # in-process main() calls.  Dropping the default engine makes the
         # next run build a cold one, like the fresh process each real CLI
         # invocation gets (scripts/check.sh's store gate runs
         # subprocesses; these tests run main() in-process).  The scenario
         # object itself stays, so session fixtures still resolve to it.
-        from repro.synth.scenario import paper2020_scenario
+        from repro.scenarios import resolve_scenario
 
-        vars(paper2020_scenario()).pop("_default_engine", None)
+        vars(resolve_scenario("paper2020")).pop("_default_engine", None)
 
     @pytest.fixture(autouse=True)
     def _fresh_scenario(self, scenario):
@@ -545,15 +571,90 @@ class TestCacheCli:
             ["--cache-stats", "compare", "--cache-dir", str(tmp_path)]
         ) == 0
         assert capsys.readouterr().out == cold
+        # The registry still holds the three scenarios, so only their
+        # engine entries load; the engines learned nothing, so nothing
+        # is saved.
         counters = stores[-1].counters()
         assert (counters["loads"], counters["hits"], counters["saves"]) == (
             3,
             3,
-            3,
+            0,
         )
 
 
-    def test_warm_fanned_out_table1_loads_and_saves_once(
+    def test_corrupt_value_inside_a_valid_entry_is_rebuilt(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import repro.store
+        from repro.scenarios import resolve_scenario
+
+        stores = []
+
+        class RecordingStore(CacheStore):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                stores.append(self)
+
+        monkeypatch.setattr(repro.store, "CacheStore", RecordingStore)
+        argv = ["--cache-stats", "table1", "--cache-dir", str(tmp_path)]
+        self._reset_default_engine()
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        self._reset_default_engine()
+        assert main(argv) == 0
+        capsys.readouterr()
+        # The snapshots the warm run decoded are the ones table1 reads.
+        engine = resolve_scenario("paper2020").engine()
+        read = [
+            key
+            for key, value in engine._snapshots.items()
+            if type(value) is not EncodedValue
+        ]
+        assert read
+        # Flip one byte of one of them inside the otherwise valid entry.
+        fingerprint = stores[-1].fingerprint_for(engine)
+        path = layout.entry_path(tmp_path, fingerprint)
+        envelope = pickle.loads(path.read_bytes())
+        params_key, snapshots, routes, geodesic = envelope["body"]
+        snapshots = list(snapshots)
+        index = next(
+            i for i, (key, _, _) in enumerate(snapshots) if key == read[0]
+        )
+        key, data, crc = snapshots[index]
+        flipped = bytearray(data)
+        flipped[len(flipped) // 2] ^= 0xFF
+        snapshots[index] = (key, bytes(flipped), crc)
+        envelope["body"] = (params_key, tuple(snapshots), routes, geodesic)
+        layout.write_entry(tmp_path, fingerprint, pickle.dumps(envelope))
+
+        self._reset_default_engine()
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == plain
+        assert "Traceback" not in err
+        stats = resolve_scenario("paper2020").engine().stats
+        assert (stats.snapshot.corrupt, stats.snapshot.misses) == (1, 1)
+        assert "corrupt=1" in err
+        counters = stores[-1].counters()
+        # The entry itself read fine; the rebuilt value made the engine
+        # dirty, so the entry was rewritten at exit.
+        assert (counters["hits"], counters["corrupt"], counters["saves"]) == (
+            1,
+            0,
+            1,
+        )
+
+        self._reset_default_engine()
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == plain
+        assert "corrupt=" not in err
+        stats = resolve_scenario("paper2020").engine().stats
+        assert (stats.snapshot.corrupt, stats.snapshot.misses) == (0, 0)
+        counters = stores[-1].counters()
+        assert (counters["hits"], counters["saves"]) == (1, 0)
+
+    def test_warm_fanned_out_table1_loads_once_and_saves_nothing(
         self, capsys, tmp_path, monkeypatch
     ):
         import repro.store
@@ -567,20 +668,140 @@ class TestCacheCli:
 
         monkeypatch.setattr(repro.store, "CacheStore", RecordingStore)
         monkeypatch.setattr(executor, "usable_cpu_count", lambda: 2)
-        argv = ["table1", "--jobs", "2", "--cache-dir", str(tmp_path)]
-        assert main(argv) == 0
-        cold = capsys.readouterr().out
+        argv = ["table1", "--cache-dir", str(tmp_path)]
         self._reset_default_engine()
         assert main(argv) == 0
-        assert capsys.readouterr().out == cold
-        # One load at attach, one save at exit: no checkpoint before the
-        # fan-out, since workers never read the store.
+        serial = capsys.readouterr().out
+        assert stores[-1].counters()["saves"] == 1
+        self._reset_default_engine()
+        assert main(argv + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        # One load at attach and no save: no checkpoint before the
+        # fan-out, since workers never read the store, and the parent
+        # engine learned nothing the entry lacks.
         counters = stores[-1].counters()
         assert (counters["loads"], counters["hits"], counters["saves"]) == (
             1,
             1,
-            1,
+            0,
         )
+
+
+# ----------------------------------------------------------------------
+# Fresh processes: scenario entries, the source digest, clean runs
+# ----------------------------------------------------------------------
+
+_RESOLVE_SCRIPT = """
+import sys
+from repro.scenarios import resolve_scenario
+from repro.store import CacheStore
+
+store = CacheStore(sys.argv[1])
+scenario = resolve_scenario("paper2020", store=store)
+engine = scenario.engine()
+engine.snapshot(scenario.connected_names[0], scenario.snapshot_date)
+store.checkpoint_all()
+counters = store.counters()
+print(
+    scenario.snapshot_date,
+    scenario.database.content_digest()[:16],
+    counters["hits"],
+    counters["misses"],
+    counters["saves"],
+)
+"""
+
+
+def _run_in(src: Path, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``python *argv`` with ``src`` as the package root."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src)
+    env.pop("REPRO_CACHE_DIR", None)
+    return subprocess.run(
+        [sys.executable, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+
+
+def _edited_tree(tmp_path: Path, name: str, rel_path: str, edit) -> Path:
+    """A copy of the ``repro`` sources with one file edited."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    root = tmp_path / name
+    shutil.copytree(
+        src / "repro",
+        root / "repro",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    target = root / "repro" / rel_path
+    target.write_text(edit(target.read_text()))
+    return root
+
+
+def _metric(stderr: str, name: str) -> int:
+    for line in stderr.splitlines():
+        parts = line.split()
+        if parts[:2] == ["counter", name]:
+            return int(parts[2])
+    return 0
+
+
+class TestFreshProcesses:
+    def test_warm_table1_hits_both_entry_kinds_and_saves_nothing(
+        self, tmp_path
+    ):
+        src = Path(__file__).resolve().parents[1] / "src"
+        argv = ["-m", "repro", "table1", "--cache-dir", str(tmp_path)]
+        cold = _run_in(src, *argv, "--metrics")
+        assert _metric(cold.stderr, "store.save") == 2
+        warm = _run_in(src, *argv, "--metrics")
+        assert warm.stdout == cold.stdout
+        # One scenario entry and one engine entry, both hits.
+        assert (
+            _metric(warm.stderr, "store.load"),
+            _metric(warm.stderr, "store.hit"),
+            _metric(warm.stderr, "store.save"),
+        ) == (2, 2, 0)
+
+    def test_source_edits_orphan_scenario_and_engine_entries(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        store_dir = str(tmp_path / "store")
+        script = ["-c", _RESOLVE_SCRIPT, store_dir]
+        first = _run_in(src, *script).stdout.split()
+        date, digest = first[:2]
+        assert first[2:] == ["0", "2", "2"]
+        assert _run_in(src, *script).stdout.split() == [date, digest, "2", "0", "0"]
+        # A changed synth constant: the scenario entry must miss, and the
+        # rebuilt scenario carries the new constant.
+        synth_edit = _edited_tree(
+            tmp_path,
+            "synth-edit",
+            "synth/scenario.py",
+            lambda text: text.replace(
+                "SNAPSHOT_DATE = dt.date(2020, 4, 1)",
+                "SNAPSHOT_DATE = dt.date(2020, 4, 2)",
+            ),
+        )
+        edited = _run_in(synth_edit, *script).stdout.split()
+        assert edited[0] == "2020-04-02"
+        assert edited[2:] == ["0", "2", "2"]
+        # An edit outside synth leaves the database identical, so only
+        # the source digest can make the engine entry miss.
+        core_edit = _edited_tree(
+            tmp_path,
+            "core-edit",
+            "core/network.py",
+            lambda text: text + "\n# edited\n",
+        )
+        assert _run_in(core_edit, *script).stdout.split() == [
+            date,
+            digest,
+            "0",
+            "2",
+            "2",
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -635,7 +856,7 @@ class TestServeStore:
         with CorridorServer(service) as server:
             import urllib.request
 
-            with urllib.request.urlopen(server.url + "/healthz") as response:
+            with urllib.request.urlopen(server.url + "/rankings") as response:
                 assert response.status == 200
         saves = store.counters()["saves"]
         assert saves >= 1
