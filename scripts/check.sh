@@ -93,6 +93,15 @@ for cmd in funnel timeline table1 compare; do
             exit 1
         fi
     done
+    # On a store a --jobs 1 run filled, the --jobs 4 parent answers every
+    # cached grid item itself and ships only the rest (funnel's scrapes).
+    rm -rf "$store_dir"
+    python -m repro "$cmd" --jobs 1 --cache-dir "$store_dir" > /dev/null
+    if ! diff <(python -m repro "$cmd" --jobs 4) \
+              <(python -m repro "$cmd" --jobs 4 --cache-dir "$store_dir"); then
+        echo "check.sh: '$cmd' --jobs 4 on a --jobs 1-filled store differs from no-store" >&2
+        exit 1
+    fi
 done
 rm -rf "$store_dir"
 

@@ -35,6 +35,11 @@ engine itself is parameter-immutable: build one engine per parameterisation
 The :class:`NetworkReconstructor` holds the corridor and parameters and
 runs the one cache-free reconstruction path, the columnar kernel; the
 engine wraps it and never changes its semantics.
+
+:func:`cached_only` runs a block against the caches alone: a lookup that
+would build raises :class:`CacheMiss`, and a block that raises leaves no
+trace.  A grid session probes each work item this way before it ships
+the item to a worker process (:mod:`repro.parallel.grid`).
 """
 
 from __future__ import annotations
@@ -45,8 +50,10 @@ import pickle
 import threading
 import zlib
 from collections import OrderedDict
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from repro import obs
 from repro.core.corridor import CorridorSpec
@@ -67,6 +74,73 @@ DEFAULT_SNAPSHOT_CACHE_SIZE = 512
 DEFAULT_ROUTE_CACHE_SIZE = 4096
 
 _MISSING = object()
+
+
+class CacheMiss(Exception):
+    """A lookup under :func:`cached_only` would have had to build."""
+
+
+class _Probe:
+    """The hits of one :func:`cached_only` block, counted only if it ends
+    normally.
+
+    ``values`` keeps each value a lookup returned (decoded once, outside
+    the cache), so a repeated lookup inside the block sees the same
+    object, as it would through the cache itself.
+    """
+
+    __slots__ = ("hits", "values")
+
+    def __init__(self) -> None:
+        self.hits: list[tuple["_LruCache", Hashable]] = []
+        self.values: dict[tuple[int, Hashable], object] = {}
+
+    def lookup(self, cache: "_LruCache", key: Hashable) -> object:
+        slot = (id(cache), key)
+        value = self.values.get(slot, _MISSING)
+        if value is _MISSING:
+            value = cache.peek(key)
+            if value is _MISSING:
+                raise CacheMiss(cache.hit_name)
+            self.values[slot] = value
+        self.hits.append((cache, key))
+        return value
+
+    def commit(self) -> None:
+        for cache, key in self.hits:
+            cache.count_hit(key, self.values[(id(cache), key)])
+
+
+#: The open probe of the current thread (or task), or None.  A context
+#: variable, not an engine attribute: serve threads share engines.
+_PROBE: ContextVar[_Probe | None] = ContextVar("engine_probe", default=None)
+
+
+@contextmanager
+def cached_only() -> Iterator[None]:
+    """Run a block against what every engine already holds.
+
+    Inside the block a snapshot or route lookup that would build raises
+    :class:`CacheMiss` instead (so does :func:`require_builds`).  Hits are
+    served but not counted, reordered or decoded into the cache until the
+    block ends normally; a block that raises leaves every engine's caches
+    and counters exactly as they were.  Only the current thread (or
+    task) is affected.
+    """
+    probe = _Probe()
+    token = _PROBE.set(probe)
+    try:
+        yield
+    finally:
+        _PROBE.reset(token)
+    probe.commit()
+
+
+def require_builds(what: str) -> None:
+    """Mark a step that cannot run on cached state alone: raises
+    :class:`CacheMiss` naming ``what`` inside :func:`cached_only`."""
+    if _PROBE.get() is not None:
+        raise CacheMiss(what)
 
 
 def _license_content_digest(licenses: Iterable[License]) -> str:
@@ -174,12 +248,14 @@ class _LruCache:
     :meth:`seed` source lacks: a :meth:`put` sets it, and so does a
     seeded :class:`EncodedValue` that fails to decode (counted in
     ``corrupt`` and served as a miss, so the caller rebuilds it).
+    Every hit also counts the ``hit_name`` obs counter.
     """
 
-    def __init__(self, maxsize: int) -> None:
+    def __init__(self, maxsize: int, hit_name: str) -> None:
         if maxsize <= 0:
             raise ValueError("cache size must be positive")
         self.maxsize = maxsize
+        self.hit_name = hit_name
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -191,6 +267,14 @@ class _LruCache:
         return len(self._entries)
 
     def get(self, key: Hashable, default: object = None) -> object:
+        """The value for ``key``, or ``default`` (a counted miss).
+
+        Inside :func:`cached_only` a miss raises :class:`CacheMiss`
+        instead, and a hit is counted only when the block ends.
+        """
+        probe = _PROBE.get()
+        if probe is not None:
+            return probe.lookup(self, key)
         entry = self._entries.get(key, _MISSING)
         if entry is _MISSING:
             self.misses += 1
@@ -208,7 +292,27 @@ class _LruCache:
             self._entries[key] = entry
         self._entries.move_to_end(key)
         self.hits += 1
+        obs.count(self.hit_name)
         return entry
+
+    def peek(self, key: Hashable) -> object:
+        """The value for ``key`` (decoded), or ``_MISSING`` if absent or
+        undecodable; counts nothing and changes nothing."""
+        entry = self._entries.get(key, _MISSING)
+        if type(entry) is EncodedValue:
+            try:
+                return entry.decode()
+            except Exception:  # lint: disable=broad-except (a corrupt value is left for a counted get() to drop and rebuild)
+                return _MISSING
+        return entry
+
+    def count_hit(self, key: Hashable, value: object) -> None:
+        """Account a hit a :meth:`peek` served, as :meth:`get` would have."""
+        if key in self._entries:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+        self.hits += 1
+        obs.count(self.hit_name)
 
     def put(self, key: Hashable, value: object) -> None:
         self.dirty = True
@@ -332,8 +436,8 @@ class CorridorEngine:
         self.database = database
         self.reconstructor = NetworkReconstructor(corridor, **kwargs)
         self.corridor = corridor
-        self._snapshots = _LruCache(snapshot_cache_size)
-        self._routes = _LruCache(route_cache_size)
+        self._snapshots = _LruCache(snapshot_cache_size, "engine.snapshot.hit")
+        self._routes = _LruCache(route_cache_size, "engine.route.hit")
         self._geodesic_memo = GeodesicMemo(geodesic_memo_size)
         # The engine's caches (LRU dicts and their counters) are not
         # internally synchronised; concurrent callers serialise through
@@ -439,8 +543,6 @@ class CorridorEngine:
                 licensee,
             )
             self._snapshots.put(key, network)
-        else:
-            obs.count("engine.snapshot.hit")
         return network
 
     def _reconstruct_memoised(self, build, licensee: str) -> HftNetwork:
@@ -517,8 +619,6 @@ class CorridorEngine:
                     licensee,
                 )
                 self._snapshots.put(key, network)
-            else:
-                obs.count("engine.snapshot.hit")
         return network.with_as_of(on_date)
 
     def route(
@@ -541,8 +641,6 @@ class CorridorEngine:
                 network = self._snapshot_for_key(snapshot_key, licensee, on_date)
                 route = network.lowest_latency_route(source, target)
             self._routes.put(key, route)
-        else:
-            obs.count("engine.route.hit")
         return route
 
     def is_connected(

@@ -15,12 +15,19 @@ through a session at every width:
 * **In-process is the plain loop.**  At ``jobs=1`` (or on a one-CPU
   machine) tasks run in order against the parent engine, its siblings
   and the caller's scraper — the objects a hand-written loop would use.
+* **Cached work never ships.**  Before a pool map, the parent runs each
+  default-parameter item as a *probe* under
+  :func:`~repro.core.engine.cached_only`: an item whose snapshot and
+  route lookups all hit finishes in the parent; one that would build,
+  or that reads ``ctx.scraper`` or ``ctx.worker``, aborts without a
+  trace and ships.  Override-set items always ship (their sibling is
+  cold in the parent).  The pool is spawned only if something ships.
 * **Workers return results, not caches.**  On a pool, each worker builds
   its own engine from the shipped ``(database, corridor, params)`` and a
   scraper over the same database, and sends home only task results plus
   its scraper's page counts.  The parent engine's caches see none of the
   workers' work; every result is a pure function of its item, so output
-  is byte-identical at any width.
+  is byte-identical at any width and wherever an item ran.
 
 Task functions are module-level callables ``fn(ctx, item)`` (picklable by
 reference for worker processes); ``ctx`` is a :class:`GridTaskContext`
@@ -34,7 +41,12 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, Mapping, Sequence
 
 from repro import obs
-from repro.core.engine import CorridorEngine
+from repro.core.engine import (
+    CacheMiss,
+    CorridorEngine,
+    cached_only,
+    require_builds,
+)
 from repro.parallel.executor import ContextSpec, ParallelMap
 
 #: A normalised override set: None (parent params) or sorted key/value
@@ -51,11 +63,11 @@ def _normalise_overrides(overrides: Mapping | None) -> ParamsKey:
 class GridTaskContext:
     """What a grid task function receives: engine, scraper, worker id."""
 
-    __slots__ = ("engine", "worker", "_host")
+    __slots__ = ("engine", "_worker", "_host")
 
     def __init__(self, engine: CorridorEngine, worker: int, host) -> None:
         self.engine = engine
-        self.worker = worker
+        self._worker = worker
         self._host = host
 
     @property
@@ -63,8 +75,17 @@ class GridTaskContext:
         return self.engine.database
 
     @property
+    def worker(self) -> int:
+        """The logical worker id.  It names where a task runs, so a
+        parent-side probe that reads it aborts and the item ships."""
+        require_builds("worker id")
+        return self._worker
+
+    @property
     def scraper(self):
-        """A scraper over the session's database (built on first use)."""
+        """A scraper over the session's database (built on first use);
+        a parent-side probe that touches it aborts and the item ships."""
+        require_builds("scraper")
         return self._host.scraper
 
 
@@ -213,13 +234,46 @@ class GridSession(_EngineRoutes):
             items=len(items),
             jobs=self.jobs,
             backend=self.backend,
-        ):
-            return self._pmap.map(
-                _grid_task,
-                wrapped,
-                finalize=_collect_worker_pages,
-                on_chunk_result=self._absorb_pages,
-            )
+        ) as grid_span:
+            if self.backend == "serial":
+                results, shipped = self._pmap.map(_grid_task, wrapped), []
+            else:
+                results, shipped = self._probe(wrapped)
+            if shipped:
+                fanned = self._pmap.map(
+                    _grid_task,
+                    [wrapped[index] for index in shipped],
+                    finalize=_collect_worker_pages,
+                    on_chunk_result=self._absorb_pages,
+                )
+                for index, result in zip(shipped, fanned):
+                    results[index] = result
+            parent = len(items) - len(shipped)
+            obs.count("parallel.items.parent", parent)
+            obs.count("parallel.items.shipped", len(shipped))
+            grid_span.tag(parent=parent, shipped=len(shipped))
+        return results
+
+    def _probe(self, wrapped: list) -> tuple[list, list[int]]:
+        """Run every item the parent's caches can answer, in order.
+
+        Returns the results (``None`` where an item must ship) and the
+        indices of the items to ship.  A probe that would build aborts
+        without a trace; one that completes counts its hits on the
+        parent engine, exactly as the in-process loop would.
+        """
+        results: list = [None] * len(wrapped)
+        shipped: list[int] = []
+        for index, entry in enumerate(wrapped):
+            if entry[1] is not None:
+                shipped.append(index)
+                continue
+            try:
+                with cached_only():
+                    results[index] = _grid_task(self, entry)
+            except CacheMiss:
+                shipped.append(index)
+        return results, shipped
 
     def _absorb_pages(self, worker: int, stats) -> None:
         if stats is not None:

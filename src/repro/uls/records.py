@@ -47,6 +47,25 @@ class TowerLocation:
         """Antenna height above mean sea level (ground + structure)."""
         return self.ground_elevation_m + self.structure_height_m
 
+    # Fast pickle path (see GeoPoint.__getstate__): a pickled database
+    # carries one of these per tower of every filing.
+    def __getstate__(self):
+        return (
+            self.location_number,
+            self.point,
+            self.ground_elevation_m,
+            self.structure_height_m,
+            self.site_name,
+        )
+
+    def __setstate__(self, state) -> None:
+        set_ = object.__setattr__
+        set_(self, "location_number", state[0])
+        set_(self, "point", state[1])
+        set_(self, "ground_elevation_m", state[2])
+        set_(self, "structure_height_m", state[3])
+        set_(self, "site_name", state[4])
+
 
 @dataclass(frozen=True, slots=True)
 class MicrowavePath:
@@ -68,6 +87,22 @@ class MicrowavePath:
             raise ValueError("a path cannot loop back to its own location")
         if any(freq <= 0.0 for freq in self.frequencies_mhz):
             raise ValueError("frequencies must be positive")
+
+    # Fast pickle path (see GeoPoint.__getstate__).
+    def __getstate__(self):
+        return (
+            self.path_number,
+            self.tx_location_number,
+            self.rx_location_number,
+            self.frequencies_mhz,
+        )
+
+    def __setstate__(self, state) -> None:
+        set_ = object.__setattr__
+        set_(self, "path_number", state[0])
+        set_(self, "tx_location_number", state[1])
+        set_(self, "rx_location_number", state[2])
+        set_(self, "frequencies_mhz", state[3])
 
 
 @dataclass(slots=True)
@@ -101,6 +136,39 @@ class License:
         if not self.licensee_name:
             raise ValueError("licensee_name must be non-empty")
         self.validate_references()
+
+    # Fast pickle path (see GeoPoint.__getstate__).
+    def __getstate__(self):
+        return (
+            self.license_id,
+            self.callsign,
+            self.licensee_name,
+            self.radio_service_code,
+            self.station_class,
+            self.contact_email,
+            self.grant_date,
+            self.expiration_date,
+            self.cancellation_date,
+            self.termination_date,
+            self.locations,
+            self.paths,
+        )
+
+    def __setstate__(self, state) -> None:
+        (
+            self.license_id,
+            self.callsign,
+            self.licensee_name,
+            self.radio_service_code,
+            self.station_class,
+            self.contact_email,
+            self.grant_date,
+            self.expiration_date,
+            self.cancellation_date,
+            self.termination_date,
+            self.locations,
+            self.paths,
+        ) = state
 
     def validate_references(self) -> None:
         """Check that every path references defined location numbers."""

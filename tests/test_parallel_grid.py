@@ -13,13 +13,16 @@ work.  Tests pick the mode by patching ``usable_cpu_count``
 from __future__ import annotations
 
 import datetime as dt
+import os
+import threading
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import CorridorEngine
+from repro import obs
+from repro.core.engine import CacheMiss, CorridorEngine, cached_only
 from repro.parallel import GridSession, executor, grid_session
 
 FEATURED = (
@@ -48,6 +51,10 @@ def _worker_id_task(ctx, item):
 
 def _count_filings(ctx, item):
     return len(ctx.scraper.licenses_of(item))
+
+
+def _series_and_pid(ctx, item):
+    return _latency_series(ctx, item), os.getpid()
 
 
 def _fresh_engine(scenario) -> CorridorEngine:
@@ -254,3 +261,114 @@ class TestScraperBatching:
         # Both tasks' page traffic landed on the session's one scraper
         # (in-process runs share it; pool workers send their counts home).
         assert stats.search_pages >= 2
+
+
+class TestParentAnswersWarmItems:
+    """A process session runs each item as a cached-only probe in the
+    parent first; only the items that would build ship to the pool."""
+
+    def _warm(self, scenario, items) -> CorridorEngine:
+        engine = _fresh_engine(scenario)
+        with GridSession(engine, 1) as session:
+            session.map(_latency_series, items)
+        return engine
+
+    def test_fully_warm_parent_spawns_no_pool(self, scenario, two_cpus):
+        items = [(name, DATES) for name in FEATURED[:4]]
+        serial = self._warm(scenario, items)
+        with GridSession(serial, 1) as session:
+            expected = session.map(_latency_series, items)
+
+        parent = self._warm(scenario, items)
+        with obs.capture() as cap:
+            with GridSession(parent, 2) as session:
+                assert session.backend == "process"
+                got = session.map(_latency_series, items)
+                assert session._pmap._pool is None
+        assert got == expected
+        # The parent's hits count exactly as the in-process loop's do.
+        assert parent.stats == serial.stats
+        counters = cap.counters()
+        assert counters["parallel.items.parent"] == len(items)
+        assert counters["parallel.items.shipped"] == 0
+        grid = [rec for rec in cap.spans if rec.name == "parallel.grid"]
+        assert dict(grid[0].attrs)["shipped"] == 0
+
+    def test_half_warm_grid_ships_exactly_the_misses_in_order(
+        self, scenario, two_cpus
+    ):
+        items = [(name, DATES) for name in FEATURED[:4]]
+        with GridSession(_fresh_engine(scenario), 1) as session:
+            expected = session.map(_latency_series, items)
+
+        parent = self._warm(scenario, items[::2])
+        with obs.capture() as cap:
+            with GridSession(parent, 2) as session:
+                got = session.map(_series_and_pid, items)
+        assert [series for series, _ in got] == expected
+        here = os.getpid()
+        assert [pid == here for _, pid in got] == [True, False, True, False]
+        assert cap.counters()["parallel.items.parent"] == 2
+        assert cap.counters()["parallel.items.shipped"] == 2
+
+    def test_override_and_scraper_items_always_ship(self, scenario, two_cpus):
+        items = [(name, DATES) for name in FEATURED[:2]]
+        parent = self._warm(scenario, items)
+        before = parent.stats
+        with obs.capture() as cap:
+            with GridSession(parent, 2) as session:
+                session.map(
+                    _latency_series,
+                    items,
+                    params={"stitch_tolerance_m": 120.0},
+                )
+                # No sibling is built in the parent for a probe.
+                assert session._siblings == {}
+                session.map(_count_filings, list(FEATURED[:2]))
+                assert session.scraper.stats.search_pages >= 2
+        assert cap.counters()["parallel.items.parent"] == 0
+        assert cap.counters()["parallel.items.shipped"] == 4
+        assert parent.stats == before
+
+    def test_aborted_probe_counts_nothing(self, scenario):
+        engine = _fresh_engine(scenario)
+        name = FEATURED[0]
+        engine.timeline(name, DATES[1:])
+        before = (engine.stats, engine.export_cache_state())
+        with obs.capture() as cap:
+            with pytest.raises(CacheMiss):
+                with cached_only():
+                    # A hit, then a lookup that would build.
+                    engine.timeline(name, DATES[1:])
+                    engine.timeline(name, DATES[:1])
+        assert (engine.stats, engine.export_cache_state()) == before
+        assert not any(key.startswith("engine.") for key in cap.counters())
+
+    def test_probe_in_one_thread_lets_another_build(self, scenario):
+        engine = _fresh_engine(scenario)
+        entered, built = threading.Event(), threading.Event()
+        outcome = {}
+
+        def probe():
+            with cached_only():
+                entered.set()
+                built.wait(timeout=60)
+                # The other thread's build is served.
+                outcome["hit"] = engine.snapshot(FEATURED[0], DATES[1])
+            try:
+                with cached_only():
+                    engine.snapshot(FEATURED[1], DATES[1])
+            except CacheMiss:
+                outcome["miss"] = True
+
+        thread = threading.Thread(target=probe)
+        thread.start()
+        entered.wait(timeout=60)
+        network = engine.snapshot(FEATURED[0], DATES[1])
+        built.set()
+        thread.join(timeout=60)
+        assert engine.stats.snapshot.misses == 1
+        assert outcome["hit"] == network
+        assert outcome["miss"] is True
+        # The completed probe's hit counted; the aborted one left no miss.
+        assert engine.stats.snapshot.hits == 1

@@ -765,6 +765,19 @@ class TestFreshProcesses:
             _metric(warm.stderr, "store.save"),
         ) == (2, 2, 0)
 
+    def test_warm_fanned_out_timeline_ships_nothing(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        argv = ["-m", "repro", "timeline", "--step", "weekly"]
+        store = ["--cache-dir", str(tmp_path)]
+        serial = _run_in(src, *argv, "--jobs", "1", *store)
+        warm = _run_in(src, *argv, "--jobs", "2", *store, "--metrics")
+        assert warm.stdout == serial.stdout
+        # The store-warmed parent answers every grid item itself.
+        assert _metric(warm.stderr, "parallel.items.parent") > 0
+        assert "parallel.items.shipped" in warm.stderr
+        assert _metric(warm.stderr, "parallel.items.shipped") == 0
+        assert _metric(warm.stderr, "parallel.tasks") == 0
+
     def test_source_edits_orphan_scenario_and_engine_entries(self, tmp_path):
         src = Path(__file__).resolve().parents[1] / "src"
         store_dir = str(tmp_path / "store")

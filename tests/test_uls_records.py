@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
+import pickle
 
 import pytest
 
 from repro.geodesy import GeoPoint
+from repro.uls.database import UlsDatabase
 from repro.uls.records import (
     License,
     MicrowavePath,
@@ -149,3 +152,53 @@ def test_grouping_and_counts():
     grouped = licenses_by_licensee(lics)
     assert sorted(grouped) == ["A", "B"]
     assert total_filings(grouped["A"]) == 2
+
+
+class TestPickling:
+    """The explicit pickle state of the record types: every field round-
+    trips, and pickled databases keep their content digest."""
+
+    def _full_license(self) -> License:
+        lic = make_license(
+            license_id="P0001",
+            points=((41.75, -88.18), (41.60, -87.80), (41.40, -87.20)),
+            cancellation=dt.date(2019, 6, 1),
+            termination=dt.date(2019, 7, 1),
+            frequencies=(6000.0, 11225.0),
+        )
+        return dataclasses.replace(
+            lic,
+            callsign="WQP001",
+            contact_email="ops@example.com",
+            expiration_date=dt.date(2025, 3, 1),
+            locations={
+                number: dataclasses.replace(location, site_name=f"site {number}")
+                for number, location in lic.locations.items()
+            },
+        )
+
+    @pytest.mark.parametrize("kind", [TowerLocation, MicrowavePath, License])
+    def test_state_covers_every_field(self, kind):
+        lic = self._full_license()
+        sample = {
+            TowerLocation: lic.locations[1],
+            MicrowavePath: lic.paths[0],
+            License: lic,
+        }[kind]
+        assert len(sample.__getstate__()) == len(dataclasses.fields(kind))
+
+    def test_round_trip_equality(self):
+        lic = self._full_license()
+        copy = pickle.loads(pickle.dumps(lic, protocol=pickle.HIGHEST_PROTOCOL))
+        assert copy == lic
+        assert copy.locations[2] == lic.locations[2]
+        assert copy.paths == lic.paths
+        bare = make_license(license_id="P0002")
+        assert pickle.loads(pickle.dumps(bare)) == bare
+
+    def test_pickled_database_keeps_its_digest(self, scenario):
+        database = scenario.database
+        copy = pickle.loads(pickle.dumps(database, protocol=pickle.HIGHEST_PROTOCOL))
+        assert copy.content_digest() == database.content_digest()
+        rebuilt = UlsDatabase(pickle.loads(pickle.dumps(list(database))))
+        assert rebuilt.content_digest() == database.content_digest()
