@@ -94,13 +94,24 @@ for cmd in funnel timeline table1 compare; do
         fi
     done
     # On a store a --jobs 1 run filled, the --jobs 4 parent answers every
-    # cached grid item itself and ships only the rest (funnel's scrapes).
+    # cached grid item itself (scraper reads included, from the funnel's
+    # scrape entry) and ships only the rest.
     rm -rf "$store_dir"
     python -m repro "$cmd" --jobs 1 --cache-dir "$store_dir" > /dev/null
     if ! diff <(python -m repro "$cmd" --jobs 4) \
               <(python -m repro "$cmd" --jobs 4 --cache-dir "$store_dir"); then
         echo "check.sh: '$cmd' --jobs 4 on a --jobs 1-filled store differs from no-store" >&2
         exit 1
+    fi
+    # That store holds every page and snapshot the funnel reads, so none
+    # of its grid items ships.
+    if [ "$cmd" = funnel ]; then
+        shipped=$(python -m repro funnel --jobs 4 --cache-dir "$store_dir" --metrics 2>&1 >/dev/null |
+                  awk '$1 == "counter" && $2 == "parallel.items.shipped" {print $3}')
+        if [ "$shipped" != "0" ]; then
+            echo "check.sh: 'funnel --jobs 4' on a --jobs 1-filled store shipped '${shipped}' items, want 0" >&2
+            exit 1
+        fi
     fi
 done
 rm -rf "$store_dir"

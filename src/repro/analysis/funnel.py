@@ -4,6 +4,12 @@ Replays the paper's data-collection pipeline end to end *through the
 scraper*: a geographic license search within 10 km of CME, the MG/FXO
 site filter, the ≥11-filings shortlist, and finally end-to-end
 connectivity on the snapshot date.
+
+With a store attached to the engine, the scraper starts from the
+store's ``scrape`` entry for the database (the pages an earlier funnel
+parsed) and publishes it back only if it parsed a page the entry
+lacked, so a warm funnel fetches no page it read before.  Every stage
+still runs: only the page fetches are saved.
 """
 
 from __future__ import annotations
@@ -86,13 +92,21 @@ def run_scraping_funnel(
     wide.  Pool workers send their scrapers' page counts home, so every
     funnel field — including ``pages_scraped`` — is jobs-invariant (each
     licensee's detail pages are its own, so no worker refetches
-    another's).
+    another's).  It is store-invariant too: the engine's store
+    (``engine.store``) seeds the scraper with pages an earlier run
+    parsed, and a page read from there counts as a scraped page.
     """
     source, target = corridor.resolve_path(source, target)
     if engine is None:
         engine = CorridorEngine(database, corridor)
     portal = UlsPortal(database)
     scraper = UlsScraper(portal)
+    store = engine.store
+    if store is not None:
+        from repro.store.fingerprint import scrape_fingerprint
+
+        fingerprint = scrape_fingerprint(database.content_digest())
+        store.load_entry(fingerprint, "scrape", scraper.seed_pages)
     cme = corridor.site(source).point
 
     with obs.span("analysis.funnel", date=on_date.isoformat()):
@@ -140,6 +154,8 @@ def run_scraping_funnel(
                     name for name, flag in zip(shortlisted, flags) if flag
                 ]
 
+    if store is not None and scraper.dirty:
+        store.save_entry(fingerprint, "scrape", scraper.export_pages)
     # All portal traffic flows through a scraper: this one in-process, a
     # worker's on a pool (whose page counts the session added here).
     pages_scraped = scraper.stats.search_pages + scraper.stats.detail_pages

@@ -448,6 +448,9 @@ class CorridorEngine:
         #: The attached :class:`repro.store.CacheStore`, set and cleared
         #: only by the store's ``attach``/``detach_all``.
         self.store = None
+        #: Licensees a seeded snapshot or route is keyed on: such an
+        #: entry can hit before the licensee's temporal index is built.
+        self._seeded_licensees: set[str] = set()
 
     def locked(self) -> threading.RLock:
         """The engine's reentrant guard, for ``with engine.locked():``.
@@ -488,8 +491,18 @@ class CorridorEngine:
         The set comes from the database's :class:`~repro.uls.index
         .TemporalIndex`: O(log n) warm, and the *same* frozenset object
         per constant-active-set interval, so key hashing stays cheap.
+
+        Inside :func:`cached_only`, a licensee whose index is not built
+        yet raises :class:`CacheMiss` before the index is built, unless
+        a store seeded entries for it: every entry this engine built
+        itself was keyed through the index, so none can match.
         """
-        return self.database.temporal_index(licensee).active_ids_at(on_date)
+        index = self.database.built_temporal_index(licensee)
+        if index is None:
+            if _PROBE.get() is not None and licensee not in self._seeded_licensees:
+                raise CacheMiss("temporal index")
+            index = self.database.temporal_index(licensee)
+        return index.active_ids_at(on_date)
 
     def snapshot_key(self, licensee: str, on_date: dt.date) -> tuple:
         """The snapshot-cache key for (licensee, date) under this engine.
@@ -767,6 +780,8 @@ class CorridorEngine:
             )
         for key, solution in export.geodesic:
             self._geodesic_memo.store(key, solution)
+        self._seeded_licensees.update(key[0] for key, _ in export.snapshots)
+        self._seeded_licensees.update(key[0][0] for key, _ in export.routes)
         self._snapshots.seed(export.snapshots)
         self._routes.seed(export.routes)
 

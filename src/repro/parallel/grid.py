@@ -17,11 +17,13 @@ through a session at every width:
   and the caller's scraper — the objects a hand-written loop would use.
 * **Cached work never ships.**  Before a pool map, the parent runs each
   default-parameter item as a *probe* under
-  :func:`~repro.core.engine.cached_only`: an item whose snapshot and
-  route lookups all hit finishes in the parent; one that would build,
-  or that reads ``ctx.scraper`` or ``ctx.worker``, aborts without a
-  trace and ships.  Override-set items always ship (their sibling is
-  cold in the parent).  The pool is spawned only if something ships.
+  :func:`~repro.core.engine.cached_only` (and the scraper's
+  :meth:`~repro.uls.scraper.UlsScraper.cached_only`): an item whose
+  snapshot, route and scraper reads all hit finishes in the parent; one
+  that would build or fetch a page, or that reads ``ctx.worker``, aborts
+  without a trace and ships.  Override-set items always ship (their
+  sibling is cold in the parent).  The pool is spawned only if
+  something ships.
 * **Workers return results, not caches.**  On a pool, each worker builds
   its own engine from the shipped ``(database, corridor, params)`` and a
   scraper over the same database, and sends home only task results plus
@@ -37,7 +39,7 @@ database, and the logical worker id.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Callable, Iterator, Mapping, Sequence
 
 from repro import obs
@@ -83,9 +85,15 @@ class GridTaskContext:
 
     @property
     def scraper(self):
-        """A scraper over the session's database (built on first use);
-        a parent-side probe that touches it aborts and the item ships."""
-        require_builds("scraper")
+        """A scraper over the session's database (built on first use).
+
+        A parent-side probe reads the session's scraper under its
+        ``cached_only``: reads it already holds are served, a page fetch
+        aborts the probe and the item ships.  A probe that would build
+        the scraper aborts at once, since a new scraper holds nothing.
+        """
+        if self._host._scraper is None:
+            require_builds("scraper")
         return self._host.scraper
 
 
@@ -167,10 +175,11 @@ class GridSession(_EngineRoutes):
         for when a pool is used; :attr:`backend` says which mode ran).
     scraper:
         Optional parent-side :class:`~repro.uls.scraper.UlsScraper` that
-        in-process tasks share (the funnel passes its own so its page
-        counts cover every stage); by default one is built over the
-        engine's database on first use.  Pool workers' page counts are
-        added to it after each map.
+        in-process tasks and parent-side probes share (the funnel passes
+        its own, seeded from the store, so its page counts cover every
+        stage); by default one is built over the engine's database on
+        first use.  Pool workers' page counts are added to it after each
+        map.
     """
 
     def __init__(
@@ -258,9 +267,10 @@ class GridSession(_EngineRoutes):
         """Run every item the parent's caches can answer, in order.
 
         Returns the results (``None`` where an item must ship) and the
-        indices of the items to ship.  A probe that would build aborts
-        without a trace; one that completes counts its hits on the
-        parent engine, exactly as the in-process loop would.
+        indices of the items to ship.  A probe that would build or fetch
+        aborts without a trace; one that completes counts its hits on
+        the parent engine and its pages on the parent scraper, exactly
+        as the in-process loop would.
         """
         results: list = [None] * len(wrapped)
         shipped: list[int] = []
@@ -268,8 +278,13 @@ class GridSession(_EngineRoutes):
             if entry[1] is not None:
                 shipped.append(index)
                 continue
+            scraper = self._scraper
             try:
-                with cached_only():
+                with (
+                    nullcontext()
+                    if scraper is None
+                    else scraper.cached_only(CacheMiss)
+                ), cached_only():
                     results[index] = _grid_task(self, entry)
             except CacheMiss:
                 shipped.append(index)

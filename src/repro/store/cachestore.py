@@ -1,7 +1,7 @@
 """The persistent cache store: disk-backed warm starts.
 
-:class:`CacheStore` persists two kinds of entry under content-addressed
-fingerprints (:mod:`repro.store.fingerprint`):
+:class:`CacheStore` persists three kinds of entry under
+content-addressed fingerprints (:mod:`repro.store.fingerprint`):
 
 * **engine** entries — an engine's :class:`~repro.core.engine
   .EngineCacheExport` (snapshot cache, route cache, geodesic memo), so a
@@ -13,7 +13,14 @@ fingerprints (:mod:`repro.store.fingerprint`):
 * **scenario** entries — opaque bytes a higher tier hands in
   (:meth:`load_entry` / :meth:`save_entry`): the scenario registry
   stores pickled, built scenarios there, so a warm run skips
-  synthesis.  The store never imports the tiers above it.
+  synthesis;
+* **scrape** entries — opaque bytes too: the §2.2 funnel stores its
+  scraper's parsed portal pages (detail records and name-search
+  results, behind a CRC-32), so a warm funnel fetches no page it read
+  before.  It saves only when the scraper parsed a page the entry
+  lacked.
+
+The store never imports the tiers above it.
 
 Every entry file is one pickled envelope ``{"schema", "fingerprint",
 "kind", "body"}``, published atomically by :mod:`repro.store.layout`.
@@ -101,7 +108,8 @@ def _decode_export(body: tuple) -> EngineCacheExport:
 
 
 class CacheStore:
-    """A content-addressed on-disk store of engine and scenario entries.
+    """A content-addressed on-disk store of engine, scenario and scrape
+    entries.
 
     Parameters
     ----------

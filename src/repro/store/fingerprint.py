@@ -3,14 +3,15 @@
 An on-disk entry is only reusable when *everything* that shaped the
 stored value is unchanged.  Every fingerprint therefore hashes:
 
-- the entry **kind** (``"engine"`` or ``"scenario"``), so the two kinds
-  can never alias;
+- the entry **kind** (``"engine"``, ``"scenario"`` or ``"scrape"``),
+  so no two kinds can alias;
 - what the value was computed *from*: for an engine entry, the database
   **content digest** (:meth:`repro.uls.database.UlsDatabase
   .content_digest` — any license added/changed bumps the generation and
   changes the digest) plus the engine's **reconstruction parameters**
   (``params_key``); for a scenario entry, the canonical scenario
-  reference;
+  reference; for a scrape entry, the content digest of the database
+  the portal renders its pages from;
 - the **store schema version** — the on-disk payload envelope;
 - the **source digest** (:func:`source_digest`) — a hash of every
   ``repro`` source file, so editing the code that builds or pickles a
@@ -70,3 +71,8 @@ def store_fingerprint(content_digest: str, params_key: tuple) -> str:
 def scenario_fingerprint(canonical_ref: str) -> str:
     """The scenario-entry key for one canonical scenario reference."""
     return _fingerprint("scenario", canonical_ref)
+
+
+def scrape_fingerprint(content_digest: str) -> str:
+    """The scrape-entry key for the portal pages of one database."""
+    return _fingerprint("scrape", content_digest)

@@ -171,6 +171,12 @@ class UlsDatabase:
             self._temporal_indices[licensee] = index
         return index
 
+    def built_temporal_index(
+        self, licensee: str | None = None
+    ) -> TemporalIndex | None:
+        """:meth:`temporal_index` for ``licensee`` if it is built, else None."""
+        return self._temporal_indices.get(licensee)
+
     def columnar_store(self) -> ColumnarLicenseStore:
         """The (cached) columnar view of every filing, one per generation.
 

@@ -10,17 +10,28 @@ raises :class:`ScrapeError` naming the table and row.
 
 The scraper is written against page *structure* (table ids, headers and
 column order), not against our renderer's internals, so it would work
-unchanged on any server producing the same page layout.  A per-license
-cache avoids refetching detail pages, mirroring the original tool's
-on-disk cache.
+unchanged on any server producing the same page layout.
+
+Like the original tool, the scraper keeps what it parsed and never
+fetches a page twice: detail records by license id and name-search
+results by licensee.  That cache persists across processes through the
+store (:meth:`UlsScraper.export_pages` / :meth:`UlsScraper.seed_pages`,
+the body of a ``scrape`` entry keyed on the database's content digest),
+so a warm funnel renders and parses no page it read before.  A page
+served from the cache still counts as a page read (:class:`ScrapeStats`),
+so page counts do not depend on what the cache held.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import pickle
 import re
-from dataclasses import dataclass
+import zlib
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from html import unescape
+from typing import Iterator
 
 from repro import obs
 from repro.geodesy import GeoPoint
@@ -147,16 +158,22 @@ def _convert_rows(table: str, rows: list[list[str]], convert) -> list:
     return converted
 
 
-def _date_row(row: list[str]) -> tuple[str, dt.date | None]:
+def _date_row(row: list[str], shared: dict) -> tuple[str, dt.date | None]:
     event, text = row
-    return event, parse_date("" if text == "—" else text)
+    if text not in shared:
+        shared[text] = parse_date("" if text == "—" else text)
+    return event, shared[text]
 
 
-def _location_row(row: list[str]) -> TowerLocation:
+def _location_row(row: list[str], shared: dict) -> TowerLocation:
     number, latitude, longitude, ground, height, site = row
+    point = shared.get((latitude, longitude))
+    if point is None:
+        point = GeoPoint(parse_dms(latitude), parse_dms(longitude))
+        shared[latitude, longitude] = point
     return TowerLocation(
         location_number=int(number),
-        point=GeoPoint(parse_dms(latitude), parse_dms(longitude)),
+        point=point,
         ground_elevation_m=float(ground),
         structure_height_m=float(height),
         site_name="" if site == "—" else site,
@@ -180,7 +197,14 @@ def _path_row(row: list[str]) -> MicrowavePath:
 
 @dataclass
 class ScrapeStats:
-    """Bookkeeping for a scraping session."""
+    """Bookkeeping for a scraping session.
+
+    ``search_pages`` counts name and geographic searches, and
+    ``detail_pages`` the distinct detail pages read, whether the portal
+    rendered a page or the scraper's cache held it from an earlier
+    session; ``cache_hits`` counts detail pages read again within the
+    session.
+    """
 
     search_pages: int = 0
     detail_pages: int = 0
@@ -188,12 +212,59 @@ class ScrapeStats:
 
 
 class UlsScraper:
-    """Replays the paper's scraping pipeline against a portal."""
+    """Replays the paper's scraping pipeline against a portal.
+
+    Parsed pages are kept for the scraper's life and can be persisted
+    (:meth:`export_pages`) and seeded into a later scraper over the same
+    database (:meth:`seed_pages`); :attr:`dirty` says whether the scraper
+    has parsed a page since it was built.
+    """
 
     def __init__(self, portal: UlsPortal) -> None:
         self._portal = portal
-        self._detail_cache: dict[str, License] = {}
+        #: Every detail record parsed or seeded, by license id.
+        self._details: dict[str, License] = {}
+        #: Every name-search result parsed or seeded, by licensee.
+        self._names: dict[str, tuple[str, ...]] = {}
+        #: Dates and points by the page text they were parsed from.
+        self._shared: dict = {}
+        #: Ids whose detail page this session has counted, in the order
+        #: it counted them (a dict, so a rollback can pop the newest).
+        self._counted: dict[str, None] = {}
+        #: Raised instead of fetching a page inside :meth:`cached_only`.
+        self._miss: type[Exception] | None = None
+        self.dirty = False
         self.stats = ScrapeStats()
+
+    def _fetch(self, what: str) -> None:
+        """About to ask the portal for a page: refused under cached_only."""
+        if self._miss is not None:
+            raise self._miss(what)
+
+    @contextmanager
+    def cached_only(self, miss: type[Exception]) -> Iterator[None]:
+        """Run a block on the pages this scraper already holds.
+
+        Inside the block a read that would fetch a page raises ``miss``
+        (called with a description of the page) instead.  If the block
+        raises ``miss``, from here or from anything else it ran, the
+        page counts and the detail pages counted this session are put
+        back as they were before it, so a read the block made is counted
+        again by whoever redoes the work.  A grid session probes its
+        items this way (:mod:`repro.parallel.grid`), with the engine's
+        ``CacheMiss`` as ``miss``.
+        """
+        stats, counted, outer = replace(self.stats), len(self._counted), self._miss
+        self._miss = miss
+        try:
+            yield
+        except miss:
+            self.stats = stats
+            while len(self._counted) > counted:
+                self._counted.popitem()
+            raise
+        finally:
+            self._miss = outer
 
     # ------------------------------------------------------------------
     # Search pages
@@ -203,6 +274,7 @@ class UlsScraper:
         self, latitude: float, longitude: float, radius_km: float
     ) -> list[dict[str, str]]:
         """Scrape the geographic results: one dict per row."""
+        self._fetch("geographic search")
         with obs.span("uls.scraper.search", kind="geographic"):
             with obs.span("uls.portal.render"):
                 html = self._portal.geographic_search_page(
@@ -220,16 +292,23 @@ class UlsScraper:
 
     def licenses_of(self, licensee_name: str) -> list[str]:
         """License ids filed by a licensee (name-search page)."""
-        with obs.span("uls.scraper.search", kind="name", licensee=licensee_name):
-            with obs.span("uls.portal.render"):
-                html = self._portal.name_search_page(licensee_name)
-            self.stats.search_pages += 1
-            obs.count("uls.scraper.page.search")
-            with obs.span("uls.scraper.parse"):
-                rows = _data_rows(
-                    "name results", _parse_page(html).first_table(), _NAME_HEADER
-                )
-        return [row[1] for row in rows]
+        ids = self._names.get(licensee_name)
+        if ids is None:
+            self._fetch(f"name search {licensee_name!r}")
+            with obs.span(
+                "uls.scraper.search", kind="name", licensee=licensee_name
+            ):
+                with obs.span("uls.portal.render"):
+                    html = self._portal.name_search_page(licensee_name)
+                obs.count("uls.scraper.page.search")
+                with obs.span("uls.scraper.parse"):
+                    rows = _data_rows(
+                        "name results", _parse_page(html).first_table(), _NAME_HEADER
+                    )
+            ids = self._names[licensee_name] = tuple(row[1] for row in rows)
+            self.dirty = True
+        self.stats.search_pages += 1
+        return list(ids)
 
     # ------------------------------------------------------------------
     # Detail pages
@@ -237,23 +316,27 @@ class UlsScraper:
 
     def license_detail(self, license_id: str) -> License:
         """Scrape (or serve from cache) one license-detail page."""
-        if license_id in self._detail_cache:
+        if license_id in self._counted:
             self.stats.cache_hits += 1
-            obs.count("uls.scraper.cache.hit")
-            return self._detail_cache[license_id]
-        obs.count("uls.scraper.cache.miss")
-        with obs.span("uls.scraper.detail", license_id=license_id):
-            with obs.span("uls.portal.render"):
-                html = self._portal.license_detail_page(license_id)
-            self.stats.detail_pages += 1
-            obs.count("uls.scraper.page.detail")
-            with obs.span("uls.scraper.parse"):
-                lic = self._parse_detail(html)
-        if lic.license_id != license_id:
-            raise ScrapeError(
-                f"requested {license_id!r} but page is for {lic.license_id!r}"
-            )
-        self._detail_cache[license_id] = lic
+            return self._details[license_id]
+        lic = self._details.get(license_id)
+        if lic is None:
+            self._fetch(f"detail page {license_id!r}")
+            obs.count("uls.scraper.cache.miss")
+            with obs.span("uls.scraper.detail", license_id=license_id):
+                with obs.span("uls.portal.render"):
+                    html = self._portal.license_detail_page(license_id)
+                obs.count("uls.scraper.page.detail")
+                with obs.span("uls.scraper.parse"):
+                    lic = self._parse_detail(html, self._shared)
+            if lic.license_id != license_id:
+                raise ScrapeError(
+                    f"requested {license_id!r} but page is for {lic.license_id!r}"
+                )
+            self._details[license_id] = lic
+            self.dirty = True
+        self._counted[license_id] = None
+        self.stats.detail_pages += 1
         return lic
 
     def scrape_licensee(self, licensee_name: str) -> list[License]:
@@ -267,11 +350,51 @@ class UlsScraper:
         self.stats.cache_hits += stats.cache_hits
 
     # ------------------------------------------------------------------
+    # Persistence (the body of a ``scrape`` store entry)
+    # ------------------------------------------------------------------
+
+    def export_pages(self) -> bytes:
+        """Every parsed detail record and name-search result, as one
+        pickle behind its CRC-32, so a flipped byte fails
+        :meth:`seed_pages` instead of seeding a wrong record."""
+        data = pickle.dumps(
+            (tuple(self._details.values()), tuple(self._names.items())),
+            protocol=4,
+        )
+        return zlib.crc32(data).to_bytes(4, "big") + data
+
+    def seed_pages(self, body: bytes) -> None:
+        """Install the pages an :meth:`export_pages` of a scraper over the
+        same database returned.
+
+        Raises ``ValueError`` (or whatever unpickling raises) on a body
+        that fails its checksum or does not hold pages, installing
+        nothing.  Pages already held keep their records, and
+        :attr:`dirty` stays as it was: seeding parses no page.
+        """
+        crc, data = body[:4], body[4:]
+        if int.from_bytes(crc, "big") != zlib.crc32(data):
+            raise ValueError("scrape entry fails its checksum")
+        details, names = pickle.loads(data)
+        if not all(type(lic) is License for lic in details) or not all(
+            type(name) is str and type(ids) is tuple for name, ids in names
+        ):
+            raise ValueError("scrape entry does not hold scraped pages")
+        for lic in details:
+            self._details.setdefault(lic.license_id, lic)
+        for name, ids in names:
+            self._names.setdefault(name, ids)
+
+    # ------------------------------------------------------------------
     # Detail page parsing
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _parse_detail(html: str) -> License:
+    def _parse_detail(html: str, shared: dict | None = None) -> License:
+        """One detail page's license.  Dates and points parsed from equal
+        text are one object across the pages that share ``shared``, so a
+        pickle of many records (:meth:`export_pages`) stores each once."""
+        shared = {} if shared is None else shared
         page = _parse_page(html)
         tables = {}
         for table_id, header in (
@@ -304,11 +427,17 @@ class UlsScraper:
         callsign_part, _, licensee_name = page.heading.partition("—")
         callsign = callsign_part.lstrip().removeprefix("License ").strip()
 
-        dates = dict(_convert_rows("dates table", tables["dates"], _date_row))
+        dates = dict(
+            _convert_rows(
+                "dates table", tables["dates"], lambda row: _date_row(row, shared)
+            )
+        )
         locations = {
             loc.location_number: loc
             for loc in _convert_rows(
-                "locations table", tables["locations"], _location_row
+                "locations table",
+                tables["locations"],
+                lambda row: _location_row(row, shared),
             )
         }
         paths = _convert_rows("paths table", tables["paths"], _path_row)

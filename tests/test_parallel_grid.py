@@ -12,6 +12,7 @@ work.  Tests pick the mode by patching ``usable_cpu_count``
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import os
 import threading
@@ -22,8 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.analysis.funnel import _connect_task, _count_task
 from repro.core.engine import CacheMiss, CorridorEngine, cached_only
 from repro.parallel import GridSession, executor, grid_session
+from repro.uls.database import UlsDatabase
+from repro.uls.portal import UlsPortal
+from repro.uls.scraper import UlsScraper
 
 FEATURED = (
     "National Tower Company",
@@ -372,3 +377,108 @@ class TestParentAnswersWarmItems:
         assert outcome["miss"] is True
         # The completed probe's hit counted; the aborted one left no miss.
         assert engine.stats.snapshot.hits == 1
+
+    def test_cold_probe_builds_no_temporal_index(self, scenario, two_cpus):
+        items = [(name, DATES) for name in FEATURED[:3]]
+        with GridSession(_fresh_engine(scenario), 1) as session:
+            expected = session.map(_latency_series, items)
+
+        database = UlsDatabase(list(scenario.database))
+        engine = CorridorEngine(database, scenario.corridor)
+        engine.timeline(FEATURED[0], DATES)
+        with obs.capture() as cap:
+            with GridSession(engine, 2) as session:
+                got = session.map(_latency_series, items)
+        assert got == expected
+        assert cap.counters()["parallel.items.parent"] == 1
+        # The two cold licensees shipped without an index built for them.
+        built = [database.built_temporal_index(name) for name in FEATURED[:3]]
+        assert [index is not None for index in built] == [True, False, False]
+
+    def test_seeded_entries_probe_past_an_unbuilt_index(self, scenario, two_cpus):
+        items = [(FEATURED[0], DATES)]
+        warm = self._warm(scenario, items)
+        database = UlsDatabase(list(scenario.database))
+        engine = CorridorEngine(database, scenario.corridor)
+        engine.seed_cache_state(warm.export_cache_state())
+        with GridSession(engine, 2) as session:
+            got = session.map(_latency_series, items)
+            assert session._pmap._pool is None
+        with GridSession(warm, 1) as session:
+            assert got == session.map(_latency_series, items)
+
+
+def _seeded_scraper(scenario, source: UlsScraper) -> UlsScraper:
+    """A new scraper session holding every page ``source`` parsed."""
+    scraper = UlsScraper(UlsPortal(scenario.database))
+    scraper.seed_pages(source.export_pages())
+    return scraper
+
+
+class TestScraperProbes:
+    """A probe reads the pages the parent's scraper holds; a read that
+    would fetch aborts it, and the abort takes back its page counts."""
+
+    def test_aborted_probe_leaves_scraper_stats_unchanged(self, scenario):
+        source = UlsScraper(UlsPortal(scenario.database))
+        source.scrape_licensee(FEATURED[0])
+        scraper = _seeded_scraper(scenario, source)
+        before = dataclasses.replace(scraper.stats)
+        with obs.capture() as cap:
+            with pytest.raises(CacheMiss):
+                with scraper.cached_only(CacheMiss), cached_only():
+                    assert scraper.scrape_licensee(FEATURED[0])
+                    scraper.licenses_of(FEATURED[1])
+        assert scraper.stats == before
+        assert not any(key.startswith("uls.") for key in cap.counters())
+        # The rolled-back reads count again as first reads.
+        scraper.scrape_licensee(FEATURED[0])
+        assert scraper.stats == source.stats
+
+    def test_shipped_items_count_their_pages_once(self, scenario, two_cpus):
+        items = [
+            (name, DATES[1], "CME", "NY4") for name in FEATURED[:3]
+        ]
+        serial = UlsScraper(UlsPortal(scenario.database))
+        with GridSession(_fresh_engine(scenario), 1, scraper=serial) as session:
+            expected = session.map(_connect_task, items)
+
+        # Every page is held, but the engine is cold: each probe reads
+        # its pages, misses a snapshot and ships.
+        scraper = _seeded_scraper(scenario, serial)
+        with obs.capture() as cap:
+            with GridSession(_fresh_engine(scenario), 2, scraper=scraper) as session:
+                got = session.map(_connect_task, items)
+        assert got == expected
+        assert cap.counters()["parallel.items.shipped"] == len(items)
+        assert scraper.stats == serial.stats
+
+    def test_warm_funnel_grid_spawns_no_pool(
+        self, scenario, funnel_result, two_cpus
+    ):
+        candidates = list(funnel_result.candidate_licensees)
+        items = [
+            (name, scenario.snapshot_date, "CME", "NY4")
+            for name in funnel_result.shortlisted_licensees
+        ]
+        engine = _fresh_engine(scenario)
+        serial = UlsScraper(UlsPortal(scenario.database))
+        with GridSession(engine, 1, scraper=serial) as session:
+            expected = (
+                session.map(_count_task, candidates),
+                session.map(_connect_task, items),
+            )
+
+        scraper = _seeded_scraper(scenario, serial)
+        with obs.capture() as cap:
+            with GridSession(engine, 2, scraper=scraper) as session:
+                got = (
+                    session.map(_count_task, candidates),
+                    session.map(_connect_task, items),
+                )
+                assert session._pmap._pool is None
+        assert got == expected
+        assert cap.counters()["parallel.items.parent"] == 86
+        assert cap.counters()["parallel.items.shipped"] == 0
+        assert scraper.stats == serial.stats
+        assert not scraper.dirty

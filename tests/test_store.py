@@ -42,6 +42,7 @@ from repro.store import (
     store_fingerprint,
 )
 from repro.store import layout
+from repro.store.fingerprint import scenario_fingerprint, scrape_fingerprint
 from repro.uls.database import UlsDatabase
 
 from tests.conftest import make_license
@@ -95,6 +96,16 @@ class TestFingerprint:
         assert store_fingerprint("digest", (120.0, "slack")) != base
         assert store_fingerprint("other", (100.0, "slack")) != base
 
+    def test_scrape_fingerprint_tracks_database_content(self, scenario):
+        digest = scenario.database.content_digest()
+        key = scrape_fingerprint(digest)
+        assert scrape_fingerprint(digest) == key
+        copy = UlsDatabase(list(scenario.database))
+        copy.add(make_license(license_id="ZZ9003", licensee="Digest Test LLC"))
+        assert scrape_fingerprint(copy.content_digest()) != key
+        # The kind is part of the key: no other entry shares it.
+        assert key not in {scenario_fingerprint(digest), store_fingerprint(digest, ())}
+
     def test_engine_fingerprint_tracks_params(self, scenario, tmp_path):
         store = CacheStore(tmp_path)
         engine = _engine(scenario)
@@ -115,6 +126,58 @@ class TestFingerprint:
         counters = store.counters()
         assert counters["misses"] == 2
         assert counters["hits"] == 0
+
+
+# ----------------------------------------------------------------------
+# Scrape entries: the funnel scraper's parsed pages
+# ----------------------------------------------------------------------
+
+
+class TestScrapeEntries:
+    def test_another_database_misses_the_entry(
+        self, scenario, funnel_result, tmp_path
+    ):
+        from repro import obs
+        from repro.analysis.funnel import run_scraping_funnel
+
+        def funnel(database):
+            engine = CacheStore(tmp_path).attach(
+                CorridorEngine(database, scenario.corridor)
+            )
+            with obs.capture() as cap:
+                result = run_scraping_funnel(
+                    database, scenario.corridor, scenario.snapshot_date, engine=engine
+                )
+            loads = [
+                dict(record.attrs) for record in cap.spans if record.name == "store.load"
+            ]
+            outcomes = [attrs["outcome"] for attrs in loads if attrs["kind"] == "scrape"]
+            return result, outcomes
+
+        copy = UlsDatabase(list(scenario.database))
+        assert funnel(copy) == (funnel_result, ["miss"])
+        # One more MG/FXO licensee next to CME: a new candidate with one
+        # filing.  The entry keyed on the old content must not serve it.
+        cme = scenario.corridor.site("CME").point
+        copy.add(
+            make_license(
+                license_id="ZZ9004",
+                licensee="Digest Test LLC",
+                points=(
+                    (cme.latitude + 0.01, cme.longitude),
+                    (cme.latitude + 0.05, cme.longitude + 0.3),
+                ),
+            )
+        )
+        result, outcomes = funnel(copy)
+        assert outcomes == ["miss"]
+        assert result.counts == (
+            len(funnel_result.candidate_licensees) + 1,
+            *funnel_result.counts[1:],
+        )
+        assert "Digest Test LLC" in result.candidate_licensees
+        # The new candidate's name search is the only extra page.
+        assert result.pages_scraped == funnel_result.pages_scraped + 1
 
 
 # ----------------------------------------------------------------------
@@ -654,6 +717,60 @@ class TestCacheCli:
         counters = stores[-1].counters()
         assert (counters["hits"], counters["saves"]) == (1, 0)
 
+    def test_corrupt_scrape_entry_is_quarantined_and_rewritten(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import repro.store
+        from repro.scenarios import resolve_scenario
+
+        stores = []
+
+        class RecordingStore(CacheStore):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                stores.append(self)
+
+        monkeypatch.setattr(repro.store, "CacheStore", RecordingStore)
+        argv = ["funnel", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert "portal pages scraped: 2974" in plain
+        # Flip one byte in the middle of the scrape entry's body.
+        fingerprint = scrape_fingerprint(
+            resolve_scenario("paper2020").database.content_digest()
+        )
+        envelope = pickle.loads(layout.entry_path(tmp_path, fingerprint).read_bytes())
+        assert envelope["kind"] == "scrape"
+        body = bytearray(envelope["body"])
+        body[len(body) // 2] ^= 0xFF
+        envelope["body"] = bytes(body)
+        layout.write_entry(tmp_path, fingerprint, pickle.dumps(envelope))
+
+        self._reset_default_engine()
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == plain
+        assert "Traceback" not in err
+        # The engine entry hit; the scrape entry was quarantined, the
+        # funnel scraped cold, and its scraper rewrote the entry.
+        counters = stores[-1].counters()
+        assert (counters["hits"], counters["corrupt"], counters["saves"]) == (
+            1,
+            1,
+            1,
+        )
+        assert len(list(layout.quarantine_dir(tmp_path).iterdir())) == 1
+
+        self._reset_default_engine()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
+        counters = stores[-1].counters()
+        assert (counters["hits"], counters["corrupt"], counters["saves"]) == (
+            2,
+            0,
+            0,
+        )
+
     def test_warm_fanned_out_table1_loads_once_and_saves_nothing(
         self, capsys, tmp_path, monkeypatch
     ):
@@ -777,6 +894,32 @@ class TestFreshProcesses:
         assert "parallel.items.shipped" in warm.stderr
         assert _metric(warm.stderr, "parallel.items.shipped") == 0
         assert _metric(warm.stderr, "parallel.tasks") == 0
+
+    def test_warm_funnel_scrapes_nothing_and_saves_nothing(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        argv = ["-m", "repro", "funnel", "--cache-dir", str(tmp_path), "--metrics"]
+        cold = _run_in(src, *argv)
+        # Scenario, engine and scrape entries.
+        assert _metric(cold.stderr, "store.save") == 3
+        assert _metric(cold.stderr, "uls.scraper.cache.miss") == 2887
+        warm = _run_in(src, *argv)
+        assert warm.stdout == cold.stdout
+        assert "portal pages scraped: 2974" in warm.stdout
+        assert (
+            _metric(warm.stderr, "store.load"),
+            _metric(warm.stderr, "store.hit"),
+            _metric(warm.stderr, "store.save"),
+        ) == (3, 3, 0)
+        assert "uls.scraper.cache.miss" not in warm.stderr
+        # At --jobs 2 the parent answers all 57 shortlist and 29
+        # connectivity items itself.
+        fanned = _run_in(src, *argv, "--jobs", "2")
+        assert fanned.stdout == cold.stdout
+        assert _metric(fanned.stderr, "parallel.items.parent") == 86
+        assert "parallel.items.shipped" in fanned.stderr
+        assert _metric(fanned.stderr, "parallel.items.shipped") == 0
+        assert _metric(fanned.stderr, "parallel.tasks") == 0
+        assert _metric(fanned.stderr, "store.save") == 0
 
     def test_source_edits_orphan_scenario_and_engine_entries(self, tmp_path):
         src = Path(__file__).resolve().parents[1] / "src"

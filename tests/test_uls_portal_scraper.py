@@ -115,6 +115,39 @@ class TestScraper:
         assert not lic.is_active(dt.date(2020, 1, 1))
 
 
+class TestPersistedPages:
+    def test_seeded_scraper_fetches_nothing_and_counts_every_page(self, stack):
+        portal, scraper = stack
+        expected = scraper.scrape_licensee("HFT Alpha & Co")
+        assert scraper.dirty
+        seeded = UlsScraper(portal)
+        seeded.seed_pages(scraper.export_pages())
+        requests = portal.page_requests
+        assert seeded.scrape_licensee("HFT Alpha & Co") == expected
+        assert portal.page_requests == requests
+        assert seeded.stats == scraper.stats
+        assert not seeded.dirty
+
+    def test_seed_rejects_a_flipped_byte_or_a_foreign_body(self, stack):
+        import pickle
+        import zlib
+
+        portal, scraper = stack
+        scraper.scrape_licensee("HFT Alpha & Co")
+        body = bytearray(scraper.export_pages())
+        body[len(body) // 2] ^= 0xFF
+        foreign = pickle.dumps(((["L1"],), ()))
+        seeded = UlsScraper(portal)
+        with pytest.raises(ValueError, match="checksum"):
+            seeded.seed_pages(bytes(body))
+        with pytest.raises(ValueError, match="scraped pages"):
+            seeded.seed_pages(zlib.crc32(foreign).to_bytes(4, "big") + foreign)
+        # Nothing was installed: the first read fetches its page.
+        requests = portal.page_requests
+        seeded.license_detail("L1")
+        assert portal.page_requests == requests + 1
+
+
 class TestHtmlRobustness:
     def test_table_extractor_ignores_non_result_tables(self):
         html = (
