@@ -53,10 +53,9 @@ python -m pytest -x -q tests/test_engine.py
 python -m pytest -x -q tests/test_scraper_equivalence.py
 python -m pytest -x -q tests/test_routing_equivalence.py
 
-# Parallel determinism gate: analysis output must be byte-identical no
-# matter the fan-out width (repro.parallel's ordered reduction; pool
-# workers rebuild their engines and return only results).  "timeline"
-# covers the Fig 1/2 grid.
+# --jobs gate: the flag is accepted and has no effect (every command
+# runs in one process), so analysis output must be byte-identical at any
+# N.  "timeline" covers the Fig 1/2 grid.
 for cmd in funnel timeline table1; do
     if ! diff <(python -m repro "$cmd" --jobs 1) \
               <(python -m repro "$cmd" --jobs 4); then
@@ -93,9 +92,7 @@ for cmd in funnel timeline table1 compare; do
             exit 1
         fi
     done
-    # On a store a --jobs 1 run filled, the --jobs 4 parent answers every
-    # cached grid item itself (scraper reads included, from the funnel's
-    # scrape entry) and ships only the rest.
+    # A store a --jobs 1 run filled serves a --jobs 4 run unchanged.
     rm -rf "$store_dir"
     python -m repro "$cmd" --jobs 1 --cache-dir "$store_dir" > /dev/null
     if ! diff <(python -m repro "$cmd" --jobs 4) \
@@ -103,13 +100,16 @@ for cmd in funnel timeline table1 compare; do
         echo "check.sh: '$cmd' --jobs 4 on a --jobs 1-filled store differs from no-store" >&2
         exit 1
     fi
-    # That store holds every page and snapshot the funnel reads, so none
-    # of its grid items ships.
+    # A cold --jobs 4 funnel publishes every entry it reads: on that
+    # store a second run misses no entry and fetches no detail page.
     if [ "$cmd" = funnel ]; then
-        shipped=$(python -m repro funnel --jobs 4 --cache-dir "$store_dir" --metrics 2>&1 >/dev/null |
-                  awk '$1 == "counter" && $2 == "parallel.items.shipped" {print $3}')
-        if [ "$shipped" != "0" ]; then
-            echo "check.sh: 'funnel --jobs 4' on a --jobs 1-filled store shipped '${shipped}' items, want 0" >&2
+        rm -rf "$store_dir"
+        python -m repro funnel --jobs 4 --cache-dir "$store_dir" > /dev/null
+        metrics=$(python -m repro funnel --jobs 4 --cache-dir "$store_dir" --metrics 2>&1 >/dev/null)
+        misses=$(awk '$1 == "counter" && $2 == "store.miss" {print $3}' <<< "$metrics")
+        pages=$(awk '$1 == "counter" && $2 == "uls.scraper.page.detail" {print $3}' <<< "$metrics")
+        if [ "${misses:-0}" != 0 ] || [ "${pages:-0}" != 0 ]; then
+            echo "check.sh: 'funnel --jobs 4' on a --jobs 4-filled store missed ${misses:-0} entries and fetched ${pages:-0} detail pages, want 0 and 0" >&2
             exit 1
         fi
     fi
@@ -118,7 +118,7 @@ rm -rf "$store_dir"
 
 # Multi-scenario gate: every determinism contract above must hold for
 # *every* registered corridor, not just the paper's.  For each scenario
-# and driver: serial vs fanned-out must agree, and a store-warmed rerun
+# and driver: --jobs 1 vs --jobs 4 must agree, and a store-warmed rerun
 # must agree with a no-store run (per-scenario fingerprints may share
 # one store directory without cross-talk).
 # The parameterized reference round-trips its params through a scenario

@@ -8,14 +8,12 @@ to each — including §3's observation that a per-tower overhead above
 Networks (25 towers) on CME–NY4.
 
 Every sweep maps its knob values through a
-:class:`~repro.parallel.grid.GridSession` (a shared one, or a private one
-``jobs`` wide).  A sweep that varies a reconstruction parameter maps each
-knob value with that override, so the session routes it to a
-parameter-distinct sibling engine and snapshots computed under different
-parameterisations can never alias in a shared cache.  Sweeps that only
-vary a *metric* parameter (the APA slack) run on the scenario's default
-engine.  Knob order in the result and every computed value are
-jobs-invariant.
+:class:`~repro.parallel.grid.GridSession`.  A sweep that varies a
+reconstruction parameter maps each knob value with that override, so the
+session routes it to a parameter-distinct sibling engine and snapshots
+computed under different parameterisations can never alias in a shared
+cache.  Sweeps that only vary a *metric* parameter (the APA slack) run on
+the scenario's default engine.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from repro import obs
 from repro.core.latency import LatencyModel
 from repro.metrics.apa import apa_percent
 from repro.metrics.rankings import rank_connected_networks
-from repro.parallel.grid import GridSession, grid_session
+from repro.parallel.grid import GridSession
 from repro.synth.scenario import Scenario
 
 
@@ -79,8 +77,6 @@ def apa_slack_sweep(
     licensee: str = "New Line Networks",
     slacks: tuple[float, ...] = (1.01, 1.02, 1.05, 1.10, 1.20),
     on_date: dt.date | None = None,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> dict[float, int]:
     """APA (CME–NY4) as a function of the latency-slack factor.
 
@@ -90,7 +86,7 @@ def apa_slack_sweep(
     date = on_date or scenario.snapshot_date
     with obs.span("analysis.ablation", sweep="apa-slack", knobs=len(slacks)):
         items = [(licensee, date, slack) for slack in slacks]
-        with grid_session(scenario.engine(), jobs, session) as live:
+        with GridSession(scenario.engine()) as live:
             values = live.map(_apa_slack_task, items, label="apa-slack")
         return dict(zip(slacks, values))
 
@@ -99,8 +95,6 @@ def fiber_mode_comparison(
     scenario: Scenario,
     licensee: str = "New Line Networks",
     on_date: dt.date | None = None,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> dict[str, int]:
     """APA under the two fiber-attachment readings of §2.3.
 
@@ -113,7 +107,7 @@ def fiber_mode_comparison(
     modes = ("nearest", "all")
     with obs.span("analysis.ablation", sweep="fiber-mode", knobs=len(modes)):
         items = [(licensee, date, mode) for mode in modes]
-        with grid_session(scenario.engine(), jobs, session) as live:
+        with GridSession(scenario.engine()) as live:
             values = live.map(
                 _fiber_mode_task,
                 items,
@@ -137,8 +131,6 @@ def per_tower_overhead_crossover(
     overheads_us: tuple[float, ...] = (0.0, 0.5, 1.0, 1.4, 2.0, 3.0),
     licensees: tuple[str, ...] = ("New Line Networks", "Jefferson Microwave"),
     on_date: dt.date | None = None,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> list[OverheadCrossover]:
     """§3's what-if: sweep the per-tower repeater overhead.
 
@@ -152,7 +144,7 @@ def per_tower_overhead_crossover(
         items = [
             (licensees, date, overhead_us) for overhead_us in overheads_us
         ]
-        with grid_session(scenario.engine(), jobs, session) as live:
+        with GridSession(scenario.engine()) as live:
             return live.map(
                 _overhead_task,
                 items,
@@ -170,8 +162,6 @@ def stitch_tolerance_sweep(
     licensee: str = "New Line Networks",
     tolerances_m: tuple[float, ...] = (1.0, 10.0, 30.0, 100.0, 1000.0),
     on_date: dt.date | None = None,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> dict[float, tuple[int, bool]]:
     """(tower count, connected?) as the stitching tolerance varies.
 
@@ -183,7 +173,7 @@ def stitch_tolerance_sweep(
         "analysis.ablation", sweep="stitch-tolerance", knobs=len(tolerances_m)
     ):
         items = [(licensee, date, tolerance) for tolerance in tolerances_m]
-        with grid_session(scenario.engine(), jobs, session) as live:
+        with GridSession(scenario.engine()) as live:
             values = live.map(
                 _stitch_task,
                 items,
@@ -197,8 +187,6 @@ def fiber_radius_sweep(
     scenario: Scenario,
     radii_km: tuple[float, ...] = (1.0, 5.0, 25.0, 50.0, 100.0),
     on_date: dt.date | None = None,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> dict[float, int]:
     """How many networks stay CME–NY4 connected as the fiber reach shrinks."""
     date = on_date or scenario.snapshot_date
@@ -207,7 +195,7 @@ def fiber_radius_sweep(
     ):
         names = tuple(scenario.connected_names)
         items = [(names, date, radius_km) for radius_km in radii_km]
-        with grid_session(scenario.engine(), jobs, session) as live:
+        with GridSession(scenario.engine()) as live:
             values = live.map(
                 _fiber_radius_task,
                 items,

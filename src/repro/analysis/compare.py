@@ -69,9 +69,7 @@ class CorridorComparison:
         }
 
 
-def compare_corridor(
-    ref: str, jobs: int = 1, store=None
-) -> CorridorComparison:
+def compare_corridor(ref: str, store=None) -> CorridorComparison:
     """The hybrid comparison row for one scenario reference.
 
     ``store`` is attached to the scenario's engine (see
@@ -87,7 +85,6 @@ def compare_corridor(
         source=source,
         target=target,
         engine=scenario.engine(),
-        jobs=jobs,
     )
     best = rankings[0] if rankings else None
     return CorridorComparison(
@@ -105,7 +102,7 @@ def compare_corridor(
 
 
 def compare_corridors(
-    refs: tuple[str, ...] | None = None, jobs: int = 1, store=None
+    refs: tuple[str, ...] | None = None, store=None
 ) -> list[CorridorComparison]:
     """Hybrid rows for every requested corridor, shortest first.
 
@@ -116,7 +113,7 @@ def compare_corridors(
     """
     if refs is None:
         refs = scenario_names(concrete_only=True)
-    with obs.span("analysis.compare", corridors=len(refs), jobs=jobs):
-        rows = [compare_corridor(ref, jobs=jobs, store=store) for ref in refs]
+    with obs.span("analysis.compare", corridors=len(refs)):
+        rows = [compare_corridor(ref, store=store) for ref in refs]
     rows.sort(key=lambda row: (row.geodesic_km, row.scenario))
     return rows

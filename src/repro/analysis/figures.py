@@ -19,30 +19,14 @@ from repro.metrics.frequencies import (
     shortest_path_frequencies_ghz,
 )
 from repro.metrics.link_lengths import near_optimal_link_lengths_km
-from repro.parallel.executor import chunk_spans
-from repro.parallel.grid import GridSession, grid_session
+from repro.parallel.grid import GridSession
 from repro.synth.scenario import Scenario
 from repro.viz.geojson import network_to_geojson
 from repro.viz.svgmap import render_network_svg
 
-#: Fan a licensee's dates out in contiguous chunks once the grid is this
-#: dense.  Each chunk is an ascending date span whose quiet stretches
-#: share snapshots within one worker; results are concatenated per
-#: licensee, which reproduces the serial series exactly (each point is a
-#: pure function of licensee and date).
-_DATE_CHUNK_THRESHOLD = 16
-
-
 def _fig1_task(ctx, item):
     name, dates, source, target = item
     return ctx.engine.timeline(name, dates, source=source, target=target)
-
-
-def _date_spans(dates, jobs: int) -> list[tuple[int, int]] | None:
-    """Contiguous per-licensee date spans, or None to keep whole grids."""
-    if jobs > 1 and len(dates) >= _DATE_CHUNK_THRESHOLD:
-        return chunk_spans(len(dates), jobs)
-    return None
 
 
 def fig1_latency_evolution(
@@ -51,18 +35,11 @@ def fig1_latency_evolution(
     dates: list[dt.date] | None = None,
     source: str | None = None,
     target: str | None = None,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> dict[str, list[TimelinePoint]]:
     """Fig 1: primary-path latency trajectories of the featured networks.
 
-    The licensee × date grid maps one licensee per task through a grid
-    session (``session``, or a private one ``jobs`` wide); results land
-    in submission order, so output is jobs-invariant.  Above one job,
-    dense grids (``--step monthly``/``weekly``) additionally split each
-    licensee's dates into contiguous spans, one per worker; the
-    per-licensee series is the concatenation of its spans, identical to
-    the unchunked result.
+    The licensee × date grid maps one licensee per task (its whole date
+    series) through a grid session.
     """
     licensees = licensees or scenario.featured_names
     source, target = scenario.corridor.resolve_path(source, target)
@@ -70,22 +47,10 @@ def fig1_latency_evolution(
     with obs.span(
         "analysis.fig1", licensees=len(licensees), points=len(dates)
     ):
-        with grid_session(scenario.engine(), jobs, session) as live:
-            spans = _date_spans(dates, live.jobs)
-            if spans is None:
-                items = [(name, dates, source, target) for name in licensees]
-                series = live.map(_fig1_task, items, label="fig1")
-                return dict(zip(licensees, series))
-            items = [
-                (name, dates[lo:hi], source, target)
-                for name in licensees
-                for lo, hi in spans
-            ]
-            chunks = iter(live.map(_fig1_task, items, label="fig1"))
-            return {
-                name: [point for _ in spans for point in next(chunks)]
-                for name in licensees
-            }
+        items = [(name, dates, source, target) for name in licensees]
+        with GridSession(scenario.engine()) as live:
+            series = live.map(_fig1_task, items, label="fig1")
+        return dict(zip(licensees, series))
 
 
 def fig2_active_licenses(
@@ -96,8 +61,7 @@ def fig2_active_licenses(
     """Fig 2: active-license counts for the same networks.
 
     Counts come from each licensee's temporal index, one bisect per
-    point, so even a weekly grid costs less in-process than spawning a
-    worker pool; they never fan out.
+    point, so they need no grid session.
     """
     licensees = licensees or scenario.featured_names
     dates = list(dates or yearly_snapshot_dates())

@@ -26,7 +26,7 @@ from repro.constants import (
 )
 from repro.core.corridor import CorridorSpec
 from repro.core.engine import CorridorEngine
-from repro.parallel.grid import grid_session
+from repro.parallel.grid import GridSession
 from repro.uls.database import UlsDatabase
 from repro.uls.portal import UlsPortal
 from repro.uls.records import licenses_by_licensee
@@ -75,7 +75,6 @@ def run_scraping_funnel(
     source: str | None = None,
     target: str | None = None,
     engine: CorridorEngine | None = None,
-    jobs: int = 1,
 ) -> FunnelResult:
     """Replay §2.2 through the portal + scraper.
 
@@ -88,13 +87,11 @@ def run_scraping_funnel(
     engine's memo but never alias (or overwrite) the database-derived
     snapshots the ranking/timeline drivers serve.
 
-    Stages 2 and 3 map licensees through one grid session ``jobs``
-    wide.  Pool workers send their scrapers' page counts home, so every
-    funnel field — including ``pages_scraped`` — is jobs-invariant (each
-    licensee's detail pages are its own, so no worker refetches
-    another's).  It is store-invariant too: the engine's store
-    (``engine.store``) seeds the scraper with pages an earlier run
-    parsed, and a page read from there counts as a scraped page.
+    Stages 2 and 3 map licensees through one grid session that shares
+    this function's scraper, so ``pages_scraped`` counts every stage.
+    It is store-invariant: the engine's store (``engine.store``) seeds
+    the scraper with pages an earlier run parsed, and a page read from
+    there counts as a scraped page.
     """
     source, target = corridor.resolve_path(source, target)
     if engine is None:
@@ -126,9 +123,8 @@ def run_scraping_funnel(
             )
 
         # Stages 2 and 3 map licensees through one grid session that
-        # shares this scraper in-process; pool workers scrape with their
-        # own and send their page counts home to it.
-        with grid_session(engine, jobs, scraper=scraper) as live:
+        # shares this scraper.
+        with GridSession(engine, scraper=scraper) as live:
             # Stage 2: scrape every candidate's license list; shortlist
             # licensees with enough filings to span the corridor.
             with obs.span(
@@ -156,8 +152,7 @@ def run_scraping_funnel(
 
     if store is not None and scraper.dirty:
         store.save_entry(fingerprint, "scrape", scraper.export_pages)
-    # All portal traffic flows through a scraper: this one in-process, a
-    # worker's on a pool (whose page counts the session added here).
+    # All portal traffic flows through this scraper.
     pages_scraped = scraper.stats.search_pages + scraper.stats.detail_pages
     return FunnelResult(
         candidate_licensees=tuple(candidates),

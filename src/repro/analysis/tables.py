@@ -13,7 +13,7 @@ from repro.metrics.rankings import (
     rank_connected_networks,
     top_networks_per_path,
 )
-from repro.parallel.grid import GridSession, grid_session
+from repro.parallel.grid import GridSession
 from repro.synth.scenario import Scenario
 
 
@@ -22,8 +22,6 @@ def table1_connected_networks(
     on_date: dt.date | None = None,
     source: str | None = None,
     target: str | None = None,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> list[NetworkRanking]:
     """Table 1: connected networks by increasing primary-path latency."""
     date = on_date or scenario.snapshot_date
@@ -35,8 +33,6 @@ def table1_connected_networks(
             source=source,
             target=target,
             engine=scenario.engine(),
-            jobs=jobs,
-            session=session,
         )
 
 
@@ -44,8 +40,6 @@ def table2_top_networks(
     scenario: Scenario,
     on_date: dt.date | None = None,
     top_n: int = 3,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> list[PathTopRanking]:
     """Table 2: the fastest ``top_n`` networks per corridor path."""
     date = on_date or scenario.snapshot_date
@@ -56,8 +50,6 @@ def table2_top_networks(
             date,
             top_n=top_n,
             engine=scenario.engine(),
-            jobs=jobs,
-            session=session,
         )
 
 
@@ -81,8 +73,6 @@ def table3_apa(
     scenario: Scenario,
     licensees: tuple[str, ...] | None = None,
     on_date: dt.date | None = None,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> list[ApaRow]:
     """Table 3: per-path APA for selected networks (default: the
     scenario's spotlight pair, the paper's NLN vs WH).
@@ -97,7 +87,7 @@ def table3_apa(
     paths = tuple(scenario.corridor.paths)
     with obs.span("analysis.table3", date=date.isoformat()):
         items = [(name, date, paths) for name in licensees]
-        with grid_session(engine, jobs, session) as live:
+        with GridSession(engine) as live:
             results = live.map(_table3_task, items, label="table3")
         columns = dict(zip(licensees, results))
         return [

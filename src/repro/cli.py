@@ -96,7 +96,6 @@ def _cmd_funnel(args: argparse.Namespace) -> int:
         scenario.corridor,
         args.date or scenario.snapshot_date,
         engine=scenario.engine(),
-        jobs=args.jobs,
     )
     candidates, shortlisted, connected = result.counts
     print(f"candidate licensees: {candidates}")
@@ -118,7 +117,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         )
         print(render_payload(payload))
         return 0
-    rankings = table1_connected_networks(scenario, args.date, jobs=args.jobs)
+    rankings = table1_connected_networks(scenario, args.date)
     rows = [
         (r.licensee, format_latency_ms(r.latency_ms), r.apa_percent, r.tower_count)
         for r in rankings
@@ -137,7 +136,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 def _cmd_table2(args: argparse.Namespace) -> int:
     scenario = _scenario(args)
     rows = []
-    for path_ranking in table2_top_networks(scenario, args.date, jobs=args.jobs):
+    for path_ranking in table2_top_networks(scenario, args.date):
         for rank, entry in enumerate(path_ranking.top, start=1):
             rows.append(
                 (
@@ -166,7 +165,7 @@ def _cmd_table3(args: argparse.Namespace) -> int:
         )
         print(render_payload(payload))
         return 0
-    apa_rows = table3_apa(scenario, on_date=args.date, jobs=args.jobs)
+    apa_rows = table3_apa(scenario, on_date=args.date)
     names = list(apa_rows[0].values)
     rows = [
         (f"{row.path[0]}-{row.path[1]}", *(f"{row.values[n]}%" for n in names))
@@ -187,9 +186,9 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         print(render_payload(payload))
         return 0
     dates = dense_date_grid(args.step) if args.step != "paper" else None
-    # Only the Fig 1 grid fans out; Fig 2's counts are one bisect per
-    # point, cheaper in-process than spawning a worker pool.
-    latencies = fig1_latency_evolution(scenario, dates=dates, jobs=args.jobs)
+    # Only the Fig 1 grid maps through a grid session; Fig 2's counts
+    # are one bisect per point.
+    latencies = fig1_latency_evolution(scenario, dates=dates)
     counts = fig2_active_licenses(scenario, dates=dates)
     dates = next(iter(counts.values())).dates
     header = ("Licensee", *(d.isoformat() for d in dates))
@@ -531,7 +530,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.serve.payloads import render_payload
 
     refs = tuple(args.scenarios) if args.scenarios else None
-    rows = compare_corridors(refs, jobs=args.jobs, store=args.store)
+    rows = compare_corridors(refs, store=args.store)
     if args.format == "json":
         payload = {
             "endpoint": "compare",
@@ -721,8 +720,8 @@ def _obs_parent_parser() -> argparse.ArgumentParser:
     )
     execution.add_argument(
         "--jobs", type=_positive_int, default=1, metavar="N",
-        help="fan analysis work out over N logical workers "
-        "(repro.parallel; output is byte-identical for any N)",
+        help="accepted for compatibility and has no effect: every "
+        "command runs in one process (N must be a positive integer)",
     )
     persistence = parent.add_argument_group("persistence")
     persistence.add_argument(
@@ -991,7 +990,6 @@ def main(argv: list[str] | None = None) -> int:
             trace_sink = obs.JsonLinesSink(Path(trace_path))
             sinks.append(trace_sink)
         obs.enable(sinks=tuple(sinks))
-    from repro.parallel import WorkerPoolError
     from repro.scenarios import ScenarioParamError, UnknownScenarioError
 
     try:
@@ -999,9 +997,6 @@ def main(argv: list[str] | None = None) -> int:
     except (UnknownScenarioError, ScenarioParamError) as error:
         print(f"scenario error: {error}", file=sys.stderr)
         status = 2
-    except WorkerPoolError as error:
-        print(f"parallel error: {error}", file=sys.stderr)
-        status = 1
     finally:
         if store is not None:
             # Persist whatever the command learned, then detach: the

@@ -35,11 +35,6 @@ engine itself is parameter-immutable: build one engine per parameterisation
 The :class:`NetworkReconstructor` holds the corridor and parameters and
 runs the one cache-free reconstruction path, the columnar kernel; the
 engine wraps it and never changes its semantics.
-
-:func:`cached_only` runs a block against the caches alone: a lookup that
-would build raises :class:`CacheMiss`, and a block that raises leaves no
-trace.  A grid session probes each work item this way before it ships
-the item to a worker process (:mod:`repro.parallel.grid`).
 """
 
 from __future__ import annotations
@@ -50,10 +45,8 @@ import pickle
 import threading
 import zlib
 from collections import OrderedDict
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from repro import obs
 from repro.core.corridor import CorridorSpec
@@ -74,73 +67,6 @@ DEFAULT_SNAPSHOT_CACHE_SIZE = 512
 DEFAULT_ROUTE_CACHE_SIZE = 4096
 
 _MISSING = object()
-
-
-class CacheMiss(Exception):
-    """A lookup under :func:`cached_only` would have had to build."""
-
-
-class _Probe:
-    """The hits of one :func:`cached_only` block, counted only if it ends
-    normally.
-
-    ``values`` keeps each value a lookup returned (decoded once, outside
-    the cache), so a repeated lookup inside the block sees the same
-    object, as it would through the cache itself.
-    """
-
-    __slots__ = ("hits", "values")
-
-    def __init__(self) -> None:
-        self.hits: list[tuple["_LruCache", Hashable]] = []
-        self.values: dict[tuple[int, Hashable], object] = {}
-
-    def lookup(self, cache: "_LruCache", key: Hashable) -> object:
-        slot = (id(cache), key)
-        value = self.values.get(slot, _MISSING)
-        if value is _MISSING:
-            value = cache.peek(key)
-            if value is _MISSING:
-                raise CacheMiss(cache.hit_name)
-            self.values[slot] = value
-        self.hits.append((cache, key))
-        return value
-
-    def commit(self) -> None:
-        for cache, key in self.hits:
-            cache.count_hit(key, self.values[(id(cache), key)])
-
-
-#: The open probe of the current thread (or task), or None.  A context
-#: variable, not an engine attribute: serve threads share engines.
-_PROBE: ContextVar[_Probe | None] = ContextVar("engine_probe", default=None)
-
-
-@contextmanager
-def cached_only() -> Iterator[None]:
-    """Run a block against what every engine already holds.
-
-    Inside the block a snapshot or route lookup that would build raises
-    :class:`CacheMiss` instead (so does :func:`require_builds`).  Hits are
-    served but not counted, reordered or decoded into the cache until the
-    block ends normally; a block that raises leaves every engine's caches
-    and counters exactly as they were.  Only the current thread (or
-    task) is affected.
-    """
-    probe = _Probe()
-    token = _PROBE.set(probe)
-    try:
-        yield
-    finally:
-        _PROBE.reset(token)
-    probe.commit()
-
-
-def require_builds(what: str) -> None:
-    """Mark a step that cannot run on cached state alone: raises
-    :class:`CacheMiss` naming ``what`` inside :func:`cached_only`."""
-    if _PROBE.get() is not None:
-        raise CacheMiss(what)
 
 
 def _license_content_digest(licenses: Iterable[License]) -> str:
@@ -267,14 +193,7 @@ class _LruCache:
         return len(self._entries)
 
     def get(self, key: Hashable, default: object = None) -> object:
-        """The value for ``key``, or ``default`` (a counted miss).
-
-        Inside :func:`cached_only` a miss raises :class:`CacheMiss`
-        instead, and a hit is counted only when the block ends.
-        """
-        probe = _PROBE.get()
-        if probe is not None:
-            return probe.lookup(self, key)
+        """The value for ``key``, or ``default`` (a counted miss)."""
         entry = self._entries.get(key, _MISSING)
         if entry is _MISSING:
             self.misses += 1
@@ -294,25 +213,6 @@ class _LruCache:
         self.hits += 1
         obs.count(self.hit_name)
         return entry
-
-    def peek(self, key: Hashable) -> object:
-        """The value for ``key`` (decoded), or ``_MISSING`` if absent or
-        undecodable; counts nothing and changes nothing."""
-        entry = self._entries.get(key, _MISSING)
-        if type(entry) is EncodedValue:
-            try:
-                return entry.decode()
-            except Exception:  # lint: disable=broad-except (a corrupt value is left for a counted get() to drop and rebuild)
-                return _MISSING
-        return entry
-
-    def count_hit(self, key: Hashable, value: object) -> None:
-        """Account a hit a :meth:`peek` served, as :meth:`get` would have."""
-        if key in self._entries:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-        self.hits += 1
-        obs.count(self.hit_name)
 
     def put(self, key: Hashable, value: object) -> None:
         self.dirty = True
@@ -442,16 +342,11 @@ class CorridorEngine:
         # The engine's caches (LRU dicts and their counters) are not
         # internally synchronised; concurrent callers serialise through
         # this lock (see repro.serve.facade.EngineFacade).  Engines are
-        # never pickled — parallel workers rebuild their own — so the
-        # lock never crosses a process boundary.
+        # never pickled, so the lock never crosses a process boundary.
         self._lock = threading.RLock()
         #: The attached :class:`repro.store.CacheStore`, set and cleared
         #: only by the store's ``attach``/``detach_all``.
         self.store = None
-        #: Licensees a seeded snapshot or route is keyed on: such an
-        #: entry can hit before the licensee's temporal index is built.
-        self._seeded_licensees: set[str] = set()
-
     def locked(self) -> threading.RLock:
         """The engine's reentrant guard, for ``with engine.locked():``.
 
@@ -491,18 +386,8 @@ class CorridorEngine:
         The set comes from the database's :class:`~repro.uls.index
         .TemporalIndex`: O(log n) warm, and the *same* frozenset object
         per constant-active-set interval, so key hashing stays cheap.
-
-        Inside :func:`cached_only`, a licensee whose index is not built
-        yet raises :class:`CacheMiss` before the index is built, unless
-        a store seeded entries for it: every entry this engine built
-        itself was keyed through the index, so none can match.
         """
-        index = self.database.built_temporal_index(licensee)
-        if index is None:
-            if _PROBE.get() is not None and licensee not in self._seeded_licensees:
-                raise CacheMiss("temporal index")
-            index = self.database.temporal_index(licensee)
-        return index.active_ids_at(on_date)
+        return self.database.temporal_index(licensee).active_ids_at(on_date)
 
     def snapshot_key(self, licensee: str, on_date: dt.date) -> tuple:
         """The snapshot-cache key for (licensee, date) under this engine.
@@ -780,8 +665,6 @@ class CorridorEngine:
             )
         for key, solution in export.geodesic:
             self._geodesic_memo.store(key, solution)
-        self._seeded_licensees.update(key[0] for key, _ in export.snapshots)
-        self._seeded_licensees.update(key[0][0] for key, _ in export.routes)
         self._snapshots.seed(export.snapshots)
         self._routes.seed(export.routes)
 

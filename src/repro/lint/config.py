@@ -104,29 +104,21 @@ DEFAULT_FLOW_ROOTS = ("src/repro",)
 DEFAULT_FLOW_CACHE = ".lint-cache.json"
 
 #: fnmatch patterns (over function fqns) naming the entry points whose
-#: reachable set must not mutate module-level state: the parallel worker
-#: entries (each runs in a forked/spawned child whose module globals are
-#: invisible to the parent and to sibling workers) and the CLI subcommand
+#: reachable set must not mutate module-level state: the CLI subcommand
 #: mains (each must be runnable in any order, in one process).
 DEFAULT_SHARED_STATE_ROOTS = (
-    "repro.parallel.executor._worker_init",
-    "repro.parallel.executor._run_chunk_in_worker",
-    "repro.parallel.grid._grid_task",
-    "repro.parallel.grid._build_worker_state",
-    "repro.parallel.grid._collect_worker_pages",
     "repro.cli.main",
     "repro.cli._cmd_*",
 )
 
-#: Module globals whose mutation is deliberate and worker-safe:
+#: Module globals whose mutation is deliberate:
 #: the obs session accumulator (reset per process, reduced explicitly),
-#: the geodesy memo scope handle and the per-worker context slot (written
-#: once in the worker initializer).
+#: the geodesy memo scope handle, the rule and scenario registries and
+#: the blocking server's session handle.
 DEFAULT_SHARED_STATE_ALLOWED = (
     "repro.geodesy.memo._active_memo",
     "repro.lint.registry._REGISTRY",
     "repro.obs.spans._STATE",
-    "repro.parallel.executor._WORKER_CONTEXT",
     "repro.scenarios.registry._REGISTRY",
     "repro.serve.server._ACTIVE_SERVER",
 )

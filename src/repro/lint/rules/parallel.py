@@ -1,13 +1,12 @@
 """Parallelism discipline: fan-out goes through ``repro.parallel``.
 
-The parallel package is the one place in the codebase where worker pools
-are constructed — it is what guarantees spawn safety (no forked
-interpreter state), ordered reduction, and worker metrics merge-back.  A
-module that builds its own ``ProcessPoolExecutor`` or calls
-``multiprocessing.Pool`` bypasses all three: results may arrive in
-completion order, worker metrics are silently discarded, and the fork
-start method can capture half-initialised parent state.  This rule
-confines pool and process construction to ``src/repro/parallel/``.
+The parallel package is the one place in the codebase where pools are
+constructed.  Analysis grids run in-process through ``GridSession``, and
+the only pool is ``pmap``'s ordered thread map for I/O-bound work.  A
+module that builds its own thread or process pool, or forks, gets none
+of that: results may arrive in completion order and a second process's
+work never reaches the caller's caches or metrics.  This rule confines
+pool and process construction to ``src/repro/parallel/``.
 """
 
 from __future__ import annotations
@@ -41,9 +40,9 @@ class ParallelDisciplineRule(Rule):
 
     name = "parallel-discipline"
     description = (
-        "direct pool/process construction outside repro.parallel; fan "
-        "out through repro.parallel (pmap/ParallelMap/GridSession) so "
-        "results stay ordered and worker metrics merge back"
+        "direct pool/process construction outside repro.parallel; map "
+        "through repro.parallel (GridSession, or pmap for I/O-bound "
+        "work) so results stay ordered and in one process"
     )
     interests = (ast.Call,)
 

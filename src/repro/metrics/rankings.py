@@ -15,7 +15,7 @@ from repro.core.corridor import CorridorSpec
 from repro.core.engine import CorridorEngine
 from repro.core.network import HftNetwork, Route
 from repro.metrics.apa import apa_percent
-from repro.parallel.grid import GridSession, grid_session
+from repro.parallel.grid import GridSession
 from repro.uls.database import UlsDatabase
 
 
@@ -57,8 +57,6 @@ def rank_connected_networks(
     licensees: list[str] | None = None,
     slack: float = APA_SLACK_FACTOR,
     engine: CorridorEngine | None = None,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> list[NetworkRanking]:
     """All networks connected source↔target, by increasing latency.
 
@@ -67,9 +65,8 @@ def rank_connected_networks(
     database is considered.  Pass ``engine`` to share snapshot/route
     caches across rankings (e.g. over a date grid); without one the
     ranking runs on a private default-parameter engine.  The
-    per-licensee work maps through a grid session (``session``, or a
-    private one ``jobs`` wide); disconnected licensees drop out and the
-    latency sort runs parent-side, so the ranking is jobs-invariant.
+    per-licensee work maps through a grid session; disconnected
+    licensees drop out before the latency sort.
     ``source`` / ``target`` default to the corridor's primary path.
     """
     source, target = corridor.resolve_path(source, target)
@@ -77,7 +74,7 @@ def rank_connected_networks(
         engine = CorridorEngine(database, corridor)
     names = licensees if licensees is not None else database.licensee_names()
     items = [(name, on_date, source, target, slack) for name in names]
-    with grid_session(engine, jobs, session) as live:
+    with GridSession(engine) as live:
         rankings = [
             ranking
             for ranking in live.map(_rank_task, items, label="rankings")
@@ -104,39 +101,33 @@ def top_networks_per_path(
     top_n: int = 3,
     licensees: list[str] | None = None,
     engine: CorridorEngine | None = None,
-    jobs: int = 1,
-    session: GridSession | None = None,
 ) -> list[PathTopRanking]:
     """Table 2: the ``top_n`` fastest networks for every corridor path.
 
     One engine serves all paths, so each licensee's network is stitched
-    once and only re-routed per (source, target) pair.  ``jobs`` /
-    ``session`` fan the per-licensee ranking work out within each path.
+    once and only re-routed per (source, target) pair.
     """
     if engine is None:
         engine = CorridorEngine(database, corridor)
     results = []
-    # One session (and one worker pool) serves every path's fan-out.
-    with grid_session(engine, jobs, session) as live:
-        for source, target in corridor.paths:
-            rankings = rank_connected_networks(
-                database,
-                corridor,
-                on_date,
+    for source, target in corridor.paths:
+        rankings = rank_connected_networks(
+            database,
+            corridor,
+            on_date,
+            source=source,
+            target=target,
+            licensees=licensees,
+            engine=engine,
+        )
+        results.append(
+            PathTopRanking(
                 source=source,
                 target=target,
-                licensees=licensees,
-                engine=engine,
-                session=live,
+                geodesic_km=corridor.geodesic_m(source, target) / 1000.0,
+                top=tuple(rankings[:top_n]),
             )
-            results.append(
-                PathTopRanking(
-                    source=source,
-                    target=target,
-                    geodesic_km=corridor.geodesic_m(source, target) / 1000.0,
-                    top=tuple(rankings[:top_n]),
-                )
-            )
+        )
     return results
 
 

@@ -114,25 +114,6 @@ class Histogram:
             "mean": self.mean,
         }
 
-    def absorb(self, summary: dict) -> None:
-        """Merge another histogram's :meth:`summary` into this one.
-
-        Aggregate-only storage makes histograms mergeable exactly: counts
-        and sums add, min/max combine.  This is how worker-process span
-        timings reach the parent session's registry.
-        """
-        count = summary.get("count", 0)
-        if not count:
-            return
-        self.count += count
-        self.total += summary.get("sum", 0.0)
-        for bound, better in (("min", min), ("max", max)):
-            value = summary.get(bound)
-            if value is None:
-                continue
-            own = getattr(self, bound)
-            setattr(self, bound, value if own is None else better(own, value))
-
 
 class MetricsRegistry:
     """Get-or-create home for every instrument of one observation session."""
@@ -195,25 +176,6 @@ class MetricsRegistry:
                 for name, h in sorted(self._histograms.items())
             },
         }
-
-    def absorb(self, snapshot: dict) -> None:
-        """Merge another registry's :meth:`snapshot` into this one.
-
-        Counters add, gauges take the incoming (most recent) value, and
-        histograms merge their aggregates.  ``repro.parallel`` uses this
-        to fold each worker process's registry into the parent session's,
-        so ``--metrics`` totals are jobs-invariant where the underlying
-        work is.  Type clashes (a counter arriving under a name already
-        registered as a histogram) raise, exactly as direct registration
-        would.
-        """
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            if value is not None:
-                self.gauge(name).set(value)
-        for name, summary in snapshot.get("histograms", {}).items():
-            self.histogram(name).absorb(summary)
 
     def reset(self) -> None:
         """Zero every instrument, keeping the instruments registered.

@@ -1,40 +1,22 @@
-"""Deterministic fan-out for the reconstruction grid, sweeps and scraping.
+"""Grid sessions for the analysis drivers, and the load generator's pool.
 
-Two layers:
-
-* :mod:`repro.parallel.executor` — the raw :class:`ParallelMap` /
-  :func:`pmap` fan-out contract: contiguous balanced chunks, ordered
-  reduction, spawn-safe process pool, and a plain in-process loop when
-  ``jobs=1`` or the machine has one usable CPU.
-* :mod:`repro.parallel.grid` — :class:`GridSession`, which adds the
-  engine routing the analysis drivers need: default-parameter tasks on
-  the parent engine, one sibling engine per override set, and workers
-  that rebuild their engines and return only results.
+* :mod:`repro.parallel.grid` — :class:`GridSession`, which runs every
+  analysis grid in-process and routes each task to its engine: the
+  parent engine for default parameters, one sibling engine per override
+  set.
+* :mod:`repro.parallel.executor` — :func:`pmap`, an ordered map with up
+  to ``jobs`` calls in flight on threads, for I/O-bound fan-out (the
+  load generator's HTTP clients).
 
 Pool/process construction anywhere else in ``src/repro`` is rejected by
 the ``parallel-discipline`` lint rule.
 """
 
-from repro.parallel.executor import (
-    ContextSpec,
-    ParallelMap,
-    WorkerPoolError,
-    chunk_spans,
-    pmap,
-    resolve_backend,
-    usable_cpu_count,
-)
-from repro.parallel.grid import GridSession, GridTaskContext, grid_session
+from repro.parallel.executor import pmap
+from repro.parallel.grid import GridSession, GridTaskContext
 
 __all__ = [
-    "ContextSpec",
     "GridSession",
     "GridTaskContext",
-    "ParallelMap",
-    "WorkerPoolError",
-    "chunk_spans",
-    "grid_session",
     "pmap",
-    "resolve_backend",
-    "usable_cpu_count",
 ]

@@ -1,10 +1,9 @@
-"""Grid fan-out sessions: engines + scrapers behind :class:`ParallelMap`.
+"""Grid sessions: the in-process engine routing every analysis driver uses.
 
-The analysis drivers all fan out over the same two shapes of work item —
+The analysis drivers all map over the same two shapes of work item —
 *(licensee × date)* cells of the reconstruction grid and *knob values* of
-a parameter sweep — and they all need the same routing around the raw
-executor.  :class:`GridSession` packages it once, and every driver maps
-through a session at every width:
+a parameter sweep — and they all need the same routing around the loop.
+:class:`GridSession` packages it once:
 
 * **Engine routing.**  A task mapped with ``params=None`` runs against
   the session's parent engine; a task mapped with parameter overrides
@@ -12,47 +11,30 @@ through a session at every width:
   (:meth:`~repro.core.engine.CorridorEngine.with_params`), built on first
   use and kept for the session, so snapshots computed under different
   knobs can never alias.
-* **In-process is the plain loop.**  At ``jobs=1`` (or on a one-CPU
-  machine) tasks run in order against the parent engine, its siblings
-  and the caller's scraper — the objects a hand-written loop would use.
-* **Cached work never ships.**  Before a pool map, the parent runs each
-  default-parameter item as a *probe* under
-  :func:`~repro.core.engine.cached_only` (and the scraper's
-  :meth:`~repro.uls.scraper.UlsScraper.cached_only`): an item whose
-  snapshot, route and scraper reads all hit finishes in the parent; one
-  that would build or fetch a page, or that reads ``ctx.worker``, aborts
-  without a trace and ships.  Override-set items always ship (their
-  sibling is cold in the parent).  The pool is spawned only if
-  something ships.
-* **Workers return results, not caches.**  On a pool, each worker builds
-  its own engine from the shipped ``(database, corridor, params)`` and a
-  scraper over the same database, and sends home only task results plus
-  its scraper's page counts.  The parent engine's caches see none of the
-  workers' work; every result is a pure function of its item, so output
-  is byte-identical at any width and wherever an item ran.
+* **A lazy scraper.**  Tasks that read ``ctx.scraper`` share one
+  :class:`~repro.uls.scraper.UlsScraper` over the session's database:
+  the caller's, or one built on first use.
 
-Task functions are module-level callables ``fn(ctx, item)`` (picklable by
-reference for worker processes); ``ctx`` is a :class:`GridTaskContext`
-carrying the routed engine, a lazily-built scraper over the same
-database, and the logical worker id.
+Every item runs in this process, in order, against the caller's own
+objects: exactly the loop a hand-written driver would run.  The paper's
+grids are small (~60 licensees × a few hundred dates), and on the 2-CPU
+reference host no command got faster with a process pool, so there is
+none (DESIGN.md §9).
+
+Task functions are callables ``fn(ctx, item)``; ``ctx`` is a
+:class:`GridTaskContext` carrying the routed engine and the session's
+scraper.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro import obs
-from repro.core.engine import (
-    CacheMiss,
-    CorridorEngine,
-    cached_only,
-    require_builds,
-)
-from repro.parallel.executor import ContextSpec, ParallelMap
+from repro.core.engine import CorridorEngine
 
 #: A normalised override set: None (parent params) or sorted key/value
-#: pairs — hashable, picklable, and order-independent.
+#: pairs — hashable and order-independent.
 ParamsKey = tuple | None
 
 
@@ -63,55 +45,46 @@ def _normalise_overrides(overrides: Mapping | None) -> ParamsKey:
 
 
 class GridTaskContext:
-    """What a grid task function receives: engine, scraper, worker id."""
+    """What a grid task function receives: its engine and the scraper."""
 
-    __slots__ = ("engine", "_worker", "_host")
+    __slots__ = ("engine", "_session")
 
-    def __init__(self, engine: CorridorEngine, worker: int, host) -> None:
+    def __init__(self, engine: CorridorEngine, session: "GridSession") -> None:
         self.engine = engine
-        self._worker = worker
-        self._host = host
+        self._session = session
 
     @property
     def database(self):
         return self.engine.database
 
     @property
-    def worker(self) -> int:
-        """The logical worker id.  It names where a task runs, so a
-        parent-side probe that reads it aborts and the item ships."""
-        require_builds("worker id")
-        return self._worker
-
-    @property
     def scraper(self):
-        """A scraper over the session's database (built on first use).
-
-        A parent-side probe reads the session's scraper under its
-        ``cached_only``: reads it already holds are served, a page fetch
-        aborts the probe and the item ships.  A probe that would build
-        the scraper aborts at once, since a new scraper holds nothing.
-        """
-        if self._host._scraper is None:
-            require_builds("scraper")
-        return self._host.scraper
+        """The session's scraper (built on first use)."""
+        return self._session.scraper
 
 
-class _EngineRoutes:
-    """One parent engine, its siblings per override set, and a scraper.
+class GridSession:
+    """One mapping session over one parent engine (and its database).
 
-    The in-process context of a :class:`GridSession` and, rebuilt from
-    picklable parts, the per-process context of every pool worker.
+    Parameters
+    ----------
+    engine:
+        The parent :class:`~repro.core.engine.CorridorEngine`; default
+        parameter tasks run against it.
+    scraper:
+        Optional :class:`~repro.uls.scraper.UlsScraper` every task
+        shares (the funnel passes its own, seeded from the store, so its
+        page counts cover every stage); by default one is built over the
+        engine's database on first use.
     """
 
-    def __init__(self, engine: CorridorEngine, scraper=None) -> None:
+    #: Where tasks run; always this process.
+    backend = "serial"
+
+    def __init__(self, engine: CorridorEngine, *, scraper=None) -> None:
         self.engine = engine
-        self.worker = 0
         self._scraper = scraper
         self._siblings: dict[tuple, CorridorEngine] = {}
-
-    def begin_chunk(self, worker: int) -> None:
-        self.worker = worker
 
     def engine_for(self, key: ParamsKey) -> CorridorEngine:
         """The engine a task with override set ``key`` runs against:
@@ -133,87 +106,6 @@ class _EngineRoutes:
             self._scraper = UlsScraper(UlsPortal(self.engine.database))
         return self._scraper
 
-
-def _build_worker_state(database, corridor, params, cache_sizes):
-    """A worker's context: a fresh engine over the shipped parts."""
-    return _EngineRoutes(
-        CorridorEngine(database, corridor, **params, **cache_sizes)
-    )
-
-
-def _collect_worker_pages(state: _EngineRoutes):
-    """The worker scraper's page counts since the last chunk, or None if
-    no task of this worker touched a scraper."""
-    scraper = state._scraper
-    if scraper is None:
-        return None
-    from repro.uls.scraper import ScrapeStats
-
-    stats, scraper.stats = scraper.stats, ScrapeStats()
-    return stats
-
-
-def _grid_task(host, wrapped):
-    """The executor-facing task: route an engine, build a context, call
-    the driver's function.  ``host`` is the GridSession itself in-process
-    and a worker's :class:`_EngineRoutes` on a pool."""
-    fn, key, item = wrapped
-    ctx = GridTaskContext(host.engine_for(key), host.worker, host)
-    return fn(ctx, item)
-
-
-class GridSession(_EngineRoutes):
-    """One fan-out session over one parent engine (and its database).
-
-    Parameters
-    ----------
-    engine:
-        The parent :class:`~repro.core.engine.CorridorEngine`; default
-        parameter tasks run against it in-process.
-    jobs:
-        Fan-out width (see :class:`~repro.parallel.executor.ParallelMap`
-        for when a pool is used; :attr:`backend` says which mode ran).
-    scraper:
-        Optional parent-side :class:`~repro.uls.scraper.UlsScraper` that
-        in-process tasks and parent-side probes share (the funnel passes
-        its own, seeded from the store, so its page counts cover every
-        stage); by default one is built over the engine's database on
-        first use.  Pool workers' page counts are added to it after each
-        map.
-    """
-
-    def __init__(
-        self,
-        engine: CorridorEngine,
-        jobs: int = 1,
-        *,
-        scraper=None,
-    ) -> None:
-        super().__init__(engine, scraper)
-        self.jobs = jobs
-        self._pmap = ParallelMap(
-            jobs,
-            context=ContextSpec(
-                _build_worker_state,
-                (
-                    engine.database,
-                    engine.corridor,
-                    engine.reconstructor.params(),
-                    {
-                        "snapshot_cache_size": engine._snapshots.maxsize,
-                        "route_cache_size": engine._routes.maxsize,
-                        "geodesic_memo_size": engine._geodesic_memo.maxsize,
-                    },
-                ),
-            ),
-            local_context=self,
-        )
-
-    @property
-    def backend(self) -> str:
-        """``"process"`` when a spawn pool runs the tasks, else ``"serial"``."""
-        return self._pmap.backend
-
     def map(
         self,
         fn: Callable,
@@ -224,78 +116,27 @@ class GridSession(_EngineRoutes):
     ) -> list:
         """``[fn(ctx, item) for item in items]`` with routed engines.
 
-        ``fn`` must be a module-level callable taking
-        ``(GridTaskContext, item)``.  ``params`` selects the engine per
-        item: ``None`` (parent engine), a mapping of reconstruction
-        overrides applied to every item, or a callable
-        ``item -> mapping | None``.  Results come back in submission
-        order.
+        ``params`` selects the engine per item: ``None`` (parent
+        engine), a mapping of reconstruction overrides applied to every
+        item, or a callable ``item -> mapping | None``.
         """
         items = list(items)
-        if callable(params):
-            keys = [_normalise_overrides(params(item)) for item in items]
-        else:
-            keys = [_normalise_overrides(params)] * len(items)
-        wrapped = list(zip([fn] * len(items), keys, items))
-        with obs.span(
-            "parallel.grid",
-            label=label,
-            items=len(items),
-            jobs=self.jobs,
-            backend=self.backend,
-        ) as grid_span:
-            if self.backend == "serial":
-                results, shipped = self._pmap.map(_grid_task, wrapped), []
-            else:
-                results, shipped = self._probe(wrapped)
-            if shipped:
-                fanned = self._pmap.map(
-                    _grid_task,
-                    [wrapped[index] for index in shipped],
-                    finalize=_collect_worker_pages,
-                    on_chunk_result=self._absorb_pages,
+        overrides = params if callable(params) else lambda item: params
+        with obs.span("parallel.grid", label=label, items=len(items)):
+            return [
+                fn(
+                    GridTaskContext(
+                        self.engine_for(_normalise_overrides(overrides(item))),
+                        self,
+                    ),
+                    item,
                 )
-                for index, result in zip(shipped, fanned):
-                    results[index] = result
-            parent = len(items) - len(shipped)
-            obs.count("parallel.items.parent", parent)
-            obs.count("parallel.items.shipped", len(shipped))
-            grid_span.tag(parent=parent, shipped=len(shipped))
-        return results
-
-    def _probe(self, wrapped: list) -> tuple[list, list[int]]:
-        """Run every item the parent's caches can answer, in order.
-
-        Returns the results (``None`` where an item must ship) and the
-        indices of the items to ship.  A probe that would build or fetch
-        aborts without a trace; one that completes counts its hits on
-        the parent engine and its pages on the parent scraper, exactly
-        as the in-process loop would.
-        """
-        results: list = [None] * len(wrapped)
-        shipped: list[int] = []
-        for index, entry in enumerate(wrapped):
-            if entry[1] is not None:
-                shipped.append(index)
-                continue
-            scraper = self._scraper
-            try:
-                with (
-                    nullcontext()
-                    if scraper is None
-                    else scraper.cached_only(CacheMiss)
-                ), cached_only():
-                    results[index] = _grid_task(self, entry)
-            except CacheMiss:
-                shipped.append(index)
-        return results, shipped
-
-    def _absorb_pages(self, worker: int, stats) -> None:
-        if stats is not None:
-            self.scraper.absorb(stats)
+                for item in items
+            ]
 
     def close(self) -> None:
-        self._pmap.close()
+        """Drop the session's siblings (the parent engine is the caller's)."""
+        self._siblings.clear()
 
     def __enter__(self) -> "GridSession":
         return self
@@ -303,28 +144,3 @@ class GridSession(_EngineRoutes):
     def __exit__(self, *exc_info: object) -> bool:
         self.close()
         return False
-
-
-@contextmanager
-def grid_session(
-    engine: CorridorEngine,
-    jobs: int = 1,
-    session: GridSession | None = None,
-    *,
-    scraper=None,
-) -> Iterator[GridSession]:
-    """A session for one driver call: the caller's, or a private one.
-
-    Drivers accept both a ``jobs`` count and an optional ``session`` so
-    one pool (and one set of siblings) can serve several driver calls;
-    when no session is passed, a private one is opened and closed around
-    the call.
-    """
-    if session is not None:
-        yield session
-        return
-    own = GridSession(engine, jobs, scraper=scraper)
-    try:
-        yield own
-    finally:
-        own.close()

@@ -1,12 +1,12 @@
 """Load generation against a running corridor query server.
 
-The client fleet is ``repro.parallel`` (the same executor every
-``--jobs`` driver uses): the seeded request mix is built up front, the
-fleet replays it, and the report reduces per-request samples into
-sustained throughput and tail latency.  Determinism discipline: the
-request *sequence* is seeded (``random.Random(profile.seed)``), so two
-runs of the same profile issue identical requests in identical order —
-only the timings differ.
+The client fleet is :func:`repro.parallel.pmap`: ``clients`` threads
+with at most one request in flight each.  The seeded request mix is built
+up front, the fleet replays it, and the report reduces the per-request
+samples (in request order) into sustained throughput and tail latency.
+Determinism discipline: the request *sequence* is seeded
+(``random.Random(profile.seed)``), so two runs of the same profile issue
+identical requests in identical order — only the timings differ.
 
 This module is on the lint obs-discipline allowlist: like
 ``benchmarks/``, measuring wall time is its whole point, so it reads
@@ -92,7 +92,7 @@ def percentile(values: list[float], q: float) -> float:
 
 
 def _fetch(item: tuple[str, str]) -> RequestSample:
-    """One client request (module-level so process backends can pickle)."""
+    """One client request."""
     base_url, path = item
     start = time.perf_counter()
     try:
@@ -107,7 +107,8 @@ def _fetch(item: tuple[str, str]) -> RequestSample:
 
 
 def run_load(base_url: str, profile: LoadProfile | None = None) -> LoadReport:
-    """Replay ``profile`` against ``base_url`` with a parallel fleet."""
+    """Replay ``profile`` against ``base_url`` with ``profile.clients``
+    requests in flight at once."""
     profile = profile if profile is not None else LoadProfile()
     base = base_url.rstrip("/")
     items = [(base, path) for path in request_sequence(profile)]

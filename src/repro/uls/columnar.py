@@ -13,9 +13,9 @@ object graphs.
 
 A store is built **once per** :attr:`repro.uls.database.UlsDatabase
 .generation` (mirroring the temporal index: any mutation invalidates it)
-and is deliberately *not* pickled with the database — parallel workers
-rebuild their own from the shipped license records, which is cheaper and
-safer than shipping derived float columns across process boundaries.
+and is deliberately *not* pickled with the database — an unpickled
+database (a store entry) rebuilds its own from the license records, which
+is cheaper and safer than persisting derived float columns.
 
 Activity intervals reuse :func:`repro.uls.index.license_interval` — the
 exact half-open ``[grant, end)`` window the :class:`~repro.uls.index

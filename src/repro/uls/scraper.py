@@ -28,10 +28,8 @@ import datetime as dt
 import pickle
 import re
 import zlib
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from html import unescape
-from typing import Iterator
 
 from repro import obs
 from repro.geodesy import GeoPoint
@@ -228,43 +226,10 @@ class UlsScraper:
         self._names: dict[str, tuple[str, ...]] = {}
         #: Dates and points by the page text they were parsed from.
         self._shared: dict = {}
-        #: Ids whose detail page this session has counted, in the order
-        #: it counted them (a dict, so a rollback can pop the newest).
-        self._counted: dict[str, None] = {}
-        #: Raised instead of fetching a page inside :meth:`cached_only`.
-        self._miss: type[Exception] | None = None
+        #: Ids whose detail page this session has counted.
+        self._counted: set[str] = set()
         self.dirty = False
         self.stats = ScrapeStats()
-
-    def _fetch(self, what: str) -> None:
-        """About to ask the portal for a page: refused under cached_only."""
-        if self._miss is not None:
-            raise self._miss(what)
-
-    @contextmanager
-    def cached_only(self, miss: type[Exception]) -> Iterator[None]:
-        """Run a block on the pages this scraper already holds.
-
-        Inside the block a read that would fetch a page raises ``miss``
-        (called with a description of the page) instead.  If the block
-        raises ``miss``, from here or from anything else it ran, the
-        page counts and the detail pages counted this session are put
-        back as they were before it, so a read the block made is counted
-        again by whoever redoes the work.  A grid session probes its
-        items this way (:mod:`repro.parallel.grid`), with the engine's
-        ``CacheMiss`` as ``miss``.
-        """
-        stats, counted, outer = replace(self.stats), len(self._counted), self._miss
-        self._miss = miss
-        try:
-            yield
-        except miss:
-            self.stats = stats
-            while len(self._counted) > counted:
-                self._counted.popitem()
-            raise
-        finally:
-            self._miss = outer
 
     # ------------------------------------------------------------------
     # Search pages
@@ -274,7 +239,6 @@ class UlsScraper:
         self, latitude: float, longitude: float, radius_km: float
     ) -> list[dict[str, str]]:
         """Scrape the geographic results: one dict per row."""
-        self._fetch("geographic search")
         with obs.span("uls.scraper.search", kind="geographic"):
             with obs.span("uls.portal.render"):
                 html = self._portal.geographic_search_page(
@@ -294,7 +258,6 @@ class UlsScraper:
         """License ids filed by a licensee (name-search page)."""
         ids = self._names.get(licensee_name)
         if ids is None:
-            self._fetch(f"name search {licensee_name!r}")
             with obs.span(
                 "uls.scraper.search", kind="name", licensee=licensee_name
             ):
@@ -321,7 +284,6 @@ class UlsScraper:
             return self._details[license_id]
         lic = self._details.get(license_id)
         if lic is None:
-            self._fetch(f"detail page {license_id!r}")
             obs.count("uls.scraper.cache.miss")
             with obs.span("uls.scraper.detail", license_id=license_id):
                 with obs.span("uls.portal.render"):
@@ -335,19 +297,13 @@ class UlsScraper:
                 )
             self._details[license_id] = lic
             self.dirty = True
-        self._counted[license_id] = None
+        self._counted.add(license_id)
         self.stats.detail_pages += 1
         return lic
 
     def scrape_licensee(self, licensee_name: str) -> list[License]:
         """All filings of one licensee, via name search + detail pages."""
         return [self.license_detail(lid) for lid in self.licenses_of(licensee_name)]
-
-    def absorb(self, stats: ScrapeStats) -> None:
-        """Add another scraper's page counts (a grid worker's) to ours."""
-        self.stats.search_pages += stats.search_pages
-        self.stats.detail_pages += stats.detail_pages
-        self.stats.cache_hits += stats.cache_hits
 
     # ------------------------------------------------------------------
     # Persistence (the body of a ``scrape`` store entry)

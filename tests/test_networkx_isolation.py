@@ -1,11 +1,15 @@
-"""networkx stays off the hot path, and derived routing state stays off disk.
+"""networkx and process pools stay off the hot path, and derived routing
+state stays off disk.
 
 Routing, connectivity and APA run the stdlib Dijkstra in
 :mod:`repro.core.network`; networkx is imported only inside the analyses
-that build a full graph.  A fresh interpreter must therefore get through
-``import repro``, ``import repro.cli`` and the benchmarked commands
-without loading it.  A routed :class:`HftNetwork` must pickle (store
-entries, worker seeds) without its cached adjacency or graph.
+that build a full graph.  Every command runs in one process, so nothing
+on the hot path needs ``multiprocessing`` or ``concurrent.futures``
+either.  A fresh interpreter must therefore get through ``import repro``,
+``import repro.cli`` and the benchmarked commands (at ``--jobs 4``, which
+has no effect) without loading any of them.  A routed
+:class:`HftNetwork` must pickle (store entries) without its cached
+adjacency or graph.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ _PROBE = textwrap.dedent(
     import contextlib, io, sys
 
     def check(stage):
-        assert "networkx" not in sys.modules, f"networkx loaded by {stage}"
+        for name in ("networkx", "multiprocessing", "concurrent.futures"):
+            assert name not in sys.modules, f"{name} loaded by {stage}"
 
     import repro
     check("import repro")
@@ -39,7 +44,7 @@ _PROBE = textwrap.dedent(
         ["timeline", "--step", "weekly"],
     ):
         with contextlib.redirect_stdout(io.StringIO()):
-            assert repro.cli.main(argv) == 0, argv
+            assert repro.cli.main([*argv, "--jobs", "4"]) == 0, argv
         check(" ".join(argv))
     """
 )

@@ -1,4 +1,4 @@
-"""End-to-end determinism: ``--jobs N`` must not change a byte of output.
+"""``--jobs N`` is accepted and changes nothing: not a byte of output.
 
 Each command runs in a fresh subprocess (its own interpreter, its own
 process-cached scenario) at ``--jobs 1`` and ``--jobs 4``; stdout must be
@@ -45,38 +45,3 @@ def test_jobs_flag_output_is_byte_identical(command):
     assert parallel.returncode == 0, parallel.stderr.decode()
     assert serial.stdout == parallel.stdout
     assert serial.stdout  # the command actually printed its report
-
-
-#: A launcher with no ``__main__`` guard whose re-import dies: spawned
-#: workers re-import the parent's main script, so every worker exits at
-#: start-up, before it reads its spawn payload.  The process backend is
-#: forced so the spawn path runs on a one-CPU host too.
-_DYING_WORKER_LAUNCHER = """\
-import sys
-if __name__ == "__mp_main__":
-    sys.exit(3)
-from repro.parallel import executor
-executor.usable_cpu_count = lambda: 2
-from repro.cli import main
-sys.exit(main(["timeline", "--step", "weekly", "--jobs", "2"]))
-"""
-
-
-def test_worker_dying_at_startup_fails_fast(tmp_path):
-    launcher = tmp_path / "launch.py"
-    launcher.write_text(_DYING_WORKER_LAUNCHER)
-    # The hard timeout is the regression check: before the spawn payload
-    # was kept small, the parent blocked forever writing it to the dead
-    # worker's pipe.
-    result = subprocess.run(
-        [sys.executable, str(launcher)],
-        cwd=tmp_path,
-        env=_env(),
-        capture_output=True,
-        timeout=60,
-    )
-    stderr = result.stderr.decode()
-    assert result.returncode == 1, stderr
-    assert stderr.startswith("parallel error: a worker process exited"), stderr
-    assert "Traceback" not in stderr
-    assert result.stdout == b""

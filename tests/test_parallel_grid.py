@@ -1,32 +1,22 @@
-"""Tests for grid fan-out sessions: routing and the results-only contract.
+"""Tests for grid sessions: in-process engine routing and the shared scraper.
 
-The core promise under test: a grid run returns exactly the results a
-``jobs=1`` run would at any width.  In-process runs (``jobs=1``, or any
-width on a one-CPU machine) work on the parent
-:class:`~repro.core.engine.CorridorEngine` and its siblings themselves;
-pool workers build their own engines and send home only results (plus
-scraper page counts), so the parent engine's caches never see their
-work.  Tests pick the mode by patching ``usable_cpu_count``
-(``one_cpu`` / ``two_cpus``), as ``tests/test_parallel.py`` does.
+A :class:`~repro.parallel.grid.GridSession` runs every item in this
+process, in order: default-parameter tasks on the parent
+:class:`~repro.core.engine.CorridorEngine`, override tasks on one sibling
+engine per override set.  Its results, and the state it leaves on the
+parent engine, must match a hand-written loop over the same engines.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import datetime as dt
-import os
-import threading
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
-from repro.analysis.funnel import _connect_task, _count_task
-from repro.core.engine import CacheMiss, CorridorEngine, cached_only
-from repro.parallel import GridSession, executor, grid_session
-from repro.uls.database import UlsDatabase
+from repro.core.engine import CorridorEngine
+from repro.parallel import GridSession
 from repro.uls.portal import UlsPortal
 from repro.uls.scraper import UlsScraper
 
@@ -41,8 +31,6 @@ FEATURED = (
 DATES = (dt.date(2016, 1, 1), dt.date(2019, 1, 1))
 
 
-# -- module-level task functions (picklable for the process backend) ----
-
 def _latency_series(ctx, item):
     name, dates = item
     return tuple(
@@ -50,16 +38,12 @@ def _latency_series(ctx, item):
     )
 
 
-def _worker_id_task(ctx, item):
-    return ctx.worker
+def _engine_id(ctx, item):
+    return id(ctx.engine)
 
 
 def _count_filings(ctx, item):
     return len(ctx.scraper.licenses_of(item))
-
-
-def _series_and_pid(ctx, item):
-    return _latency_series(ctx, item), os.getpid()
 
 
 def _fresh_engine(scenario) -> CorridorEngine:
@@ -69,16 +53,6 @@ def _fresh_engine(scenario) -> CorridorEngine:
 
 def _memo_contents(engine: CorridorEngine) -> dict:
     return dict(engine._geodesic_memo.entries())
-
-
-@pytest.fixture
-def one_cpu(monkeypatch):
-    monkeypatch.setattr(executor, "usable_cpu_count", lambda: 1)
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    monkeypatch.setattr(executor, "usable_cpu_count", lambda: 2)
 
 
 class TestEngineCacheTransplant:
@@ -107,37 +81,41 @@ class TestEngineCacheTransplant:
 class TestGridSessionRouting:
     def test_default_params_route_to_parent(self, scenario):
         engine = _fresh_engine(scenario)
-        with GridSession(engine, 1) as session:
+        with GridSession(engine) as session:
+            assert session.backend == "serial"
             assert session.engine_for(None) is engine
+            assert session.map(_engine_id, [1, 2]) == [id(engine)] * 2
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_overrides_share_one_sibling_per_session(self, scenario, jobs):
+    @pytest.mark.parametrize("maps", [1, 2])
+    def test_overrides_share_one_sibling_per_session(self, scenario, maps):
         engine = _fresh_engine(scenario)
         engine.snapshot("Webline Holdings", DATES[1])  # warm the memo
         key = (("stitch_tolerance_m", 120.0),)
-        with GridSession(engine, jobs) as session:
+        with GridSession(engine) as session:
             first = session.engine_for(key)
             second = session.engine_for(key)
+            # Every map over the session reuses the same sibling.
+            for _ in range(maps):
+                assert session.map(
+                    _engine_id, [1, 2], params={"stitch_tolerance_m": 120.0}
+                ) == [id(first)] * 2
+            assert list(session._siblings) == [key]
         assert first is second
         assert first is not engine
         # The sibling starts cold: nothing is transplanted into it.
         assert _memo_contents(first) == {}
         assert len(first._snapshots) == 0
 
-    def test_worker_ids_are_chunk_indices(self, scenario, two_cpus):
+    def test_params_callable_pools_one_sibling_per_override_set(self, scenario):
         engine = _fresh_engine(scenario)
-        with GridSession(engine, 2) as session:
-            workers = session.map(_worker_id_task, list(range(4)))
-        assert workers == [0, 0, 1, 1]
-
-    def test_params_callable_pools_one_sibling_per_override_set(
-        self, scenario, one_cpu
-    ):
-        engine = _fresh_engine(scenario)
-        items = [("Webline Holdings", 90.0), ("Webline Holdings", 120.0)]
-        with GridSession(engine, 2) as session:
-            session.map(
-                _worker_id_task,
+        items = [
+            ("Webline Holdings", 90.0),
+            ("Webline Holdings", 120.0),
+            ("New Line Networks", 90.0),
+        ]
+        with GridSession(engine) as session:
+            ids = session.map(
+                _engine_id,
                 items,
                 params=lambda item: {"stitch_tolerance_m": item[1]},
             )
@@ -145,340 +123,72 @@ class TestGridSessionRouting:
                 (("stitch_tolerance_m", 90.0),),
                 (("stitch_tolerance_m", 120.0),),
             }
+        assert ids[0] == ids[2] != ids[1]
+        # Closing the session drops its siblings.
+        assert session._siblings == {}
 
 
 class TestSerialParallelEquivalence:
-    """In-process runs at any width agree with ``jobs=1`` on results,
-    geodesic-memo contents, and CacheStats totals on the parent engine."""
+    """A session's map is the plain loop: same results, same geodesic
+    memo and the same CacheStats on the parent engine."""
 
     @settings(max_examples=10, deadline=None)
     @given(
         names=st.lists(
             st.sampled_from(FEATURED), min_size=1, max_size=3, unique=True
         ),
-        jobs=st.integers(min_value=2, max_value=4),
     )
-    def test_inline_grid_leaves_identical_parent_state(
-        self, scenario, names, jobs
-    ):
-        items = [(name, DATES) for name in names]
+    def test_inline_grid_leaves_identical_parent_state(self, scenario, names):
+        loop_engine = _fresh_engine(scenario)
+        expected = [
+            tuple(p.latency_ms for p in loop_engine.timeline(name, DATES))
+            for name in names
+        ]
 
-        serial_engine = _fresh_engine(scenario)
-        with GridSession(serial_engine, 1) as session:
-            expected = session.map(_latency_series, items)
-
-        parallel_engine = _fresh_engine(scenario)
-        # A one-CPU machine runs any width in-process (patched by hand:
-        # hypothesis rejects function-scoped fixtures).
-        with mock.patch.object(executor, "usable_cpu_count", lambda: 1):
-            with GridSession(parallel_engine, jobs) as session:
-                assert session.backend == "serial"
-                got = session.map(_latency_series, items)
+        session_engine = _fresh_engine(scenario)
+        with GridSession(session_engine) as session:
+            got = session.map(_latency_series, [(name, DATES) for name in names])
 
         assert got == expected
-        assert _memo_contents(parallel_engine) == _memo_contents(serial_engine)
-        assert parallel_engine.stats == serial_engine.stats
+        assert _memo_contents(session_engine) == _memo_contents(loop_engine)
+        assert session_engine.stats == loop_engine.stats
 
-    def test_override_sweep_matches_serial_and_spares_parent(
-        self, scenario, one_cpu
-    ):
-        items = [("Webline Holdings", DATES), ("New Line Networks", DATES)]
+    def test_override_sweep_matches_serial_and_spares_parent(self, scenario):
+        names = ("Webline Holdings", "New Line Networks")
         params = {"stitch_tolerance_m": 120.0}
 
-        serial_engine = _fresh_engine(scenario)
-        with GridSession(serial_engine, 1) as session:
-            expected = session.map(_latency_series, items, params=params)
-        serial_stats = serial_engine.stats
+        sibling = _fresh_engine(scenario).with_params(**params)
+        expected = [
+            tuple(p.latency_ms for p in sibling.timeline(name, DATES))
+            for name in names
+        ]
 
-        parallel_engine = _fresh_engine(scenario)
-        with GridSession(parallel_engine, 3) as session:
-            got = session.map(_latency_series, items, params=params)
-
-        assert got == expected
-        # Override tasks run on siblings; the parent engine is untouched
-        # either way (counters idle, memo empty on these cold parents).
-        assert parallel_engine.stats == serial_stats
-        assert _memo_contents(parallel_engine) == _memo_contents(serial_engine)
-
-
-class TestProcessGrid:
-    """Spawn transport for the grid: items out, results home."""
-
-    def test_process_grid_matches_serial_and_spares_parent(
-        self, scenario, two_cpus
-    ):
-        items = [(name, DATES) for name in FEATURED[:4]]
-
-        serial_engine = _fresh_engine(scenario)
-        with GridSession(serial_engine, 1) as session:
-            expected = session.map(_latency_series, items)
-
-        parallel_engine = _fresh_engine(scenario)
-        parallel_engine.snapshot("Webline Holdings", DATES[1])
-        before = (
-            parallel_engine.stats,
-            _memo_contents(parallel_engine),
-            parallel_engine.export_cache_state(),
-        )
-        with GridSession(parallel_engine, 2) as session:
-            assert session.backend == "process"
-            got = session.map(_latency_series, items)
+        parent = _fresh_engine(scenario)
+        before = parent.stats
+        with GridSession(parent) as session:
+            got = session.map(
+                _latency_series, [(name, DATES) for name in names], params=params
+            )
 
         assert got == expected
-        # Workers built their own engines: the parent's caches
-        # and counters are exactly as they were before the fan-out.
-        assert parallel_engine.stats == before[0]
-        assert _memo_contents(parallel_engine) == before[1]
-        assert parallel_engine.export_cache_state() == before[2]
-
-    def test_process_session_reuses_pool_across_maps(self, scenario, two_cpus):
-        engine = _fresh_engine(scenario)
-        items = [(name, (DATES[1],)) for name in FEATURED[:2]]
-        with GridSession(engine, 2) as session:
-            first = session.map(_latency_series, items)
-            pool = session._pmap._pool
-            second = session.map(_latency_series, items)
-            assert session._pmap._pool is pool
-        assert first == second
+        # Override tasks run on the sibling; the parent is untouched.
+        assert parent.stats == before
+        assert _memo_contents(parent) == {}
 
 
 class TestScraperBatching:
-    def test_count_filings_parallel_matches_serial(self, scenario, two_cpus):
-        names = list(FEATURED[:3])
-        with GridSession(_fresh_engine(scenario), 1) as session:
-            expected = session.map(_count_filings, names)
-            serial_stats = session.scraper.stats
-
-        with GridSession(_fresh_engine(scenario), 2) as session:
-            got = session.map(_count_filings, names)
-            stats = session.scraper.stats
-
-        assert got == expected
-        # The workers' page counts came home to the session's scraper.
-        assert stats == serial_stats
-
     def test_grid_tasks_share_session_scraper(self, scenario):
         engine = _fresh_engine(scenario)
-        with grid_session(engine, 2) as session:
+        with GridSession(engine) as session:
             counts = session.map(_count_filings, list(FEATURED[:2]))
             stats = session.scraper.stats
         assert all(count > 0 for count in counts)
-        # Both tasks' page traffic landed on the session's one scraper
-        # (in-process runs share it; pool workers send their counts home).
-        assert stats.search_pages >= 2
+        # Both tasks' page traffic landed on the session's one scraper.
+        assert stats.search_pages == 2
 
-
-class TestParentAnswersWarmItems:
-    """A process session runs each item as a cached-only probe in the
-    parent first; only the items that would build ship to the pool."""
-
-    def _warm(self, scenario, items) -> CorridorEngine:
-        engine = _fresh_engine(scenario)
-        with GridSession(engine, 1) as session:
-            session.map(_latency_series, items)
-        return engine
-
-    def test_fully_warm_parent_spawns_no_pool(self, scenario, two_cpus):
-        items = [(name, DATES) for name in FEATURED[:4]]
-        serial = self._warm(scenario, items)
-        with GridSession(serial, 1) as session:
-            expected = session.map(_latency_series, items)
-
-        parent = self._warm(scenario, items)
-        with obs.capture() as cap:
-            with GridSession(parent, 2) as session:
-                assert session.backend == "process"
-                got = session.map(_latency_series, items)
-                assert session._pmap._pool is None
-        assert got == expected
-        # The parent's hits count exactly as the in-process loop's do.
-        assert parent.stats == serial.stats
-        counters = cap.counters()
-        assert counters["parallel.items.parent"] == len(items)
-        assert counters["parallel.items.shipped"] == 0
-        grid = [rec for rec in cap.spans if rec.name == "parallel.grid"]
-        assert dict(grid[0].attrs)["shipped"] == 0
-
-    def test_half_warm_grid_ships_exactly_the_misses_in_order(
-        self, scenario, two_cpus
-    ):
-        items = [(name, DATES) for name in FEATURED[:4]]
-        with GridSession(_fresh_engine(scenario), 1) as session:
-            expected = session.map(_latency_series, items)
-
-        parent = self._warm(scenario, items[::2])
-        with obs.capture() as cap:
-            with GridSession(parent, 2) as session:
-                got = session.map(_series_and_pid, items)
-        assert [series for series, _ in got] == expected
-        here = os.getpid()
-        assert [pid == here for _, pid in got] == [True, False, True, False]
-        assert cap.counters()["parallel.items.parent"] == 2
-        assert cap.counters()["parallel.items.shipped"] == 2
-
-    def test_override_and_scraper_items_always_ship(self, scenario, two_cpus):
-        items = [(name, DATES) for name in FEATURED[:2]]
-        parent = self._warm(scenario, items)
-        before = parent.stats
-        with obs.capture() as cap:
-            with GridSession(parent, 2) as session:
-                session.map(
-                    _latency_series,
-                    items,
-                    params={"stitch_tolerance_m": 120.0},
-                )
-                # No sibling is built in the parent for a probe.
-                assert session._siblings == {}
-                session.map(_count_filings, list(FEATURED[:2]))
-                assert session.scraper.stats.search_pages >= 2
-        assert cap.counters()["parallel.items.parent"] == 0
-        assert cap.counters()["parallel.items.shipped"] == 4
-        assert parent.stats == before
-
-    def test_aborted_probe_counts_nothing(self, scenario):
-        engine = _fresh_engine(scenario)
-        name = FEATURED[0]
-        engine.timeline(name, DATES[1:])
-        before = (engine.stats, engine.export_cache_state())
-        with obs.capture() as cap:
-            with pytest.raises(CacheMiss):
-                with cached_only():
-                    # A hit, then a lookup that would build.
-                    engine.timeline(name, DATES[1:])
-                    engine.timeline(name, DATES[:1])
-        assert (engine.stats, engine.export_cache_state()) == before
-        assert not any(key.startswith("engine.") for key in cap.counters())
-
-    def test_probe_in_one_thread_lets_another_build(self, scenario):
-        engine = _fresh_engine(scenario)
-        entered, built = threading.Event(), threading.Event()
-        outcome = {}
-
-        def probe():
-            with cached_only():
-                entered.set()
-                built.wait(timeout=60)
-                # The other thread's build is served.
-                outcome["hit"] = engine.snapshot(FEATURED[0], DATES[1])
-            try:
-                with cached_only():
-                    engine.snapshot(FEATURED[1], DATES[1])
-            except CacheMiss:
-                outcome["miss"] = True
-
-        thread = threading.Thread(target=probe)
-        thread.start()
-        entered.wait(timeout=60)
-        network = engine.snapshot(FEATURED[0], DATES[1])
-        built.set()
-        thread.join(timeout=60)
-        assert engine.stats.snapshot.misses == 1
-        assert outcome["hit"] == network
-        assert outcome["miss"] is True
-        # The completed probe's hit counted; the aborted one left no miss.
-        assert engine.stats.snapshot.hits == 1
-
-    def test_cold_probe_builds_no_temporal_index(self, scenario, two_cpus):
-        items = [(name, DATES) for name in FEATURED[:3]]
-        with GridSession(_fresh_engine(scenario), 1) as session:
-            expected = session.map(_latency_series, items)
-
-        database = UlsDatabase(list(scenario.database))
-        engine = CorridorEngine(database, scenario.corridor)
-        engine.timeline(FEATURED[0], DATES)
-        with obs.capture() as cap:
-            with GridSession(engine, 2) as session:
-                got = session.map(_latency_series, items)
-        assert got == expected
-        assert cap.counters()["parallel.items.parent"] == 1
-        # The two cold licensees shipped without an index built for them.
-        built = [database.built_temporal_index(name) for name in FEATURED[:3]]
-        assert [index is not None for index in built] == [True, False, False]
-
-    def test_seeded_entries_probe_past_an_unbuilt_index(self, scenario, two_cpus):
-        items = [(FEATURED[0], DATES)]
-        warm = self._warm(scenario, items)
-        database = UlsDatabase(list(scenario.database))
-        engine = CorridorEngine(database, scenario.corridor)
-        engine.seed_cache_state(warm.export_cache_state())
-        with GridSession(engine, 2) as session:
-            got = session.map(_latency_series, items)
-            assert session._pmap._pool is None
-        with GridSession(warm, 1) as session:
-            assert got == session.map(_latency_series, items)
-
-
-def _seeded_scraper(scenario, source: UlsScraper) -> UlsScraper:
-    """A new scraper session holding every page ``source`` parsed."""
-    scraper = UlsScraper(UlsPortal(scenario.database))
-    scraper.seed_pages(source.export_pages())
-    return scraper
-
-
-class TestScraperProbes:
-    """A probe reads the pages the parent's scraper holds; a read that
-    would fetch aborts it, and the abort takes back its page counts."""
-
-    def test_aborted_probe_leaves_scraper_stats_unchanged(self, scenario):
-        source = UlsScraper(UlsPortal(scenario.database))
-        source.scrape_licensee(FEATURED[0])
-        scraper = _seeded_scraper(scenario, source)
-        before = dataclasses.replace(scraper.stats)
-        with obs.capture() as cap:
-            with pytest.raises(CacheMiss):
-                with scraper.cached_only(CacheMiss), cached_only():
-                    assert scraper.scrape_licensee(FEATURED[0])
-                    scraper.licenses_of(FEATURED[1])
-        assert scraper.stats == before
-        assert not any(key.startswith("uls.") for key in cap.counters())
-        # The rolled-back reads count again as first reads.
-        scraper.scrape_licensee(FEATURED[0])
-        assert scraper.stats == source.stats
-
-    def test_shipped_items_count_their_pages_once(self, scenario, two_cpus):
-        items = [
-            (name, DATES[1], "CME", "NY4") for name in FEATURED[:3]
-        ]
-        serial = UlsScraper(UlsPortal(scenario.database))
-        with GridSession(_fresh_engine(scenario), 1, scraper=serial) as session:
-            expected = session.map(_connect_task, items)
-
-        # Every page is held, but the engine is cold: each probe reads
-        # its pages, misses a snapshot and ships.
-        scraper = _seeded_scraper(scenario, serial)
-        with obs.capture() as cap:
-            with GridSession(_fresh_engine(scenario), 2, scraper=scraper) as session:
-                got = session.map(_connect_task, items)
-        assert got == expected
-        assert cap.counters()["parallel.items.shipped"] == len(items)
-        assert scraper.stats == serial.stats
-
-    def test_warm_funnel_grid_spawns_no_pool(
-        self, scenario, funnel_result, two_cpus
-    ):
-        candidates = list(funnel_result.candidate_licensees)
-        items = [
-            (name, scenario.snapshot_date, "CME", "NY4")
-            for name in funnel_result.shortlisted_licensees
-        ]
-        engine = _fresh_engine(scenario)
-        serial = UlsScraper(UlsPortal(scenario.database))
-        with GridSession(engine, 1, scraper=serial) as session:
-            expected = (
-                session.map(_count_task, candidates),
-                session.map(_connect_task, items),
-            )
-
-        scraper = _seeded_scraper(scenario, serial)
-        with obs.capture() as cap:
-            with GridSession(engine, 2, scraper=scraper) as session:
-                got = (
-                    session.map(_count_task, candidates),
-                    session.map(_connect_task, items),
-                )
-                assert session._pmap._pool is None
-        assert got == expected
-        assert cap.counters()["parallel.items.parent"] == 86
-        assert cap.counters()["parallel.items.shipped"] == 0
-        assert scraper.stats == serial.stats
-        assert not scraper.dirty
+    def test_caller_scraper_is_shared(self, scenario):
+        scraper = UlsScraper(UlsPortal(scenario.database))
+        with GridSession(_fresh_engine(scenario), scraper=scraper) as session:
+            session.map(_count_filings, list(FEATURED[:3]))
+            assert session.scraper is scraper
+        assert scraper.stats.search_pages == 3

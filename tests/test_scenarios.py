@@ -327,21 +327,31 @@ class TestEuropeTokyoGoldenPins:
             assert capsys.readouterr().err.startswith("scenario error: ")
 
 
-def _roundtrip_bytes(scenario, jobs: int = 1, engine=None) -> tuple:
-    """(funnel counts, canonical rankings bytes, timeline latencies)."""
+def _roundtrip_bytes(scenario, engine=None, grid: bool = True) -> tuple:
+    """(funnel counts, canonical rankings bytes, timeline latencies).
+
+    With ``grid=False`` the timeline is a plain loop over ``engine``
+    instead of the Fig 1 driver's grid session.
+    """
     engine = engine if engine is not None else scenario.engine()
     funnel = run_scraping_funnel(
         scenario.database,
         scenario.corridor,
         scenario.snapshot_date,
         engine=engine,
-        jobs=jobs,
     )
     rankings = render_payload(
         rankings_payload(scenario, engine, scenario.snapshot_date)
     )
     dates = yearly_snapshot_dates()
-    series = fig1_latency_evolution(scenario, dates=dates, jobs=jobs)
+    if grid:
+        series = fig1_latency_evolution(scenario, dates=dates)
+    else:
+        source, target = scenario.corridor.resolve_path(None, None)
+        series = {
+            name: engine.timeline(name, dates, source=source, target=target)
+            for name in scenario.featured_names
+        }
     timeline = {
         name: tuple(point.latency_ms for point in points)
         for name, points in series.items()
@@ -349,14 +359,21 @@ def _roundtrip_bytes(scenario, jobs: int = 1, engine=None) -> tuple:
     return funnel.counts, rankings, timeline
 
 
+def _serial_bytes(scenario) -> tuple:
+    """:func:`_roundtrip_bytes` on a cold engine of its own, with the
+    timeline as a plain loop."""
+    engine = CorridorEngine(scenario.database, scenario.corridor)
+    return _roundtrip_bytes(scenario, engine=engine, grid=False)
+
+
 @pytest.mark.parametrize("name", ["europe2020", "tokyo-singapore"])
 def test_registered_scenarios_roundtrip_serial_vs_grid(name):
     scenario = resolve_scenario(name)
-    assert _roundtrip_bytes(scenario) == _roundtrip_bytes(scenario, jobs=4)
+    assert _roundtrip_bytes(scenario) == _serial_bytes(scenario)
 
 
 def test_paper_roundtrip_serial_vs_grid(scenario):
-    assert _roundtrip_bytes(scenario) == _roundtrip_bytes(scenario, jobs=4)
+    assert _roundtrip_bytes(scenario) == _serial_bytes(scenario)
 
 
 @settings(
@@ -374,14 +391,15 @@ def test_synthetic_roundtrip_serial_grid_and_store(
     seed, networks, links, decoys
 ):
     """Randomized synthetic scenarios hold the full determinism contract:
-    serial == fanned-out == store-warmed, byte for byte."""
+    grid drivers == a plain loop on a cold engine == store-warmed, byte
+    for byte."""
     ref = (
         f"synthetic:seed={seed},networks={networks}"
         f",links={links},decoys={decoys}"
     )
     scenario = resolve_scenario(ref)
     serial = _roundtrip_bytes(scenario)
-    assert serial == _roundtrip_bytes(scenario, jobs=4)
+    assert serial == _serial_bytes(scenario)
 
     with tempfile.TemporaryDirectory() as tmp:
         store_dir = Path(tmp)

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
 
+from repro.parallel import pmap
 from repro.serve.loadgen import (
     DEFAULT_PATHS,
     LoadProfile,
+    _fetch,
     percentile,
     request_sequence,
     run_load,
@@ -68,3 +74,66 @@ class TestRunLoad:
         )
         report = run_load(serve_server.url, profile)
         assert report.errors == expected_errors > 0
+
+
+class _EchoServer:
+    """A local server that answers 200 after a per-path delay and records
+    the most requests it ever held at once."""
+
+    def __init__(self) -> None:
+        self.in_flight = 0
+        self.peak = 0
+        lock = threading.Lock()
+        outer = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_GET(self):
+                with lock:
+                    outer.in_flight += 1
+                    outer.peak = max(outer.peak, outer.in_flight)
+                # "/d<ms>" sleeps that long, so early requests can end last.
+                time.sleep(int(self.path.lstrip("/d")) / 1000.0)
+                with lock:
+                    outer.in_flight -= 1
+                self.send_response(200)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+
+            def log_message(self, *args):
+                pass
+
+        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.httpd.server_address[1]}"
+        self.thread = threading.Thread(target=self.httpd.serve_forever)
+
+    def __enter__(self) -> "_EchoServer":
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.httpd.shutdown()
+        self.httpd.server_close()
+        self.thread.join(timeout=10)
+
+
+class TestClientFleet:
+    @pytest.mark.parametrize("clients", [1, 3])
+    def test_samples_in_request_order_with_clients_in_flight(self, clients):
+        paths = [f"/d{delay}" for delay in (120, 80, 40, 0, 120, 80, 40, 0, 60)]
+        with _EchoServer() as server:
+            samples = pmap(
+                _fetch, [(server.url, path) for path in paths], jobs=clients
+            )
+            assert server.peak == clients
+        assert [sample.path for sample in samples] == paths
+        assert all(sample.status == 200 for sample in samples)
+
+    def test_run_load_keeps_clients_requests_in_flight(self):
+        profile = LoadProfile(
+            requests=12, clients=4, paths=("/d50", "/d100"), seed=2
+        )
+        with _EchoServer() as server:
+            report = run_load(server.url, profile)
+            assert server.peak == 4
+        assert report.requests == 12
+        assert report.errors == 0

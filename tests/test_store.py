@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core.engine import CorridorEngine, EncodedValue, EngineCacheExport
-from repro.parallel import GridSession, executor
 from repro.serve.service import CorridorQueryService
 from repro.store import (
     STORE_SCHEMA_VERSION,
@@ -598,8 +597,8 @@ class TestCacheCli:
         assert main(["table1", "--cache-dir", str(tmp_path)]) == 0
         (entry,) = CacheStore(tmp_path).stat()
         before = (entry.path.read_bytes(), os.stat(entry.path))
-        # The scenario's engine stays warm in this process; a fanned-out
-        # run without a store must not checkpoint it into the old store.
+        # The scenario's engine stays warm in this process; a later run
+        # without a store must not checkpoint it into the old store.
         assert main(["table1", "--no-store", "--jobs", "2"]) == 0
         capsys.readouterr()
         after = os.stat(entry.path)
@@ -784,7 +783,6 @@ class TestCacheCli:
                 stores.append(self)
 
         monkeypatch.setattr(repro.store, "CacheStore", RecordingStore)
-        monkeypatch.setattr(executor, "usable_cpu_count", lambda: 2)
         argv = ["table1", "--cache-dir", str(tmp_path)]
         self._reset_default_engine()
         assert main(argv) == 0
@@ -793,9 +791,8 @@ class TestCacheCli:
         self._reset_default_engine()
         assert main(argv + ["--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
-        # One load at attach and no save: no checkpoint before the
-        # fan-out, since workers never read the store, and the parent
-        # engine learned nothing the entry lacks.
+        # One load at attach and no save: the engine learned nothing
+        # the entry lacks.
         counters = stores[-1].counters()
         assert (counters["loads"], counters["hits"], counters["saves"]) == (
             1,
@@ -889,11 +886,12 @@ class TestFreshProcesses:
         serial = _run_in(src, *argv, "--jobs", "1", *store)
         warm = _run_in(src, *argv, "--jobs", "2", *store, "--metrics")
         assert warm.stdout == serial.stdout
-        # The store-warmed parent answers every grid item itself.
-        assert _metric(warm.stderr, "parallel.items.parent") > 0
-        assert "parallel.items.shipped" in warm.stderr
-        assert _metric(warm.stderr, "parallel.items.shipped") == 0
-        assert _metric(warm.stderr, "parallel.tasks") == 0
+        # The store-warmed engine answers every grid item from its
+        # caches: nothing is rebuilt and nothing is saved.
+        assert _metric(warm.stderr, "engine.route.hit") > 0
+        assert "engine.route.miss" not in warm.stderr
+        assert "engine.snapshot.miss" not in warm.stderr
+        assert _metric(warm.stderr, "store.save") == 0
 
     def test_warm_funnel_scrapes_nothing_and_saves_nothing(self, tmp_path):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -911,15 +909,23 @@ class TestFreshProcesses:
             _metric(warm.stderr, "store.save"),
         ) == (3, 3, 0)
         assert "uls.scraper.cache.miss" not in warm.stderr
-        # At --jobs 2 the parent answers all 57 shortlist and 29
-        # connectivity items itself.
+        # --jobs 2 changes nothing: still no page fetched, no save.
         fanned = _run_in(src, *argv, "--jobs", "2")
         assert fanned.stdout == cold.stdout
-        assert _metric(fanned.stderr, "parallel.items.parent") == 86
-        assert "parallel.items.shipped" in fanned.stderr
-        assert _metric(fanned.stderr, "parallel.items.shipped") == 0
-        assert _metric(fanned.stderr, "parallel.tasks") == 0
+        assert "uls.scraper.page.detail" not in fanned.stderr
         assert _metric(fanned.stderr, "store.save") == 0
+
+    def test_cold_jobs2_funnel_publishes_every_entry(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        argv = ["-m", "repro", "funnel", "--cache-dir", str(tmp_path), "--metrics"]
+        cold = _run_in(src, *argv, "--jobs", "2")
+        # Scenario, engine and scrape entries, as at --jobs 1.
+        assert _metric(cold.stderr, "store.save") == 3
+        warm = _run_in(src, *argv, "--jobs", "2")
+        assert warm.stdout == cold.stdout
+        assert _metric(warm.stderr, "store.hit") == 3
+        assert "store.miss" not in warm.stderr
+        assert "uls.scraper.page.detail" not in warm.stderr
 
     def test_source_edits_orphan_scenario_and_engine_entries(self, tmp_path):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -1079,40 +1085,3 @@ class TestBodyCache:
             "invalidations",
             "generation",
         }
-
-
-# ----------------------------------------------------------------------
-# Parallel: pool workers start from the shipped parts, not the store
-# ----------------------------------------------------------------------
-
-
-def _store_latency_task(ctx, item):
-    name, date = item
-    route = ctx.engine.route(name, date, "CME", "NY4")
-    return None if route is None else route.latency_s
-
-
-class TestParallelSeeding:
-    def test_process_workers_leave_the_store_alone(
-        self, scenario, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(executor, "usable_cpu_count", lambda: 2)
-        items = [
-            (name, scenario.snapshot_date)
-            for name in scenario.connected_names[:4]
-        ]
-        serial = _engine(scenario)
-        with GridSession(serial, 1) as session:
-            expected = session.map(_store_latency_task, items)
-
-        store = CacheStore(tmp_path)
-        parent = _engine(scenario, store=store)
-        with GridSession(parent, 2) as session:
-            assert session.backend == "process"
-            got = session.map(_store_latency_task, items)
-        assert got == expected
-        # The attach-time load is the only store traffic: nothing is
-        # checkpointed for the workers, and they never open the store.
-        counters = store.counters()
-        assert (counters["loads"], counters["saves"]) == (1, 0)
-        assert store.stat() == ()
