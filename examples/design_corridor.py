@@ -13,6 +13,7 @@ Run:  python examples/design_corridor.py [trunk_budget] [bypass_budget]
 
 from __future__ import annotations
 
+import os
 import sys
 
 from repro.analysis.report import format_table
@@ -82,6 +83,7 @@ def main() -> None:
     )
 
     network = design_to_network(design)
+    os.makedirs("out", exist_ok=True)
     render_network_svg(network, "out/designed_network.svg",
                        highlight_route=("WEST", "EAST"))
     print("\nwrote out/designed_network.svg")

@@ -34,6 +34,18 @@ python -m repro lint
 # rule orders the tiers; this catches any cycle, tiered or not).
 python -m repro lint graph --check-cycles > /dev/null
 
+# Import gate: `--help` must load no repro module but the CLI itself.
+# Package __init__s re-export lazily and each handler imports its own
+# driver, so a new eager import anywhere on the startup path shows here.
+extra_imports=$(python -X importtime -m repro --help 2>&1 >/dev/null \
+    | awk -F'|' 'NR > 1 { gsub(/ /, "", $3); print $3 }' \
+    | grep -E '^repro\.' | grep -vxE 'repro\.(cli|__main__)' || true)
+if [ -n "$extra_imports" ]; then
+    echo "check.sh: 'python -m repro --help' imports beyond the CLI:" \
+         $extra_imports >&2
+    exit 1
+fi
+
 # Incremental-lint gate: the warm (cached) run and a cache-free run must
 # report byte-identical findings — the content-hash cache may only skip
 # work, never change the answer.  The first lint above left a fully

@@ -38,64 +38,82 @@ Subpackages
 ``repro.analysis``  One driver per paper table/figure, plus ablations.
 """
 
-from repro.constants import (
-    APA_SLACK_FACTOR,
-    FIBER_SPEED,
-    MAX_FIBER_TAIL_M,
-    MICROWAVE_SPEED,
-    SPEED_OF_LIGHT,
-)
-from repro.core import (
-    CacheStats,
-    CorridorEngine,
-    CorridorSpec,
-    HftNetwork,
-    LatencyModel,
-    NetworkReconstructor,
-    Route,
-    network_from_yaml,
-    network_to_yaml,
-    reconstruct_all,
-)
-from repro.core.corridor import chicago_nj_corridor
-from repro.geodesy import GeoPoint, geodesic_distance
-from repro.metrics import (
-    alternate_path_availability,
-    rank_connected_networks,
-    top_networks_per_path,
-)
-from repro.synth.scenario import Scenario, build_scenario, paper2020_scenario
-from repro.uls import UlsDatabase, UlsPortal, UlsScraper
+from __future__ import annotations
+
+import importlib
+import sys
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "APA_SLACK_FACTOR",
-    "FIBER_SPEED",
-    "MAX_FIBER_TAIL_M",
-    "MICROWAVE_SPEED",
-    "SPEED_OF_LIGHT",
-    "CacheStats",
-    "CorridorEngine",
-    "CorridorSpec",
-    "HftNetwork",
-    "LatencyModel",
-    "NetworkReconstructor",
-    "Route",
-    "network_from_yaml",
-    "network_to_yaml",
-    "reconstruct_all",
-    "chicago_nj_corridor",
-    "GeoPoint",
-    "geodesic_distance",
-    "alternate_path_availability",
-    "rank_connected_networks",
-    "top_networks_per_path",
-    "Scenario",
-    "build_scenario",
-    "paper2020_scenario",
-    "UlsDatabase",
-    "UlsPortal",
-    "UlsScraper",
-    "__version__",
-]
+
+def _lazy_exports(
+    package: str, exports: dict[str, tuple[str, ...]]
+) -> tuple:
+    """PEP 562 lazy re-exports: ``(__getattr__, __dir__, __all__)``.
+
+    ``exports`` maps each defining module to the names ``package``
+    re-exports from it.  Nothing is imported up front: the first access
+    to a name imports its module, and the value is bound in the
+    package's namespace so later lookups are plain attribute reads.  A
+    name outside the table raises :class:`AttributeError` (so
+    ``hasattr`` is False), and ``dir(package)`` lists every export.
+    Every package ``__init__`` in ``repro`` but the ``repro.lint``
+    tooling builds its public surface this way, so importing a package
+    costs nothing until a name is used (DESIGN.md §16).
+    """
+    origin = {
+        name: module for module, names in exports.items() for name in names
+    }
+
+    def __getattr__(name: str):
+        module = origin.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        value = getattr(importlib.import_module(module), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*vars(sys.modules[package]), *origin})
+
+    return __getattr__, __dir__, list(origin)
+
+
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.constants": (
+            "APA_SLACK_FACTOR",
+            "FIBER_SPEED",
+            "MAX_FIBER_TAIL_M",
+            "MICROWAVE_SPEED",
+            "SPEED_OF_LIGHT",
+        ),
+        "repro.core.engine": ("CacheStats", "CorridorEngine"),
+        "repro.core.corridor": ("CorridorSpec", "chicago_nj_corridor"),
+        "repro.core.network": ("HftNetwork", "Route"),
+        "repro.core.latency": ("LatencyModel",),
+        "repro.core.reconstruction": (
+            "NetworkReconstructor",
+            "reconstruct_all",
+        ),
+        "repro.core.yamlio": ("network_from_yaml", "network_to_yaml"),
+        "repro.geodesy.earth": ("GeoPoint", "geodesic_distance"),
+        "repro.metrics.apa": ("alternate_path_availability",),
+        "repro.metrics.rankings": (
+            "rank_connected_networks",
+            "top_networks_per_path",
+        ),
+        "repro.synth.scenario": (
+            "Scenario",
+            "build_scenario",
+            "paper2020_scenario",
+        ),
+        "repro.uls.database": ("UlsDatabase",),
+        "repro.uls.portal": ("UlsPortal",),
+        "repro.uls.scraper": ("UlsScraper",),
+    },
+)
+__all__.append("__version__")

@@ -6,57 +6,39 @@ harness and examples print/persist them.  See DESIGN.md's experiment
 index for the table/figure ↔ driver mapping.
 """
 
-from repro.analysis.funnel import FunnelResult, run_scraping_funnel
-from repro.analysis.tables import (
-    table1_connected_networks,
-    table2_top_networks,
-    table3_apa,
-)
-from repro.analysis.figures import (
-    fig1_latency_evolution,
-    fig2_active_licenses,
-    fig3_network_maps,
-    fig4a_link_length_cdfs,
-    fig4b_frequency_cdfs,
-    fig5_leo_comparison,
-)
-from repro.analysis.ablations import (
-    apa_slack_sweep,
-    fiber_mode_comparison,
-    per_tower_overhead_crossover,
-    stitch_tolerance_sweep,
-)
-from repro.analysis.entities import (
-    complementary_pairs,
-    joint_analysis,
-    resolve_entities,
-)
-from repro.analysis.stability import ranking_stability
-from repro.analysis.flux import race_history
-from repro.analysis.monitor import diff_corridor
-from repro.analysis.report import format_table
+from repro import _lazy_exports
 
-__all__ = [
-    "FunnelResult",
-    "run_scraping_funnel",
-    "table1_connected_networks",
-    "table2_top_networks",
-    "table3_apa",
-    "fig1_latency_evolution",
-    "fig2_active_licenses",
-    "fig3_network_maps",
-    "fig4a_link_length_cdfs",
-    "fig4b_frequency_cdfs",
-    "fig5_leo_comparison",
-    "apa_slack_sweep",
-    "fiber_mode_comparison",
-    "per_tower_overhead_crossover",
-    "stitch_tolerance_sweep",
-    "format_table",
-    "complementary_pairs",
-    "joint_analysis",
-    "resolve_entities",
-    "ranking_stability",
-    "race_history",
-    "diff_corridor",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.analysis.funnel": ("FunnelResult", "run_scraping_funnel"),
+        "repro.analysis.tables": (
+            "table1_connected_networks",
+            "table2_top_networks",
+            "table3_apa",
+        ),
+        "repro.analysis.figures": (
+            "fig1_latency_evolution",
+            "fig2_active_licenses",
+            "fig3_network_maps",
+            "fig4a_link_length_cdfs",
+            "fig4b_frequency_cdfs",
+            "fig5_leo_comparison",
+        ),
+        "repro.analysis.ablations": (
+            "apa_slack_sweep",
+            "fiber_mode_comparison",
+            "per_tower_overhead_crossover",
+            "stitch_tolerance_sweep",
+        ),
+        "repro.analysis.entities": (
+            "complementary_pairs",
+            "joint_analysis",
+            "resolve_entities",
+        ),
+        "repro.analysis.stability": ("ranking_stability",),
+        "repro.analysis.flux": ("race_history",),
+        "repro.analysis.monitor": ("diff_corridor",),
+        "repro.analysis.report": ("format_table",),
+    },
+)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.core.timeline import (
@@ -13,16 +13,17 @@ from repro.core.timeline import (
     license_count_timeline,
     yearly_snapshot_dates,
 )
-from repro.leo.latency import ComparisonPoint, sweep_distances
-from repro.metrics.frequencies import (
-    alternate_path_frequencies_ghz,
-    shortest_path_frequencies_ghz,
-)
-from repro.metrics.link_lengths import near_optimal_link_lengths_km
 from repro.parallel.grid import GridSession
-from repro.synth.scenario import Scenario
-from repro.viz.geojson import network_to_geojson
-from repro.viz.svgmap import render_network_svg
+
+if TYPE_CHECKING:
+    from pathlib import Path
+
+    from repro.leo.latency import ComparisonPoint
+    from repro.synth.scenario import Scenario
+
+# Figs 3-5 import their metrics, renderers and the LEO model in their
+# drivers, so the Fig 1/2 timeline command loads none of them.
+
 
 def _fig1_task(ctx, item):
     name, dates, source, target = item
@@ -94,6 +95,11 @@ def fig3_network_maps(
 ) -> list[MapArtifacts]:
     """Fig 3: a network's map at two dates (SVG + GeoJSON when a
     directory is given)."""
+    from pathlib import Path
+
+    from repro.viz.geojson import network_to_geojson
+    from repro.viz.svgmap import render_network_svg
+
     engine = scenario.engine()
     artifacts = []
     for date in dates:
@@ -128,6 +134,8 @@ def fig4a_link_length_cdfs(
     target: str | None = None,
 ) -> dict[str, list[float]]:
     """Fig 4a: link lengths (km) on near-optimal primary-path routes."""
+    from repro.metrics.link_lengths import near_optimal_link_lengths_km
+
     date = on_date or scenario.snapshot_date
     source, target = scenario.corridor.resolve_path(source, target)
     engine = scenario.engine()
@@ -146,6 +154,11 @@ def fig4b_frequency_cdfs(
 ) -> dict[str, list[float]]:
     """Fig 4b: frequencies (GHz) on shortest paths (WH, NLN) and on NLN's
     alternate paths."""
+    from repro.metrics.frequencies import (
+        alternate_path_frequencies_ghz,
+        shortest_path_frequencies_ghz,
+    )
+
     date = on_date or scenario.snapshot_date
     source, target = scenario.corridor.resolve_path(source, target)
     engine = scenario.engine()
@@ -167,6 +180,8 @@ def fig5_leo_comparison(
     microwave paths exist at all (beyond that, endpoints are separated by
     oceans and the comparison is LEO vs fiber only).
     """
+    from repro.leo.latency import sweep_distances
+
     if distances_km is None:
         distances_km = [250.0 * i for i in range(1, 33)]  # 250 .. 8,000 km
     return sweep_distances(distances_km)

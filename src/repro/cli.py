@@ -28,6 +28,10 @@ see :mod:`repro.scenarios`).
 ``table1``/``table3``/``timeline``/``search`` accept
 ``--format json``, emitting the exact canonical payload the serve
 endpoints return (parity is pinned in ``tests/test_serve_parity.py``).
+
+Each handler imports its own driver, and this module imports only the
+standard library, so ``--help`` and argument parsing load no other
+``repro`` module (DESIGN.md §16).
 """
 
 from __future__ import annotations
@@ -36,24 +40,10 @@ import argparse
 import datetime as dt
 import os
 import sys
-from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.analysis.figures import (
-    fig1_latency_evolution,
-    fig2_active_licenses,
-    fig5_leo_comparison,
-)
-from repro.analysis.funnel import run_scraping_funnel
-from repro.analysis.report import format_latency_ms, format_table
-from repro.analysis.tables import (
-    table1_connected_networks,
-    table2_top_networks,
-    table3_apa,
-)
-from repro.core.yamlio import network_to_yaml
-from repro.synth.scenario import Scenario
-from repro.viz.geojson import network_to_geojson
-from repro.viz.svgmap import render_network_svg
+if TYPE_CHECKING:
+    from repro.synth.scenario import Scenario
 
 
 def _parse_date(text: str) -> dt.date:
@@ -89,6 +79,8 @@ def _scenario(args: argparse.Namespace) -> Scenario:
 
 
 def _cmd_funnel(args: argparse.Namespace) -> int:
+    from repro.analysis.funnel import run_scraping_funnel
+
     scenario = _scenario(args)
     source, target = scenario.primary_path
     result = run_scraping_funnel(
@@ -108,6 +100,9 @@ def _cmd_funnel(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.analysis.report import format_latency_ms, format_table
+    from repro.analysis.tables import table1_connected_networks
+
     scenario = _scenario(args)
     if args.format == "json":
         from repro.serve.payloads import rankings_payload, render_payload
@@ -134,6 +129,9 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
+    from repro.analysis.report import format_latency_ms, format_table
+    from repro.analysis.tables import table2_top_networks
+
     scenario = _scenario(args)
     rows = []
     for path_ranking in table2_top_networks(scenario, args.date):
@@ -156,6 +154,9 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _cmd_table3(args: argparse.Namespace) -> int:
+    from repro.analysis.report import format_table
+    from repro.analysis.tables import table3_apa
+
     scenario = _scenario(args)
     if args.format == "json":
         from repro.serve.payloads import apa_payload, render_payload
@@ -176,6 +177,11 @@ def _cmd_table3(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
+    from repro.analysis.figures import (
+        fig1_latency_evolution,
+        fig2_active_licenses,
+    )
+    from repro.analysis.report import format_latency_ms, format_table
     from repro.core.timeline import dense_date_grid
 
     scenario = _scenario(args)
@@ -211,6 +217,12 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from repro.core.yamlio import network_to_yaml
+    from repro.viz.geojson import network_to_geojson
+    from repro.viz.svgmap import render_network_svg
+
     scenario = _scenario(args)
     date = args.date or scenario.snapshot_date
     if args.licensee not in scenario.database.licensee_names():
@@ -228,6 +240,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_leo(args: argparse.Namespace) -> int:
+    from repro.analysis.figures import fig5_leo_comparison
+    from repro.analysis.report import format_table
+
     points = fig5_leo_comparison()
     rows = [
         (
@@ -252,6 +267,7 @@ def _cmd_leo(args: argparse.Namespace) -> int:
 
 def _cmd_entities(args: argparse.Namespace) -> int:
     from repro.analysis.entities import resolve_entities
+    from repro.analysis.report import format_latency_ms, format_table
 
     scenario = _scenario(args)
     source, target = scenario.primary_path
@@ -283,6 +299,7 @@ def _cmd_entities(args: argparse.Namespace) -> int:
 
 
 def _cmd_weather(args: argparse.Namespace) -> int:
+    from repro.analysis.report import format_latency_ms, format_table
     from repro.metrics.effective_latency import weather_latency_profile
 
     scenario = _scenario(args)
@@ -319,6 +336,7 @@ def _cmd_weather(args: argparse.Namespace) -> int:
 
 
 def _cmd_stability(args: argparse.Namespace) -> int:
+    from repro.analysis.report import format_table
     from repro.analysis.stability import ranking_stability
 
     scenario = _scenario(args)
@@ -345,6 +363,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
+    from repro.analysis.report import format_table
     from repro.design.evaluate import (
         NetworkDesign,
         corridor_endpoints,
@@ -399,6 +418,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
 
 def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.analysis.monitor import diff_corridor
+    from repro.analysis.report import format_latency_ms, format_table
 
     scenario = _scenario(args)
     diff = diff_corridor(
@@ -440,6 +460,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from repro.analysis.report import format_table
     from repro.serve.payloads import render_payload, search_payload
 
     scenario = _scenario(args)
@@ -475,6 +496,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     """``cache {stat,gc,clear}`` — inspect / bound / empty the store."""
     import time
 
+    from repro.analysis.report import format_table
     from repro.store import CacheStore
 
     store = CacheStore(args.cache_dir)
@@ -527,11 +549,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.analysis.compare import compare_corridors
-    from repro.serve.payloads import render_payload
+    from repro.analysis.report import format_latency_ms, format_table
 
     refs = tuple(args.scenarios) if args.scenarios else None
     rows = compare_corridors(refs, store=args.store)
     if args.format == "json":
+        from repro.serve.payloads import render_payload
+
         payload = {
             "endpoint": "compare",
             "corridors": [row.as_dict() for row in rows],
@@ -987,7 +1011,7 @@ def main(argv: list[str] | None = None) -> int:
 
         sinks = []
         if trace_path:
-            trace_sink = obs.JsonLinesSink(Path(trace_path))
+            trace_sink = obs.JsonLinesSink(trace_path)
             sinks.append(trace_sink)
         obs.enable(sinks=tuple(sinks))
     from repro.scenarios import ScenarioParamError, UnknownScenarioError

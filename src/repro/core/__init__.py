@@ -21,51 +21,37 @@ use)::
     print(engine.stats.describe())
 """
 
-from repro.core.columnar import reconstruct_columnar
-from repro.core.engine import CacheStats, CorridorEngine
-from repro.core.latency import LatencyModel
-from repro.core.network import (
-    DataCenter,
-    HftNetwork,
-    MicrowaveLink,
-    Route,
-    Tower,
-)
-from repro.core.corridor import CorridorSpec
-from repro.core.reconstruction import NetworkReconstructor, reconstruct_all
-from repro.core.routing import (
-    edges_within_latency_bound,
-    enumerate_paths_within_bound,
-)
-from repro.core.timeline import (
-    LicenseCountSeries,
-    TimelinePoint,
-    latency_timeline,
-    license_count_timeline,
-    yearly_snapshot_dates,
-)
-from repro.core.yamlio import network_from_yaml, network_to_yaml
+from repro import _lazy_exports
 
-__all__ = [
-    "CacheStats",
-    "CorridorEngine",
-    "LatencyModel",
-    "DataCenter",
-    "HftNetwork",
-    "MicrowaveLink",
-    "Route",
-    "Tower",
-    "CorridorSpec",
-    "NetworkReconstructor",
-    "reconstruct_all",
-    "reconstruct_columnar",
-    "edges_within_latency_bound",
-    "enumerate_paths_within_bound",
-    "LicenseCountSeries",
-    "TimelinePoint",
-    "latency_timeline",
-    "license_count_timeline",
-    "yearly_snapshot_dates",
-    "network_from_yaml",
-    "network_to_yaml",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.core.columnar": ("reconstruct_columnar",),
+        "repro.core.engine": ("CacheStats", "CorridorEngine"),
+        "repro.core.latency": ("LatencyModel",),
+        "repro.core.network": (
+            "DataCenter",
+            "HftNetwork",
+            "MicrowaveLink",
+            "Route",
+            "Tower",
+        ),
+        "repro.core.corridor": ("CorridorSpec",),
+        "repro.core.reconstruction": (
+            "NetworkReconstructor",
+            "reconstruct_all",
+        ),
+        "repro.core.routing": (
+            "edges_within_latency_bound",
+            "enumerate_paths_within_bound",
+        ),
+        "repro.core.timeline": (
+            "LicenseCountSeries",
+            "TimelinePoint",
+            "latency_timeline",
+            "license_count_timeline",
+            "yearly_snapshot_dates",
+        ),
+        "repro.core.yamlio": ("network_from_yaml", "network_to_yaml"),
+    },
+)

@@ -17,16 +17,17 @@ per-generation store, or a throwaway one over an explicit license list.
 from __future__ import annotations
 
 import datetime as dt
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.constants import MAX_FIBER_TAIL_M, STITCH_TOLERANCE_M
-from repro.core.columnar import reconstruct_columnar
 from repro.core.corridor import CorridorSpec
 from repro.core.latency import LatencyModel
 from repro.core.network import HftNetwork
-from repro.uls.columnar import ColumnarLicenseStore
 from repro.uls.database import UlsDatabase
 from repro.uls.records import License
+
+if TYPE_CHECKING:
+    from repro.uls.columnar import ColumnarLicenseStore
 
 
 def network_name(licenses: list[License], licensee: str | None) -> str:
@@ -88,7 +89,13 @@ class NetworkReconstructor:
     def reconstruct_from_store(
         self, store: ColumnarLicenseStore, licensee: str, on_date: dt.date
     ) -> HftNetwork:
-        """``licensee``'s network on ``on_date`` from a license store."""
+        """``licensee``'s network on ``on_date`` from a license store.
+
+        The columnar kernel loads here, on the first reconstruction: a
+        process whose snapshots all come from a store never imports it.
+        """
+        from repro.core.columnar import reconstruct_columnar
+
         return reconstruct_columnar(
             store,
             licensee,
@@ -114,6 +121,8 @@ class NetworkReconstructor:
         methodological decision the paper explicitly leaves to future work
         (§2.4).
         """
+        from repro.uls.columnar import ColumnarLicenseStore
+
         license_list = list(licenses)
         licensee = network_name(license_list, licensee)
         store = ColumnarLicenseStore({licensee: license_list})

@@ -27,18 +27,18 @@ This subpackage turns those lessons into an executable design pipeline:
    survival).
 """
 
-from repro.design.sites import CandidateSite, generate_site_pool
-from repro.design.trunk import TrunkDesign, design_trunk
-from repro.design.redundancy import augment_with_bypasses
-from repro.design.evaluate import DesignReport, NetworkDesign, evaluate_design
+from repro import _lazy_exports
 
-__all__ = [
-    "CandidateSite",
-    "generate_site_pool",
-    "TrunkDesign",
-    "design_trunk",
-    "augment_with_bypasses",
-    "DesignReport",
-    "NetworkDesign",
-    "evaluate_design",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.design.sites": ("CandidateSite", "generate_site_pool"),
+        "repro.design.trunk": ("TrunkDesign", "design_trunk"),
+        "repro.design.redundancy": ("augment_with_bypasses",),
+        "repro.design.evaluate": (
+            "DesignReport",
+            "NetworkDesign",
+            "evaluate_design",
+        ),
+    },
+)

@@ -34,64 +34,39 @@ Public API
     consult/feed a :class:`GeodesicMemo` in bulk.
 """
 
-from repro.geodesy.earth import (
-    EARTH_EQUATORIAL_RADIUS_M,
-    EARTH_FLATTENING,
-    EARTH_MEAN_RADIUS_M,
-    EARTH_POLAR_RADIUS_M,
-    GeoPoint,
-    geodesic_azimuth,
-    geodesic_destination,
-    geodesic_distance,
-    geodesic_inverse,
-    great_circle_distance,
-    inverse_trig,
-    reduced_latitude_trig,
-)
-from repro.geodesy.batch import inverse_batch
-from repro.geodesy.coordinates import (
-    format_dms,
-    parse_dms,
-    parse_uls_coordinate,
-)
-from repro.geodesy.memo import (
-    GeodesicMemo,
-    active_memo,
-    use_memo,
-)
-from repro.geodesy.path import (
-    cross_track_distance,
-    cumulative_distances,
-    geodesic_interpolate,
-    nearest_point_index,
-    polyline_length,
-    stretch_factor,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "EARTH_EQUATORIAL_RADIUS_M",
-    "EARTH_FLATTENING",
-    "EARTH_MEAN_RADIUS_M",
-    "EARTH_POLAR_RADIUS_M",
-    "GeoPoint",
-    "geodesic_azimuth",
-    "geodesic_destination",
-    "geodesic_distance",
-    "geodesic_inverse",
-    "great_circle_distance",
-    "GeodesicMemo",
-    "active_memo",
-    "use_memo",
-    "inverse_batch",
-    "inverse_trig",
-    "reduced_latitude_trig",
-    "format_dms",
-    "parse_dms",
-    "parse_uls_coordinate",
-    "cross_track_distance",
-    "cumulative_distances",
-    "geodesic_interpolate",
-    "nearest_point_index",
-    "polyline_length",
-    "stretch_factor",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.geodesy.earth": (
+            "EARTH_EQUATORIAL_RADIUS_M",
+            "EARTH_FLATTENING",
+            "EARTH_MEAN_RADIUS_M",
+            "EARTH_POLAR_RADIUS_M",
+            "GeoPoint",
+            "geodesic_azimuth",
+            "geodesic_destination",
+            "geodesic_distance",
+            "geodesic_inverse",
+            "great_circle_distance",
+            "inverse_trig",
+            "reduced_latitude_trig",
+        ),
+        "repro.geodesy.batch": ("inverse_batch",),
+        "repro.geodesy.coordinates": (
+            "format_dms",
+            "parse_dms",
+            "parse_uls_coordinate",
+        ),
+        "repro.geodesy.memo": ("GeodesicMemo", "active_memo", "use_memo"),
+        "repro.geodesy.path": (
+            "cross_track_distance",
+            "cumulative_distances",
+            "geodesic_interpolate",
+            "nearest_point_index",
+            "polyline_length",
+            "stretch_factor",
+        ),
+    },
+)

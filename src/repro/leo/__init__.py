@@ -13,26 +13,24 @@ over oceans (where towers cannot stand) LEO beats fiber.
   routing, and the MW / LEO / fiber comparison model behind Fig 5.
 """
 
-from repro.leo.constellation import Constellation, Satellite, WalkerShell
-from repro.leo.isl import isl_graph
-from repro.leo.latency import (
-    ComparisonPoint,
-    constellation_latency_s,
-    fiber_latency_s,
-    leo_lower_bound_s,
-    microwave_latency_s,
-    sweep_distances,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Constellation",
-    "Satellite",
-    "WalkerShell",
-    "isl_graph",
-    "ComparisonPoint",
-    "constellation_latency_s",
-    "fiber_latency_s",
-    "leo_lower_bound_s",
-    "microwave_latency_s",
-    "sweep_distances",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.leo.constellation": (
+            "Constellation",
+            "Satellite",
+            "WalkerShell",
+        ),
+        "repro.leo.isl": ("isl_graph",),
+        "repro.leo.latency": (
+            "ComparisonPoint",
+            "constellation_latency_s",
+            "fiber_latency_s",
+            "leo_lower_bound_s",
+            "microwave_latency_s",
+            "sweep_distances",
+        ),
+    },
+)

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.constants import FIBER_SPEED, SPEED_OF_LIGHT
 from repro.geodesy import GeoPoint, geodesic_destination, geodesic_distance
 from repro.geodesy.earth import EARTH_MEAN_RADIUS_M
-from repro.leo.constellation import Constellation, WalkerShell, ecef_of
-from repro.leo.isl import isl_graph
+
+if TYPE_CHECKING:
+    from repro.leo.constellation import Constellation
 
 #: Default microwave path stretch: Table 1's fastest network runs ~0.15%
 #: above the geodesic.
@@ -96,6 +98,8 @@ def constellation_latency_s(
     Returns None when either endpoint sees no satellite above the mask.
     """
     import networkx as nx
+
+    from repro.leo.isl import isl_graph
 
     up = constellation.visible_from(source, min_elevation_deg)[:gateway_candidates]
     down = constellation.visible_from(target, min_elevation_deg)[:gateway_candidates]

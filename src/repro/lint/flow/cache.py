@@ -32,7 +32,7 @@ from repro.lint.findings import Finding
 from repro.lint.flow.summary import ModuleSummary
 
 #: Bump when the cached shapes change; skewed files are discarded whole.
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 
 def digest_text(text: str) -> str:

@@ -195,6 +195,8 @@ class ProgramGraph:
                     table[local] = ("mod", bound)
                 else:
                     table[alias] = ("reexport", f"{target}:{from_name}")
+            for target, name, _line in summary.lazy_exports:
+                table[name] = ("reexport", f"{target}:{name}")
             for cls_name in summary.classes:
                 table[cls_name] = ("cls", f"{module}.{cls_name}")
             for fn in summary.functions:

@@ -142,6 +142,10 @@ class ModuleSummary:
     #: Import records: ``[target_module, from_name, local_alias, line]``
     #: (``from_name`` empty for plain ``import`` statements).
     imports: list[list] = field(default_factory=list)
+    #: A package's lazy (PEP 562) re-exports: ``[target_module, name,
+    #: line]``.  Names resolve through them like ``from`` imports, but
+    #: they are not import-time edges of the module graph.
+    lazy_exports: list[list] = field(default_factory=list)
     #: Module-level assigned names (the module's mutable global surface).
     module_names: list[str] = field(default_factory=list)
     #: Class name → {"line", "bases": [dotted], "methods": [names]}.
@@ -154,6 +158,7 @@ class ModuleSummary:
             "path": self.path,
             "is_package": self.is_package,
             "imports": self.imports,
+            "lazy_exports": self.lazy_exports,
             "module_names": self.module_names,
             "classes": self.classes,
             "functions": [fn.to_dict() for fn in self.functions],
@@ -166,6 +171,7 @@ class ModuleSummary:
             path=data["path"],
             is_package=bool(data.get("is_package", False)),
             imports=[list(i) for i in data.get("imports", [])],
+            lazy_exports=[list(e) for e in data.get("lazy_exports", [])],
             module_names=list(data.get("module_names", [])),
             classes={
                 name: dict(info)
@@ -556,6 +562,39 @@ def _extract_function(
     return summary
 
 
+#: The helper a package ``__init__`` calls to build its lazy re-exports
+#: (``__getattr__, __dir__, __all__ = _lazy_exports(__name__, {...})``).
+LAZY_EXPORTS_HELPER = "_lazy_exports"
+
+
+def _lazy_export_table(node: ast.AST) -> list[tuple[str, str]]:
+    """``(module, name)`` pairs of a lazy re-export table, else ``[]``.
+
+    Matches a call to :data:`LAZY_EXPORTS_HELPER` whose second argument
+    is a dict literal mapping module names to tuples of exported names.
+    """
+    if not (
+        isinstance(node, ast.Call)
+        and (dotted_name(node.func) or "").rsplit(".", 1)[-1]
+        == LAZY_EXPORTS_HELPER
+        and len(node.args) == 2
+        and isinstance(node.args[1], ast.Dict)
+    ):
+        return []
+    pairs = []
+    for key, value in zip(node.args[1].keys, node.args[1].values):
+        if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
+            continue
+        if isinstance(value, (ast.Tuple, ast.List)):
+            pairs.extend(
+                (key.value, element.value)
+                for element in value.elts
+                if isinstance(element, ast.Constant)
+                and isinstance(element.value, str)
+            )
+    return pairs
+
+
 def summarize_source(
     rel_path: str, module: str, tree: ast.Module
 ) -> ModuleSummary:
@@ -599,6 +638,10 @@ def summarize_source(
                 if alias.name != "*":
                     module_aliases[local] = f"{base}.{alias.name}"
         elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            out.lazy_exports.extend(
+                [target, name, node.lineno]
+                for target, name in _lazy_export_table(node.value)
+            )
             targets = (
                 node.targets if isinstance(node, ast.Assign) else [node.target]
             )

@@ -12,34 +12,27 @@
   latency and route availability (the §5 thesis, quantified).
 """
 
-from repro.metrics.apa import alternate_path_availability
-from repro.metrics.effective_latency import (
-    WeatherLatencyProfile,
-    route_availability,
-    weather_latency_profile,
-)
-from repro.metrics.cdf import EmpiricalCdf
-from repro.metrics.frequencies import (
-    alternate_path_frequencies_ghz,
-    shortest_path_frequencies_ghz,
-)
-from repro.metrics.link_lengths import near_optimal_link_lengths_km
-from repro.metrics.rankings import (
-    NetworkRanking,
-    rank_connected_networks,
-    top_networks_per_path,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "alternate_path_availability",
-    "WeatherLatencyProfile",
-    "route_availability",
-    "weather_latency_profile",
-    "EmpiricalCdf",
-    "alternate_path_frequencies_ghz",
-    "shortest_path_frequencies_ghz",
-    "near_optimal_link_lengths_km",
-    "NetworkRanking",
-    "rank_connected_networks",
-    "top_networks_per_path",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.metrics.apa": ("alternate_path_availability",),
+        "repro.metrics.effective_latency": (
+            "WeatherLatencyProfile",
+            "route_availability",
+            "weather_latency_profile",
+        ),
+        "repro.metrics.cdf": ("EmpiricalCdf",),
+        "repro.metrics.frequencies": (
+            "alternate_path_frequencies_ghz",
+            "shortest_path_frequencies_ghz",
+        ),
+        "repro.metrics.link_lengths": ("near_optimal_link_lengths_km",),
+        "repro.metrics.rankings": (
+            "NetworkRanking",
+            "rank_connected_networks",
+            "top_networks_per_path",
+        ),
+    },
+)

@@ -34,24 +34,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    render_metrics,
-)
-from repro.obs.sinks import (
-    InMemorySink,
-    JsonLinesSink,
-    SPAN_LINE_KEYS,
-    TextSummarySink,
-    TRACE_SCHEMA_VERSION,
-    read_trace,
-    span_line,
-)
+from repro import _lazy_exports
 from repro.obs.spans import (
     SpanRecord,
     count,
@@ -65,17 +50,37 @@ from repro.obs.spans import (
 )
 from repro.obs.spans import _restore_state, _swap_state
 
+if TYPE_CHECKING:
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.sinks import InMemorySink
+
+# Spans are on every instrumented path, so they load eagerly; the sinks
+# (json, pathlib) load only for --trace/--metrics or a capture().
+__getattr__, __dir__, _lazy_all = _lazy_exports(
+    __name__,
+    {
+        "repro.obs.metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "render_metrics",
+        ),
+        "repro.obs.sinks": (
+            "InMemorySink",
+            "JsonLinesSink",
+            "SPAN_LINE_KEYS",
+            "TextSummarySink",
+            "TRACE_SCHEMA_VERSION",
+            "read_trace",
+            "span_line",
+        ),
+    },
+)
+
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "InMemorySink",
-    "JsonLinesSink",
-    "MetricsRegistry",
-    "SPAN_LINE_KEYS",
+    *_lazy_all,
     "SpanRecord",
-    "TRACE_SCHEMA_VERSION",
-    "TextSummarySink",
     "Capture",
     "capture",
     "count",
@@ -84,11 +89,8 @@ __all__ = [
     "get_registry",
     "is_enabled",
     "observe",
-    "read_trace",
-    "render_metrics",
     "set_gauge",
     "span",
-    "span_line",
 ]
 
 
@@ -117,6 +119,8 @@ def capture(
     previous observation state is swapped out wholesale and restored on
     exit, so fixtures and subtests cannot leak spans into each other.
     """
+    from repro.obs.sinks import InMemorySink
+
     previous = _swap_state()
     sink = InMemorySink()
     try:

@@ -12,11 +12,12 @@ Pool/process construction anywhere else in ``src/repro`` is rejected by
 the ``parallel-discipline`` lint rule.
 """
 
-from repro.parallel.executor import pmap
-from repro.parallel.grid import GridSession, GridTaskContext
+from repro import _lazy_exports
 
-__all__ = [
-    "GridSession",
-    "GridTaskContext",
-    "pmap",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.parallel.executor": ("pmap",),
+        "repro.parallel.grid": ("GridSession", "GridTaskContext"),
+    },
+)

@@ -19,40 +19,31 @@ The weather simulation that drives outage experiments lives in
 :mod:`repro.synth.weather`.
 """
 
-from repro.radio.itu import (
-    effective_path_length_km,
-    rain_attenuation_db,
-    rain_exceedance_attenuation_db,
-    specific_attenuation_db_per_km,
-)
-from repro.radio.budget import (
-    LinkBudget,
-    first_fresnel_radius_m,
-    free_space_path_loss_db,
-)
-from repro.radio.availability import (
-    link_availability,
-    link_is_up,
-    rain_rate_to_kill_link_mm_h,
-)
-from repro.radio.clearance import (
-    SyntheticTerrain,
-    earth_bulge_m,
-    required_antenna_height_m,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "effective_path_length_km",
-    "rain_attenuation_db",
-    "rain_exceedance_attenuation_db",
-    "specific_attenuation_db_per_km",
-    "LinkBudget",
-    "first_fresnel_radius_m",
-    "free_space_path_loss_db",
-    "link_availability",
-    "link_is_up",
-    "rain_rate_to_kill_link_mm_h",
-    "SyntheticTerrain",
-    "earth_bulge_m",
-    "required_antenna_height_m",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.radio.itu": (
+            "effective_path_length_km",
+            "rain_attenuation_db",
+            "rain_exceedance_attenuation_db",
+            "specific_attenuation_db_per_km",
+        ),
+        "repro.radio.budget": (
+            "LinkBudget",
+            "first_fresnel_radius_m",
+            "free_space_path_loss_db",
+        ),
+        "repro.radio.availability": (
+            "link_availability",
+            "link_is_up",
+            "rain_rate_to_kill_link_mm_h",
+        ),
+        "repro.radio.clearance": (
+            "SyntheticTerrain",
+            "earth_bulge_m",
+            "required_antenna_height_m",
+        ),
+    },
+)

@@ -9,28 +9,22 @@ request param), and caches resolved scenarios so every caller of the same
 reference shares one scenario — and therefore one warm default engine.
 """
 
-from repro.scenarios.registry import (
-    ScenarioEntry,
-    ScenarioParamError,
-    ScenarioRef,
-    UnknownScenarioError,
-    parse_scenario_ref,
-    register_scenario,
-    registered_scenarios,
-    resolve_scenario,
-    scenario_names,
-)
-from repro.scenarios.synthetic import synthetic_scenario
+from repro import _lazy_exports
 
-__all__ = [
-    "ScenarioEntry",
-    "ScenarioParamError",
-    "ScenarioRef",
-    "UnknownScenarioError",
-    "parse_scenario_ref",
-    "register_scenario",
-    "registered_scenarios",
-    "resolve_scenario",
-    "scenario_names",
-    "synthetic_scenario",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.scenarios.registry": (
+            "ScenarioEntry",
+            "ScenarioParamError",
+            "ScenarioRef",
+            "UnknownScenarioError",
+            "parse_scenario_ref",
+            "register_scenario",
+            "registered_scenarios",
+            "resolve_scenario",
+            "scenario_names",
+        ),
+        "repro.scenarios.synthetic": ("synthetic_scenario",),
+    },
+)

@@ -16,19 +16,18 @@ tier.  Layers, bottom up:
 See DESIGN.md §13 for the facade/coalescing protocol.
 """
 
-from repro.serve.facade import EngineFacade
-from repro.serve.loadgen import LoadProfile, LoadReport, run_load
-from repro.serve.server import CorridorServer, active_server, run_server
-from repro.serve.service import CorridorQueryService, ServiceError
+from repro import _lazy_exports
 
-__all__ = [
-    "CorridorQueryService",
-    "CorridorServer",
-    "EngineFacade",
-    "LoadProfile",
-    "LoadReport",
-    "ServiceError",
-    "active_server",
-    "run_load",
-    "run_server",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.serve.facade": ("EngineFacade",),
+        "repro.serve.loadgen": ("LoadProfile", "LoadReport", "run_load"),
+        "repro.serve.server": (
+            "CorridorServer",
+            "active_server",
+            "run_server",
+        ),
+        "repro.serve.service": ("CorridorQueryService", "ServiceError"),
+    },
+)

@@ -14,14 +14,16 @@ See DESIGN.md §14 for the store layout, key derivation, and
 invalidation rules.
 """
 
-from repro.store.cachestore import CacheStore, StoreEntry
-from repro.store.fingerprint import STORE_SCHEMA_VERSION, store_fingerprint
-from repro.store.layout import default_cache_dir
+from repro import _lazy_exports
 
-__all__ = [
-    "CacheStore",
-    "StoreEntry",
-    "STORE_SCHEMA_VERSION",
-    "store_fingerprint",
-    "default_cache_dir",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.store.cachestore": ("CacheStore", "StoreEntry"),
+        "repro.store.fingerprint": (
+            "STORE_SCHEMA_VERSION",
+            "store_fingerprint",
+        ),
+        "repro.store.layout": ("default_cache_dir",),
+    },
+)

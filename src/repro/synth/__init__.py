@@ -17,36 +17,25 @@ that want the process's shared scenario resolve ``"paper2020"`` through
 :func:`repro.scenarios.resolve_scenario`).
 """
 
-from repro.synth.noise import SmoothNoise
-from repro.synth.towers import (
-    ChainLayout,
-    bypass_point,
-    spacing_fractions,
-)
-from repro.synth.specs import (
-    BranchSpec,
-    EraSpec,
-    FrequencyProfile,
-    NetworkSpec,
-)
-from repro.synth.generator import NetworkBuilder, build_network_licenses
-from repro.synth.scenario import Scenario, paper2020_scenario
-from repro.synth.weather import RainCell, Storm, apply_storm
+from repro import _lazy_exports
 
-__all__ = [
-    "SmoothNoise",
-    "ChainLayout",
-    "bypass_point",
-    "spacing_fractions",
-    "BranchSpec",
-    "EraSpec",
-    "FrequencyProfile",
-    "NetworkSpec",
-    "NetworkBuilder",
-    "build_network_licenses",
-    "Scenario",
-    "paper2020_scenario",
-    "RainCell",
-    "Storm",
-    "apply_storm",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.synth.noise": ("SmoothNoise",),
+        "repro.synth.towers": (
+            "ChainLayout",
+            "bypass_point",
+            "spacing_fractions",
+        ),
+        "repro.synth.specs": (
+            "BranchSpec",
+            "EraSpec",
+            "FrequencyProfile",
+            "NetworkSpec",
+        ),
+        "repro.synth.generator": ("NetworkBuilder", "build_network_licenses"),
+        "repro.synth.scenario": ("Scenario", "paper2020_scenario"),
+        "repro.synth.weather": ("RainCell", "Storm", "apply_storm"),
+    },
+)

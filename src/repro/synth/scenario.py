@@ -33,15 +33,12 @@ from dataclasses import dataclass
 
 from repro.core.corridor import CorridorSpec, chicago_nj_corridor
 from repro.geodesy import GeoPoint, geodesic_destination
-from repro.synth.generator import NetworkBuilder
 from repro.synth.specs import (
     BranchSpec,
     EraSpec,
     FrequencyProfile,
     NetworkSpec,
 )
-from repro.synth.towers import ChainLayout, perturb
-from repro.synth.noise import SmoothNoise
 from repro.uls.database import UlsDatabase
 from repro.uls.records import License, MicrowavePath, TowerLocation
 
@@ -412,11 +409,13 @@ _SPLIT_BOUNDARY = 15  # links 0..14 west, 15..29 east
 
 def _split_network_chain(corridor: CorridorSpec) -> list:
     """The full (hidden) Tradewave chain, gateway to gateway."""
+    from repro.geodesy.path import offset_point
+    from repro.synth.noise import SmoothNoise
+    from repro.synth.towers import ChainLayout
+
     west = corridor.west.point
     east = corridor.east[0].point
     # Gateways ~1.2 km from each data center, towers with mild jitter.
-    from repro.geodesy.path import offset_point
-
     start = offset_point(west, east, 0.001, 0.0)
     end = offset_point(west, east, 0.999, 0.0)
     return ChainLayout(start, end, _SPLIT_TOTAL_LINKS, SmoothNoise(8181)).points(16_000.0)
@@ -475,6 +474,9 @@ def partial_builder_licenses(corridor: CorridorSpec) -> list[License]:
     connected networks.  The first "partial builder" is secretly the
     western half of the split Tradewave network (§2.4's blind spot).
     """
+    from repro.synth.noise import SmoothNoise
+    from repro.synth.towers import ChainLayout
+
     cme = corridor.west.point
     ny4 = corridor.east[0].point
     licenses: list[License] = list(split_network_west_licenses(corridor))
@@ -518,6 +520,8 @@ def partial_builder_licenses(corridor: CorridorSpec) -> list[License]:
 def decoy_licenses(corridor: CorridorSpec) -> list[License]:
     """Small MG/FXO licensees near the western anchor with ≤10 filings
     (not HFT networks)."""
+    from repro.synth.towers import perturb
+
     cme = corridor.west.point
     licenses: list[License] = []
     for index, name in enumerate(_DECOY_NAMES):
@@ -676,7 +680,12 @@ def build_scenario(
     extras (partial builders, decoys, non-MG licensees) generalise to any
     corridor — they anchor on ``corridor.west`` — but represent the §2.2
     Chicago funnel, so other corridors may disable them.
+
+    The generator (and its tower and noise models) loads here, on the
+    build path: unpickling a stored :class:`Scenario` never needs it.
     """
+    from repro.synth.generator import NetworkBuilder
+
     corridor = corridor or chicago_nj_corridor()
     if specs is None:
         specs = connected_network_specs() + (national_tower_company_spec(),)

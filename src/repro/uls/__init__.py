@@ -25,46 +25,34 @@ in-process equivalent:
 * :mod:`repro.uls.validation` — data-quality scrubbing before geometry.
 """
 
-from repro.uls.records import (
-    License,
-    MicrowavePath,
-    TowerLocation,
-    active_licenses,
-)
-from repro.uls.columnar import ColumnarLicenseStore
-from repro.uls.database import UlsDatabase
-from repro.uls.index import TemporalIndex, license_interval
-from repro.uls.search import UlsSearchService
-from repro.uls.dumpio import read_uls_dump, write_uls_dump
-from repro.uls.portal import UlsPortal
-from repro.uls.scraper import UlsScraper
-from repro.uls.transactions import (
-    Transaction,
-    apply_transactions,
-    snapshot_database,
-    transactions_between,
-)
-from repro.uls.validation import ValidationIssue, clean_licenses, validate_licenses
+from repro import _lazy_exports
 
-__all__ = [
-    "License",
-    "MicrowavePath",
-    "TowerLocation",
-    "active_licenses",
-    "UlsDatabase",
-    "ColumnarLicenseStore",
-    "TemporalIndex",
-    "license_interval",
-    "UlsSearchService",
-    "read_uls_dump",
-    "write_uls_dump",
-    "UlsPortal",
-    "UlsScraper",
-    "Transaction",
-    "apply_transactions",
-    "snapshot_database",
-    "transactions_between",
-    "ValidationIssue",
-    "clean_licenses",
-    "validate_licenses",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.uls.records": (
+            "License",
+            "MicrowavePath",
+            "TowerLocation",
+            "active_licenses",
+        ),
+        "repro.uls.columnar": ("ColumnarLicenseStore",),
+        "repro.uls.database": ("UlsDatabase",),
+        "repro.uls.index": ("TemporalIndex", "license_interval"),
+        "repro.uls.search": ("UlsSearchService",),
+        "repro.uls.dumpio": ("read_uls_dump", "write_uls_dump"),
+        "repro.uls.portal": ("UlsPortal",),
+        "repro.uls.scraper": ("UlsScraper",),
+        "repro.uls.transactions": (
+            "Transaction",
+            "apply_transactions",
+            "snapshot_database",
+            "transactions_between",
+        ),
+        "repro.uls.validation": (
+            "ValidationIssue",
+            "clean_licenses",
+            "validate_licenses",
+        ),
+    },
+)

@@ -12,12 +12,14 @@ import datetime as dt
 import hashlib
 import math
 import pickle
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.geodesy import GeoPoint, geodesic_distance
-from repro.uls.columnar import ColumnarLicenseStore
 from repro.uls.index import TemporalIndex
 from repro.uls.records import License
+
+if TYPE_CHECKING:
+    from repro.uls.columnar import ColumnarLicenseStore
 
 #: Spatial-grid cell size in degrees (~55 km of latitude).  Radius searches
 #: scan the cells overlapping the search circle; at 10 km radii that is at
@@ -183,6 +185,8 @@ class UlsDatabase:
         """
         store = self._columnar_store
         if store is None or store.generation != self._generation:
+            from repro.uls.columnar import ColumnarLicenseStore
+
             store = ColumnarLicenseStore(
                 {
                     name: self._by_licensee[name]

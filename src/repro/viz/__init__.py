@@ -6,16 +6,13 @@ export GeoJSON for any GIS tool.  :mod:`repro.viz.figdata` writes the
 plot-ready data series behind every figure (gnuplot-style ``.dat``).
 """
 
-from repro.viz.geojson import network_to_geojson
-from repro.viz.svgmap import render_network_svg
-from repro.viz.figdata import (
-    write_cdf_dat,
-    write_series_dat,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "network_to_geojson",
-    "render_network_svg",
-    "write_cdf_dat",
-    "write_series_dat",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.viz.geojson": ("network_to_geojson",),
+        "repro.viz.svgmap": ("render_network_svg",),
+        "repro.viz.figdata": ("write_cdf_dat", "write_series_dat"),
+    },
+)

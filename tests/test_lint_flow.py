@@ -186,6 +186,38 @@ class TestProgramGraph:
         )
         assert "pkg.impl.work" in analysis.graph.call_edges["pkg.user.run"]
 
+    def test_lazy_reexport_resolves_without_an_import_edge(self, tmp_path):
+        analysis = analysis_for(
+            tmp_path,
+            {
+                "src/pkg/__init__.py": """
+                    def _lazy_exports(package, exports):
+                        return None, None, []
+
+                    __getattr__, __dir__, __all__ = _lazy_exports(
+                        __name__, {"pkg.impl": ("work",)}
+                    )
+                    """,
+                "src/pkg/impl.py": """
+                    from pkg import _lazy_exports
+
+                    def work():
+                        return 1
+                    """,
+                "src/pkg/user.py": """
+                    from pkg import work
+
+                    def run():
+                        return work()
+                    """,
+            },
+        )
+        assert "pkg.impl.work" in analysis.graph.call_edges["pkg.user.run"]
+        # Resolved on first attribute access, not at import: no edge from
+        # the package to its submodule, so no cycle through the helper.
+        assert analysis.graph.module_imports["pkg"] == ()
+        assert analysis.graph.import_cycles() == []
+
     def test_annotated_receiver_resolves_to_class(self, tmp_path):
         analysis = analysis_for(
             tmp_path,
