@@ -7,12 +7,12 @@ to each — including §3's observation that a per-tower overhead above
 ~1.4 µs would let Jefferson Microwave (22 towers) overtake New Line
 Networks (25 towers) on CME–NY4.
 
-Every sweep maps its knob values through a
-:class:`~repro.parallel.grid.GridSession`.  A sweep that varies a
-reconstruction parameter maps each knob value with that override, so the
-session routes it to a parameter-distinct sibling engine and snapshots
+A sweep that varies a reconstruction parameter builds one
+parameter-distinct engine per knob value
+(:meth:`~repro.core.engine.CorridorEngine.with_params`), so snapshots
 computed under different parameterisations can never alias in a shared
-cache.  Sweeps that only vary a *metric* parameter (the APA slack) run on
+cache, and the scenario's own engine is left as it was.  The APA-slack
+sweep varies only a *metric* parameter, so it reads one snapshot from
 the scenario's default engine.
 """
 
@@ -25,51 +25,7 @@ from repro import obs
 from repro.core.latency import LatencyModel
 from repro.metrics.apa import apa_percent
 from repro.metrics.rankings import rank_connected_networks
-from repro.parallel.grid import GridSession
 from repro.synth.scenario import Scenario
-
-
-def _apa_slack_task(ctx, item):
-    licensee, date, slack = item
-    network = ctx.engine.snapshot(licensee, date)
-    return apa_percent(network, "CME", "NY4", slack=slack)
-
-
-def _fiber_mode_task(ctx, item):
-    licensee, date, _mode = item
-    network = ctx.engine.snapshot(licensee, date)
-    return apa_percent(network, "CME", "NY4")
-
-
-def _overhead_task(ctx, item):
-    licensees, date, overhead_us = item
-    latencies = {}
-    for name in licensees:
-        route = ctx.engine.route(name, date, "CME", "NY4")
-        if route is not None:
-            latencies[name] = route.latency_ms
-    leader = min(latencies, key=latencies.get) if latencies else ""
-    return OverheadCrossover(
-        overhead_us=overhead_us, leader=leader, latency_ms=latencies
-    )
-
-
-def _stitch_task(ctx, item):
-    licensee, date, _tolerance = item
-    network = ctx.engine.snapshot(licensee, date)
-    return (network.tower_count, network.is_connected("CME", "NY4"))
-
-
-def _fiber_radius_task(ctx, item):
-    licensees, date, _radius_km = item
-    rankings = rank_connected_networks(
-        ctx.database,
-        ctx.engine.corridor,
-        date,
-        licensees=list(licensees),
-        engine=ctx.engine,
-    )
-    return len(rankings)
 
 
 def apa_slack_sweep(
@@ -85,10 +41,11 @@ def apa_slack_sweep(
     """
     date = on_date or scenario.snapshot_date
     with obs.span("analysis.ablation", sweep="apa-slack", knobs=len(slacks)):
-        items = [(licensee, date, slack) for slack in slacks]
-        with GridSession(scenario.engine()) as live:
-            values = live.map(_apa_slack_task, items, label="apa-slack")
-        return dict(zip(slacks, values))
+        network = scenario.engine().snapshot(licensee, date)
+        return {
+            slack: apa_percent(network, "CME", "NY4", slack=slack)
+            for slack in slacks
+        }
 
 
 def fiber_mode_comparison(
@@ -106,15 +63,15 @@ def fiber_mode_comparison(
     date = on_date or scenario.snapshot_date
     modes = ("nearest", "all")
     with obs.span("analysis.ablation", sweep="fiber-mode", knobs=len(modes)):
-        items = [(licensee, date, mode) for mode in modes]
-        with GridSession(scenario.engine()) as live:
-            values = live.map(
-                _fiber_mode_task,
-                items,
-                params=lambda item: {"fiber_mode": item[2]},
-                label="fiber-mode",
+        engine = scenario.engine()
+        return {
+            mode: apa_percent(
+                engine.with_params(fiber_mode=mode).snapshot(licensee, date),
+                "CME",
+                "NY4",
             )
-        return dict(zip(modes, values))
+            for mode in modes
+        }
 
 
 @dataclass(frozen=True)
@@ -141,20 +98,23 @@ def per_tower_overhead_crossover(
     with obs.span(
         "analysis.ablation", sweep="per-tower-overhead", knobs=len(overheads_us)
     ):
-        items = [
-            (licensees, date, overhead_us) for overhead_us in overheads_us
-        ]
-        with GridSession(scenario.engine()) as live:
-            return live.map(
-                _overhead_task,
-                items,
-                params=lambda item: {
-                    "latency_model": LatencyModel(
-                        per_tower_overhead_s=item[2] * 1e-6
-                    )
-                },
-                label="per-tower-overhead",
+        results = []
+        for overhead_us in overheads_us:
+            engine = scenario.engine().with_params(
+                latency_model=LatencyModel(per_tower_overhead_s=overhead_us * 1e-6)
             )
+            latencies = {}
+            for name in licensees:
+                route = engine.route(name, date, "CME", "NY4")
+                if route is not None:
+                    latencies[name] = route.latency_ms
+            leader = min(latencies, key=latencies.get) if latencies else ""
+            results.append(
+                OverheadCrossover(
+                    overhead_us=overhead_us, leader=leader, latency_ms=latencies
+                )
+            )
+        return results
 
 
 def stitch_tolerance_sweep(
@@ -172,15 +132,17 @@ def stitch_tolerance_sweep(
     with obs.span(
         "analysis.ablation", sweep="stitch-tolerance", knobs=len(tolerances_m)
     ):
-        items = [(licensee, date, tolerance) for tolerance in tolerances_m]
-        with GridSession(scenario.engine()) as live:
-            values = live.map(
-                _stitch_task,
-                items,
-                params=lambda item: {"stitch_tolerance_m": item[2]},
-                label="stitch-tolerance",
+        engine = scenario.engine()
+        results = {}
+        for tolerance in tolerances_m:
+            network = engine.with_params(stitch_tolerance_m=tolerance).snapshot(
+                licensee, date
             )
-        return dict(zip(tolerances_m, values))
+            results[tolerance] = (
+                network.tower_count,
+                network.is_connected("CME", "NY4"),
+            )
+        return results
 
 
 def fiber_radius_sweep(
@@ -193,13 +155,17 @@ def fiber_radius_sweep(
     with obs.span(
         "analysis.ablation", sweep="fiber-radius", knobs=len(radii_km)
     ):
-        names = tuple(scenario.connected_names)
-        items = [(names, date, radius_km) for radius_km in radii_km]
-        with GridSession(scenario.engine()) as live:
-            values = live.map(
-                _fiber_radius_task,
-                items,
-                params=lambda item: {"max_fiber_tail_m": item[2] * 1000.0},
-                label="fiber-radius",
+        names = list(scenario.connected_names)
+        engine = scenario.engine()
+        return {
+            radius_km: len(
+                rank_connected_networks(
+                    scenario.database,
+                    scenario.corridor,
+                    date,
+                    licensees=names,
+                    engine=engine.with_params(max_fiber_tail_m=radius_km * 1000.0),
+                )
             )
-        return dict(zip(radii_km, values))
+            for radius_km in radii_km
+        }

@@ -13,7 +13,6 @@ from repro.core.timeline import (
     license_count_timeline,
     yearly_snapshot_dates,
 )
-from repro.parallel.grid import GridSession
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -25,11 +24,6 @@ if TYPE_CHECKING:
 # drivers, so the Fig 1/2 timeline command loads none of them.
 
 
-def _fig1_task(ctx, item):
-    name, dates, source, target = item
-    return ctx.engine.timeline(name, dates, source=source, target=target)
-
-
 def fig1_latency_evolution(
     scenario: Scenario,
     licensees: tuple[str, ...] | None = None,
@@ -37,10 +31,8 @@ def fig1_latency_evolution(
     source: str | None = None,
     target: str | None = None,
 ) -> dict[str, list[TimelinePoint]]:
-    """Fig 1: primary-path latency trajectories of the featured networks.
-
-    The licensee × date grid maps one licensee per task (its whole date
-    series) through a grid session.
+    """Fig 1: primary-path latency trajectories of the featured networks,
+    one engine timeline (the licensee's whole date series) per licensee.
     """
     licensees = licensees or scenario.featured_names
     source, target = scenario.corridor.resolve_path(source, target)
@@ -48,10 +40,11 @@ def fig1_latency_evolution(
     with obs.span(
         "analysis.fig1", licensees=len(licensees), points=len(dates)
     ):
-        items = [(name, dates, source, target) for name in licensees]
-        with GridSession(scenario.engine()) as live:
-            series = live.map(_fig1_task, items, label="fig1")
-        return dict(zip(licensees, series))
+        engine = scenario.engine()
+        return {
+            name: engine.timeline(name, dates, source=source, target=target)
+            for name in licensees
+        }
 
 
 def fig2_active_licenses(
@@ -62,7 +55,7 @@ def fig2_active_licenses(
     """Fig 2: active-license counts for the same networks.
 
     Counts come from each licensee's temporal index, one bisect per
-    point, so they need no grid session.
+    point, so they need no engine.
     """
     licensees = licensees or scenario.featured_names
     dates = list(dates or yearly_snapshot_dates())

@@ -26,25 +26,10 @@ from repro.constants import (
 )
 from repro.core.corridor import CorridorSpec
 from repro.core.engine import CorridorEngine
-from repro.parallel.grid import GridSession
 from repro.uls.database import UlsDatabase
 from repro.uls.portal import UlsPortal
 from repro.uls.records import licenses_by_licensee
 from repro.uls.scraper import UlsScraper
-
-
-def _count_task(ctx, name):
-    return len(ctx.scraper.licenses_of(name))
-
-
-def _connect_task(ctx, item):
-    name, on_date, source, target = item
-    licenses = ctx.scraper.scrape_licensee(name)
-    grouped = licenses_by_licensee(licenses)
-    network = ctx.engine.snapshot_from_licenses(
-        grouped[name], on_date, licensee=name
-    )
-    return network.is_connected(source, target)
 
 
 @dataclass(frozen=True)
@@ -87,11 +72,11 @@ def run_scraping_funnel(
     engine's memo but never alias (or overwrite) the database-derived
     snapshots the ranking/timeline drivers serve.
 
-    Stages 2 and 3 map licensees through one grid session that shares
-    this function's scraper, so ``pages_scraped`` counts every stage.
-    It is store-invariant: the engine's store (``engine.store``) seeds
-    the scraper with pages an earlier run parsed, and a page read from
-    there counts as a scraped page.
+    Every stage reads through this function's one scraper, so
+    ``pages_scraped`` counts every stage.  It is store-invariant: the
+    engine's store (``engine.store``) seeds the scraper with pages an
+    earlier run parsed, and a page read from there counts as a scraped
+    page.
     """
     source, target = corridor.resolve_path(source, target)
     if engine is None:
@@ -122,33 +107,26 @@ def run_scraping_funnel(
                 }
             )
 
-        # Stages 2 and 3 map licensees through one grid session that
-        # shares this scraper.
-        with GridSession(engine, scraper=scraper) as live:
-            # Stage 2: scrape every candidate's license list; shortlist
-            # licensees with enough filings to span the corridor.
-            with obs.span(
-                "analysis.funnel.shortlist", candidates=len(candidates)
-            ):
-                counts = live.map(_count_task, candidates, label="shortlist")
-                shortlisted = [
-                    name
-                    for name, count in zip(candidates, counts)
-                    if count >= min_filings
-                ]
+        # Stage 2: scrape every candidate's license list; shortlist
+        # licensees with enough filings to span the corridor.
+        with obs.span("analysis.funnel.shortlist", candidates=len(candidates)):
+            shortlisted = [
+                name
+                for name in candidates
+                if len(scraper.licenses_of(name)) >= min_filings
+            ]
 
-            # Stage 3: scrape the shortlisted licensees' license details
-            # and reconstruct their networks at the snapshot date.
-            with obs.span(
-                "analysis.funnel.connect", shortlisted=len(shortlisted)
-            ):
-                items = [
-                    (name, on_date, source, target) for name in shortlisted
-                ]
-                flags = live.map(_connect_task, items, label="funnel")
-                connected = [
-                    name for name, flag in zip(shortlisted, flags) if flag
-                ]
+        # Stage 3: scrape the shortlisted licensees' license details and
+        # reconstruct their networks at the snapshot date.
+        with obs.span("analysis.funnel.connect", shortlisted=len(shortlisted)):
+            connected = []
+            for name in shortlisted:
+                grouped = licenses_by_licensee(scraper.scrape_licensee(name))
+                network = engine.snapshot_from_licenses(
+                    grouped[name], on_date, licensee=name
+                )
+                if network.is_connected(source, target):
+                    connected.append(name)
 
     if store is not None and scraper.dirty:
         store.save_entry(fingerprint, "scrape", scraper.export_pages)

@@ -13,7 +13,6 @@ from repro.metrics.rankings import (
     rank_connected_networks,
     top_networks_per_path,
 )
-from repro.parallel.grid import GridSession
 from repro.synth.scenario import Scenario
 
 
@@ -61,14 +60,6 @@ class ApaRow:
     values: dict[str, int]
 
 
-def _table3_task(ctx, item):
-    name, date, paths = item
-    network = ctx.engine.snapshot(name, date)
-    return {
-        path: apa_percent(network, path[0], path[1]) for path in paths
-    }
-
-
 def table3_apa(
     scenario: Scenario,
     licensees: tuple[str, ...] | None = None,
@@ -77,7 +68,7 @@ def table3_apa(
     """Table 3: per-path APA for selected networks (default: the
     scenario's spotlight pair, the paper's NLN vs WH).
 
-    Maps one licensee per task (its full APA column); rows are
+    Each licensee's snapshot yields its full APA column; rows are
     reassembled path-major.
     """
     if licensees is None:
@@ -86,10 +77,12 @@ def table3_apa(
     engine = scenario.engine()
     paths = tuple(scenario.corridor.paths)
     with obs.span("analysis.table3", date=date.isoformat()):
-        items = [(name, date, paths) for name in licensees]
-        with GridSession(engine) as live:
-            results = live.map(_table3_task, items, label="table3")
-        columns = dict(zip(licensees, results))
+        columns = {}
+        for name in licensees:
+            network = engine.snapshot(name, date)
+            columns[name] = {
+                path: apa_percent(network, *path) for path in paths
+            }
         return [
             ApaRow(
                 path=path,

@@ -192,8 +192,8 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         print(render_payload(payload))
         return 0
     dates = dense_date_grid(args.step) if args.step != "paper" else None
-    # Only the Fig 1 grid maps through a grid session; Fig 2's counts
-    # are one bisect per point.
+    # Fig 1 walks one engine timeline per licensee; Fig 2's counts are
+    # one bisect per point.
     latencies = fig1_latency_evolution(scenario, dates=dates)
     counts = fig2_active_licenses(scenario, dates=dates)
     dates = next(iter(counts.values())).dates

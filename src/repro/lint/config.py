@@ -125,11 +125,11 @@ DEFAULT_SHARED_STATE_ALLOWED = (
 
 #: The import layering, lowest tier first.  A module may import same-tier
 #: or lower-tier modules; importing upward is a finding.  Modules matching
-#: no entry (``repro.parallel``, ``repro.lint``, the ``repro`` package
-#: itself) are untiered: they may be imported from anywhere and the rule
-#: stays silent about their own imports.
+#: no entry (``repro.lint``, the ``repro`` package itself) are untiered:
+#: they may be imported from anywhere and the rule stays silent about
+#: their own imports.
 DEFAULT_LAYERS = (
-    ("repro.constants", "repro.obs"),
+    ("repro.constants", "repro.obs", "repro.parallel"),
     ("repro.geodesy",),
     ("repro.uls",),
     ("repro.core",),

@@ -1,8 +1,8 @@
 """Parallelism discipline: fan-out goes through ``repro.parallel``.
 
 The parallel package is the one place in the codebase where pools are
-constructed.  Analysis grids run in-process through ``GridSession``, and
-the only pool is ``pmap``'s ordered thread map for I/O-bound work.  A
+constructed.  Analysis grids are plain loops in their drivers, and the
+only pool is ``pmap``'s ordered thread map for I/O-bound work.  A
 module that builds its own thread or process pool, or forks, gets none
 of that: results may arrive in completion order and a second process's
 work never reaches the caller's caches or metrics.  This rule confines
@@ -40,9 +40,9 @@ class ParallelDisciplineRule(Rule):
 
     name = "parallel-discipline"
     description = (
-        "direct pool/process construction outside repro.parallel; map "
-        "through repro.parallel (GridSession, or pmap for I/O-bound "
-        "work) so results stay ordered and in one process"
+        "direct pool/process construction outside repro.parallel; loop "
+        "in-process, or map I/O-bound work through repro.parallel.pmap, "
+        "so results stay ordered and in one process"
     )
     interests = (ast.Call,)
 

@@ -15,7 +15,6 @@ from repro.core.corridor import CorridorSpec
 from repro.core.engine import CorridorEngine
 from repro.core.network import HftNetwork, Route
 from repro.metrics.apa import apa_percent
-from repro.parallel.grid import GridSession
 from repro.uls.database import UlsDatabase
 
 
@@ -31,21 +30,6 @@ class NetworkRanking:
 
     def as_row(self) -> tuple[str, float, int, int]:
         return (self.licensee, self.latency_ms, self.apa_percent, self.tower_count)
-
-
-def _rank_task(ctx, item):
-    name, on_date, source, target, slack = item
-    route = ctx.engine.route(name, on_date, source, target)
-    if route is None:
-        return None
-    network = ctx.engine.snapshot(name, on_date)
-    return NetworkRanking(
-        licensee=name,
-        latency_ms=route.latency_ms,
-        apa_percent=apa_percent(network, source, target, slack),
-        tower_count=route.tower_count,
-        route=route,
-    )
 
 
 def rank_connected_networks(
@@ -64,8 +48,7 @@ def rank_connected_networks(
     its 29 shortlisted licensees); by default every licensee in the
     database is considered.  Pass ``engine`` to share snapshot/route
     caches across rankings (e.g. over a date grid); without one the
-    ranking runs on a private default-parameter engine.  The
-    per-licensee work maps through a grid session; disconnected
+    ranking runs on a private default-parameter engine.  Disconnected
     licensees drop out before the latency sort.
     ``source`` / ``target`` default to the corridor's primary path.
     """
@@ -73,13 +56,21 @@ def rank_connected_networks(
     if engine is None:
         engine = CorridorEngine(database, corridor)
     names = licensees if licensees is not None else database.licensee_names()
-    items = [(name, on_date, source, target, slack) for name in names]
-    with GridSession(engine) as live:
-        rankings = [
-            ranking
-            for ranking in live.map(_rank_task, items, label="rankings")
-            if ranking is not None
-        ]
+    rankings = []
+    for name in names:
+        route = engine.route(name, on_date, source, target)
+        if route is None:
+            continue
+        network = engine.snapshot(name, on_date)
+        rankings.append(
+            NetworkRanking(
+                licensee=name,
+                latency_ms=route.latency_ms,
+                apa_percent=apa_percent(network, source, target, slack),
+                tower_count=route.tower_count,
+                route=route,
+            )
+        )
     rankings.sort(key=lambda ranking: ranking.latency_ms)
     return rankings
 

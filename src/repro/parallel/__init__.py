@@ -1,23 +1,17 @@
-"""Grid sessions for the analysis drivers, and the load generator's pool.
+"""The load generator's thread pool.
 
-* :mod:`repro.parallel.grid` — :class:`GridSession`, which runs every
-  analysis grid in-process and routes each task to its engine: the
-  parent engine for default parameters, one sibling engine per override
-  set.
 * :mod:`repro.parallel.executor` — :func:`pmap`, an ordered map with up
   to ``jobs`` calls in flight on threads, for I/O-bound fan-out (the
   load generator's HTTP clients).
 
-Pool/process construction anywhere else in ``src/repro`` is rejected by
-the ``parallel-discipline`` lint rule.
+The analysis drivers are plain loops over their engine in this process
+(DESIGN.md §9).  Pool/process construction anywhere else in
+``src/repro`` is rejected by the ``parallel-discipline`` lint rule.
 """
 
 from repro import _lazy_exports
 
 __getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
-    {
-        "repro.parallel.executor": ("pmap",),
-        "repro.parallel.grid": ("GridSession", "GridTaskContext"),
-    },
+    {"repro.parallel.executor": ("pmap",)},
 )

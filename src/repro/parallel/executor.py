@@ -4,8 +4,7 @@
 with up to ``jobs`` calls in flight at once.  The calls run on threads of
 this process, so the pool pays only where the work waits on I/O: the load
 generator's HTTP clients (:mod:`repro.serve.loadgen`).  CPU-bound grids
-run in-process through :class:`~repro.parallel.grid.GridSession`
-(DESIGN.md §9).
+are plain loops in the analysis drivers (DESIGN.md §9).
 
 Each call runs under ``obs.span("parallel.task", index=...)`` and counts
 ``parallel.tasks``; the whole map runs under ``obs.span("parallel.map")``.

@@ -139,36 +139,50 @@ def dumps(licenses: Iterable[License]) -> str:
     return buffer.getvalue()
 
 
+def _build_license(record: dict) -> License:
+    """The :class:`License` of one parsed group (its validation may raise)."""
+    paths = []
+    for number in sorted(record["paths"]):
+        tx, rx = record["paths"][number]
+        freqs = tuple(record["freqs"].get(number, ()))
+        paths.append(
+            MicrowavePath(
+                path_number=number,
+                tx_location_number=tx,
+                rx_location_number=rx,
+                frequencies_mhz=freqs,
+            )
+        )
+    return License(
+        license_id=record["license_id"],
+        callsign=record["callsign"],
+        licensee_name=record["licensee_name"],
+        contact_email=record["contact_email"],
+        radio_service_code=record["service"],
+        station_class=record["station_class"],
+        grant_date=record["grant"],
+        expiration_date=record["expiration"],
+        cancellation_date=record["cancellation"],
+        termination_date=record["termination"],
+        locations=record["locations"],
+        paths=paths,
+    )
+
+
 def _parse_records(lines: Iterable[str]) -> Iterator[License]:
     current: dict | None = None
+    header_line = 0
 
     def finish(record: dict) -> License:
-        paths = []
-        for number in sorted(record["paths"]):
-            tx, rx = record["paths"][number]
-            freqs = tuple(record["freqs"].get(number, ()))
-            paths.append(
-                MicrowavePath(
-                    path_number=number,
-                    tx_location_number=tx,
-                    rx_location_number=rx,
-                    frequencies_mhz=freqs,
-                )
-            )
-        return License(
-            license_id=record["license_id"],
-            callsign=record["callsign"],
-            licensee_name=record["licensee_name"],
-            contact_email=record["contact_email"],
-            radio_service_code=record["service"],
-            station_class=record["station_class"],
-            grant_date=record["grant"],
-            expiration_date=record["expiration"],
-            cancellation_date=record["cancellation"],
-            termination_date=record["termination"],
-            locations=record["locations"],
-            paths=paths,
-        )
+        # A group can be well-formed line by line yet describe no valid
+        # license (a path to an undefined location, path number 0, a
+        # path that loops back): name the license and its HD line.
+        try:
+            return _build_license(record)
+        except ValueError as error:
+            raise DumpFormatError(
+                f"line {header_line}: license {record['license_id']!r}: {error}"
+            ) from error
 
     for line_number, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -186,6 +200,8 @@ def _parse_records(lines: Iterable[str]) -> Iterator[License]:
             raise DumpFormatError(
                 f"line {line_number}: bad {fields[0]} record: {error}"
             ) from error
+        if fields[0] == "HD":
+            header_line = line_number
 
     if current is not None:
         yield finish(current)

@@ -101,6 +101,37 @@ class TestAblations:
         # With almost no fiber reach, no network can touch the exchanges.
         assert sweep[0.3] == 0
 
+    @pytest.mark.parametrize(
+        "sweep, knobs",
+        [
+            pytest.param(fiber_mode_comparison, {}, id="fiber-mode"),
+            pytest.param(
+                per_tower_overhead_crossover,
+                {"overheads_us": (0.0, 2.0)},
+                id="per-tower-overhead",
+            ),
+            pytest.param(
+                stitch_tolerance_sweep,
+                {"tolerances_m": (1.0, 1000.0)},
+                id="stitch-tolerance",
+            ),
+            pytest.param(
+                fiber_radius_sweep, {"radii_km": (0.3, 50.0)}, id="fiber-radius"
+            ),
+        ],
+    )
+    def test_reconstruction_sweeps_spare_the_default_engine(
+        self, scenario, sweep, knobs
+    ):
+        # Each knob value runs on its own parameter engine; the
+        # scenario's default engine sees no lookup and learns no geodesic.
+        engine = scenario.engine()
+        stats = engine.stats
+        memo = dict(engine._geodesic_memo.entries())
+        sweep(scenario, **knobs)
+        assert engine.stats == stats
+        assert dict(engine._geodesic_memo.entries()) == memo
+
 
 class TestReport:
     def test_format_table_alignment(self):

@@ -97,7 +97,7 @@ PUBLIC_API = {
         render_metrics set_gauge span span_line
     """,
     "repro.parallel": """
-        GridSession GridTaskContext pmap
+        pmap
     """,
     "repro.radio": """
         LinkBudget SyntheticTerrain earth_bulge_m

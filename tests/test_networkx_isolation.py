@@ -119,7 +119,6 @@ _WARM_BASE = frozenset(
     repro.core.network repro.core.reconstruction repro.core.timeline
     repro.geodesy repro.geodesy.earth repro.geodesy.memo
     repro.obs repro.obs.metrics repro.obs.spans
-    repro.parallel repro.parallel.grid
     repro.scenarios repro.scenarios.registry repro.scenarios.synthetic
     repro.store repro.store.cachestore repro.store.fingerprint
     repro.store.layout

@@ -3,8 +3,9 @@ round-trip contract.
 
 The load-bearing property: *every* registered scenario (and randomized
 ``synthetic(...)`` instances) must round-trip through funnel → rankings →
-timeline with byte-identical output whether computed serially, fanned out
-over a grid session, or store-warmed from a prior run's checkpoint.  The
+timeline with byte-identical output whether computed by a plain loop on a
+cold engine, by the analysis drivers, or store-warmed from a prior run's
+checkpoint.  The
 paper scenario additionally pins its golden Table 1 numbers so the
 registry refactor can never drift the default output.
 """
@@ -331,7 +332,7 @@ def _roundtrip_bytes(scenario, engine=None, grid: bool = True) -> tuple:
     """(funnel counts, canonical rankings bytes, timeline latencies).
 
     With ``grid=False`` the timeline is a plain loop over ``engine``
-    instead of the Fig 1 driver's grid session.
+    instead of the Fig 1 driver.
     """
     engine = engine if engine is not None else scenario.engine()
     funnel = run_scraping_funnel(

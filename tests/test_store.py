@@ -13,7 +13,7 @@ The store's load-bearing properties, in rough order of importance:
 
 Plus the integration seams: engine attach/checkpoint, the CLI's
 ``--cache-dir`` / ``cache {stat,gc,clear}``, serve's store-warmed boot
-and rendered-body cache, and process fan-out under an attached store.
+and rendered-body cache, and engine cache export/seed.
 """
 
 from __future__ import annotations
@@ -506,6 +506,29 @@ class TestEngineWiring:
         third.snapshot(scenario.connected_names[0], DATES[0])
         third.snapshot(scenario.connected_names[1], DATES[1])
         assert third.stats.snapshot.misses == 0
+
+
+class TestEngineCacheTransplant:
+    def test_export_seed_roundtrip_serves_hits(self, scenario):
+        warm = _engine(scenario)
+        warm.snapshot("Webline Holdings", DATES[1])
+        cold = _engine(scenario)
+        cold.seed_cache_state(warm.export_cache_state())
+        # Seeding is an install, not a lookup: no counters moved.
+        assert cold.stats.snapshot.lookups == 0
+        assert cold.stats.geodesic.lookups == 0
+        # The seeded snapshot is served from cache.
+        network = cold.snapshot("Webline Holdings", DATES[1])
+        assert cold.stats.snapshot.hits == 1
+        assert cold.stats.snapshot.misses == 0
+        assert network is warm.snapshot("Webline Holdings", DATES[1])
+
+    def test_seed_rejects_mismatched_params(self, scenario):
+        warm = _engine(scenario)
+        warm.snapshot("Webline Holdings", DATES[1])
+        sibling = warm.with_params(stitch_tolerance_m=120.0)
+        with pytest.raises(ValueError):
+            sibling.seed_cache_state(warm.export_cache_state())
 
 
 # ----------------------------------------------------------------------

@@ -131,6 +131,27 @@ class TestErrors:
         with pytest.raises(dumpio.DumpFormatError, match=f"^line {line}: "):
             dumpio.loads(text)
 
+    @pytest.mark.parametrize(
+        "path_line",
+        [
+            # A path to a location the license never defines.
+            "PA|L1|1|1|7",
+            # ULS path numbers start at 1.
+            "PA|L1|0|1|2",
+            # A path that loops back to its own location.
+            "PA|L1|1|2|2",
+        ],
+    )
+    def test_invalid_license_names_its_header_line(self, path_line):
+        lines = dumpio.dumps([make_license("L0"), make_license("L1")]).splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("HD|L1|"))
+        pa = next(i for i, line in enumerate(lines) if line.startswith("PA|L1|"))
+        lines[pa] = path_line
+        with pytest.raises(
+            dumpio.DumpFormatError, match=f"^line {header + 1}: license 'L1': "
+        ):
+            dumpio.loads("\n".join(lines) + "\n")
+
     def test_blank_lines_ignored(self):
         text = "\n" + dumpio.dumps([make_license()]) + "\n\n"
         assert len(dumpio.loads(text)) == 1
@@ -179,3 +200,50 @@ class TestPropertyRoundTrip:
             parsed = back.locations[number].point
             assert parsed.latitude == pytest.approx(location.point.latitude, abs=2e-7)
             assert parsed.longitude == pytest.approx(location.point.longitude, abs=2e-7)
+
+
+#: A valid four-license dump for the mutation property.
+_VALID_DUMP = dumpio.dumps(
+    [
+        make_license(
+            f"M{index}",
+            points=((41.75, -88.18), (41.6, -87.8), (41.4 + index / 10, -87.1)),
+            frequencies=(6063.8, 11225.0)[: 1 + index % 2],
+            cancellation=dt.date(2019, 9, 30) if index == 3 else None,
+        )
+        for index in range(4)
+    ]
+)
+
+#: Characters a mutation may write: the format's separators and the
+#: characters its fields are made of.
+_MUTATION_CHARS = "|\n0123456789.-:NSEWHDLOPAFRX Mx"
+
+
+@st.composite
+def mutated_dumps(draw):
+    text = _VALID_DUMP
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(("replace", "insert", "delete")))
+        char = draw(st.sampled_from(_MUTATION_CHARS))
+        if kind == "insert":
+            text = text[:at] + char + text[at:]
+        elif kind == "replace":
+            text = text[:at] + char + text[at + 1 :]
+        else:
+            text = text[:at] + text[at + 1 :]
+    return text
+
+
+class TestMutatedDumps:
+    @given(mutated_dumps())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_dump_loads_or_raises_format_error(self, text):
+        # Outside input: a structured DumpFormatError, never a bare
+        # ValueError, KeyError or IndexError.
+        try:
+            licenses = dumpio.loads(text)
+        except dumpio.DumpFormatError:
+            return
+        assert all(isinstance(lic, License) for lic in licenses)
