@@ -15,6 +15,7 @@ Results land in ``benchmarks/output/obs_overhead.txt``.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro import obs
@@ -33,6 +34,11 @@ MAX_DISABLED_OVERHEAD = 0.02
 MAX_ENABLED_RATIO = 3.0
 
 _CALLS_PER_ROUND = 1_000
+
+#: Repetitions behind each timing the overhead estimate divides: one
+#: ~0.2 ms sweep or a few us of no-op spans is at the timer's noise
+#: floor, so each side is the median of this many runs.
+_REPEATS = 15
 
 
 def _noop_spans() -> None:
@@ -63,9 +69,12 @@ def test_bench_warm_sweep_overhead(benchmark, scenario, engine, output_dir):
     _sweep(scenario, engine, dates)  # warm every snapshot/route cache
 
     # Disabled: what production analyses pay for carrying instrumentation.
-    start = time.perf_counter()
-    disabled_result = _sweep(scenario, engine, dates)
-    disabled_s = time.perf_counter() - start
+    disabled_times = []
+    for _ in range(_REPEATS):
+        start = time.perf_counter()
+        disabled_result = _sweep(scenario, engine, dates)
+        disabled_times.append(time.perf_counter() - start)
+    disabled_s = statistics.median(disabled_times)
 
     # Enabled: the same sweep observed (counts spans as a side effect).
     with obs.capture() as cap:
@@ -79,11 +88,14 @@ def test_bench_warm_sweep_overhead(benchmark, scenario, engine, output_dir):
 
     # Estimate the disabled-path tax: every span the enabled sweep entered
     # is, when disabled, one attribute check + a no-op context manager.
-    noop_start = time.perf_counter()
-    for _ in range(max(spans_entered, 1)):
-        with obs.span("bench.noop"):
-            pass
-    noop_s = time.perf_counter() - noop_start
+    noop_times = []
+    for _ in range(_REPEATS):
+        noop_start = time.perf_counter()
+        for _ in range(max(spans_entered, 1)):
+            with obs.span("bench.noop"):
+                pass
+        noop_times.append(time.perf_counter() - noop_start)
+    noop_s = statistics.median(noop_times)
     overhead_fraction = noop_s / disabled_s if disabled_s > 0 else 0.0
 
     emit(
@@ -93,7 +105,8 @@ def test_bench_warm_sweep_overhead(benchmark, scenario, engine, output_dir):
             [
                 "obs overhead on the warm-engine timeline sweep:",
                 f"  spans entered per sweep : {spans_entered}",
-                f"  sweep, obs disabled     : {disabled_s * 1e3:9.3f} ms",
+                f"  sweep, obs disabled     : {disabled_s * 1e3:9.3f} ms"
+                f" (median of {_REPEATS})",
                 f"  sweep, obs enabled      : {enabled_s * 1e3:9.3f} ms",
                 f"  est. disabled-path tax  : {overhead_fraction * 100:.3f}%"
                 f" ({noop_s * 1e6:.1f} us)",

@@ -1,6 +1,6 @@
 """``python -m repro`` — see :mod:`repro.cli`."""
 
-from repro.cli import main
+from repro.cli import run
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

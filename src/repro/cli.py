@@ -32,15 +32,22 @@ endpoints return (parity is pinned in ``tests/test_serve_parity.py``).
 Each handler imports its own driver, and this module imports only the
 standard library, so ``--help`` and argument parsing load no other
 ``repro`` module (DESIGN.md §16).
+
+:func:`run` is the process entry (``python -m repro`` and the
+``hftnetview`` script): it pauses the cyclic garbage collector for the
+command and freezes the heap before exit, and ``serve`` (or ``loadgen``
+with an in-process server) turns the collector back on.  :func:`main`
+leaves the collector as it finds it (DESIGN.md §17).
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime as dt
+import gc
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 if TYPE_CHECKING:
     from repro.synth.scenario import Scenario
@@ -600,6 +607,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import CorridorQueryService, run_server
 
+    # A long-lived server must reclaim its request garbage.
+    gc.enable()
     service = CorridorQueryService(scenario=_scenario(args), store=args.store)
 
     def announce(url: str) -> None:
@@ -623,7 +632,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     if args.url:
         report = run_load(args.url, profile)
     else:
-        # No URL: boot an in-process server, load it, tear it down.
+        # No URL: boot an in-process server, load it, tear it down.  The
+        # server collects its garbage like `serve` does.
+        gc.enable()
         service = CorridorQueryService(
             scenario=_scenario(args), store=args.store
         )
@@ -1051,5 +1062,22 @@ def main(argv: list[str] | None = None) -> int:
     return status
 
 
+def run() -> NoReturn:
+    """Run one command as the whole process, then exit with its status.
+
+    Everything a one-shot command loads lives until exit, so a cyclic
+    collection can free nothing: the collector is paused for the command,
+    and the heap is frozen before exit so the interpreter's last
+    collection skips it.  ``atexit`` handlers and stream flushing still
+    run.  Server commands turn the collector back on themselves.
+    """
+    gc.disable()
+    try:
+        status = main()
+    finally:
+        gc.freeze()
+    raise SystemExit(status)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    run()

@@ -275,9 +275,30 @@ def resolve_scenario(ref: str | ScenarioRef, store=None) -> Scenario:
     return scenario
 
 
-def _register_builtins() -> None:
-    from repro.scenarios.synthetic import SYNTHETIC_PARAMS, synthetic_scenario
+#: Parameter converters for ``synthetic:k=v,...`` references.
+SYNTHETIC_PARAMS = {
+    "seed": int,
+    "networks": int,
+    "links": int,
+    "eras": int,
+    "decoys": int,
+    "west_lat": float,
+    "west_lon": float,
+    "east_lat": float,
+    "east_lon": float,
+}
 
+
+def _synthetic_scenario(**params) -> Scenario:
+    """The ``synthetic`` entry's builder.  It imports the generator module
+    only when a synthetic scenario is built, so resolving any other
+    scenario, or loading a synthetic one from a store, never loads it."""
+    from repro.scenarios.synthetic import synthetic_scenario
+
+    return synthetic_scenario(**params)
+
+
+def _register_builtins() -> None:
     register_scenario(ScenarioEntry(
         name="paper2020",
         summary="Chicago-New Jersey (CME-NY4/NYSE/NASDAQ), the paper's "
@@ -299,7 +320,7 @@ def _register_builtins() -> None:
         name="synthetic",
         summary="parameterized stress-scale generator "
                 "(seed/networks/links/eras/decoys/geography)",
-        builder=synthetic_scenario,
+        builder=_synthetic_scenario,
         params=SYNTHETIC_PARAMS,
         concrete=False,
     ))

@@ -29,19 +29,6 @@ from repro.scenarios.registry import ScenarioParamError
 from repro.synth.scenario import SNAPSHOT_DATE, Scenario, build_scenario, simple_license
 from repro.synth.specs import EraSpec, FrequencyProfile, NetworkSpec
 
-#: Parameter converters for ``synthetic:k=v,...`` references.
-SYNTHETIC_PARAMS = {
-    "seed": int,
-    "networks": int,
-    "links": int,
-    "eras": int,
-    "decoys": int,
-    "west_lat": float,
-    "west_lon": float,
-    "east_lat": float,
-    "east_lon": float,
-}
-
 #: Default corridor: Dallas (Infomart) to Atlanta (56 Marietta), ~1,160 km.
 DEFAULT_WEST = (32.7767, -96.7970)
 DEFAULT_EAST = (33.7490, -84.3880)

@@ -30,17 +30,15 @@ import datetime as dt
 import random
 import zlib
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.corridor import CorridorSpec, chicago_nj_corridor
 from repro.geodesy import GeoPoint, geodesic_destination
-from repro.synth.specs import (
-    BranchSpec,
-    EraSpec,
-    FrequencyProfile,
-    NetworkSpec,
-)
 from repro.uls.database import UlsDatabase
 from repro.uls.records import License, MicrowavePath, TowerLocation
+
+if TYPE_CHECKING:
+    from repro.synth.specs import FrequencyProfile, NetworkSpec
 
 #: The paper's snapshot date ("as of 1st April, 2020").
 SNAPSHOT_DATE = dt.date(2020, 4, 1)
@@ -51,24 +49,37 @@ _D = dt.date  # local shorthand for the spec tables below
 # Frequency profiles (Fig 4b)
 # ----------------------------------------------------------------------
 
-#: NLN runs its trunk at 11 GHz and keeps lower-frequency (6 GHz)
-#: channels on alternate paths (§5, Fig 4b).
-_NLN_FREQS = FrequencyProfile(
-    trunk_bands=(("11GHz", 1.0),),
-    alternate_bands=(("6GHz", 0.30), ("11GHz", 0.70)),
-)
+def _frequency_profiles() -> dict[str, FrequencyProfile]:
+    """The band mixes of the spec tables below, by name.
 
-#: WH runs almost everything in the 6 GHz band (">94% of the frequencies
-#: being under 7 GHz").
-_WH_FREQS = FrequencyProfile(
-    trunk_bands=(("6GHz", 0.96), ("11GHz", 0.04)),
-    alternate_bands=(("6GHz", 1.0),),
-)
+    Built on first use by a spec table, not at import: unpickling a
+    stored :class:`Scenario` needs no spec type, so a warm command never
+    loads :mod:`repro.synth.specs`.
+    """
+    from repro.synth.specs import FrequencyProfile
 
-_11GHZ = FrequencyProfile(trunk_bands=(("11GHz", 1.0),))
-_MIX_11_18 = FrequencyProfile(trunk_bands=(("11GHz", 0.6), ("18GHz", 0.4)))
-_18GHZ = FrequencyProfile(trunk_bands=(("18GHz", 1.0),))
-_SHORT_HOP = FrequencyProfile(trunk_bands=(("18GHz", 0.5), ("23GHz", 0.5)))
+    return {
+        # NLN runs its trunk at 11 GHz and keeps lower-frequency (6 GHz)
+        # channels on alternate paths (§5, Fig 4b).
+        "nln": FrequencyProfile(
+            trunk_bands=(("11GHz", 1.0),),
+            alternate_bands=(("6GHz", 0.30), ("11GHz", 0.70)),
+        ),
+        # WH runs almost everything in the 6 GHz band (">94% of the
+        # frequencies being under 7 GHz").
+        "wh": FrequencyProfile(
+            trunk_bands=(("6GHz", 0.96), ("11GHz", 0.04)),
+            alternate_bands=(("6GHz", 1.0),),
+        ),
+        "11ghz": FrequencyProfile(trunk_bands=(("11GHz", 1.0),)),
+        "mix_11_18": FrequencyProfile(
+            trunk_bands=(("11GHz", 0.6), ("18GHz", 0.4))
+        ),
+        "18ghz": FrequencyProfile(trunk_bands=(("18GHz", 1.0),)),
+        "short_hop": FrequencyProfile(
+            trunk_bands=(("18GHz", 0.5), ("23GHz", 0.5))
+        ),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -77,6 +88,9 @@ _SHORT_HOP = FrequencyProfile(trunk_bands=(("18GHz", 0.5), ("23GHz", 0.5)))
 
 def connected_network_specs() -> tuple[NetworkSpec, ...]:
     """Specs for the nine networks of Table 1 (latencies in ms)."""
+    from repro.synth.specs import BranchSpec, EraSpec, NetworkSpec
+
+    freqs = _frequency_profiles()
     return (
         NetworkSpec(
             name="New Line Networks",
@@ -84,7 +98,7 @@ def connected_network_specs() -> tuple[NetworkSpec, ...]:
             seed=11,
             trunk_links=24,
             ny4_target_ms=3.96171,
-            frequency_profile=_NLN_FREQS,
+            frequency_profile=freqs["nln"],
             trunk_bypass_covered=(1, 2, 4, 5, 7, 8, 10, 11, 14, 15, 17, 18, 21),
             branches=(
                 BranchSpec(
@@ -129,7 +143,7 @@ def connected_network_specs() -> tuple[NetworkSpec, ...]:
             seed=12,
             trunk_links=28,
             ny4_target_ms=3.96209,
-            frequency_profile=_11GHZ,
+            frequency_profile=freqs["11ghz"],
             trunk_bypass_covered=(13, 14),
             branches=(
                 BranchSpec("NYSE", split_link=22, n_links=6,
@@ -150,7 +164,7 @@ def connected_network_specs() -> tuple[NetworkSpec, ...]:
             seed=13,
             trunk_links=21,
             ny4_target_ms=3.96597,
-            frequency_profile=_11GHZ,
+            frequency_profile=freqs["11ghz"],
             trunk_bypass_covered=(1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16, 17, 19, 20, 18),
             branches=(
                 BranchSpec("NYSE", split_link=18, n_links=5,
@@ -183,7 +197,7 @@ def connected_network_specs() -> tuple[NetworkSpec, ...]:
             seed=14,
             trunk_links=28,
             ny4_target_ms=3.96940,
-            frequency_profile=_MIX_11_18,
+            frequency_profile=freqs["mix_11_18"],
             branches=(
                 BranchSpec("NYSE", split_link=24, n_links=5,
                            latency_target_ms=3.95866, gateway_km=0.7),
@@ -207,7 +221,7 @@ def connected_network_specs() -> tuple[NetworkSpec, ...]:
             seed=15,
             trunk_links=26,
             ny4_target_ms=3.97157,
-            frequency_profile=_WH_FREQS,
+            frequency_profile=freqs["wh"],
             trunk_bypass_covered=(
                 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17,
                 19, 21, 22, 23,
@@ -251,7 +265,7 @@ def connected_network_specs() -> tuple[NetworkSpec, ...]:
             seed=16,
             trunk_links=28,
             ny4_target_ms=4.01101,
-            frequency_profile=_11GHZ,
+            frequency_profile=freqs["11ghz"],
             eras=(EraSpec(_D(2016, 9, 1), 4.0250, 28, seed_salt=1),),
             final_era_start=_D(2017, 8, 10),
             license_count_targets=((_D(2018, 1, 1), 45), (_D(2020, 4, 1), 48)),
@@ -262,7 +276,7 @@ def connected_network_specs() -> tuple[NetworkSpec, ...]:
             seed=17,
             trunk_links=32,
             ny4_target_ms=4.12246,
-            frequency_profile=_18GHZ,
+            frequency_profile=freqs["18ghz"],
             eras=(EraSpec(_D(2012, 8, 15), 4.1400, 32, seed_salt=1),),
             final_era_start=_D(2014, 6, 1),
             license_count_targets=((_D(2015, 1, 1), 50), (_D(2020, 4, 1), 52)),
@@ -273,7 +287,7 @@ def connected_network_specs() -> tuple[NetworkSpec, ...]:
             seed=18,
             trunk_links=27,
             ny4_target_ms=4.24241,
-            frequency_profile=_MIX_11_18,
+            frequency_profile=freqs["mix_11_18"],
             eras=(EraSpec(_D(2012, 5, 1), 4.2600, 27, seed_salt=1),),
             final_era_start=_D(2013, 9, 15),
             license_count_targets=((_D(2014, 1, 1), 42), (_D(2020, 4, 1), 45)),
@@ -284,7 +298,7 @@ def connected_network_specs() -> tuple[NetworkSpec, ...]:
             seed=19,
             trunk_links=73,
             ny4_target_ms=4.44530,
-            frequency_profile=_SHORT_HOP,
+            frequency_profile=freqs["short_hop"],
             eras=(EraSpec(_D(2012, 4, 1), 4.4700, 73, seed_salt=1),),
             final_era_start=_D(2013, 7, 1),
             license_count_targets=((_D(2014, 1, 1), 95), (_D(2020, 4, 1), 98)),
@@ -295,13 +309,16 @@ def connected_network_specs() -> tuple[NetworkSpec, ...]:
 def national_tower_company_spec() -> NetworkSpec:
     """The network that perished (§4): ramped up 2013–2015, wound down
     2016–2017, gone by 2018."""
+    from repro.synth.specs import EraSpec, NetworkSpec
+
+    freqs = _frequency_profiles()
     return NetworkSpec(
         name="National Tower Company",
         callsign_prefix="WQNT",
         seed=20,
         trunk_links=30,
         ny4_target_ms=3.9910,
-        frequency_profile=_MIX_11_18,
+        frequency_profile=freqs["mix_11_18"],
         eras=(
             EraSpec(_D(2012, 9, 1), None, 30, coverage=0.8, seed_salt=1),
             EraSpec(_D(2012, 12, 10), 4.0020, 30, seed_salt=2),
@@ -733,6 +750,9 @@ def europe_network_specs() -> tuple[NetworkSpec, ...]:
     the Chicago corridor; these specs exist to exercise
     corridor-agnosticism (no published ULS-style data exists for Europe).
     """
+    from repro.synth.specs import EraSpec, NetworkSpec
+
+    freqs = _frequency_profiles()
     return (
         NetworkSpec(
             name="Channel Wave Networks",
@@ -740,7 +760,7 @@ def europe_network_specs() -> tuple[NetworkSpec, ...]:
             seed=41,
             trunk_links=13,
             ny4_target_ms=2.2460,  # target on the corridor's primary path
-            frequency_profile=_11GHZ,
+            frequency_profile=freqs["11ghz"],
             trunk_bypass_covered=(2, 3, 7, 8),
             eras=(EraSpec(_D(2015, 5, 1), 2.2600, 13, seed_salt=1),),
             final_era_start=_D(2018, 3, 1),
@@ -753,7 +773,7 @@ def europe_network_specs() -> tuple[NetworkSpec, ...]:
             seed=42,
             trunk_links=16,
             ny4_target_ms=2.2488,
-            frequency_profile=_WH_FREQS,
+            frequency_profile=freqs["wh"],
             trunk_bypass_covered=(0, 1, 4, 5, 8, 9, 12, 13),
             eras=(EraSpec(_D(2014, 9, 1), 2.2650, 16, seed_salt=1),),
             final_era_start=_D(2017, 6, 1),
@@ -767,7 +787,7 @@ def europe_network_specs() -> tuple[NetworkSpec, ...]:
             seed=43,
             trunk_links=15,
             ny4_target_ms=2.2710,
-            frequency_profile=_18GHZ,
+            frequency_profile=freqs["18ghz"],
             eras=(EraSpec(_D(2016, 2, 1), 2.2900, 15, seed_salt=1),),
             final_era_start=_D(2019, 4, 1),
             gateway_west_km=0.7,
@@ -798,6 +818,9 @@ def asia_network_specs() -> tuple[NetworkSpec, ...]:
     spacing (~45–55 km) matches the other corridors; targets sit 0.3–0.7%
     above the c-bound like the paper's fastest networks.
     """
+    from repro.synth.specs import EraSpec, NetworkSpec
+
+    freqs = _frequency_profiles()
     return (
         NetworkSpec(
             name="Pacific Rim Relay",
@@ -805,7 +828,7 @@ def asia_network_specs() -> tuple[NetworkSpec, ...]:
             seed=51,
             trunk_links=104,
             ny4_target_ms=17.7780,
-            frequency_profile=_11GHZ,
+            frequency_profile=freqs["11ghz"],
             trunk_bypass_covered=tuple(range(2, 104, 4)),
             eras=(EraSpec(_D(2016, 3, 1), 17.9200, 104, seed_salt=1),),
             final_era_start=_D(2019, 1, 15),
@@ -818,7 +841,7 @@ def asia_network_specs() -> tuple[NetworkSpec, ...]:
             seed=52,
             trunk_links=112,
             ny4_target_ms=17.7960,
-            frequency_profile=_WH_FREQS,
+            frequency_profile=freqs["wh"],
             trunk_bypass_covered=tuple(range(0, 112, 2)),
             eras=(EraSpec(_D(2015, 8, 1), 17.9500, 112, seed_salt=1),),
             final_era_start=_D(2018, 6, 1),
@@ -832,7 +855,7 @@ def asia_network_specs() -> tuple[NetworkSpec, ...]:
             seed=53,
             trunk_links=96,
             ny4_target_ms=17.8420,
-            frequency_profile=_MIX_11_18,
+            frequency_profile=freqs["mix_11_18"],
             eras=(EraSpec(_D(2017, 2, 1), 17.9900, 96, seed_salt=1),),
             final_era_start=_D(2019, 9, 1),
             gateway_west_km=0.8,

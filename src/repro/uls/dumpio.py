@@ -14,8 +14,10 @@ grant/expiration/cancellation/termination dates (ISO).
 ``FR`` — frequency: path number, frequency (MHz).
 
 Records for one license are contiguous and start with its ``HD`` line, as
-in the real dumps.  Pipes are not escaped (the FCC format has no escaping),
-so field values must not contain ``|``.
+in the real dumps.  Within a group each location and path number is
+defined once, and every ``FR`` line's path has a ``PA`` line.  Pipes are
+not escaped (the FCC format has no escaping), so field values must not
+contain ``|``.
 """
 
 from __future__ import annotations
@@ -178,11 +180,20 @@ def _parse_records(lines: Iterable[str]) -> Iterator[License]:
         # license (a path to an undefined location, path number 0, a
         # path that loops back): name the license and its HD line.
         try:
-            return _build_license(record)
+            lic = _build_license(record)
         except ValueError as error:
             raise DumpFormatError(
                 f"line {header_line}: license {record['license_id']!r}: {error}"
             ) from error
+        # Frequencies for a path no PA line defines would be dropped:
+        # name the first such FR line (``freqs`` is in line order).
+        for number in record["freqs"]:
+            if number not in record["paths"]:
+                raise DumpFormatError(
+                    f"line {record['freq_lines'][number]}: FR for path "
+                    f"{number}, which no PA line defines"
+                )
+        return lic
 
     for line_number, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -202,6 +213,8 @@ def _parse_records(lines: Iterable[str]) -> Iterator[License]:
             ) from error
         if fields[0] == "HD":
             header_line = line_number
+        elif fields[0] == "FR":
+            current["freq_lines"].setdefault(int(fields[2]), line_number)
 
     if current is not None:
         yield finish(current)
@@ -232,6 +245,7 @@ def _parse_line(fields: list[str], current: dict | None) -> dict:
             "locations": {},
             "paths": {},
             "freqs": {},
+            "freq_lines": {},  # path number -> its first FR line
         }
     if current is None:
         raise DumpFormatError(f"{tag} record before any HD")
@@ -253,6 +267,8 @@ def _parse_line(fields: list[str], current: dict | None) -> dict:
         number = int(fields[2])
         latitude = parse_uls_coordinate(fields[3], fields[4], fields[5], fields[6])
         longitude = parse_uls_coordinate(fields[7], fields[8], fields[9], fields[10])
+        if number in current["locations"]:
+            raise DumpFormatError(f"location {number} defined twice")
         current["locations"][number] = TowerLocation(
             location_number=number,
             point=GeoPoint(latitude, longitude),
@@ -263,7 +279,10 @@ def _parse_line(fields: list[str], current: dict | None) -> dict:
     elif tag == "PA":
         if len(fields) != 5:
             raise DumpFormatError("PA needs 5 fields")
-        current["paths"][int(fields[2])] = (int(fields[3]), int(fields[4]))
+        number = int(fields[2])
+        if number in current["paths"]:
+            raise DumpFormatError(f"path {number} defined twice")
+        current["paths"][number] = (int(fields[3]), int(fields[4]))
     elif tag == "FR":
         if len(fields) != 4:
             raise DumpFormatError("FR needs 4 fields")

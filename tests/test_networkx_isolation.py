@@ -13,7 +13,8 @@ Package ``__init__``s re-export lazily and the CLI imports each
 command's driver in its handler, so ``import repro`` loads no submodule,
 ``import repro.cli`` and ``--help`` load only the CLI, and a warm command
 (a store primed in a temp dir) loads only the ``repro`` modules on its
-allowlist below: no ``yaml``, generator, renderer or radio model.
+allowlist below: no ``yaml``, spec types, generator, synthetic builder,
+renderer or radio model.
 
 A routed :class:`HftNetwork` must pickle (store entries) without its
 cached adjacency or graph.
@@ -119,11 +120,19 @@ _WARM_BASE = frozenset(
     repro.core.network repro.core.reconstruction repro.core.timeline
     repro.geodesy repro.geodesy.earth repro.geodesy.memo
     repro.obs repro.obs.metrics repro.obs.spans
-    repro.scenarios repro.scenarios.registry repro.scenarios.synthetic
+    repro.scenarios repro.scenarios.registry
     repro.store repro.store.cachestore repro.store.fingerprint
     repro.store.layout
-    repro.synth repro.synth.scenario repro.synth.specs
+    repro.synth repro.synth.scenario
     repro.uls repro.uls.database repro.uls.index repro.uls.records
+    """.split()
+)
+
+#: Modules no warm command may load, whatever its allowlist says: only a
+#: build needs the spec types, the generator or the synthetic builder.
+_WARM_FORBIDDEN = frozenset(
+    """
+    repro.scenarios.synthetic repro.synth.generator repro.synth.specs
     """.split()
 )
 
@@ -197,6 +206,7 @@ def test_warm_command_loads_only_its_modules(primed_store, command):
     assert report["others"] == []
     allowed = _WARM_BASE | frozenset(_WARM_ALLOWED[command].split())
     assert sorted(set(report["repro"]) - allowed) == []
+    assert sorted(set(report["repro"]) & _WARM_FORBIDDEN) == []
 
 
 def test_routed_network_pickles_without_derived_state(scenario):

@@ -12,6 +12,7 @@ registry refactor can never drift the default output.
 
 from __future__ import annotations
 
+import inspect
 import sys
 import tempfile
 import threading
@@ -38,6 +39,7 @@ from repro.scenarios import (
     scenario_names,
     synthetic_scenario,
 )
+from repro.scenarios.registry import SYNTHETIC_PARAMS
 from repro.serve.payloads import render_payload, rankings_payload
 from repro.store import CacheStore
 from repro.synth.scenario import europe2020_scenario
@@ -124,6 +126,12 @@ class TestRegistry:
             built.database.content_digest()
             == resolve_scenario("europe2020").database.content_digest()
         )
+
+    def test_synthetic_params_are_the_builders_keywords(self):
+        # The registry declares the converters without importing the
+        # builder, so the two lists must be kept in step by hand.
+        keywords = inspect.signature(synthetic_scenario).parameters
+        assert sorted(SYNTHETIC_PARAMS) == sorted(keywords)
 
     def test_synthetic_spellings_share_one_scenario(self):
         a = resolve_scenario("synthetic:seed=11,networks=1,links=12")

@@ -152,6 +152,35 @@ class TestErrors:
         ):
             dumpio.loads("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # A frequency for a path the license never defines.
+            (lambda lines, pa: lines.append("FR|L1|9|6000.0"), "FR for path 9"),
+            # A second path 1 that would replace the first.
+            (lambda lines, pa: lines.insert(pa + 1, "PA|L1|1|2|1"), "path 1 defined twice"),
+            # A second location 1 that would replace the first.
+            (
+                lambda lines, pa: lines.insert(
+                    pa, "LO|L1|1|41|0|0.0000|N|87|0|0.0000|W|200.0|90.0|dup"
+                ),
+                "location 1 defined twice",
+            ),
+        ],
+        ids=["orphan-frequency", "repeated-path", "repeated-location"],
+    )
+    def test_inconsistent_group_names_its_line(self, edit, message):
+        lines = dumpio.dumps([make_license("L0"), make_license("L1")]).splitlines()
+        pa = next(i for i, line in enumerate(lines) if line.startswith("PA|L1|"))
+        edit(lines, pa)
+        bad = next(
+            i + 1
+            for i, line in enumerate(lines)
+            if line in ("FR|L1|9|6000.0", "PA|L1|1|2|1") or line.endswith("|dup")
+        )
+        with pytest.raises(dumpio.DumpFormatError, match=f"^line {bad}: {message}"):
+            dumpio.loads("\n".join(lines) + "\n")
+
     def test_blank_lines_ignored(self):
         text = "\n" + dumpio.dumps([make_license()]) + "\n\n"
         assert len(dumpio.loads(text)) == 1
