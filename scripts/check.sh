@@ -65,17 +65,6 @@ python -m pytest -x -q tests/test_engine.py
 python -m pytest -x -q tests/test_scraper_equivalence.py
 python -m pytest -x -q tests/test_routing_equivalence.py
 
-# --jobs gate: the flag is accepted and has no effect (every command
-# runs in one process), so analysis output must be byte-identical at any
-# N.  "timeline" covers the Fig 1/2 grid.
-for cmd in funnel timeline table1; do
-    if ! diff <(python -m repro "$cmd" --jobs 1) \
-              <(python -m repro "$cmd" --jobs 4); then
-        echo "check.sh: '$cmd' output differs between --jobs 1 and --jobs 4" >&2
-        exit 1
-    fi
-done
-
 # Serve gate: a warm corridor analytics server must survive a seeded
 # concurrent loadgen mix with zero errors, serve /rankings byte-identical
 # to `table1 --format json`, and keep answering after a structured 400
@@ -83,76 +72,60 @@ done
 python scripts/serve_smoke.py --requests 50 --clients 4
 
 # Persistent-store gate: the on-disk cache store (repro.store) may only
-# change speed, never bytes.  For each driver and fan-out width, three
-# runs must agree: truly cold (no store), cold-with-store (first
-# --cache-dir run, populating), and warm (second --cache-dir run,
-# loading what the first published).  Each command gets its own store
-# so a cache populated by one driver can't mask another's cold path.
-# `compare` attaches one store to three scenarios' engines.
+# change speed, never bytes.  For each driver, three runs must agree:
+# truly cold (no store), cold-with-store (first --cache-dir run,
+# populating), and warm (second --cache-dir run, loading what the first
+# published).  Each command gets its own store so a cache populated by
+# one driver can't mask another's cold path.  `compare` attaches one
+# store to three scenarios' engines.
 store_dir=".repro-store-check"
-for cmd in funnel timeline table1 compare; do
-    for jobs in 1 4; do
-        rm -rf "$store_dir"
-        if ! diff <(python -m repro "$cmd" --jobs "$jobs") \
-                  <(python -m repro "$cmd" --jobs "$jobs" --cache-dir "$store_dir"); then
-            echo "check.sh: '$cmd' --jobs $jobs differs between no-store and cold-with-store" >&2
-            exit 1
-        fi
-        if ! diff <(python -m repro "$cmd" --jobs "$jobs") \
-                  <(python -m repro "$cmd" --jobs "$jobs" --cache-dir "$store_dir"); then
-            echo "check.sh: '$cmd' --jobs $jobs differs between no-store and store-warmed" >&2
-            exit 1
-        fi
-    done
-    # A store a --jobs 1 run filled serves a --jobs 4 run unchanged.
-    rm -rf "$store_dir"
-    python -m repro "$cmd" --jobs 1 --cache-dir "$store_dir" > /dev/null
-    if ! diff <(python -m repro "$cmd" --jobs 4) \
-              <(python -m repro "$cmd" --jobs 4 --cache-dir "$store_dir"); then
-        echo "check.sh: '$cmd' --jobs 4 on a --jobs 1-filled store differs from no-store" >&2
+out_dir=$(mktemp -d)
+trap 'rm -rf "$out_dir"' EXIT
+
+# store_runs LABEL ARGS...: run ARGS with no store, cold with a fresh
+# store and warm on it; fail unless both store runs print the no-store
+# stdout.  The warm run's --metrics report is left in $out_dir/metrics.
+store_runs() {
+    local label=$1
+    shift
+    python -m repro "$@" > "$out_dir/none"
+    python -m repro "$@" --cache-dir "$store_dir" > "$out_dir/cold"
+    python -m repro "$@" --cache-dir "$store_dir" --metrics \
+        > "$out_dir/warm" 2> "$out_dir/metrics"
+    if ! diff "$out_dir/none" "$out_dir/cold"; then
+        echo "check.sh: '$label' differs between no-store and cold-with-store" >&2
         exit 1
     fi
-    # A cold --jobs 4 funnel publishes every entry it reads: on that
-    # store a second run misses no entry and fetches no detail page.
+    if ! diff "$out_dir/none" "$out_dir/warm"; then
+        echo "check.sh: '$label' differs between no-store and store-warmed" >&2
+        exit 1
+    fi
+}
+
+for cmd in funnel timeline table1 compare; do
+    rm -rf "$store_dir"
+    store_runs "$cmd" "$cmd"
+    # A cold funnel publishes every entry it reads: the warm run misses
+    # no entry and fetches no detail page.
     if [ "$cmd" = funnel ]; then
-        rm -rf "$store_dir"
-        python -m repro funnel --jobs 4 --cache-dir "$store_dir" > /dev/null
-        metrics=$(python -m repro funnel --jobs 4 --cache-dir "$store_dir" --metrics 2>&1 >/dev/null)
-        misses=$(awk '$1 == "counter" && $2 == "store.miss" {print $3}' <<< "$metrics")
-        pages=$(awk '$1 == "counter" && $2 == "uls.scraper.page.detail" {print $3}' <<< "$metrics")
+        misses=$(awk '$1 == "counter" && $2 == "store.miss" {print $3}' "$out_dir/metrics")
+        pages=$(awk '$1 == "counter" && $2 == "uls.scraper.page.detail" {print $3}' "$out_dir/metrics")
         if [ "${misses:-0}" != 0 ] || [ "${pages:-0}" != 0 ]; then
-            echo "check.sh: 'funnel --jobs 4' on a --jobs 4-filled store missed ${misses:-0} entries and fetched ${pages:-0} detail pages, want 0 and 0" >&2
+            echo "check.sh: warm 'funnel' missed ${misses:-0} entries and fetched ${pages:-0} detail pages, want 0 and 0" >&2
             exit 1
         fi
     fi
 done
-rm -rf "$store_dir"
 
-# Multi-scenario gate: every determinism contract above must hold for
-# *every* registered corridor, not just the paper's.  For each scenario
-# and driver: --jobs 1 vs --jobs 4 must agree, and a store-warmed rerun
-# must agree with a no-store run (per-scenario fingerprints may share
-# one store directory without cross-talk).
-# The parameterized reference round-trips its params through a scenario
-# entry.
+# Multi-scenario gate: the store contract above must hold for *every*
+# registered corridor, not just the paper's.  Per-scenario fingerprints
+# share one store directory without cross-talk, so each scenario's
+# drivers fill and read one store.  The parameterized reference
+# round-trips its params through a scenario entry.
 for scenario in europe2020 tokyo-singapore synthetic:seed=7,networks=12; do
     rm -rf "$store_dir"
     for cmd in funnel timeline table1; do
-        if ! diff <(python -m repro "$cmd" --scenario "$scenario" --jobs 1) \
-                  <(python -m repro "$cmd" --scenario "$scenario" --jobs 4); then
-            echo "check.sh: '$cmd --scenario $scenario' differs between --jobs 1 and --jobs 4" >&2
-            exit 1
-        fi
-        if ! diff <(python -m repro "$cmd" --scenario "$scenario") \
-                  <(python -m repro "$cmd" --scenario "$scenario" --cache-dir "$store_dir"); then
-            echo "check.sh: '$cmd --scenario $scenario' differs between no-store and cold-with-store" >&2
-            exit 1
-        fi
-        if ! diff <(python -m repro "$cmd" --scenario "$scenario") \
-                  <(python -m repro "$cmd" --scenario "$scenario" --cache-dir "$store_dir"); then
-            echo "check.sh: '$cmd --scenario $scenario' differs between no-store and store-warmed" >&2
-            exit 1
-        fi
+        store_runs "$cmd --scenario $scenario" "$cmd" --scenario "$scenario"
     done
 done
 rm -rf "$store_dir"

@@ -89,12 +89,6 @@ DEFAULT_OBS_ALLOWED = (
     "src/repro/serve/loadgen.py",
 )
 
-#: Path prefixes allowed to construct pools/processes directly; everything
-#: else must fan out through ``repro.parallel``.
-DEFAULT_PARALLEL_ALLOWED = (
-    "src/repro/parallel/",
-)
-
 #: Source roots the whole-program flow analysis parses.  Modules are named
 #: by their path relative to each root's *parent* (``src/repro/core``
 #: → ``repro.core``), so roots must be package directories.
@@ -129,7 +123,7 @@ DEFAULT_SHARED_STATE_ALLOWED = (
 #: they may be imported from anywhere and the rule stays silent about
 #: their own imports.
 DEFAULT_LAYERS = (
-    ("repro.constants", "repro.obs", "repro.parallel"),
+    ("repro.constants", "repro.obs"),
     ("repro.geodesy",),
     ("repro.uls",),
     ("repro.core",),
@@ -201,10 +195,6 @@ class LintConfig:
     def obs_allowed_paths(self) -> tuple[str, ...]:
         allowed = self.options_for("obs-discipline").get("allowed")
         return tuple(allowed) if allowed is not None else DEFAULT_OBS_ALLOWED
-
-    def parallel_allowed_paths(self) -> tuple[str, ...]:
-        allowed = self.options_for("parallel-discipline").get("allowed")
-        return tuple(allowed) if allowed is not None else DEFAULT_PARALLEL_ALLOWED
 
     def flow_roots(self) -> tuple[str, ...]:
         roots = self.options_for("flow").get("roots")

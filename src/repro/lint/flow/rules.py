@@ -4,11 +4,10 @@ Four rules, all :class:`~repro.lint.registry.ProgramRule` subclasses fed
 one shared :class:`~repro.lint.flow.program.ProgramAnalysis` per run:
 
 ``shared-state``
-    Functions reachable from a parallel worker entry or a CLI subcommand
-    main must not write module-level state: workers run in forked/spawned
-    children whose globals never flow back, and subcommands must compose
-    in one process.  Deliberate globals (the obs session accumulator, the
-    engine mode toggles) are allowlisted in configuration.
+    Functions reachable from a CLI subcommand main must not write
+    module-level state: subcommands must compose in one process.
+    Deliberate globals (the obs session accumulator, the registries) are
+    allowlisted in configuration.
 ``transitive-determinism``
     A wall-clock read or unseeded RNG anywhere below a public function
     makes that function non-reproducible even though its own body is
@@ -40,7 +39,7 @@ def _matches_any(fqn: str, patterns: tuple[str, ...]) -> bool:
 
 
 def shared_state_entry_points(analysis: ProgramAnalysis) -> list[str]:
-    """Function fqns matching the configured worker/CLI root patterns."""
+    """Function fqns matching the configured CLI root patterns."""
     patterns = analysis.config.shared_state_roots()
     return sorted(
         fqn
@@ -51,13 +50,13 @@ def shared_state_entry_points(analysis: ProgramAnalysis) -> list[str]:
 
 @register
 class SharedStateRule(ProgramRule):
-    """No module-global writes reachable from worker/CLI entry points."""
+    """No module-global writes reachable from CLI entry points."""
 
     name = "shared-state"
     description = (
-        "module-global write reachable from a parallel worker or CLI "
-        "entry: hidden cross-call state breaks worker isolation and "
-        "subcommand composition; pass state explicitly"
+        "module-global write reachable from a CLI entry: hidden "
+        "cross-call state breaks subcommand composition; pass state "
+        "explicitly"
     )
 
     def check_program(self, analysis: ProgramAnalysis) -> list[Finding]:

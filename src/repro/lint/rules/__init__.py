@@ -16,6 +16,5 @@ from repro.lint.rules import (  # noqa: F401  (imports register the rules)
     floats,
     hygiene,
     obs,
-    parallel,
     units,
 )

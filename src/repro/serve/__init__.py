@@ -10,8 +10,8 @@ tier.  Layers, bottom up:
   to the shared engine;
 * :mod:`repro.serve.service`  — validation, routing, structured errors;
 * :mod:`repro.serve.server`   — the threaded stdlib HTTP adapter;
-* :mod:`repro.serve.loadgen`  — the ``repro.parallel``-powered load
-  harness behind ``hftnetview loadgen``.
+* :mod:`repro.serve.loadgen`  — the load harness behind
+  ``hftnetview loadgen``, whose client fleet is the one thread pool.
 
 See DESIGN.md §13 for the facade/coalescing protocol.
 """

@@ -1,9 +1,10 @@
 """Load generation against a running corridor query server.
 
-The client fleet is :func:`repro.parallel.pmap`: ``clients`` threads
-with at most one request in flight each.  The seeded request mix is built
-up front, the fleet replays it, and the report reduces the per-request
-samples (in request order) into sustained throughput and tail latency.
+The client fleet is :func:`_fetch_all`, the repository's one thread
+pool: ``clients`` threads with at most one request in flight each.  The
+seeded request mix is built up front, the fleet replays it, and the
+report reduces the per-request samples (in request order) into sustained
+throughput and tail latency.
 Determinism discipline: the request *sequence* is seeded
 (``random.Random(profile.seed)``), so two runs of the same profile issue
 identical requests in identical order — only the timings differ.
@@ -20,8 +21,6 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
-
-from repro.parallel import pmap
 
 #: The default request mix: every served endpoint, with a couple of
 #: parameterised variants so warm runs exercise more than one cache key.
@@ -106,6 +105,27 @@ def _fetch(item: tuple[str, str]) -> RequestSample:
     return RequestSample(path=path, status=status, elapsed_ms=elapsed_ms)
 
 
+def _fetch_all(
+    items: list[tuple[str, str]], clients: int
+) -> list[RequestSample]:
+    """:func:`_fetch` over ``items``, at most ``clients`` requests in flight.
+
+    Samples come back in submission order whatever order the requests
+    end in; the error of the first request (in submission order) that
+    raised re-raises here.
+    """
+    if clients < 1:
+        raise ValueError(f"clients must be >= 1, got {clients}")
+    if not items:
+        return []
+    # Imported here: only a load run starts threads, so no other command
+    # pays for the import.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=min(clients, len(items))) as pool:
+        return list(pool.map(_fetch, items))
+
+
 def run_load(base_url: str, profile: LoadProfile | None = None) -> LoadReport:
     """Replay ``profile`` against ``base_url`` with ``profile.clients``
     requests in flight at once."""
@@ -113,7 +133,7 @@ def run_load(base_url: str, profile: LoadProfile | None = None) -> LoadReport:
     base = base_url.rstrip("/")
     items = [(base, path) for path in request_sequence(profile)]
     start = time.perf_counter()
-    samples = pmap(_fetch, items, jobs=profile.clients)
+    samples = _fetch_all(items, profile.clients)
     wall_s = time.perf_counter() - start
     latencies = [s.elapsed_ms for s in samples]
     errors = sum(1 for s in samples if s.status != 200)

@@ -96,9 +96,6 @@ PUBLIC_API = {
         enable get_registry is_enabled observe read_trace
         render_metrics set_gauge span span_line
     """,
-    "repro.parallel": """
-        pmap
-    """,
     "repro.radio": """
         LinkBudget SyntheticTerrain earth_bulge_m
         effective_path_length_km first_fresnel_radius_m

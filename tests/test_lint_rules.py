@@ -707,87 +707,3 @@ class TestObsDiscipline:
             t0 = time.monotonic()  # lint: disable=obs-discipline
         """
         assert findings_for(tmp_path, source, rules=("obs-discipline",)) == []
-
-
-class TestParallelDiscipline:
-    def test_process_pool_executor_flagged(self, tmp_path):
-        source = """
-            from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(max_workers=4)
-        """
-        findings = findings_for(
-            tmp_path, source, rules=("parallel-discipline",)
-        )
-        assert rule_names(findings) == ["parallel-discipline"]
-        assert "repro.parallel" in findings[0].message
-
-    def test_dotted_pool_constructors_flagged(self, tmp_path):
-        source = """
-            import concurrent.futures
-            import multiprocessing
-
-            a = concurrent.futures.ProcessPoolExecutor()
-            b = concurrent.futures.ThreadPoolExecutor()
-            c = multiprocessing.Pool(4)
-            d = multiprocessing.Process(target=work)
-        """
-        assert rule_names(
-            findings_for(tmp_path, source, rules=("parallel-discipline",))
-        ) == ["parallel-discipline"] * 4
-
-    def test_os_fork_flagged(self, tmp_path):
-        source = """
-            import os
-            pid = os.fork()
-        """
-        assert rule_names(
-            findings_for(tmp_path, source, rules=("parallel-discipline",))
-        ) == ["parallel-discipline"]
-
-    def test_bare_pool_name_not_flagged(self, tmp_path):
-        source = """
-            pool = Pool(candidates)
-            worker = Process(step)
-        """
-        assert findings_for(
-            tmp_path, source, rules=("parallel-discipline",)
-        ) == []
-
-    def test_parallel_package_is_exempt(self, tmp_path):
-        source = """
-            from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(max_workers=4)
-        """
-        assert findings_for(
-            tmp_path, source, name="src/repro/parallel/executor.py",
-            rules=("parallel-discipline",),
-        ) == []
-
-    def test_allowed_paths_configurable(self, tmp_path):
-        source = """
-            import multiprocessing
-            pool = multiprocessing.Pool()
-        """
-        assert findings_for(
-            tmp_path, source, name="tools/runner.py",
-            rules=("parallel-discipline",),
-            rule_options={"parallel-discipline": {"allowed": ["tools/"]}},
-        ) == []
-
-    def test_pmap_usage_ok(self, tmp_path):
-        source = """
-            from repro.parallel import pmap
-            results = pmap(work, items, jobs=4)
-        """
-        assert findings_for(
-            tmp_path, source, rules=("parallel-discipline",)
-        ) == []
-
-    def test_pragma_suppresses_parallel(self, tmp_path):
-        source = """
-            import multiprocessing
-            pool = multiprocessing.Pool()  # lint: disable=parallel-discipline
-        """
-        assert findings_for(
-            tmp_path, source, rules=("parallel-discipline",)
-        ) == []

@@ -6,8 +6,8 @@ Routing, connectivity and APA run the stdlib Dijkstra in
 that build a full graph.  Every command runs in one process, so nothing
 on the hot path needs ``multiprocessing`` or ``concurrent.futures``
 either.  A fresh interpreter must therefore get through ``import repro``,
-``import repro.cli`` and the benchmarked commands (at ``--jobs 4``, which
-has no effect) without loading any of them.
+``import repro.cli`` and the benchmarked commands without loading any of
+them.
 
 Package ``__init__``s re-export lazily and the CLI imports each
 command's driver in its handler, so ``import repro`` loads no submodule,
@@ -55,7 +55,7 @@ _PROBE = textwrap.dedent(
         ["timeline", "--step", "weekly"],
     ):
         with contextlib.redirect_stdout(io.StringIO()):
-            assert repro.cli.main([*argv, "--jobs", "4"]) == 0, argv
+            assert repro.cli.main(argv) == 0, argv
         check(" ".join(argv))
     """
 )

@@ -1,4 +1,5 @@
-"""The load harness: seeded mixes, percentile maths, live reports."""
+"""The load harness: seeded mixes, percentile maths, the client fleet
+(:func:`_fetch_all`, the one thread pool) and live reports."""
 
 from __future__ import annotations
 
@@ -8,11 +9,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.parallel import pmap
+from repro.serve import loadgen
 from repro.serve.loadgen import (
     DEFAULT_PATHS,
     LoadProfile,
-    _fetch,
+    _fetch_all,
     percentile,
     request_sequence,
     run_load,
@@ -117,12 +118,14 @@ class _EchoServer:
 
 
 class TestClientFleet:
+    # Early requests sleep longest, so they end last: samples still come
+    # back in request order.
     @pytest.mark.parametrize("clients", [1, 3])
     def test_samples_in_request_order_with_clients_in_flight(self, clients):
         paths = [f"/d{delay}" for delay in (120, 80, 40, 0, 120, 80, 40, 0, 60)]
         with _EchoServer() as server:
-            samples = pmap(
-                _fetch, [(server.url, path) for path in paths], jobs=clients
+            samples = _fetch_all(
+                [(server.url, path) for path in paths], clients
             )
             assert server.peak == clients
         assert [sample.path for sample in samples] == paths
@@ -137,3 +140,27 @@ class TestClientFleet:
             assert server.peak == 4
         assert report.requests == 12
         assert report.errors == 0
+
+    def test_empty_mix_sends_nothing(self):
+        assert _fetch_all([], 4) == []
+
+    def test_zero_clients_rejected(self):
+        with pytest.raises(ValueError):
+            _fetch_all([("http://127.0.0.1:1", "/")], 0)
+
+    def test_first_error_in_request_order_propagates(self, monkeypatch):
+        # Request 1 fails last and request 3 first; the fleet re-raises
+        # request 1's error, as a serial loop would.
+        def fetch(item):
+            _, path = item
+            if path == "/1":
+                time.sleep(0.05)
+                raise KeyError(path)
+            if path == "/3":
+                raise ValueError(path)
+            return path
+
+        monkeypatch.setattr(loadgen, "_fetch", fetch)
+        items = [("http://unused", f"/{index}") for index in range(6)]
+        with pytest.raises(KeyError):
+            _fetch_all(items, 2)
