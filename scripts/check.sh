@@ -129,7 +129,3 @@ for scenario in europe2020 tokyo-singapore synthetic:seed=7,networks=12; do
     done
 done
 rm -rf "$store_dir"
-
-# The hybrid corridor comparison must run end-to-end over every
-# registered corridor (warm engines from the gates above keep it cheap).
-python -m repro compare > /dev/null

@@ -5,7 +5,10 @@ geodesic problems on the WGS84 ellipsoid, with a spherical great-circle
 fallback for the nearly-antipodal cases where Vincenty's inverse iteration
 does not converge.  Accuracy of the inverse solution is well under a
 millimetre for corridor-scale distances, far beyond what the latency
-analysis needs (1 microsecond of light travel ~ 300 m).
+analysis needs (1 microsecond of light travel ~ 300 m).  A cheaper
+distance-only kernel, Andoyer–Lambert, carries a stated error bound
+against the Vincenty inverse, for callers that only need to know which
+side of a threshold a length lies on.
 """
 
 from __future__ import annotations
@@ -30,6 +33,24 @@ EARTH_MEAN_RADIUS_M = 6_371_008.8
 
 _VINCENTY_MAX_ITERATIONS = 200
 _VINCENTY_CONVERGENCE = 1e-12
+
+#: Relative error bound ε of :func:`lambert_distance_trig` against
+#: :func:`inverse_trig`.  The Andoyer–Lambert formula drops the terms of
+#: order f², which measure at most f²/8 ≈ 1.4e-6 of the distance; ε keeps
+#: a 7× margin over that (DESIGN.md §15, "Bounded chain lengths").
+LAMBERT_RELATIVE_ERROR = 1e-5
+
+#: Absolute term of the same bound, metres per hop.  It covers what
+#: :func:`inverse_trig` itself leaves: its iteration stops at a 1e-12 rad
+#: longitude step (≤ a·1e-12 ≈ 6.4 µm of distance) and its coincident-point
+#: guard reads points up to ~0.2 µm apart as 0.
+LAMBERT_HOP_ERROR_M = 1e-4
+
+#: Largest central angle, radians, that :func:`lambert_distance_trig`
+#: measures.  Below a quarter great circle :func:`inverse_trig` never falls
+#: back to its spherical branch (that needs a nearly antipodal pair), and
+#: the half-angle forms stay well conditioned (1 + cos σ ≥ 1).
+LAMBERT_MAX_CENTRAL_ANGLE = math.pi / 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,6 +254,50 @@ def inverse_trig(
         math.atan2(cos_u1 * math.sin(lam), -sin_u1 * cos_u2 + cos_u1 * sin_u2 * math.cos(lam))
     )
     return (distance, az_fwd % 360.0, az_back % 360.0)
+
+
+def lambert_distance_trig(
+    lat1: float,
+    lon1: float,
+    lat2: float,
+    lon2: float,
+    sin_u1: float,
+    cos_u1: float,
+    sin_u2: float,
+    cos_u2: float,
+) -> float | None:
+    """Andoyer–Lambert distance, metres, with precomputed reduced-latitude trig.
+
+    A distance-only kernel, first order in the flattening f: the central
+    angle σ between the reduced latitudes, corrected by
+    ``a·(σ − f/2·(X + Y))``.  One evaluation costs a sin/cos pair, a
+    square root and an arctangent, against Vincenty's iteration.  Its
+    distance ``d`` is within ``LAMBERT_RELATIVE_ERROR·d +
+    LAMBERT_HOP_ERROR_M`` of :func:`inverse_trig`'s.  Returns ``None``
+    above :data:`LAMBERT_MAX_CENTRAL_ANGLE`, where only the exact kernel
+    answers.
+    """
+    lam = math.radians(lon2 - lon1)
+    sin_lam, cos_lam = math.sin(lam), math.cos(lam)
+    sin_sigma = math.sqrt(
+        (cos_u2 * sin_lam) ** 2 + (cos_u1 * sin_u2 - sin_u1 * cos_u2 * cos_lam) ** 2
+    )
+    cos_sigma = sin_u1 * sin_u2 + cos_u1 * cos_u2 * cos_lam
+    sigma = math.atan2(sin_sigma, cos_sigma)
+    if sigma > LAMBERT_MAX_CENTRAL_ANGLE:
+        return None
+    # lint: disable=float-eq (coincident-point guard, as in inverse_trig:
+    # sqrt of a sum of squares is exactly 0.0 only for identical points)
+    if sin_sigma == 0.0:
+        return 0.0
+    # With P, Q the half sum and half difference of the reduced latitudes,
+    # sin P·cos Q = (sin U1 + sin U2)/2 and cos P·sin Q = (sin U2 − sin U1)/2;
+    # cos²(σ/2) = (1 + cos σ)/2 and sin²(σ/2) = sin²σ / (2(1 + cos σ)) are
+    # the cancellation-free half-angle forms for short hops.
+    one_plus_cos = 1.0 + cos_sigma
+    x = (sigma - sin_sigma) * (sin_u1 + sin_u2) ** 2 / (2.0 * one_plus_cos)
+    y = (sigma + sin_sigma) * (sin_u2 - sin_u1) ** 2 * one_plus_cos / (2.0 * sin_sigma**2)
+    return EARTH_EQUATORIAL_RADIUS_M * (sigma - EARTH_FLATTENING / 2.0 * (x + y))
 
 
 def _spherical_azimuth(a: GeoPoint, b: GeoPoint) -> float:

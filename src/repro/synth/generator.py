@@ -30,6 +30,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.constants import FIBER_SPEED, SPEED_OF_LIGHT
 from repro.core.corridor import CorridorSpec
 from repro.geodesy import GeoPoint, geodesic_destination, geodesic_inverse
@@ -83,40 +84,69 @@ def _mw_length_target_m(latency_target_ms: float, fiber_tail_m: float) -> float:
     return length
 
 
-def _bisect_amplitude(
-    length_of_amplitude,
-    target_m: float,
-    what: str,
-) -> float:
+def _bisect_amplitude(layout: ChainLayout, target_m: float, what: str) -> float:
     """Find the lateral amplitude whose chain length equals ``target_m``.
 
     Chain length is monotone non-decreasing in amplitude; we double an
     upper bracket until it exceeds the target, then bisect.
+
+    Each step needs the length only to compare it with the target.  The
+    towers are placed once per amplitude, and the Lambert length
+    (:meth:`ChainLayout.bounded_length`) decides a comparison alone when
+    its error bound keeps the exact length on one side; only the rest pay
+    for the exact Vincenty sum.  So the decisions, and the amplitude, are
+    those of a bisection over exact lengths (DESIGN.md §15).
     """
-    base = length_of_amplitude(0.0)
-    if base > target_m + _CALIBRATION_TOLERANCE_M:
-        raise CalibrationError(
-            f"{what}: straight chain is already {base / 1000.0:.3f} km, "
-            f"longer than the {target_m / 1000.0:.3f} km target"
-        )
-    if abs(base - target_m) <= _CALIBRATION_TOLERANCE_M:
-        return 0.0
-    high = 2_000.0
-    while length_of_amplitude(high) < target_m:
-        high *= 2.0
-        if high > 1_000_000.0:
-            raise CalibrationError(f"{what}: target unreachable even at 1000 km amplitude")
-    low = 0.0
-    for _ in range(80):
-        mid = (low + high) / 2.0
-        length = length_of_amplitude(mid)
-        if abs(length - target_m) <= _CALIBRATION_TOLERANCE_M:
-            return mid
-        if length < target_m:
-            low = mid
-        else:
-            high = mid
-    return (low + high) / 2.0
+    exact = bounded = 0
+
+    def length(amplitude_m: float, margin_m: float) -> float:
+        """The exact chain length at ``amplitude_m``, or ``-inf``/``+inf``
+        when the bounded length proves it lies more than ``margin_m``
+        below/above the target: every comparison below reads an infinity
+        as it would read the exact length."""
+        nonlocal exact, bounded
+        sites = layout.sites(amplitude_m)
+        estimate = layout.bounded_length(sites)
+        if estimate is not None:
+            cheap, error = estimate
+            if cheap + error < target_m - margin_m:
+                bounded += 1
+                return -math.inf
+            if cheap - error > target_m + margin_m:
+                bounded += 1
+                return math.inf
+        exact += 1
+        return layout.exact_length(sites)
+
+    try:
+        # An infinite margin: the straight chain is always measured exactly.
+        base = length(0.0, math.inf)
+        if base > target_m + _CALIBRATION_TOLERANCE_M:
+            raise CalibrationError(
+                f"{what}: straight chain is already {base / 1000.0:.3f} km, "
+                f"longer than the {target_m / 1000.0:.3f} km target"
+            )
+        if abs(base - target_m) <= _CALIBRATION_TOLERANCE_M:
+            return 0.0
+        high = 2_000.0
+        while length(high, 0.0) < target_m:
+            high *= 2.0
+            if high > 1_000_000.0:
+                raise CalibrationError(f"{what}: target unreachable even at 1000 km amplitude")
+        low = 0.0
+        for _ in range(80):
+            mid = (low + high) / 2.0
+            mid_length = length(mid, _CALIBRATION_TOLERANCE_M)
+            if abs(mid_length - target_m) <= _CALIBRATION_TOLERANCE_M:
+                return mid
+            if mid_length < target_m:
+                low = mid
+            else:
+                high = mid
+        return (low + high) / 2.0
+    finally:
+        obs.count("synth.calibrate.exact", exact)
+        obs.count("synth.calibrate.bounded", bounded)
 
 
 @dataclass
@@ -188,7 +218,7 @@ class NetworkBuilder:
         target_length = _mw_length_target_m(target_ms, fiber)
         layout = self._trunk_layout(n_links, salt)
         amplitude = _bisect_amplitude(
-            layout.length,
+            layout,
             target_length,
             what=f"{self.spec.name} trunk (era salt {salt})",
         )
@@ -223,7 +253,7 @@ class NetworkBuilder:
             )
         layout = self._branch_layout(branch, trunk)
         amplitude = _bisect_amplitude(
-            layout.length,
+            layout,
             branch_target,
             what=f"{self.spec.name} branch to {branch.target_dc}",
         )

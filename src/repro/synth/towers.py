@@ -8,7 +8,7 @@ Larger amplitudes make longer (slower) routes; the generator
 geodesic length, under the paper's latency model, hits a target latency.
 :class:`ChainLayout` solves everything that does not depend on the
 amplitude once per chain, so each bisection step only places the towers
-laterally and measures the hops.
+laterally and measures the hops, cheaply when a bounded length suffices.
 """
 
 from __future__ import annotations
@@ -18,10 +18,13 @@ from typing import Sequence
 
 from repro.geodesy import GeoPoint
 from repro.geodesy.earth import (
+    LAMBERT_HOP_ERROR_M,
+    LAMBERT_RELATIVE_ERROR,
     destination_setup,
     destination_solve,
     geodesic_destination,
     inverse_trig,
+    lambert_distance_trig,
     reduced_latitude_trig,
 )
 from repro.geodesy.path import offset_point
@@ -77,6 +80,15 @@ def spacing_fractions(
     return fractions
 
 
+#: One placed tower: ``(latitude, longitude, sin U, cos U)``, with U its
+#: reduced latitude.
+Site = tuple[float, float, float, float]
+
+
+def _site(lat: float, lon: float) -> Site:
+    return (lat, lon, *reduced_latitude_trig(lat))
+
+
 class ChainLayout:
     """The amplitude-invariant geometry of one tower chain.
 
@@ -87,10 +99,11 @@ class ChainLayout:
     amplitude is fixed per chain, so the constructor solves it once: the
     start→end inverse, each tower's on-geodesic base point, its tapered
     noise factor and the direct-problem setup of both perpendiculars
-    (:func:`repro.geodesy.earth.destination_setup`).  Each
-    :meth:`points` / :meth:`length` call then costs one lateral direct
-    solve per tower plus one inverse solve per hop, with the
-    reduced-latitude trig computed once per point.
+    (:func:`repro.geodesy.earth.destination_setup`).  :meth:`sites` then
+    places the towers at one amplitude with one lateral direct solve per
+    tower, and the same sites feed both chain lengths: the exact Vincenty
+    sum (:meth:`exact_length`) and the cheap Lambert sum with its error
+    bound (:meth:`bounded_length`).
 
     The geometry is bit-identical to placing each tower with
     :func:`repro.geodesy.path.offset_point` and measuring the chain with
@@ -119,11 +132,11 @@ class ChainLayout:
         )
         self.start = start
         self.end = end
-        self._start_trig = reduced_latitude_trig(start.latitude)
-        self._end_trig = reduced_latitude_trig(end.latitude)
+        self._start_site = _site(start.latitude, start.longitude)
+        self._end_site = _site(end.latitude, end.longitude)
         distance, azimuth, _ = inverse_trig(
             start.latitude, start.longitude, end.latitude, end.longitude,
-            *self._start_trig, *self._end_trig,
+            *self._start_site[2:], *self._end_site[2:],
         )
         right = (azimuth + 90.0) % 360.0
         left = (azimuth - 90.0) % 360.0
@@ -133,60 +146,69 @@ class ChainLayout:
             lat, lon = base.latitude, base.longitude
             self._towers.append((
                 noise.tapered(fraction),
-                base,
-                reduced_latitude_trig(lat),
+                _site(lat, lon),
                 destination_setup(lat, lon, right),
                 destination_setup(lat, lon, left),
             ))
 
-    def _sites(self, amplitude_m: float):
-        """Each intermediate tower at ``amplitude_m``, as ``(latitude,
-        longitude, base, base_trig)``: when the lateral offset is exactly
-        zero, the on-geodesic point and its reduced-latitude trig, else
-        ``None`` for both."""
-        for taper, base, base_trig, right, left in self._towers:
+    def sites(self, amplitude_m: float) -> list[Site]:
+        """The ``n_links + 1`` tower sites at ``amplitude_m``, anchors
+        included, with their reduced-latitude trig: the towers placed once,
+        for :meth:`exact_length` and :meth:`bounded_length` to measure."""
+        sites = [self._start_site]
+        for taper, base_site, right, left in self._towers:
             lateral = amplitude_m * taper
             # lint: disable=float-eq (exact zero lateral offset leaves the
             # tower on the geodesic, as offset_point does)
             if lateral == 0.0:
-                yield base.latitude, base.longitude, base, base_trig
+                sites.append(base_site)
             else:
-                lat, lon = destination_solve(right if lateral > 0.0 else left, abs(lateral))
-                yield lat, lon, None, None
+                sites.append(
+                    _site(*destination_solve(right if lateral > 0.0 else left, abs(lateral)))
+                )
+        sites.append(self._end_site)
+        return sites
 
     def points(self, amplitude_m: float) -> list[GeoPoint]:
         """The ``n_links + 1`` tower sites: the two anchors themselves and
         the intermediate towers at lateral amplitude ``amplitude_m``."""
-        return [
-            self.start,
-            *(
-                base if base is not None else GeoPoint(lat, lon)
-                for lat, lon, base, _ in self._sites(amplitude_m)
-            ),
-            self.end,
-        ]
+        towers = self.sites(amplitude_m)[1:-1]
+        return [self.start, *(GeoPoint(lat, lon) for lat, lon, _, _ in towers), self.end]
+
+    @staticmethod
+    def exact_length(sites: list[Site]) -> float:
+        """Geodesic (Vincenty) length of the chain through ``sites``,
+        metres: what :func:`~repro.geodesy.path.polyline_length` returns
+        for the same points."""
+        return sum(
+            inverse_trig(lat1, lon1, lat2, lon2, sin_u1, cos_u1, sin_u2, cos_u2)[0]
+            for (lat1, lon1, sin_u1, cos_u1), (lat2, lon2, sin_u2, cos_u2)
+            in zip(sites, sites[1:])
+        )
+
+    @staticmethod
+    def bounded_length(sites: list[Site]) -> tuple[float, float] | None:
+        """The Lambert length of the chain through ``sites`` and a bound on
+        its distance from :meth:`exact_length`, metres; ``None`` when a hop
+        is too long for the Lambert kernel."""
+        total = 0.0
+        for (lat1, lon1, sin_u1, cos_u1), (lat2, lon2, sin_u2, cos_u2) in zip(
+            sites, sites[1:]
+        ):
+            hop = lambert_distance_trig(
+                lat1, lon1, lat2, lon2, sin_u1, cos_u1, sin_u2, cos_u2
+            )
+            if hop is None:
+                return None
+            total += hop
+        error = LAMBERT_RELATIVE_ERROR * total + (len(sites) - 1) * LAMBERT_HOP_ERROR_M
+        return total, error
 
     def length(self, amplitude_m: float) -> float:
         """Geodesic length of the chain at ``amplitude_m``, metres: what
         ``polyline_length(self.points(amplitude_m))`` returns, without
         building the points."""
-        lat1, lon1 = self.start.latitude, self.start.longitude
-        sin_u1, cos_u1 = self._start_trig
-        hops = []
-        for lat2, lon2, _, trig in self._sites(amplitude_m):
-            sin_u2, cos_u2 = trig if trig is not None else reduced_latitude_trig(lat2)
-            hops.append(
-                inverse_trig(lat1, lon1, lat2, lon2, sin_u1, cos_u1, sin_u2, cos_u2)[0]
-            )
-            lat1, lon1, sin_u1, cos_u1 = lat2, lon2, sin_u2, cos_u2
-        sin_u2, cos_u2 = self._end_trig
-        hops.append(
-            inverse_trig(
-                lat1, lon1, self.end.latitude, self.end.longitude,
-                sin_u1, cos_u1, sin_u2, cos_u2,
-            )[0]
-        )
-        return sum(hops)
+        return self.exact_length(self.sites(amplitude_m))
 
 
 def bypass_point(

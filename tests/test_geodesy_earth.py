@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.geodesy import (
@@ -18,6 +18,15 @@ from repro.geodesy import (
     geodesic_distance,
     geodesic_inverse,
     great_circle_distance,
+)
+from repro.geodesy.earth import (
+    EARTH_FLATTENING,
+    LAMBERT_HOP_ERROR_M,
+    LAMBERT_MAX_CENTRAL_ANGLE,
+    LAMBERT_RELATIVE_ERROR,
+    inverse_trig,
+    lambert_distance_trig,
+    reduced_latitude_trig,
 )
 
 JFK = GeoPoint(40.6413, -73.7781)
@@ -181,3 +190,60 @@ class TestMetricProperties:
 
 def test_earth_constants_consistent():
     assert EARTH_POLAR_RADIUS_M < EARTH_MEAN_RADIUS_M < EARTH_EQUATORIAL_RADIUS_M
+
+
+def _both_kernels(start: GeoPoint, end: GeoPoint) -> tuple[float | None, float]:
+    """``(Lambert, Vincenty)`` distances of one hop, metres."""
+    trig = (*reduced_latitude_trig(start.latitude), *reduced_latitude_trig(end.latitude))
+    coordinates = (start.latitude, start.longitude, end.latitude, end.longitude)
+    return (
+        lambert_distance_trig(*coordinates, *trig),
+        inverse_trig(*coordinates, *trig)[0],
+    )
+
+
+class TestLambertKernel:
+    """The bounded kernel that decides most calibration comparisons."""
+
+    # Hops from 1 m to a quarter meridian (the kernel's central-angle
+    # limit), at any latitude up to ±85°.  A quarter of the stated bound
+    # must hold, so the bound keeps a 4× margin over the worst draw.
+    @given(
+        st.floats(-85.0, 85.0),
+        st.floats(-180.0, 180.0),
+        st.floats(0.0, 360.0),
+        st.floats(1.0, 10_000_000.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_within_a_quarter_of_the_bound(self, latitude, longitude, azimuth, distance):
+        start = GeoPoint(latitude, longitude)
+        lambert, vincenty = _both_kernels(start, geodesic_destination(start, azimuth, distance))
+        assume(lambert is not None)
+        assert abs(lambert - vincenty) <= (
+            LAMBERT_RELATIVE_ERROR * vincenty + LAMBERT_HOP_ERROR_M
+        ) / 4.0
+
+    def test_truncation_error_is_second_order_in_flattening(self):
+        # Leaving the equator at 45° the first-order formula falls short by
+        # f²/8 ≈ 1.4e-6 of the distance, the worst case over random hops:
+        # seven times inside the stated relative bound.
+        start = GeoPoint(0.0, 0.0)
+        lambert, vincenty = _both_kernels(start, geodesic_destination(start, 45.0, 1e6))
+        assert (vincenty - lambert) / vincenty == pytest.approx(
+            EARTH_FLATTENING**2 / 8, rel=0.01
+        )
+        assert EARTH_FLATTENING**2 / 8 < LAMBERT_RELATIVE_ERROR / 7
+
+    def test_corridor_within_bound(self):
+        lambert, vincenty = _both_kernels(CME, NY4)
+        assert abs(lambert - vincenty) <= LAMBERT_RELATIVE_ERROR * vincenty / 4
+
+    def test_zero_for_identical_points(self):
+        assert _both_kernels(CME, CME) == (0.0, 0.0)
+
+    def test_declines_beyond_a_quarter_great_circle(self):
+        # JFK–Sydney (~16,000 km) is past the limit: only Vincenty answers.
+        lambert, vincenty = _both_kernels(JFK, GeoPoint(-33.9461, 151.1772))
+        assert lambert is None
+        assert vincenty > 15_000_000.0
+        assert LAMBERT_MAX_CENTRAL_ANGLE == pytest.approx(math.pi / 2)

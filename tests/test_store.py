@@ -793,7 +793,7 @@ class TestCacheCli:
             0,
         )
 
-    def test_warm_fanned_out_table1_loads_once_and_saves_nothing(
+    def test_warm_rerun_table1_loads_once_and_saves_nothing(
         self, capsys, tmp_path, monkeypatch
     ):
         import repro.store
@@ -902,14 +902,14 @@ class TestFreshProcesses:
             _metric(warm.stderr, "store.save"),
         ) == (2, 2, 0)
 
-    def test_warm_fanned_out_timeline_ships_nothing(self, tmp_path):
+    def test_warm_weekly_timeline_rebuilds_nothing_and_saves_nothing(self, tmp_path):
         src = Path(__file__).resolve().parents[1] / "src"
         argv = ["-m", "repro", "timeline", "--step", "weekly"]
         store = ["--cache-dir", str(tmp_path)]
         cold = _run_in(src, *argv, *store)
         warm = _run_in(src, *argv, *store, "--metrics")
         assert warm.stdout == cold.stdout
-        # The store-warmed engine answers every grid item from its
+        # The store-warmed engine answers every weekly date from its
         # caches: nothing is rebuilt and nothing is saved.
         assert _metric(warm.stderr, "engine.route.hit") > 0
         assert "engine.route.miss" not in warm.stderr

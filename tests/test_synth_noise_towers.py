@@ -155,6 +155,25 @@ class TestChainLayout:
         assert points[0] is start and points[-1] is end
         assert layout.length(amplitude) == polyline_length(oracle)
 
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    @pytest.mark.parametrize("amplitude", [0.0, 9_125.0, 83_562.5])
+    def test_bounded_length_brackets_exact_length(self, case, amplitude):
+        start, end, n_links, noise_seed, spacing = self.CASES[case]
+        layout_kwargs = dict(spacing)
+        layout_kwargs["spacing_seed"] = layout_kwargs.pop("seed", 0)
+        layout = ChainLayout(start, end, n_links, SmoothNoise(noise_seed), **layout_kwargs)
+        sites = layout.sites(amplitude)
+        cheap, error = layout.bounded_length(sites)
+        exact = layout.exact_length(sites)
+        assert exact == layout.length(amplitude)
+        assert abs(cheap - exact) <= error / 4
+
+    def test_bounded_length_declines_a_hop_past_a_quarter_great_circle(self):
+        # A one-hop chain from TY3 to New York: only Vincenty measures it.
+        layout = ChainLayout(TY3, B, 1, SmoothNoise(1))
+        assert layout.bounded_length(layout.sites(0.0)) is None
+        assert layout.length(0.0) > 10_000_000.0
+
     def test_cases_cover_towers_with_negative_noise(self):
         # The first case displaces towers to both sides of travel, so the
         # oracle test exercises both perpendicular setups.

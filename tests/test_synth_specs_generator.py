@@ -5,10 +5,15 @@ from __future__ import annotations
 import datetime as dt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.corridor import chicago_nj_corridor
+from repro import obs
+from repro.constants import SPEED_OF_LIGHT
+from repro.core.corridor import CorridorSpec, DataCenterSite, chicago_nj_corridor
 from repro.core.reconstruction import NetworkReconstructor
-from repro.geodesy import active_memo
+from repro.geodesy import GeoPoint, active_memo, geodesic_destination, geodesic_distance
+from repro.scenarios.synthetic import _network_spec
 from repro.synth import generator
 from repro.synth.generator import (
     CalibrationError,
@@ -16,7 +21,12 @@ from repro.synth.generator import (
     _mw_length_target_m,
     build_network_licenses,
 )
-from repro.synth.scenario import build_scenario
+from repro.synth.noise import SmoothNoise
+from repro.synth.scenario import (
+    build_scenario,
+    europe2020_scenario,
+    tokyo_singapore_scenario,
+)
 from repro.synth.specs import (
     BranchSpec,
     EraSpec,
@@ -132,101 +142,258 @@ class TestCalibration:
 
 
 #: paper2020's bisection, one row per calibrate call in build order:
-#: (licensee, calibration_report key, amplitude, chain length
-#: evaluations).  Any change to the amplitude sequence, the bisection or
-#: the chain geometry moves a row.
+#: (licensee, calibration_report key, amplitude, length decisions, exact
+#: evaluations).  A decision places the towers at one amplitude and
+#: compares the chain length with the target, trying the Lambert bound
+#: first; an exact evaluation is a decision the bound could not settle,
+#: so it summed Vincenty hops.  Any change to the amplitude sequence, the bisection, the chain
+#: geometry or the bound moves a row.
 PAPER2020_CALIBRATION = (
-    ('New Line Networks', 'trunk[103]', 32812.5, 17),
-    ('New Line Networks', 'trunk[104]', 24812.5, 15),
-    ('New Line Networks', 'trunk[105]', 14312.5, 13),
-    ('New Line Networks', 'trunk[0]', 9125.0, 12),
-    ('New Line Networks', 'branch[NYSE]', 5437.5, 11),
-    ('New Line Networks', 'branch[NASDAQ]', 6937.5, 11),
-    ('Pierce Broadband', 'trunk[0]', 9656.25, 14),
-    ('Pierce Broadband', 'branch[NYSE]', 25648.4375, 18),
-    ('Pierce Broadband', 'branch[NASDAQ]', 16671.875, 17),
-    ('Jefferson Microwave', 'trunk[102]', 37203.125, 19),
-    ('Jefferson Microwave', 'trunk[103]', 28859.375, 17),
-    ('Jefferson Microwave', 'trunk[104]', 27234.375, 17),
-    ('Jefferson Microwave', 'trunk[105]', 23906.25, 16),
-    ('Jefferson Microwave', 'trunk[0]', 15718.75, 14),
-    ('Jefferson Microwave', 'branch[NYSE]', 6562.5, 11),
-    ('Jefferson Microwave', 'branch[NASDAQ]', 2750.0, 7),
-    ('Blueline Comm', 'trunk[101]', 40968.75, 18),
-    ('Blueline Comm', 'trunk[102]', 31421.875, 17),
-    ('Blueline Comm', 'trunk[0]', 18531.25, 16),
-    ('Blueline Comm', 'branch[NYSE]', 31156.25, 16),
-    ('Blueline Comm', 'branch[NASDAQ]', 21968.75, 16),
-    ('Webline Holdings', 'trunk[101]', 54640.625, 19),
-    ('Webline Holdings', 'trunk[102]', 46437.5, 17),
-    ('Webline Holdings', 'trunk[103]', 34828.125, 19),
-    ('Webline Holdings', 'trunk[104]', 28546.875, 17),
-    ('Webline Holdings', 'trunk[105]', 26343.75, 16),
-    ('Webline Holdings', 'trunk[106]', 24906.25, 16),
-    ('Webline Holdings', 'trunk[0]', 20125.0, 14),
-    ('Webline Holdings', 'branch[NYSE]', 83562.5, 19),
-    ('Webline Holdings', 'branch[NASDAQ]', 9500.0, 10),
-    ('AQ2AT', 'trunk[101]', 46492.1875, 20),
-    ('AQ2AT', 'trunk[0]', 43828.125, 19),
-    ('Wireless Internetwork', 'trunk[101]', 78625.0, 18),
-    ('Wireless Internetwork', 'trunk[0]', 72921.875, 21),
-    ('GTT Americas', 'trunk[101]', 111468.75, 20),
-    ('GTT Americas', 'trunk[0]', 95281.25, 20),
-    ('SW Networks', 'trunk[101]', 124246.09375, 23),
-    ('SW Networks', 'trunk[0]', 130109.375, 23),
-    ('National Tower Company', 'trunk[102]', 37750.0, 15),
-    ('National Tower Company', 'trunk[103]', 37156.25, 18),
-    ('National Tower Company', 'trunk[0]', 34656.25, 18),
+    ('New Line Networks', 'trunk[103]', 32812.5, 17, 2),
+    ('New Line Networks', 'trunk[104]', 24812.5, 15, 2),
+    ('New Line Networks', 'trunk[105]', 14312.5, 13, 4),
+    ('New Line Networks', 'trunk[0]', 9125.0, 12, 2),
+    ('New Line Networks', 'branch[NYSE]', 5437.5, 11, 2),
+    ('New Line Networks', 'branch[NASDAQ]', 6937.5, 11, 3),
+    ('Pierce Broadband', 'trunk[0]', 9656.25, 14, 4),
+    ('Pierce Broadband', 'branch[NYSE]', 25648.4375, 18, 4),
+    ('Pierce Broadband', 'branch[NASDAQ]', 16671.875, 17, 4),
+    ('Jefferson Microwave', 'trunk[102]', 37203.125, 19, 4),
+    ('Jefferson Microwave', 'trunk[103]', 28859.375, 17, 4),
+    ('Jefferson Microwave', 'trunk[104]', 27234.375, 17, 4),
+    ('Jefferson Microwave', 'trunk[105]', 23906.25, 16, 4),
+    ('Jefferson Microwave', 'trunk[0]', 15718.75, 14, 4),
+    ('Jefferson Microwave', 'branch[NYSE]', 6562.5, 11, 2),
+    ('Jefferson Microwave', 'branch[NASDAQ]', 2750.0, 7, 2),
+    ('Blueline Comm', 'trunk[101]', 40968.75, 18, 2),
+    ('Blueline Comm', 'trunk[102]', 31421.875, 17, 4),
+    ('Blueline Comm', 'trunk[0]', 18531.25, 16, 4),
+    ('Blueline Comm', 'branch[NYSE]', 31156.25, 16, 2),
+    ('Blueline Comm', 'branch[NASDAQ]', 21968.75, 16, 3),
+    ('Webline Holdings', 'trunk[101]', 54640.625, 19, 4),
+    ('Webline Holdings', 'trunk[102]', 46437.5, 17, 2),
+    ('Webline Holdings', 'trunk[103]', 34828.125, 19, 4),
+    ('Webline Holdings', 'trunk[104]', 28546.875, 17, 4),
+    ('Webline Holdings', 'trunk[105]', 26343.75, 16, 3),
+    ('Webline Holdings', 'trunk[106]', 24906.25, 16, 3),
+    ('Webline Holdings', 'trunk[0]', 20125.0, 14, 2),
+    ('Webline Holdings', 'branch[NYSE]', 83562.5, 19, 2),
+    ('Webline Holdings', 'branch[NASDAQ]', 9500.0, 10, 2),
+    ('AQ2AT', 'trunk[101]', 46492.1875, 20, 4),
+    ('AQ2AT', 'trunk[0]', 43828.125, 19, 4),
+    ('Wireless Internetwork', 'trunk[101]', 78625.0, 18, 2),
+    ('Wireless Internetwork', 'trunk[0]', 72921.875, 21, 2),
+    ('GTT Americas', 'trunk[101]', 111468.75, 20, 2),
+    ('GTT Americas', 'trunk[0]', 95281.25, 20, 2),
+    ('SW Networks', 'trunk[101]', 124246.09375, 23, 4),
+    ('SW Networks', 'trunk[0]', 130109.375, 23, 2),
+    ('National Tower Company', 'trunk[102]', 37750.0, 15, 2),
+    ('National Tower Company', 'trunk[103]', 37156.25, 18, 3),
+    ('National Tower Company', 'trunk[0]', 34656.25, 18, 3),
+)
+
+#: The same rows for europe2020 (~671 km, short hops).
+EUROPE2020_CALIBRATION = (
+    ('Channel Wave Networks', 'trunk[101]', 24156.25, 16, 3),
+    ('Channel Wave Networks', 'trunk[0]', 10000.0, 8, 2),
+    ('Rhine Crossing Comm', 'trunk[101]', 24109.375, 17, 4),
+    ('Rhine Crossing Comm', 'trunk[0]', 12812.5, 13, 2),
+    ('Lowland Relay', 'trunk[101]', 39250.0, 15, 2),
+    ('Lowland Relay', 'trunk[0]', 27250.0, 13, 2),
+)
+
+#: The same rows for tokyo-singapore (~5,314 km, long hops).
+TOKYO_SINGAPORE_CALIBRATION = (
+    ('Pacific Rim Relay', 'trunk[101]', 163156.25, 22, 5),
+    ('Pacific Rim Relay', 'trunk[0]', 79906.25, 20, 5),
+    ('Straits Microwave', 'trunk[101]', 181078.125, 23, 5),
+    ('Straits Microwave', 'trunk[0]', 92468.75, 20, 5),
+    ('Archipelago Wave', 'trunk[101]', 184562.5, 21, 3),
+    ('Archipelago Wave', 'trunk[0]', 128421.875, 23, 6),
 )
 
 
-class TestPaper2020Calibration:
+def _record_calibration(build) -> list[tuple]:
+    """Every calibrate call of one scenario build: its key, amplitude,
+    decisions (each tries the bounded length first), exact evaluations,
+    the memo active during it and the ``synth.calibrate.*`` counters it
+    emitted."""
+    calls = []
+    patch = pytest.MonkeyPatch()
+    decisions = [0]
+    exact = [0]
+    bounded_length = ChainLayout.bounded_length
+    exact_length = ChainLayout.exact_length
+
+    def counted_bounded_length(chain_sites):
+        decisions[0] += 1
+        return bounded_length(chain_sites)
+
+    def counted_exact_length(chain_sites):
+        exact[0] += 1
+        return exact_length(chain_sites)
+
+    def recorded(calibrate):
+        def wrapper(builder, *args, **kwargs):
+            decisions[0] = exact[0] = 0
+            before = dict(builder.calibration_report)
+            memo = active_memo()
+            with obs.capture() as cap:
+                points = calibrate(builder, *args, **kwargs)
+            (key,) = builder.calibration_report.keys() - before.keys()
+            calls.append((
+                builder.spec.name, key, builder.calibration_report[key],
+                decisions[0], exact[0], memo, cap.counters(),
+            ))
+            return points
+        return wrapper
+
+    patch.setattr(ChainLayout, "bounded_length", staticmethod(counted_bounded_length))
+    patch.setattr(ChainLayout, "exact_length", staticmethod(counted_exact_length))
+    for name in ("calibrate_trunk", "calibrate_branch"):
+        patch.setattr(
+            generator.NetworkBuilder, name,
+            recorded(getattr(generator.NetworkBuilder, name)),
+        )
+    try:
+        build()
+    finally:
+        patch.undo()
+    return calls
+
+
+class _ScenarioCalibration:
+    """Pins one scenario's calibration: amplitudes bit for bit, how many
+    comparisons each bisection made and how many needed Vincenty."""
+
+    PINNED: tuple = ()
+    build = staticmethod(build_scenario)
+
     @pytest.fixture(scope="class")
     def calls(self):
-        """Every calibrate call of a fresh paper2020 build, with the
-        length evaluations it made and the memo active during it."""
-        calls = []
-        patch = pytest.MonkeyPatch()
-        evaluations = [0]
-        length = ChainLayout.length
-
-        def counted_length(layout, amplitude_m):
-            evaluations[0] += 1
-            return length(layout, amplitude_m)
-
-        def recorded(calibrate):
-            def wrapper(builder, *args, **kwargs):
-                evaluations[0] = 0
-                before = dict(builder.calibration_report)
-                memo = active_memo()
-                points = calibrate(builder, *args, **kwargs)
-                (key,) = builder.calibration_report.keys() - before.keys()
-                calls.append((
-                    builder.spec.name, key,
-                    builder.calibration_report[key], evaluations[0], memo,
-                ))
-                return points
-            return wrapper
-
-        patch.setattr(ChainLayout, "length", counted_length)
-        for name in ("calibrate_trunk", "calibrate_branch"):
-            patch.setattr(
-                generator.NetworkBuilder, name,
-                recorded(getattr(generator.NetworkBuilder, name)),
-            )
-        try:
-            build_scenario()
-        finally:
-            patch.undo()
-        return calls
+        return _record_calibration(self.build)
 
     def test_bisection_sequence_pinned(self, calls):
-        assert tuple(call[:4] for call in calls) == PAPER2020_CALIBRATION
+        assert tuple(call[:5] for call in calls) == self.PINNED
 
     def test_no_geodesic_memo_during_build(self, calls):
         # ChainLayout solves without consulting a memo; that is only
         # equivalent to the memoised path because none is installed here.
-        assert all(call[4] is None for call in calls)
+        assert all(call[5] is None for call in calls)
+
+    def test_counters_split_each_call_once(self, calls):
+        for _, _, _, decisions, exact, _, counters in calls:
+            assert counters == {
+                "synth.calibrate.bounded": decisions - exact,
+                "synth.calibrate.exact": exact,
+            }
+
+
+class TestPaper2020Calibration(_ScenarioCalibration):
+    PINNED = PAPER2020_CALIBRATION
+
+
+class TestEurope2020Calibration(_ScenarioCalibration):
+    PINNED = EUROPE2020_CALIBRATION
+    build = staticmethod(europe2020_scenario)
+
+
+class TestTokyoSingaporeCalibration(_ScenarioCalibration):
+    PINNED = TOKYO_SINGAPORE_CALIBRATION
+    build = staticmethod(tokyo_singapore_scenario)
+
+
+def _exact_only_bisection(layout: ChainLayout, target_m: float, what: str) -> float:
+    """The oracle: the bisection with every comparison read off the exact
+    chain length."""
+    tolerance = generator._CALIBRATION_TOLERANCE_M
+    base = layout.length(0.0)
+    if base > target_m + tolerance:
+        raise CalibrationError(f"{what}: straight chain too long")
+    if abs(base - target_m) <= tolerance:
+        return 0.0
+    high = 2_000.0
+    while layout.length(high) < target_m:
+        high *= 2.0
+        if high > 1_000_000.0:
+            raise CalibrationError(f"{what}: target unreachable")
+    low = 0.0
+    for _ in range(80):
+        mid = (low + high) / 2.0
+        length = layout.length(mid)
+        if abs(length - target_m) <= tolerance:
+            return mid
+        if length < target_m:
+            low = mid
+        else:
+            high = mid
+    return (low + high) / 2.0
+
+
+def _calibration_outcome(spec: NetworkSpec, corridor) -> dict | str:
+    """The builder's calibration report, or the error that stopped it."""
+    builder = NetworkBuilder(spec, corridor)
+    try:
+        builder.build()
+    except CalibrationError as error:
+        return type(error).__name__
+    return builder.calibration_report
+
+
+class TestBoundedBisection:
+    """Bounded lengths only skip work: every decision, and so every
+    amplitude, is the exact-only bisection's."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        index=st.integers(0, 11),
+        links=st.integers(12, 40),
+        eras=st.integers(1, 3),
+        west_lat=st.floats(-60.0, 60.0),
+        west_lon=st.floats(-180.0, 180.0),
+        azimuth=st.floats(0.0, 360.0),
+        corridor_km=st.floats(250.0, 4_000.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_synthetic_amplitudes_match_exact_only_bisection(
+        self, seed, index, links, eras, west_lat, west_lon, azimuth, corridor_km
+    ):
+        west = GeoPoint(west_lat, west_lon)
+        east = geodesic_destination(west, azimuth, corridor_km * 1000.0)
+        corridor = CorridorSpec(
+            west=DataCenterSite("WDC", west), east=(DataCenterSite("EDC", east),)
+        )
+        c_bound_ms = geodesic_distance(west, east) / SPEED_OF_LIGHT * 1e3
+        spec = _network_spec(index, seed, links, eras, c_bound_ms)
+
+        bounded = _calibration_outcome(spec, corridor)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(generator, "_bisect_amplitude", _exact_only_bisection)
+            exact = _calibration_outcome(spec, corridor)
+        assert bounded == exact
+
+    def _counted(self, layout: ChainLayout) -> dict:
+        base = layout.length(0.0)
+        with obs.capture() as cap, pytest.raises(CalibrationError, match="unreachable"):
+            generator._bisect_amplitude(layout, base + 1_000.0, "one hop")
+        return cap.counters()
+
+    def test_counters_split_a_short_hop_chain(self):
+        # A one-hop chain never lengthens: the base is exact, then the
+        # nine bracket doublings up to 1000 km are all decided cheaply.
+        layout = ChainLayout(CORRIDOR.west.point, CORRIDOR.east[0].point, 1, SmoothNoise(1))
+        assert self._counted(layout) == {
+            "synth.calibrate.bounded": 9,
+            "synth.calibrate.exact": 1,
+        }
+
+    def test_hop_past_a_quarter_great_circle_goes_straight_to_vincenty(self):
+        tokyo = GeoPoint(35.6242, 139.7410)
+        layout = ChainLayout(tokyo, CORRIDOR.east[0].point, 1, SmoothNoise(1))
+        assert self._counted(layout) == {
+            "synth.calibrate.bounded": 0,
+            "synth.calibrate.exact": 10,
+        }
 
 
 class TestStructure:
