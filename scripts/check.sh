@@ -22,17 +22,10 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 python -m compileall -q src
 
 # Project linter (repro.lint): determinism, cache discipline, float and
-# unit safety, obs timing discipline, plus the whole-program flow rules
-# (shared-state, transitive-determinism, layering, dead-code).  Fails on
-# any finding not covered by an inline pragma or the committed baseline
-# (lint-baseline.json).  Starts cold (no cache file) so the cache gate
-# below has a known-cold first run.
-rm -f .lint-cache.json
+# unit safety, obs timing discipline, and layering (tier order plus no
+# module-body import cycle).  Fails on any finding not covered by an
+# inline pragma.  Writes no file.
 python -m repro lint
-
-# Layering gate: the module import graph must stay a DAG (the layering
-# rule orders the tiers; this catches any cycle, tiered or not).
-python -m repro lint graph --check-cycles > /dev/null
 
 # Import gate: `--help` must load no repro module but the CLI itself.
 # Package __init__s re-export lazily and each handler imports its own
@@ -43,16 +36,6 @@ extra_imports=$(python -X importtime -m repro --help 2>&1 >/dev/null \
 if [ -n "$extra_imports" ]; then
     echo "check.sh: 'python -m repro --help' imports beyond the CLI:" \
          $extra_imports >&2
-    exit 1
-fi
-
-# Incremental-lint gate: the warm (cached) run and a cache-free run must
-# report byte-identical findings — the content-hash cache may only skip
-# work, never change the answer.  The first lint above left a fully
-# populated .lint-cache.json, so this diff is warm-vs-cold.
-if ! diff <(python -m repro lint --format json) \
-          <(python -m repro lint --no-cache --format json); then
-    echo "check.sh: cached lint output differs from cache-free lint" >&2
     exit 1
 fi
 

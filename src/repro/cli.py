@@ -651,7 +651,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         registered_rules,
         render_json,
         render_text,
-        write_baseline,
     )
     from repro.lint.config import find_project_root
 
@@ -659,76 +658,18 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         for name, rule_cls in sorted(registered_rules().items()):
             print(f"{name:18s} {rule_cls.description}")
         return 0
-    config = load_config(root=find_project_root())
-    if args.paths and args.paths[0] == "graph":
-        return _cmd_lint_graph(args, config)
-    cache = None
-    if not args.no_cache:
-        from repro.lint.flow.cache import FlowCache
-
-        cache = FlowCache(config.root / config.flow_cache_path())
     try:
         result = lint_paths(
-            args.paths or None,
-            config=config,
-            use_baseline=not args.no_baseline,
-            cache=cache,
+            args.paths or None, config=load_config(root=find_project_root())
         )
     except FileNotFoundError as error:
         print(str(error), file=sys.stderr)
         return 2
-    if args.update_baseline:
-        baseline_path = config.root / (args.baseline or config.baseline_path)
-        write_baseline(
-            baseline_path, result.findings + result.baselined
-        )
-        print(
-            f"wrote {len(result.findings) + len(result.baselined)} "
-            f"finding(s) to {baseline_path}"
-        )
-        return 0
-    if args.baseline:
-        from repro.lint import load_baseline
-
-        baseline = load_baseline(config.root / args.baseline)
-        fresh, old = baseline.split(result.findings + result.baselined)
-        result.findings, result.baselined = fresh, old
     if args.format == "json":
         print(render_json(result))
     else:
-        print(render_text(result, verbose=args.verbose))
+        print(render_text(result))
     return 0 if result.ok else 1
-
-
-def _cmd_lint_graph(args: argparse.Namespace, config) -> int:
-    """``hftnetview lint graph``: render the whole-program flow graph."""
-    from repro.lint.flow.cache import FlowCache
-    from repro.lint.flow.program import build_program_analysis
-    from repro.lint.flow.report import (
-        render_graph_json,
-        render_graph_text,
-        render_why,
-    )
-
-    cache = (
-        None
-        if args.no_cache
-        else FlowCache(config.root / config.flow_cache_path())
-    )
-    analysis = build_program_analysis(config, cache=cache)
-    if cache is not None:
-        cache.save()
-    if args.why:
-        print(render_why(analysis, args.why))
-        return 0
-    if args.format == "json":
-        print(render_graph_json(analysis, include_effects=args.effects))
-    else:
-        print(render_graph_text(analysis))
-    if args.check_cycles and analysis.graph.import_cycles():
-        print("import cycles detected", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _obs_parent_parser() -> argparse.ArgumentParser:
@@ -772,10 +713,6 @@ def _obs_parent_parser() -> argparse.ArgumentParser:
     return parent
 
 
-# lint: disable=transitive-determinism (the `cache gc` subcommand's age
-# bound compares entry mtimes against the machine clock by design; that
-# single pragma'd time.time() read in _cmd_cache is store maintenance and
-# never shapes analysis output — every analysis subcommand stays clock-free)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hftnetview",
@@ -951,52 +888,15 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "paths", nargs="*",
         help="files/directories to lint (default: [tool.repro.lint] "
-        "default_paths, i.e. src/repro), or 'graph' to render the "
-        "whole-program flow graph",
+        "default_paths, i.e. src/repro)",
     )
     lint.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="report format (default: text)",
     )
     lint.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline file overriding the configured one",
-    )
-    lint.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the committed baseline (show every finding)",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to grandfather the current findings",
-    )
-    lint.add_argument(
-        "--verbose", action="store_true",
-        help="also print baselined findings in the text report",
-    )
-    lint.add_argument(
         "--list-rules", action="store_true",
         help="list registered rules and exit",
-    )
-    lint.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the on-disk findings cache (.lint-cache.json); "
-        "warm reruns with the cache skip unchanged files",
-    )
-    lint.add_argument(
-        "--effects", action="store_true",
-        help="(graph) include per-function direct and transitive effect "
-        "summaries in the JSON output",
-    )
-    lint.add_argument(
-        "--check-cycles", action="store_true",
-        help="(graph) exit non-zero if the module import graph contains "
-        "a cycle",
-    )
-    lint.add_argument(
-        "--why", default=None, metavar="MODULE.FN",
-        help="(graph) explain one function: definition site, direct and "
-        "transitive effects with call chains, worker/CLI reachability",
     )
     lint.set_defaults(func=_cmd_lint)
     return parser

@@ -5,8 +5,7 @@ this repository's layout — but each knob is overridable from
 ``pyproject.toml`` so the tool survives refactors without code changes::
 
     [tool.repro.lint]
-    enable = ["determinism-hash-seed", ...]   # default: all registered
-    baseline = "lint-baseline.json"
+    enable = ["hash-seed", ...]   # default: all registered
     default_paths = ["src/repro"]
 
     [tool.repro.lint.float-eq]
@@ -30,9 +29,6 @@ from pathlib import Path
 
 #: Paths linted when the CLI is given none.
 DEFAULT_PATHS = ("src/repro",)
-
-#: Default committed-baseline location, relative to the project root.
-DEFAULT_BASELINE = "lint-baseline.json"
 
 #: Where the float-eq rule applies (project-root-relative prefixes).
 DEFAULT_FLOAT_EQ_PATHS = (
@@ -89,34 +85,6 @@ DEFAULT_OBS_ALLOWED = (
     "src/repro/serve/loadgen.py",
 )
 
-#: Source roots the whole-program flow analysis parses.  Modules are named
-#: by their path relative to each root's *parent* (``src/repro/core``
-#: → ``repro.core``), so roots must be package directories.
-DEFAULT_FLOW_ROOTS = ("src/repro",)
-
-#: On-disk findings/summary cache written by the CLI (root-relative).
-DEFAULT_FLOW_CACHE = ".lint-cache.json"
-
-#: fnmatch patterns (over function fqns) naming the entry points whose
-#: reachable set must not mutate module-level state: the CLI subcommand
-#: mains (each must be runnable in any order, in one process).
-DEFAULT_SHARED_STATE_ROOTS = (
-    "repro.cli.main",
-    "repro.cli._cmd_*",
-)
-
-#: Module globals whose mutation is deliberate:
-#: the obs session accumulator (reset per process, reduced explicitly),
-#: the geodesy memo scope handle, the rule and scenario registries and
-#: the blocking server's session handle.
-DEFAULT_SHARED_STATE_ALLOWED = (
-    "repro.geodesy.memo._active_memo",
-    "repro.lint.registry._REGISTRY",
-    "repro.obs.spans._STATE",
-    "repro.scenarios.registry._REGISTRY",
-    "repro.serve.server._ACTIVE_SERVER",
-)
-
 #: The import layering, lowest tier first.  A module may import same-tier
 #: or lower-tier modules; importing upward is a finding.  Modules matching
 #: no entry (``repro.lint``, the ``repro`` package itself) are untiered:
@@ -137,11 +105,7 @@ DEFAULT_LAYERS = (
     ("repro.cli", "repro.__main__"),
 )
 
-#: Root-relative paths scanned for identifiers that keep private
-#: functions alive (tests and benchmarks reach into internals by name).
-DEFAULT_DEAD_CODE_REFERENCES = ("tests", "benchmarks", "scripts")
-
-_KNOWN_TOP_KEYS = {"enable", "baseline", "default_paths"}
+_KNOWN_TOP_KEYS = {"enable", "default_paths"}
 
 
 class LintConfigError(ValueError):
@@ -152,12 +116,10 @@ class LintConfigError(ValueError):
 class LintConfig:
     """The resolved configuration one lint run operates under."""
 
-    #: Project root every relative path (findings, baseline) hangs off.
+    #: Project root every relative path (findings, rule paths) hangs off.
     root: Path
     #: Rule names to run (None = every registered rule).
     enabled: tuple[str, ...] | None = None
-    #: Baseline file path, relative to ``root``.
-    baseline_path: str = DEFAULT_BASELINE
     #: Paths linted when the caller passes none.
     default_paths: tuple[str, ...] = DEFAULT_PATHS
     #: Per-rule option tables (rule name → options dict).
@@ -196,35 +158,11 @@ class LintConfig:
         allowed = self.options_for("obs-discipline").get("allowed")
         return tuple(allowed) if allowed is not None else DEFAULT_OBS_ALLOWED
 
-    def flow_roots(self) -> tuple[str, ...]:
-        roots = self.options_for("flow").get("roots")
-        return tuple(roots) if roots is not None else DEFAULT_FLOW_ROOTS
-
-    def flow_cache_path(self) -> str:
-        path = self.options_for("flow").get("cache")
-        return str(path) if path is not None else DEFAULT_FLOW_CACHE
-
-    def shared_state_roots(self) -> tuple[str, ...]:
-        roots = self.options_for("shared-state").get("roots")
-        return tuple(roots) if roots is not None else DEFAULT_SHARED_STATE_ROOTS
-
-    def shared_state_allowed(self) -> tuple[str, ...]:
-        allowed = self.options_for("shared-state").get("allowed")
-        return (
-            tuple(allowed) if allowed is not None else DEFAULT_SHARED_STATE_ALLOWED
-        )
-
     def layering_layers(self) -> tuple[tuple[str, ...], ...]:
         layers = self.options_for("layering").get("layers")
         if layers is None:
             return DEFAULT_LAYERS
         return tuple(tuple(layer) for layer in layers)
-
-    def dead_code_reference_paths(self) -> tuple[str, ...]:
-        paths = self.options_for("dead-code").get("references")
-        return (
-            tuple(paths) if paths is not None else DEFAULT_DEAD_CODE_REFERENCES
-        )
 
 
 def find_project_root(start: Path | None = None) -> Path:
@@ -268,10 +206,6 @@ def load_config(
             raise LintConfigError("[tool.repro.lint] enable must be a string list")
         enabled = tuple(enabled)
 
-    baseline = table.get("baseline", DEFAULT_BASELINE)
-    if not isinstance(baseline, str):
-        raise LintConfigError("[tool.repro.lint] baseline must be a string")
-
     default_paths = table.get("default_paths")
     if default_paths is None:
         default_paths = DEFAULT_PATHS
@@ -302,7 +236,6 @@ def load_config(
     return LintConfig(
         root=root,
         enabled=enabled,
-        baseline_path=baseline,
         default_paths=tuple(default_paths),
         rule_options=rule_options,
     )

@@ -1,21 +1,10 @@
 """The lint driver: parse once, walk once, dispatch to rules.
 
 ``lint_paths`` is the subsystem's single entry point: it expands files and
-directories, runs every enabled per-file rule over each file's AST in one
-walk, runs the whole-program rules over one shared
-:class:`~repro.lint.flow.program.ProgramAnalysis`, applies inline pragmas
-and the committed baseline, and returns a :class:`LintResult` the
-reporters and the CLI consume.
-
-Two performance properties are load-bearing:
-
-* each file is parsed **once** per cold run — the same AST feeds the
-  per-file rule walk and the flow-summary extraction;
-* with a :class:`~repro.lint.flow.cache.FlowCache` attached (the CLI
-  default), a warm rerun of an unchanged tree replays cached per-file
-  findings and program findings from content hashes without parsing
-  anything.  The library default is cache-less: ``lint_paths`` has no
-  filesystem side effects unless the caller opts in.
+directories, runs every enabled rule over each file's AST in one walk,
+collects the findings rules report once every file is seen (layering's
+import cycles), applies inline pragmas and returns a :class:`LintResult`
+the reporters and the CLI consume.  It reads files and writes none.
 
 Unparseable files are themselves findings (rule ``syntax-error``) rather
 than crashes: a linter that dies on the file it should be flagging is
@@ -29,18 +18,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.lint.baseline import Baseline, load_baseline
 from repro.lint.config import LintConfig, load_config
 from repro.lint.findings import Finding
-from repro.lint.flow.cache import FlowCache, config_fingerprint, digest_text
-from repro.lint.flow.program import (
-    build_program_analysis,
-    flow_files,
-    tree_fingerprint,
-)
-from repro.lint.flow.summary import ModuleSummary, summarize_source
 from repro.lint.pragmas import is_suppressed, parse_pragmas
-from repro.lint.registry import FileContext, ProgramRule, Rule, instantiate
+from repro.lint.registry import FileContext, Rule, instantiate
 
 #: The pseudo-rule name attached to unparseable files.  Not suppressible
 #: via pragmas (a broken file cannot be trusted to parse its own pragmas).
@@ -51,10 +32,8 @@ SYNTAX_RULE = "syntax-error"
 class LintResult:
     """Everything one lint run produced."""
 
-    #: Findings not covered by pragma or baseline — these fail the run.
+    #: Findings not covered by a pragma — these fail the run.
     findings: list[Finding]
-    #: Findings matched by the committed baseline (reported, non-fatal).
-    baselined: list[Finding]
     #: Count of pragma-suppressed findings (for the summary line).
     suppressed: int
     #: Files actually linted (root-relative).
@@ -109,15 +88,17 @@ def _parse(path: Path, rel: str, source: str) -> tuple[ast.Module | None, list[F
         ]
 
 
-def _walk_findings(
-    tree: ast.Module,
+def _raw_findings(
     path: Path,
     rel: str,
     source: str,
     rules: Sequence[Rule],
     config: LintConfig,
 ) -> list[Finding]:
-    """Pre-suppression findings for one parsed file (one walk)."""
+    """Pre-suppression findings for one file (one parse, one walk)."""
+    tree, syntax = _parse(path, rel, source)
+    if tree is None:
+        return syntax
     active = [rule for rule in rules if rule.applies_to(rel, config)]
     if not active:
         return []
@@ -126,6 +107,7 @@ def _walk_findings(
         abs_path=path,
         source_lines=source.splitlines(),
         config=config,
+        tree=tree,
     )
     dispatch: dict[type, list[Rule]] = {}
     for rule in active:
@@ -140,179 +122,60 @@ def _walk_findings(
     return sorted(ctx.findings)
 
 
-def _raw_findings(
-    path: Path,
-    rel: str,
-    source: str,
-    rules: Sequence[Rule],
-    config: LintConfig,
-) -> list[Finding]:
-    """Pre-suppression findings for one file (one parse, one walk)."""
-    tree, syntax = _parse(path, rel, source)
-    if tree is None:
-        return syntax
-    return _walk_findings(tree, path, rel, source, rules, config)
-
-
 def lint_file(
     path: Path, rules: Sequence[Rule], config: LintConfig
 ) -> list[Finding]:
-    """Findings for one file after pragma suppression (no baseline).
+    """Findings for one file after pragma suppression.
 
-    Per-file rules only — whole-program rules need the whole program and
-    run from :func:`lint_paths`.
+    Findings that need every file (import cycles) come only from
+    :func:`lint_paths`.
     """
     path = Path(path)
     rel = _rel_path(path, config.root)
     source = path.read_text(encoding="utf-8")
     pragmas = parse_pragmas(source)
-    file_rules = [r for r in rules if not isinstance(r, ProgramRule)]
     return [
         finding
-        for finding in _raw_findings(path, rel, source, file_rules, config)
+        for finding in _raw_findings(path, rel, source, rules, config)
         if finding.rule == SYNTAX_RULE
         or not is_suppressed(finding.rule, finding.line, pragmas)
     ]
-
-
-def run_program_rules(
-    program_rules: Sequence[ProgramRule],
-    config: LintConfig,
-    cache: FlowCache | None = None,
-    summaries: dict[str, tuple[str, ModuleSummary]] | None = None,
-    fingerprint: str | None = None,
-) -> list[Finding]:
-    """All program-rule findings for the whole tree (unfiltered, sorted).
-
-    With a cache and a matching whole-tree ``fingerprint``, previously
-    computed findings are replayed without building the graph.
-    """
-    if not program_rules:
-        return []
-    if cache is not None and fingerprint is not None:
-        cached = cache.get_program_findings(fingerprint)
-        if cached is not None:
-            return cached
-    analysis = build_program_analysis(config, cache=cache, summaries=summaries)
-    findings: list[Finding] = []
-    for rule in program_rules:
-        findings.extend(rule.check_program(analysis))
-    findings.sort()
-    if cache is not None and fingerprint is not None:
-        cache.put_program_findings(fingerprint, findings)
-    return findings
 
 
 def lint_paths(
     paths: Sequence[Path | str] | None = None,
     *,
     config: LintConfig | None = None,
-    baseline: Baseline | None = None,
-    use_baseline: bool = True,
-    cache: FlowCache | None = None,
 ) -> LintResult:
-    """Lint ``paths`` (default: the configured default paths).
-
-    ``baseline=None`` with ``use_baseline=True`` loads the configured
-    baseline file; pass ``use_baseline=False`` to see every finding
-    (the CLI's ``--no-baseline``).  ``cache`` opts into the on-disk
-    findings cache (the caller owns the path; the CLI uses the configured
-    ``.lint-cache.json``).
-    """
+    """Lint ``paths`` (default: the configured default paths)."""
     config = config or load_config()
     if paths is None:
         paths = [config.root / p for p in config.default_paths]
     files = iter_python_files([Path(p) for p in paths])
     rules = instantiate(config.enabled)
-    file_rules = [r for r in rules if not isinstance(r, ProgramRule)]
-    program_rules = [r for r in rules if isinstance(r, ProgramRule)]
-    cache_key = config_fingerprint([rule.name for rule in rules], config)
-    flow_modules = (
-        {rel: module for _path, rel, module in flow_files(config)}
-        if program_rules
-        else {}
-    )
 
-    all_findings: list[Finding] = []
-    suppressed = 0
+    raw: list[Finding] = []
     pragma_map: dict[str, dict[int, frozenset[str]]] = {}
-    prebuilt: dict[str, tuple[str, ModuleSummary]] = {}
     for path in files:
         rel = _rel_path(path, config.root)
         source = path.read_text(encoding="utf-8")
-        digest = digest_text(source)
-        cached = (
-            cache.get_file_results(rel, digest, cache_key)
-            if cache is not None
-            else None
-        )
-        if cached is not None:
-            raw, pragmas = cached
+        pragma_map[rel] = parse_pragmas(source)
+        raw.extend(_raw_findings(path, rel, source, rules, config))
+    for rule in rules:
+        raw.extend(rule.end_run())
+
+    findings: list[Finding] = []
+    suppressed = 0
+    for finding in raw:
+        if finding.rule != SYNTAX_RULE and is_suppressed(
+            finding.rule, finding.line, pragma_map[finding.path]
+        ):
+            suppressed += 1
         else:
-            pragmas = parse_pragmas(source)
-            tree, raw = _parse(path, rel, source)
-            if tree is not None:
-                raw = _walk_findings(tree, path, rel, source, file_rules, config)
-                if rel in flow_modules:
-                    # Reuse this parse for the flow summary (cold path:
-                    # one parse per file, total).
-                    summary = (
-                        cache.get_summary(rel, digest)
-                        if cache is not None
-                        else None
-                    )
-                    if summary is None:
-                        summary = summarize_source(
-                            rel, flow_modules[rel], tree
-                        )
-                    prebuilt[rel] = (digest, summary)
-            if cache is not None:
-                cache.put_file_results(rel, digest, cache_key, raw, pragmas)
-        pragma_map[rel] = pragmas
-        for finding in raw:
-            if finding.rule != SYNTAX_RULE and is_suppressed(
-                finding.rule, finding.line, pragmas
-            ):
-                suppressed += 1
-            else:
-                all_findings.append(finding)
-
-    if program_rules:
-        fingerprint = (
-            tree_fingerprint(config, cache_key) if cache is not None else None
-        )
-        program_findings = run_program_rules(
-            program_rules,
-            config,
-            cache=cache,
-            summaries=prebuilt,
-            fingerprint=fingerprint,
-        )
-        linted = set(pragma_map)
-        for finding in program_findings:
-            if finding.path not in linted:
-                continue
-            if is_suppressed(
-                finding.rule, finding.line, pragma_map.get(finding.path, {})
-            ):
-                suppressed += 1
-            else:
-                all_findings.append(finding)
-
-    if cache is not None:
-        cache.save()
-
-    if baseline is None:
-        baseline = (
-            load_baseline(config.root / config.baseline_path)
-            if use_baseline
-            else Baseline.empty()
-        )
-    fresh, grandfathered = baseline.split(sorted(all_findings))
+            findings.append(finding)
     return LintResult(
-        findings=fresh,
-        baselined=grandfathered,
+        findings=sorted(findings),
         suppressed=suppressed,
-        files=[_rel_path(path, config.root) for path in files],
+        files=list(pragma_map),
         rules=[rule.name for rule in rules],
     )

@@ -1,7 +1,7 @@
 """The unit of lint output: one finding at one source location.
 
-Findings are plain frozen dataclasses so reporters, the baseline store and
-tests can treat them as values: two findings are the same finding iff their
+Findings are plain frozen dataclasses so reporters and tests can treat
+them as values: two findings are the same finding iff their
 ``(path, rule, line, column, message)`` tuples are equal.
 """
 
@@ -15,7 +15,7 @@ class Finding:
     """One rule violation at one source location.
 
     ``path`` is stored relative to the project root (posix separators) so
-    findings are stable across machines and usable as baseline keys.
+    findings are stable across machines.
     """
 
     path: str
@@ -28,7 +28,7 @@ class Finding:
         return f"{self.path}:{self.line}:{self.column}"
 
     def as_dict(self) -> dict:
-        """The JSON-reporter / baseline representation (schema v1)."""
+        """The JSON-reporter representation."""
         return {
             "path": self.path,
             "line": self.line,
@@ -36,13 +36,3 @@ class Finding:
             "rule": self.rule,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Finding":
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),
-            column=int(data.get("column", 0)),
-            rule=str(data["rule"]),
-            message=str(data.get("message", "")),
-        )

@@ -3,8 +3,8 @@
 A rule declares which AST node types it wants (``interests``) and receives
 each matching node exactly once from the driver's single tree walk, together
 with a :class:`FileContext` describing the file being linted.  Rules report
-violations by calling ``ctx.report(...)``; suppression (pragmas, baseline)
-is the driver's job, never the rule's.
+violations by calling ``ctx.report(...)``; pragma suppression is the
+driver's job, never the rule's.
 
 Registering is one decorator::
 
@@ -17,9 +17,10 @@ Registering is one decorator::
         def visit(self, node, ctx):
             ...
 
-Rules must be stateless across files (the driver instantiates one rule
-object per run and reuses it for every file); per-file state belongs in
-``begin_file``/``end_file`` hooks or on the context.
+The driver instantiates one rule object per run and reuses it for every
+file; per-file state belongs in ``begin_file``/``end_file`` hooks or on the
+context.  A rule whose check spans files (layering's import cycles)
+collects per-file facts on itself and reports them from ``end_run``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ class FileContext:
     source_lines: list[str]
     #: The effective configuration for this run.
     config: "LintConfig"
+    #: The file's parsed module (the one tree every rule's walk visits).
+    tree: ast.Module
     #: Findings reported so far for this file (driver-owned).
     findings: list[Finding] = field(default_factory=list)
 
@@ -99,26 +102,9 @@ class Rule:
     def end_file(self, ctx: FileContext) -> None:
         """Hook after the last node of a file was visited."""
 
-
-class ProgramRule(Rule):
-    """Base class for whole-program rules.
-
-    Unlike per-file rules, a program rule never visits AST nodes: the
-    driver builds one :class:`~repro.lint.flow.program.ProgramAnalysis`
-    (symbol table, call graph, transitive effects) for the run and hands
-    it to :meth:`check_program`, which returns findings directly.  The
-    driver then applies the ordinary pragma/baseline machinery, so
-    ``# lint: disable=shared-state`` works exactly like for file rules.
-    """
-
-    interests: tuple[type, ...] = ()
-
-    def check_program(self, analysis) -> list[Finding]:
-        """Inspect the whole-program analysis (override in subclasses)."""
-        raise NotImplementedError
-
-    def visit(self, node: ast.AST, ctx: FileContext) -> None:
-        """Program rules never receive per-node dispatch."""
+    def end_run(self) -> list[Finding]:
+        """Findings that need every linted file, after the last one."""
+        return []
 
 
 #: All registered rule classes, keyed by rule name.
@@ -139,10 +125,7 @@ def register(rule_cls: Type[Rule]) -> Type[Rule]:
 def registered_rules() -> dict[str, Type[Rule]]:
     """Name → class for every registered rule (built-ins auto-import)."""
     # Importing the rules package registers every built-in rule module.
-    # The whole-program rules live beside the analysis they consume and
-    # are imported second: they depend on the per-file rule vocabularies.
     import repro.lint.rules  # noqa: F401  (import for side effect)
-    import repro.lint.flow.rules  # noqa: F401  (import for side effect)
 
     return dict(_REGISTRY)
 

@@ -12,43 +12,33 @@ import json
 
 from repro.lint.driver import LintResult
 
-#: Version of the JSON report schema (bump on any key change).
-JSON_SCHEMA_VERSION = 1
+#: Version of the JSON report schema (bump on any key change; version 2
+#: dropped the ``baselined`` list and count with the baseline file).
+JSON_SCHEMA_VERSION = 2
 
 
-def render_text(result: LintResult, *, verbose: bool = False) -> str:
+def render_text(result: LintResult) -> str:
     """The terminal report: one ``path:line:col: rule message`` per finding."""
-    lines = []
-    for finding in result.findings:
-        lines.append(
-            f"{finding.location()}: {finding.rule}: {finding.message}"
-        )
-    if verbose:
-        for finding in result.baselined:
-            lines.append(
-                f"{finding.location()}: {finding.rule}: {finding.message} "
-                "[baselined]"
-            )
-    summary = (
+    lines = [
+        f"{finding.location()}: {finding.rule}: {finding.message}"
+        for finding in result.findings
+    ]
+    lines.append(
         f"{len(result.findings)} finding(s) in {len(result.files)} file(s)"
-        f" ({len(result.baselined)} baselined,"
-        f" {result.suppressed} pragma-suppressed)"
+        f" ({result.suppressed} pragma-suppressed)"
     )
-    lines.append(summary)
     return "\n".join(lines)
 
 
 def render_json(result: LintResult) -> str:
-    """The machine report (schema v1, key set frozen by tests)."""
+    """The machine report (schema v2, key set frozen by tests)."""
     document = {
         "version": JSON_SCHEMA_VERSION,
         "findings": [finding.as_dict() for finding in result.findings],
-        "baselined": [finding.as_dict() for finding in result.baselined],
         "summary": {
             "files": len(result.files),
             "rules": list(result.rules),
             "findings": len(result.findings),
-            "baselined": len(result.baselined),
             "suppressed": result.suppressed,
             "ok": result.ok,
         },

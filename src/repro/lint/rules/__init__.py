@@ -15,6 +15,7 @@ from repro.lint.rules import (  # noqa: F401  (imports register the rules)
     determinism,
     floats,
     hygiene,
+    layering,
     obs,
     units,
 )

@@ -70,13 +70,6 @@ _PROCESS_TIMER_SUFFIXES = frozenset(
     }
 )
 
-#: Public aliases consumed by the whole-program effect extractor
-#: (:mod:`repro.lint.flow.summary`) so the leaf vocabulary has one home.
-WALL_CLOCK_SUFFIXES = _WALL_CLOCK_SUFFIXES
-PROCESS_TIMER_SUFFIXES = _PROCESS_TIMER_SUFFIXES
-MODULE_RNG_FUNCTIONS = _MODULE_RNG_FUNCTIONS
-
-
 def _contains_hash_call(node: ast.AST) -> ast.Call | None:
     """The first ``hash(...)`` call anywhere inside ``node``, if any."""
     for child in ast.walk(node):

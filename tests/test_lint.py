@@ -1,6 +1,6 @@
-"""The lint subsystem's infrastructure: driver, pragmas, baseline,
-reporters, configuration — and the meta-test that the repository itself
-lints clean with the committed baseline."""
+"""The lint subsystem's infrastructure: driver, pragmas, reporters,
+configuration — and the meta-test that the repository itself lints
+clean."""
 
 from __future__ import annotations
 
@@ -13,20 +13,16 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
-    Baseline,
-    Finding,
     JSON_SCHEMA_VERSION,
     LintConfig,
     SYNTAX_RULE,
     instantiate,
     lint_file,
     lint_paths,
-    load_baseline,
     load_config,
     registered_rules,
     render_json,
     render_text,
-    write_baseline,
 )
 from repro.lint.config import LintConfigError, find_project_root
 from repro.lint.pragmas import parse_pragmas
@@ -65,16 +61,9 @@ class TestRegistry:
         } <= names
 
     def test_every_rule_has_description_and_interests(self):
-        from repro.lint.registry import ProgramRule
-
         for rule_cls in registered_rules().values():
             assert rule_cls.description
-            if issubclass(rule_cls, ProgramRule):
-                # Program rules consume the whole-program analysis, not
-                # per-node dispatch.
-                assert rule_cls.interests == ()
-            else:
-                assert rule_cls.interests
+            assert rule_cls.interests
 
     def test_unknown_rule_name_raises(self):
         with pytest.raises(KeyError):
@@ -111,9 +100,7 @@ class TestDriver:
         write_module(tmp_path, "x = 1\n", name="a.py")
         write_module(tmp_path, "y = 2\n", name="b.py")
         config = LintConfig(root=tmp_path)
-        result = lint_paths(
-            [tmp_path, tmp_path / "a.py"], config=config, use_baseline=False
-        )
+        result = lint_paths([tmp_path, tmp_path / "a.py"], config=config)
         assert result.files == ["a.py", "b.py"]
 
 
@@ -170,66 +157,6 @@ class TestPragmas:
 
 
 # ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-
-class TestBaseline:
-    def test_baselined_findings_do_not_fail(self, tmp_path):
-        source = """
-            import random
-            a = random.random()
-        """
-        path = write_module(tmp_path, source)
-        config = LintConfig(root=tmp_path)
-        first = lint_paths([path], config=config, use_baseline=False)
-        assert len(first.findings) == 1
-
-        baseline_path = tmp_path / "lint-baseline.json"
-        write_baseline(baseline_path, first.findings)
-        second = lint_paths([path], config=config)
-        assert second.ok
-        assert len(second.baselined) == 1
-
-    def test_new_finding_still_fails_with_baseline(self, tmp_path):
-        path = write_module(tmp_path, "import random\na = random.random()\n")
-        config = LintConfig(root=tmp_path)
-        first = lint_paths([path], config=config, use_baseline=False)
-        write_baseline(tmp_path / "lint-baseline.json", first.findings)
-
-        path.write_text(
-            "import random\na = random.random()\nb = random.choice([1])\n",
-            encoding="utf-8",
-        )
-        result = lint_paths([path], config=config)
-        assert not result.ok
-        assert len(result.findings) == 1  # only the new one
-        assert len(result.baselined) == 1
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert len(load_baseline(tmp_path / "absent.json")) == 0
-
-    def test_roundtrip(self, tmp_path):
-        finding = Finding(
-            path="src/x.py", line=3, column=1, rule="float-eq", message="m"
-        )
-        write_baseline(tmp_path / "b.json", [finding])
-        loaded = load_baseline(tmp_path / "b.json")
-        assert loaded.contains(finding)
-        # Message text may be reworded without un-baselining.
-        reworded = Finding(
-            path="src/x.py", line=3, column=9, rule="float-eq", message="other"
-        )
-        assert loaded.contains(reworded)
-
-    def test_bad_version_raises(self, tmp_path):
-        (tmp_path / "b.json").write_text('{"version": 99, "findings": []}')
-        from repro.lint.baseline import BaselineError
-
-        with pytest.raises(BaselineError):
-            load_baseline(tmp_path / "b.json")
-
-
-# ----------------------------------------------------------------------
 # Reporters
 # ----------------------------------------------------------------------
 
@@ -239,19 +166,21 @@ class TestReporters:
             tmp_path, "import random\na = random.random()\n"
         )
         config = LintConfig(root=tmp_path)
-        return lint_paths([path], config=config, use_baseline=False)
+        return lint_paths([path], config=config)
 
     def test_text_report_has_location_and_summary(self, tmp_path):
         report = render_text(self._result(tmp_path))
         assert "mod.py:2:5: unseeded-rng:" in report
-        assert report.endswith("(0 baselined, 0 pragma-suppressed)")
+        assert report.endswith(
+            "1 finding(s) in 1 file(s) (0 pragma-suppressed)"
+        )
 
     def test_json_schema_is_stable(self, tmp_path):
         document = json.loads(render_json(self._result(tmp_path)))
-        assert document["version"] == JSON_SCHEMA_VERSION
-        assert set(document) == {"version", "findings", "baselined", "summary"}
+        assert document["version"] == JSON_SCHEMA_VERSION == 2
+        assert set(document) == {"version", "findings", "summary"}
         assert set(document["summary"]) == {
-            "files", "rules", "findings", "baselined", "suppressed", "ok",
+            "files", "rules", "findings", "suppressed", "ok",
         }
         (finding,) = document["findings"]
         assert set(finding) == {"path", "line", "column", "rule", "message"}
@@ -266,7 +195,6 @@ class TestReporters:
 class TestConfig:
     def test_defaults_without_pyproject(self, tmp_path):
         config = load_config(root=tmp_path)
-        assert config.baseline_path == "lint-baseline.json"
         assert config.enabled is None
         assert config.default_paths == ("src/repro",)
 
@@ -276,7 +204,6 @@ class TestConfig:
                 """
                 [tool.repro.lint]
                 enable = ["float-eq"]
-                baseline = "lint/base.json"
                 default_paths = ["pkg"]
 
                 [tool.repro.lint.float-eq]
@@ -286,7 +213,7 @@ class TestConfig:
         )
         config = load_config(root=tmp_path)
         assert config.enabled == ("float-eq",)
-        assert config.baseline_path == "lint/base.json"
+        assert config.default_paths == ("pkg",)
         assert config.float_eq_paths() == ("pkg/numeric/",)
 
     def test_bad_enable_raises(self, tmp_path):
@@ -316,7 +243,7 @@ class TestConfig:
             enabled=("float-eq",),
             rule_options={"float-eq": {"paths": ["mod.py"]}},
         )
-        result = lint_paths([path], config=config, use_baseline=False)
+        result = lint_paths([path], config=config)
         assert [f.rule for f in result.findings] == ["float-eq"]
 
     def test_find_project_root_walks_up(self, tmp_path):
@@ -330,33 +257,91 @@ class TestConfig:
 # The repository itself
 # ----------------------------------------------------------------------
 
+#: A tmp project with one violation of every registered rule: the
+#: path-scoped rules (float-eq, layering) are configured onto ``pkg``.
+VIOLATING_PROJECT = {
+    "pyproject.toml": """
+        [tool.repro.lint]
+        default_paths = ["pkg"]
+
+        [tool.repro.lint.float-eq]
+        paths = ["pkg/"]
+
+        [tool.repro.lint.layering]
+        layers = [["pkg.low"], ["pkg.high"]]
+        """,
+    "pkg/__init__.py": "",
+    "pkg/high.py": "from pkg import low\n",
+    "pkg/low.py": """
+        import random
+        import time
+
+        from pkg import high
+
+        seed = random.Random(hash("name"))
+        draw = random.random()
+        now = time.time()
+        tick = time.perf_counter()
+        network = reconstruct_all(licenses)
+        exact = draw == 0.5
+        total = span_m + span_km
+
+
+        def handler(items=[]):
+            try:
+                from pkg.high import late
+            except Exception:
+                return items
+        """,
+}
+
+
+def write_project(root: Path, files: dict[str, str]) -> None:
+    for rel, source in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source), encoding="utf-8")
+
+
+def run_cli(cwd: Path, *argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "lint", *argv],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+    )
+
+
 class TestRepositoryLintsClean:
-    def test_src_repro_lints_clean_with_committed_baseline(self):
+    def test_src_repro_lints_clean(self):
         """The acceptance meta-test: the shipped tree has zero findings."""
         config = load_config(root=REPO_ROOT)
         result = lint_paths(config=config)
         assert result.findings == [], render_text(result)
-        # The committed baseline carries no grandfathered debt.
-        assert result.baselined == []
 
     def test_injected_violation_fails_cli(self, tmp_path):
-        """Any rule violation in a scratch file exits non-zero with a
-        file:line finding (the acceptance criterion, via the real CLI)."""
-        scratch = tmp_path / "scratch.py"
-        scratch.write_text(
-            "import random\nseed = random.Random(hash('name'))\n",
-            encoding="utf-8",
-        )
-        process = subprocess.run(
-            [sys.executable, "-m", "repro", "lint", str(scratch)],
-            capture_output=True,
-            text=True,
-            cwd=REPO_ROOT,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
-        )
-        assert process.returncode == 1
-        assert "hash-seed" in process.stdout
-        assert "scratch.py:2:" in process.stdout
+        """One violation of every rule in a scratch project exits
+        non-zero with a file:line finding per rule (via the real CLI)."""
+        write_project(tmp_path, VIOLATING_PROJECT)
+        process = run_cli(tmp_path)
+        assert process.returncode == 1, process.stdout + process.stderr
+        flagged = {
+            line.split(": ")[1]
+            for line in process.stdout.splitlines()
+            if line.startswith("pkg/")
+        }
+        assert flagged == set(registered_rules())
+        assert "pkg/low.py:7:" in process.stdout  # hash-seed
+        assert "pkg/low.py:18:" in process.stdout  # function-local import
+        assert "pkg/high.py:1:1: layering: import cycle" in process.stdout
+
+    def test_cli_writes_no_file(self, tmp_path):
+        write_project(tmp_path, VIOLATING_PROJECT)
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli(tmp_path).returncode == 1
+        assert run_cli(tmp_path, "--format", "json").returncode == 1
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_cli_lints_clean_tree_exit_zero(self):
         process = subprocess.run(

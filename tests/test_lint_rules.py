@@ -6,7 +6,9 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-from repro.lint import LintConfig, instantiate, lint_file
+from repro.lint import LintConfig, instantiate, lint_file, lint_paths
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def findings_for(
@@ -707,3 +709,260 @@ class TestObsDiscipline:
             t0 = time.monotonic()  # lint: disable=obs-discipline
         """
         assert findings_for(tmp_path, source, rules=("obs-discipline",)) == []
+
+
+def layering_findings(
+    tmp_path: Path, files: dict[str, str], layers: list[list[str]]
+) -> list:
+    """``layering`` findings of one lint run over a fixture ``src/pkg``."""
+    for rel, source in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source), encoding="utf-8")
+    config = LintConfig(
+        root=tmp_path,
+        enabled=("layering",),
+        rule_options={"layering": {"layers": layers}},
+    )
+    return lint_paths([tmp_path / "src/pkg"], config=config).findings
+
+
+class TestLayeringRule:
+    def test_upward_import_flagged(self, tmp_path):
+        findings = layering_findings(
+            tmp_path,
+            {
+                "src/pkg/__init__.py": "",
+                "src/pkg/low.py": "from pkg import high\n",
+                "src/pkg/high.py": "",
+            },
+            [["pkg.low"], ["pkg.high"]],
+        )
+        assert rule_names(findings) == ["layering"]
+        assert findings[0].path == "src/pkg/low.py"
+        assert findings[0].message == (
+            "layering violation: pkg.low (tier 0, pkg.low) imports "
+            "pkg.high (tier 1, pkg.high); dependencies must point at the "
+            "same or a lower tier"
+        )
+
+    def test_downward_import_ok(self, tmp_path):
+        assert layering_findings(
+            tmp_path,
+            {
+                "src/pkg/__init__.py": "",
+                "src/pkg/low.py": "",
+                "src/pkg/high.py": "from pkg import low\n",
+            },
+            [["pkg.low"], ["pkg.high"]],
+        ) == []
+
+    def test_function_local_upward_import_flagged(self, tmp_path):
+        """A handler-local import still points the dependency upward."""
+        findings = layering_findings(
+            tmp_path,
+            {
+                "src/pkg/__init__.py": "",
+                "src/pkg/low.py": """
+                    def handler():
+                        from pkg.high import drive
+
+                        return drive()
+                    """,
+                "src/pkg/high.py": "def drive():\n    return 1\n",
+            },
+            [["pkg.low"], ["pkg.high"]],
+        )
+        assert [(f.path, f.line, f.rule) for f in findings] == [
+            ("src/pkg/low.py", 3, "layering")
+        ]
+        assert "imports pkg.high (tier 1" in findings[0].message
+
+    def test_relative_upward_import_flagged(self, tmp_path):
+        findings = layering_findings(
+            tmp_path,
+            {
+                "src/pkg/__init__.py": "",
+                "src/pkg/low/__init__.py": "from ..high import drive\n",
+                "src/pkg/high.py": "def drive():\n    return 1\n",
+            },
+            [["pkg.low"], ["pkg.high"]],
+        )
+        assert [(f.path, f.line) for f in findings] == [
+            ("src/pkg/low/__init__.py", 1)
+        ]
+
+    def test_import_cycle_flagged_even_within_a_tier(self, tmp_path):
+        findings = layering_findings(
+            tmp_path,
+            {
+                "src/pkg/__init__.py": "",
+                "src/pkg/x.py": "from pkg import y\n",
+                "src/pkg/y.py": "from pkg import x\n",
+            },
+            [["pkg"]],
+        )
+        assert rule_names(findings) == ["layering"]
+        assert "import cycle" in findings[0].message
+
+    def test_import_cycle_detected(self, tmp_path):
+        findings = layering_findings(
+            tmp_path,
+            {
+                "src/pkg/__init__.py": "",
+                "src/pkg/a.py": "import os\nfrom pkg import b\n",
+                "src/pkg/b.py": "from pkg.c import run\n",
+                "src/pkg/c.py": "import pkg.a\n\ndef run():\n    pass\n",
+            },
+            [],
+        )
+        assert [(f.path, f.line, f.message) for f in findings] == [
+            ("src/pkg/a.py", 2, "import cycle: pkg.a -> pkg.b -> pkg.c -> pkg.a")
+        ]
+
+    def test_function_local_import_breaks_a_cycle(self, tmp_path):
+        assert layering_findings(
+            tmp_path,
+            {
+                "src/pkg/__init__.py": "",
+                "src/pkg/x.py": "from pkg import y\n",
+                "src/pkg/y.py": "def late():\n    from pkg import x\n",
+            },
+            [],
+        ) == []
+
+    def test_one_run_reports_tier_local_and_cycle(self, tmp_path):
+        """Module-body and function-local tier violations and a
+        cross-module cycle, each at its own file:line."""
+        findings = layering_findings(
+            tmp_path,
+            {
+                "src/pkg/__init__.py": "",
+                "src/pkg/low.py": """
+                    from pkg import high
+
+                    def handler():
+                        from pkg import top
+                    """,
+                "src/pkg/high.py": "from pkg import low\n",
+                "src/pkg/top.py": "",
+            },
+            [["pkg.low"], ["pkg.high", "pkg.top"]],
+        )
+        assert [(f.location(), f.rule) for f in findings] == [
+            ("src/pkg/high.py:1:1", "layering"),
+            ("src/pkg/low.py:2:1", "layering"),
+            ("src/pkg/low.py:5:5", "layering"),
+        ]
+        assert findings[0].message == (
+            "import cycle: pkg.high -> pkg.low -> pkg.high"
+        )
+        assert "imports pkg.high" in findings[1].message
+        assert "imports pkg.top" in findings[2].message
+
+    def test_pragma_suppresses_a_cycle(self, tmp_path):
+        assert layering_findings(
+            tmp_path,
+            {
+                "src/pkg/__init__.py": "",
+                "src/pkg/x.py": (
+                    "from pkg import y  # lint: disable=layering (fixture)\n"
+                ),
+                "src/pkg/y.py": "from pkg import x\n",
+            },
+            [],
+        ) == []
+
+
+class TestServeTierFixtures:
+    """The serve tier: above the analysis tiers, below the CLI."""
+
+    LAYERS = [["pkg.analysis"], ["pkg.serve"], ["pkg.cli"]]
+
+    def test_serve_importing_cli_flagged(self, tmp_path):
+        findings = layering_findings(
+            tmp_path,
+            {
+                "src/pkg/__init__.py": "",
+                "src/pkg/analysis.py": "",
+                "src/pkg/serve.py": "from pkg import cli\n",
+                "src/pkg/cli.py": "",
+            },
+            self.LAYERS,
+        )
+        assert rule_names(findings) == ["layering"]
+        assert findings[0].path == "src/pkg/serve.py"
+        assert "pkg.cli" in findings[0].message
+
+    def test_cli_embeds_serve_and_serve_uses_analysis(self, tmp_path):
+        assert layering_findings(
+            tmp_path,
+            {
+                "src/pkg/__init__.py": "",
+                "src/pkg/analysis.py": "",
+                "src/pkg/serve.py": "from pkg import analysis\n",
+                "src/pkg/cli.py": "from pkg import serve\n",
+            },
+            self.LAYERS,
+        ) == []
+
+    def test_repo_config_wires_the_serve_tier(self):
+        from repro.lint.config import DEFAULT_LAYERS, load_config
+
+        tiers = list(DEFAULT_LAYERS)
+        serve_index = tiers.index(("repro.serve",))
+        cli_index = next(
+            index for index, tier in enumerate(tiers) if "repro.cli" in tier
+        )
+        assert serve_index == cli_index - 1
+
+        # pyproject.toml mirrors the defaults, entry for entry.
+        config = load_config(root=REPO_ROOT)
+        assert ("repro.serve",) in tuple(config.layering_layers())
+        assert "src/repro/serve/loadgen.py" in config.obs_allowed_paths()
+
+    def test_repo_config_wires_the_scenarios_tier(self):
+        """The scenario registry is tiered between synth and metrics.
+
+        ``repro.scenarios`` imports the synth builders and is imported by
+        analysis/serve/cli, so it must sit strictly above the synth tier
+        and strictly below analysis — in both the baked-in defaults and
+        the pyproject mirror (they must stay in lockstep).
+        """
+        from repro.lint.config import DEFAULT_LAYERS, load_config
+
+        tiers = list(DEFAULT_LAYERS)
+        scenarios_index = tiers.index(("repro.scenarios",))
+        synth_index = next(
+            index for index, tier in enumerate(tiers) if "repro.synth" in tier
+        )
+        analysis_index = next(
+            index for index, tier in enumerate(tiers) if "repro.analysis" in tier
+        )
+        assert synth_index < scenarios_index < analysis_index
+
+        config = load_config(root=REPO_ROOT)
+        assert tuple(config.layering_layers()) == tuple(DEFAULT_LAYERS)
+
+    def test_registry_style_upward_import_flagged(self, tmp_path):
+        """A registry-shaped mid-tier module importing upward is caught."""
+        findings = layering_findings(
+            tmp_path,
+            {
+                "src/pkg/__init__.py": "",
+                "src/pkg/synth.py": "def build():\n    return 1\n",
+                "src/pkg/scenarios.py": """
+                    from pkg.analysis import drive
+
+                    def resolve():
+                        return drive()
+                    """,
+                "src/pkg/analysis.py": """
+                    def drive():
+                        return 2
+                    """,
+            },
+            [["pkg.synth"], ["pkg.scenarios"], ["pkg.analysis"]],
+        )
+        assert rule_names(findings) == ["layering"]
+        assert "pkg.analysis" in findings[0].message
