@@ -49,8 +49,9 @@ python -m pytest -x -q tests/test_scraper_equivalence.py
 python -m pytest -x -q tests/test_routing_equivalence.py
 
 # Serve gate: a warm corridor analytics server must survive a seeded
-# concurrent loadgen mix with zero errors, serve /rankings byte-identical
-# to `table1 --format json`, and keep answering after a structured 400
+# concurrent loadgen mix with zero errors, serve /rankings and /apa
+# byte-identical to `table1 --format json` and `table3 --format json`,
+# and keep answering after a structured 400
 # (see scripts/serve_smoke.py for the full contract).
 python scripts/serve_smoke.py --requests 50 --clients 4
 

@@ -9,9 +9,10 @@ Three checks, in order:
 1. A warm :class:`CorridorServer` on an ephemeral loopback port survives
    a seeded loadgen mix (every endpoint, concurrent clients) with zero
    errors.
-2. The served ``/rankings`` body is byte-identical to
-   ``python -m repro table1 --format json`` run in a fresh subprocess —
-   the golden parity contract, checked on a live socket.
+2. The served ``/rankings`` and ``/apa`` bodies are byte-identical to
+   ``python -m repro table1 --format json`` and ``table3 --format json``,
+   each run in a fresh subprocess — the golden parity contract, checked
+   on a live socket of an engine the load mix has warmed.
 3. A structured fault (``/rankings?date=zzz``) comes back as 400 JSON
    and the server still answers ``/healthz`` afterwards.
 
@@ -53,20 +54,19 @@ def main(argv: list[str] | None = None) -> None:
             fail(f"loadgen saw {report.errors} errors: {report.describe()}")
         print(f"serve_smoke: {report.describe()}")
 
-        with urllib.request.urlopen(
-            server.url + "/rankings", timeout=60
-        ) as response:
-            served = response.read()
-        cli = subprocess.run(
-            [sys.executable, "-m", "repro", "table1", "--format", "json"],
-            capture_output=True,
-            env={**os.environ, "PYTHONPATH": "src"},
-        )
-        if cli.returncode != 0:
-            fail(f"CLI table1 failed: {cli.stderr.decode()}")
-        if served != cli.stdout:
-            fail("/rankings body differs from `table1 --format json` stdout")
-        print("serve_smoke: /rankings == table1 --format json (byte parity)")
+        for endpoint, command in (("/rankings", "table1"), ("/apa", "table3")):
+            with urllib.request.urlopen(server.url + endpoint, timeout=60) as response:
+                served = response.read()
+            cli = subprocess.run(
+                [sys.executable, "-m", "repro", command, "--format", "json"],
+                capture_output=True,
+                env={**os.environ, "PYTHONPATH": "src"},
+            )
+            if cli.returncode != 0:
+                fail(f"CLI {command} failed: {cli.stderr.decode()}")
+            if served != cli.stdout:
+                fail(f"{endpoint} body differs from `{command} --format json` stdout")
+            print(f"serve_smoke: {endpoint} == {command} --format json (byte parity)")
 
         try:
             urllib.request.urlopen(server.url + "/rankings?date=zzz", timeout=60)

@@ -652,16 +652,19 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         render_json,
         render_text,
     )
-    from repro.lint.config import find_project_root
+    from repro.lint.config import LintConfigError, find_project_root
 
     if args.list_rules:
         for name, rule_cls in sorted(registered_rules().items()):
             print(f"{name:18s} {rule_cls.description}")
         return 0
     try:
-        result = lint_paths(
-            args.paths or None, config=load_config(root=find_project_root())
-        )
+        config = load_config(root=find_project_root())
+    except LintConfigError as error:
+        print(f"lint: config error: {error}", file=sys.stderr)
+        return 2
+    try:
+        result = lint_paths(args.paths or None, config=config)
     except FileNotFoundError as error:
         print(str(error), file=sys.stderr)
         return 2

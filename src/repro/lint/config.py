@@ -17,8 +17,9 @@ this repository's layout — but each knob is overridable from
     [tool.repro.lint.unit-suffix]
     groups = [["_m", "_km"], ["_s", "_ms", "_us"]]
 
-Rule sections are keyed by rule name; unknown keys raise so typos cannot
-silently disable enforcement.
+Rule sections are keyed by rule name.  Unknown top-level keys, unknown
+rule sections and unknown names in ``enable`` raise
+:class:`LintConfigError`, so typos cannot silently disable enforcement.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from __future__ import annotations
 import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.lint.registry import registered_rules
 
 #: Paths linted when the CLI is given none.
 DEFAULT_PATHS = ("src/repro",)
@@ -179,6 +182,15 @@ def find_project_root(start: Path | None = None) -> Path:
     return current
 
 
+def _check_rule_names(where: str, names, known_rules: dict) -> None:
+    unknown = sorted(set(names) - set(known_rules))
+    if unknown:
+        raise LintConfigError(
+            f"unknown rules in [tool.repro.lint] {where}: {unknown} "
+            f"(known rules: {', '.join(sorted(known_rules))})"
+        )
+
+
 def load_config(
     root: Path | None = None, pyproject: Path | None = None
 ) -> LintConfig:
@@ -193,7 +205,10 @@ def load_config(
     table: dict = {}
     if source.is_file():
         with open(source, "rb") as handle:
-            document = tomllib.load(handle)
+            try:
+                document = tomllib.load(handle)
+            except tomllib.TOMLDecodeError as error:
+                raise LintConfigError(f"{source}: {error}") from None
         table = document.get("tool", {}).get("repro", {}).get("lint", {})
         if not isinstance(table, dict):
             raise LintConfigError("[tool.repro.lint] must be a table")
@@ -205,6 +220,8 @@ def load_config(
         ):
             raise LintConfigError("[tool.repro.lint] enable must be a string list")
         enabled = tuple(enabled)
+    known_rules = registered_rules()
+    _check_rule_names("enable", enabled or (), known_rules)
 
     default_paths = table.get("default_paths")
     if default_paths is None:
@@ -232,6 +249,7 @@ def load_config(
         raise LintConfigError(
             f"unknown [tool.repro.lint] keys: {sorted(unknown)}"
         )
+    _check_rule_names("rule sections", rule_options, known_rules)
 
     return LintConfig(
         root=root,

@@ -230,6 +230,22 @@ class TestConfig:
         with pytest.raises(LintConfigError):
             load_config(root=tmp_path)
 
+    def test_misspelt_rule_section_raises(self, tmp_path):
+        # `float_eq` for `float-eq` would leave float-eq on its default
+        # paths without a word.
+        (tmp_path / "pyproject.toml").write_text(
+            "[tool.repro.lint.float_eq]\npaths = ['pkg/']\n"
+        )
+        with pytest.raises(LintConfigError, match="float_eq.*known rules: .*float-eq"):
+            load_config(root=tmp_path)
+
+    def test_unknown_enabled_rule_raises(self, tmp_path):
+        (tmp_path / "pyproject.toml").write_text(
+            "[tool.repro.lint]\nenable = ['float-eq', 'float-eqq']\n"
+        )
+        with pytest.raises(LintConfigError, match=r"enable: \['float-eqq'\]"):
+            load_config(root=tmp_path)
+
     def test_enabled_subset_only_runs_those_rules(self, tmp_path):
         source = """
             import random
@@ -342,6 +358,24 @@ class TestRepositoryLintsClean:
         assert run_cli(tmp_path).returncode == 1
         assert run_cli(tmp_path, "--format", "json").returncode == 1
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "pyproject",
+        [
+            "[tool.repro.lint]\nenable = ['float-eqq']\n",
+            "[tool.repro.lint]\nenable = 'float-eq'\n",
+            "[tool.repro.lint.float_eq]\npaths = ['pkg/']\n",
+            "[tool.repro.lint\n",
+        ],
+    )
+    def test_cli_config_error_is_one_line_exit_2(self, tmp_path, pyproject):
+        write_project(tmp_path, {"pyproject.toml": pyproject, "pkg/mod.py": "x = 1\n"})
+        process = run_cli(tmp_path, "pkg")
+        assert process.returncode == 2
+        assert "Traceback" not in process.stderr
+        (line,) = process.stderr.splitlines()
+        assert line.startswith("lint: config error: ")
+        assert process.stdout == ""
 
     def test_cli_lints_clean_tree_exit_zero(self):
         process = subprocess.run(

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.constants import APA_SLACK_FACTOR
 from repro.core.corridor import DataCenterSite
 from repro.core.latency import LatencyModel
 from repro.core.network import FiberTail, HftNetwork, MicrowaveLink, Tower
@@ -39,11 +40,17 @@ SCENARIOS = (
 #: 0–3 µs sweep.
 OVERHEADS_US = (0.0, 1.0, 3.0)
 
+#: APA slacks per scenario: ``apa_slack_sweep``'s for ``paper2020``, the
+#: default elsewhere.
+SLACKS = {"paper2020": (1.01, 1.02, 1.05, 1.10, 1.20)}
+
 WEST = DataCenterSite("CME", GeoPoint(41.7580, -88.1801))
 EAST = DataCenterSite("NY4", GeoPoint(41.7580, -88.0601))
 
 
-def _assert_matches_oracle(network: HftNetwork, source: str, target: str) -> None:
+def _assert_matches_oracle(
+    network: HftNetwork, source: str, target: str, slacks=(APA_SLACK_FACTOR,)
+) -> None:
     route = network.lowest_latency_route(source, target)
     expected = nx_oracle.lowest_latency_route(network, source, target)
     # repr prints every float round-trip exactly: equal reprs, equal bits.
@@ -51,10 +58,13 @@ def _assert_matches_oracle(network: HftNetwork, source: str, target: str) -> Non
     assert network.is_connected(source, target) == nx_oracle.is_connected(
         network, source, target
     )
-    for scope in ("route", "network"):
-        assert alternate_path_availability(
-            network, source, target, scope=scope
-        ) == nx_oracle.alternate_path_availability(network, source, target, scope=scope)
+    for slack in slacks:
+        for scope in ("route", "network"):
+            assert alternate_path_availability(
+                network, source, target, slack, scope
+            ) == nx_oracle.alternate_path_availability(
+                network, source, target, slack, scope
+            )
 
 
 @pytest.mark.parametrize("ref", SCENARIOS)
@@ -70,7 +80,9 @@ def test_scenario_routes_and_apa_match_oracle(ref):
                     LatencyModel(per_tower_overhead_s=overhead_us * 1e-6)
                 )
                 for source, target in scenario.corridor.paths:
-                    _assert_matches_oracle(loaded, source, target)
+                    _assert_matches_oracle(
+                        loaded, source, target, SLACKS.get(ref, (APA_SLACK_FACTOR,))
+                    )
                     routed += loaded.lowest_latency_route(source, target) is not None
     assert routed > 0
 
