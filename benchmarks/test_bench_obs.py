@@ -23,7 +23,7 @@ from repro.core.timeline import yearly_snapshot_dates
 
 from conftest import emit
 
-#: Ceiling for one disabled span() call (generous: measured ~100 ns).
+#: Ceiling for one disabled span() call (generous: measured ~0.35–0.6 µs).
 MAX_NOOP_NS = 2_000.0
 
 #: Estimated disabled-path share of the warm sweep's wall time.

@@ -645,26 +645,14 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import (
-        lint_paths,
-        load_config,
-        registered_rules,
-        render_json,
-        render_text,
-    )
-    from repro.lint.config import LintConfigError, find_project_root
+    from repro.lint import RULES, lint_paths, render_json, render_text
 
     if args.list_rules:
-        for name, rule_cls in sorted(registered_rules().items()):
-            print(f"{name:18s} {rule_cls.description}")
+        for rule_cls in RULES:
+            print(f"{rule_cls.name:18s} {rule_cls.description}")
         return 0
     try:
-        config = load_config(root=find_project_root())
-    except LintConfigError as error:
-        print(f"lint: config error: {error}", file=sys.stderr)
-        return 2
-    try:
-        result = lint_paths(args.paths or None, config=config)
+        result = lint_paths(args.paths or None)
     except FileNotFoundError as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -890,8 +878,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "paths", nargs="*",
-        help="files/directories to lint (default: [tool.repro.lint] "
-        "default_paths, i.e. src/repro)",
+        help="files/directories to lint (default: src/repro under the "
+        "project root)",
     )
     lint.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -899,7 +887,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--list-rules", action="store_true",
-        help="list registered rules and exit",
+        help="list the rules and exit",
     )
     lint.set_defaults(func=_cmd_lint)
     return parser

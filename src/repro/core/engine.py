@@ -249,9 +249,6 @@ class _LruCache:
         """
         return tuple(self._entries.items())
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     def counter(self) -> CacheCounter:
         return CacheCounter(
             hits=self.hits,
@@ -584,25 +581,18 @@ class CorridorEngine:
         """
         source, target = self.corridor.resolve_path(source, target)
         points = []
-        with obs.span(
-            "engine.timeline",
-            licensee=licensee,
-            points=len(dates),
-            source=source,
-            target=target,
-        ):
-            for date in dates:
-                route = self.route(licensee, date, source, target)
-                if route is None:
-                    points.append(TimelinePoint(date=date, latency_ms=None))
-                else:
-                    points.append(
-                        TimelinePoint(
-                            date=date,
-                            latency_ms=route.latency_ms,
-                            tower_count=route.tower_count,
-                        )
+        for date in dates:
+            route = self.route(licensee, date, source, target)
+            if route is None:
+                points.append(TimelinePoint(date=date, latency_ms=None))
+            else:
+                points.append(
+                    TimelinePoint(
+                        date=date,
+                        latency_ms=route.latency_ms,
+                        tower_count=route.tower_count,
                     )
+                )
         return points
 
     # ------------------------------------------------------------------
@@ -624,16 +614,6 @@ class CorridorEngine:
             ),
             index_events=self.database.temporal_index().event_count,
         )
-
-    def clear_caches(self) -> None:
-        """Drop all cached snapshots, routes and geodesic solutions.
-
-        Counters are preserved (they describe lifetime behaviour); sizes
-        return to zero.
-        """
-        self._snapshots.clear()
-        self._routes.clear()
-        self._geodesic_memo.clear()
 
     # ------------------------------------------------------------------
     # Cache export and seeding (the persistent store's payload)

@@ -12,6 +12,7 @@ library (Fig 4 path enumeration, storms, LEO comparisons).
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
@@ -90,8 +91,10 @@ class MicrowaveLink:
     def __post_init__(self) -> None:
         if self.tower_a == self.tower_b:
             raise ValueError("a link cannot connect a tower to itself")
-        if self.length_m <= 0.0:
-            raise ValueError("link length must be positive")
+        if not 0.0 < self.length_m < math.inf:
+            raise ValueError(
+                f"link length must be finite and positive, got {self.length_m!r}"
+            )
 
     @property
     def endpoints(self) -> frozenset[str]:
@@ -125,8 +128,10 @@ class FiberTail:
     length_m: float
 
     def __post_init__(self) -> None:
-        if self.length_m < 0.0:
-            raise ValueError("fiber length cannot be negative")
+        if not 0.0 <= self.length_m < math.inf:
+            raise ValueError(
+                f"fiber length must be finite and non-negative, got {self.length_m!r}"
+            )
 
     # Fast pickle path for store entries (see GeoPoint.__getstate__).
     def __getstate__(self):

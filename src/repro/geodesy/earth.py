@@ -76,10 +76,6 @@ class GeoPoint:
         """Geodesic distance to ``other`` in metres."""
         return geodesic_distance(self, other)
 
-    def azimuth_to(self, other: "GeoPoint") -> float:
-        """Initial geodesic azimuth towards ``other``, degrees clockwise from north."""
-        return geodesic_azimuth(self, other)
-
     def destination(self, azimuth_deg: float, distance_m: float) -> "GeoPoint":
         """The point reached by travelling ``distance_m`` along ``azimuth_deg``."""
         return geodesic_destination(self, azimuth_deg, distance_m)

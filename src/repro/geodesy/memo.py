@@ -90,9 +90,6 @@ class GeodesicMemo:
         """
         return tuple(self._entries.items())
 
-    def clear(self) -> None:
-        self._entries.clear()
-
 
 #: The memo currently consulted by ``geodesic_inverse`` (None = disabled).
 _active_memo: GeodesicMemo | None = None

@@ -23,42 +23,34 @@ numbers rest on.  Every rule reads one file's AST at a time:
 Entry points: :func:`lint_paths` (library), ``hftnetview lint`` (CLI),
 ``scripts/check.sh`` (CI gate).  Suppression: inline
 ``# lint: disable=rule`` pragmas with a justification (see
-:mod:`repro.lint.pragmas`).  Configuration: ``[tool.repro.lint]`` in
-pyproject.toml (see :mod:`repro.lint.config`).
+:mod:`repro.lint.pragmas`).  There is no configuration: the rules are
+:data:`repro.lint.rules.RULES`, and a path-scoped rule keeps its scope as
+a constant in its own module.
 """
 
-from repro.lint.config import LintConfig, LintConfigError, load_config
 from repro.lint.driver import (
     SYNTAX_RULE,
     LintResult,
+    find_project_root,
     lint_file,
     lint_paths,
 )
 from repro.lint.findings import Finding
-from repro.lint.registry import (
-    FileContext,
-    Rule,
-    instantiate,
-    register,
-    registered_rules,
-)
+from repro.lint.registry import FileContext, Rule
 from repro.lint.reporters import JSON_SCHEMA_VERSION, render_json, render_text
+from repro.lint.rules import RULES
 
 __all__ = [
     "FileContext",
     "Finding",
     "JSON_SCHEMA_VERSION",
-    "LintConfig",
-    "LintConfigError",
     "LintResult",
+    "RULES",
     "Rule",
     "SYNTAX_RULE",
-    "instantiate",
+    "find_project_root",
     "lint_file",
     "lint_paths",
-    "load_config",
-    "register",
-    "registered_rules",
     "render_json",
     "render_text",
 ]

@@ -1,7 +1,7 @@
 """The lint driver: parse once, walk once, dispatch to rules.
 
 ``lint_paths`` is the subsystem's single entry point: it expands files and
-directories, runs every enabled rule over each file's AST in one walk,
+directories, runs every rule over each file's AST in one walk,
 collects the findings rules report once every file is seen (layering's
 import cycles), applies inline pragmas and returns a :class:`LintResult`
 the reporters and the CLI consume.  It reads files and writes none.
@@ -18,14 +18,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.lint.config import LintConfig, load_config
 from repro.lint.findings import Finding
 from repro.lint.pragmas import is_suppressed, parse_pragmas
-from repro.lint.registry import FileContext, Rule, instantiate
+from repro.lint.registry import FileContext, Rule
+from repro.lint.rules import RULES
 
 #: The pseudo-rule name attached to unparseable files.  Not suppressible
 #: via pragmas (a broken file cannot be trusted to parse its own pragmas).
 SYNTAX_RULE = "syntax-error"
+
+#: What a run lints when given no paths (relative to the project root).
+DEFAULT_PATHS = ("src/repro",)
 
 
 @dataclass
@@ -44,6 +47,20 @@ class LintResult:
     @property
     def ok(self) -> bool:
         return not self.findings
+
+
+def find_project_root(start: Path | None = None) -> Path:
+    """The nearest ancestor of ``start`` holding a pyproject.toml (or .git).
+
+    Falls back to ``start`` itself so the linter still runs on loose trees.
+    """
+    current = (start or Path.cwd()).resolve()
+    if current.is_file():
+        current = current.parent
+    for candidate in (current, *current.parents):
+        if (candidate / "pyproject.toml").is_file() or (candidate / ".git").exists():
+            return candidate
+    return current
 
 
 def iter_python_files(paths: Sequence[Path]) -> list[Path]:
@@ -93,20 +110,18 @@ def _raw_findings(
     rel: str,
     source: str,
     rules: Sequence[Rule],
-    config: LintConfig,
 ) -> list[Finding]:
     """Pre-suppression findings for one file (one parse, one walk)."""
     tree, syntax = _parse(path, rel, source)
     if tree is None:
         return syntax
-    active = [rule for rule in rules if rule.applies_to(rel, config)]
+    active = [rule for rule in rules if rule.applies_to(rel)]
     if not active:
         return []
     ctx = FileContext(
         rel_path=rel,
         abs_path=path,
         source_lines=source.splitlines(),
-        config=config,
         tree=tree,
     )
     dispatch: dict[type, list[Rule]] = {}
@@ -122,21 +137,19 @@ def _raw_findings(
     return sorted(ctx.findings)
 
 
-def lint_file(
-    path: Path, rules: Sequence[Rule], config: LintConfig
-) -> list[Finding]:
+def lint_file(path: Path, rules: Sequence[Rule], root: Path) -> list[Finding]:
     """Findings for one file after pragma suppression.
 
     Findings that need every file (import cycles) come only from
     :func:`lint_paths`.
     """
     path = Path(path)
-    rel = _rel_path(path, config.root)
+    rel = _rel_path(path, root)
     source = path.read_text(encoding="utf-8")
     pragmas = parse_pragmas(source)
     return [
         finding
-        for finding in _raw_findings(path, rel, source, rules, config)
+        for finding in _raw_findings(path, rel, source, rules)
         if finding.rule == SYNTAX_RULE
         or not is_suppressed(finding.rule, finding.line, pragmas)
     ]
@@ -145,22 +158,26 @@ def lint_file(
 def lint_paths(
     paths: Sequence[Path | str] | None = None,
     *,
-    config: LintConfig | None = None,
+    root: Path | None = None,
 ) -> LintResult:
-    """Lint ``paths`` (default: the configured default paths)."""
-    config = config or load_config()
+    """Lint ``paths`` (default: :data:`DEFAULT_PATHS`) with every rule.
+
+    ``root`` (default: :func:`find_project_root`) is the directory
+    findings' paths and the rules' scopes are relative to.
+    """
+    root = (root or find_project_root()).resolve()
     if paths is None:
-        paths = [config.root / p for p in config.default_paths]
+        paths = [root / p for p in DEFAULT_PATHS]
     files = iter_python_files([Path(p) for p in paths])
-    rules = instantiate(config.enabled)
+    rules = [rule_cls() for rule_cls in RULES]
 
     raw: list[Finding] = []
     pragma_map: dict[str, dict[int, frozenset[str]]] = {}
     for path in files:
-        rel = _rel_path(path, config.root)
+        rel = _rel_path(path, root)
         source = path.read_text(encoding="utf-8")
         pragma_map[rel] = parse_pragmas(source)
-        raw.extend(_raw_findings(path, rel, source, rules, config))
+        raw.extend(_raw_findings(path, rel, source, rules))
     for rule in rules:
         raw.extend(rule.end_run())
 

@@ -1,4 +1,4 @@
-"""The rule registry and the base class every lint rule extends.
+"""The base class every lint rule extends, and the context it reads.
 
 A rule declares which AST node types it wants (``interests``) and receives
 each matching node exactly once from the driver's single tree walk, together
@@ -6,9 +6,8 @@ with a :class:`FileContext` describing the file being linted.  Rules report
 violations by calling ``ctx.report(...)``; pragma suppression is the
 driver's job, never the rule's.
 
-Registering is one decorator::
+A rule is one subclass, listed in :data:`repro.lint.rules.RULES`::
 
-    @register
     class MyRule(Rule):
         name = "my-rule"
         description = "what it catches and why"
@@ -17,7 +16,7 @@ Registering is one decorator::
         def visit(self, node, ctx):
             ...
 
-The driver instantiates one rule object per run and reuses it for every
+The driver instantiates one object per rule per run and reuses it for every
 file; per-file state belongs in ``begin_file``/``end_file`` hooks or on the
 context.  A rule whose check spans files (layering's import cycles)
 collects per-file facts on itself and reports them from ``end_run``.
@@ -28,12 +27,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Type
 
 from repro.lint.findings import Finding
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.config import LintConfig
 
 
 @dataclass
@@ -46,8 +41,6 @@ class FileContext:
     abs_path: Path
     #: The file's source, split into lines (1-indexed via ``line(n)``).
     source_lines: list[str]
-    #: The effective configuration for this run.
-    config: "LintConfig"
     #: The file's parsed module (the one tree every rule's walk visits).
     tree: ast.Module
     #: Findings reported so far for this file (driver-owned).
@@ -77,18 +70,18 @@ class FileContext:
 class Rule:
     """Base class for lint rules (see module docstring for the contract)."""
 
-    #: Unique kebab-case identifier (pragma and config key).
+    #: Unique kebab-case identifier (the pragma key).
     name: str = ""
     #: One-line human description shown by reporters and ``--list-rules``.
     description: str = ""
     #: AST node types the driver should dispatch to :meth:`visit`.
     interests: tuple[type, ...] = ()
 
-    def applies_to(self, rel_path: str, config: "LintConfig") -> bool:
+    def applies_to(self, rel_path: str) -> bool:
         """Whether this rule runs on ``rel_path`` at all.
 
         The default is every file; path-scoped rules (float safety, cache
-        discipline) override this using their configuration section.
+        discipline) override this with a scope constant in their module.
         """
         return True
 
@@ -105,42 +98,6 @@ class Rule:
     def end_run(self) -> list[Finding]:
         """Findings that need every linted file, after the last one."""
         return []
-
-
-#: All registered rule classes, keyed by rule name.
-_REGISTRY: dict[str, Type[Rule]] = {}
-
-
-def register(rule_cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding a rule to the global registry."""
-    if not rule_cls.name:
-        raise ValueError(f"rule {rule_cls.__name__} has no name")
-    existing = _REGISTRY.get(rule_cls.name)
-    if existing is not None and existing is not rule_cls:
-        raise ValueError(f"duplicate rule name: {rule_cls.name!r}")
-    _REGISTRY[rule_cls.name] = rule_cls
-    return rule_cls
-
-
-def registered_rules() -> dict[str, Type[Rule]]:
-    """Name → class for every registered rule (built-ins auto-import)."""
-    # Importing the rules package registers every built-in rule module.
-    import repro.lint.rules  # noqa: F401  (import for side effect)
-
-    return dict(_REGISTRY)
-
-
-def instantiate(names: Iterable[str] | None = None) -> list[Rule]:
-    """Rule instances for ``names`` (default: every registered rule)."""
-    available = registered_rules()
-    if names is None:
-        selected = sorted(available)
-    else:
-        selected = list(names)
-        unknown = [name for name in selected if name not in available]
-        if unknown:
-            raise KeyError(f"unknown lint rules: {sorted(unknown)}")
-    return [available[name]() for name in selected]
 
 
 def dotted_name(node: ast.AST) -> str | None:

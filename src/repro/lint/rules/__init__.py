@@ -1,21 +1,30 @@
 """Built-in lint rules.
 
-Importing this package registers every built-in rule with the registry —
-:func:`repro.lint.registry.registered_rules` does so lazily, so rule
-modules stay import-cycle-free and cheap to load.
-
 Adding a rule: create (or extend) a module here, subclass
-:class:`repro.lint.registry.Rule`, decorate it with ``@register``, and add
-the module to the import list below.  DESIGN.md §"Static analysis"
-documents the conventions (naming, path scoping, configuration).
+:class:`repro.lint.registry.Rule`, and add the class to :data:`RULES`.  A
+path-scoped rule keeps its scope as a constant in its own module.
+DESIGN.md §"Static analysis" documents the conventions (naming, path
+scoping).
 """
 
-from repro.lint.rules import (  # noqa: F401  (imports register the rules)
-    cache,
-    determinism,
-    floats,
-    hygiene,
-    layering,
-    obs,
-    units,
+from repro.lint.rules.cache import CacheDisciplineRule
+from repro.lint.rules.determinism import HashSeedRule, UnseededRngRule, WallClockRule
+from repro.lint.rules.floats import FloatEqualityRule
+from repro.lint.rules.hygiene import BroadExceptRule, MutableDefaultRule
+from repro.lint.rules.layering import LayeringRule
+from repro.lint.rules.obs import ObsDisciplineRule
+from repro.lint.rules.units import UnitSuffixRule
+
+#: Every rule the linter runs, ordered by rule name.
+RULES = (
+    BroadExceptRule,
+    CacheDisciplineRule,
+    FloatEqualityRule,
+    HashSeedRule,
+    LayeringRule,
+    MutableDefaultRule,
+    ObsDisciplineRule,
+    UnitSuffixRule,
+    UnseededRngRule,
+    WallClockRule,
 )

@@ -15,8 +15,39 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.config import LintConfig
-from repro.lint.registry import FileContext, Rule, call_name, register
+from repro.lint.registry import FileContext, Rule, call_name
+
+#: Files allowed to construct the cache-free reconstruction kernel.
+CACHE_ALLOWED = (
+    "src/repro/core/engine.py",
+    "src/repro/core/reconstruction.py",
+)
+
+#: Path prefixes allowed to touch the persistent store's on-disk layout
+#: directly (:mod:`repro.store.layout`'s entry read/write/quarantine
+#: functions).  Everything else goes through ``CacheStore`` — a second
+#: code path reading or writing entry files would bypass the atomic
+#: publication and quarantine discipline.
+STORE_ALLOWED = (
+    "src/repro/store/",
+)
+
+#: Path prefixes allowed to call ``UlsDatabase.active_on`` (a linear scan
+#: that materialises the license list); everything else resolves active
+#: sets through the temporal index or the engine.
+ACTIVE_ON_ALLOWED = (
+    "src/repro/uls/",
+)
+
+#: Path prefixes allowed to construct a ``ColumnarLicenseStore`` directly.
+#: Stores are per-database-generation derived state; building one anywhere
+#: else risks stale columns after a mutation — everything outside the uls
+#: layer obtains the cached store via ``UlsDatabase.columnar_store()``
+#: (the reconstructor builds throwaway stores for explicit license sets).
+COLUMNAR_ALLOWED = (
+    "src/repro/uls/",
+    "src/repro/core/reconstruction.py",
+)
 
 #: Callables that bypass the engine's caches.
 _KERNEL_CALLS = frozenset({"NetworkReconstructor", "reconstruct_all"})
@@ -45,7 +76,6 @@ def _prefix_allowed(rel_path: str, prefixes: tuple[str, ...]) -> bool:
     )
 
 
-@register
 class CacheDisciplineRule(Rule):
     """Kernel construction is confined to the engine and kernel modules,
     and linear active-set scans to the uls layer and the engine."""
@@ -64,21 +94,18 @@ class CacheDisciplineRule(Rule):
     )
     interests = (ast.Call,)
 
-    def applies_to(self, rel_path: str, config: LintConfig) -> bool:
+    def applies_to(self, rel_path: str) -> bool:
         return (
-            rel_path not in config.cache_allowed_files()
-            or not _prefix_allowed(rel_path, config.active_on_allowed_paths())
-            or not _prefix_allowed(rel_path, config.columnar_allowed_paths())
-            or not _prefix_allowed(rel_path, config.store_allowed_paths())
+            rel_path not in CACHE_ALLOWED
+            or not _prefix_allowed(rel_path, ACTIVE_ON_ALLOWED)
+            or not _prefix_allowed(rel_path, COLUMNAR_ALLOWED)
+            or not _prefix_allowed(rel_path, STORE_ALLOWED)
         )
 
     def visit(self, node: ast.AST, ctx: FileContext) -> None:
         assert isinstance(node, ast.Call)
         name = call_name(node)
-        if (
-            name in _KERNEL_CALLS
-            and ctx.rel_path not in ctx.config.cache_allowed_files()
-        ):
+        if name in _KERNEL_CALLS and ctx.rel_path not in CACHE_ALLOWED:
             ctx.report(
                 self,
                 node,
@@ -87,7 +114,7 @@ class CacheDisciplineRule(Rule):
                 "(allowed only in the engine and kernel modules)",
             )
         elif name in _SCAN_CALLS and not _prefix_allowed(
-            ctx.rel_path, ctx.config.active_on_allowed_paths()
+            ctx.rel_path, ACTIVE_ON_ALLOWED
         ):
             ctx.report(
                 self,
@@ -98,7 +125,7 @@ class CacheDisciplineRule(Rule):
                 "(allowed only under src/repro/uls/ and the engine)",
             )
         elif name in _COLUMNAR_CALLS and not _prefix_allowed(
-            ctx.rel_path, ctx.config.columnar_allowed_paths()
+            ctx.rel_path, COLUMNAR_ALLOWED
         ):
             ctx.report(
                 self,
@@ -108,7 +135,7 @@ class CacheDisciplineRule(Rule):
                 "use UlsDatabase.columnar_store() (cached per generation)",
             )
         elif name in _STORE_CALLS and not _prefix_allowed(
-            ctx.rel_path, ctx.config.store_allowed_paths()
+            ctx.rel_path, STORE_ALLOWED
         ):
             ctx.report(
                 self,

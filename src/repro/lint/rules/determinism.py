@@ -19,13 +19,8 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.registry import (
-    FileContext,
-    Rule,
-    call_name,
-    dotted_name,
-    register,
-)
+from repro.lint.registry import FileContext, Rule, call_name, dotted_name
+from repro.lint.rules.obs import OBS_ALLOWED
 
 #: random-module functions that drive the hidden global RNG.
 _MODULE_RNG_FUNCTIONS = frozenset(
@@ -58,8 +53,8 @@ _WALL_CLOCK_SUFFIXES = (
 #: The process-timer subset of the wall-clock vocabulary.  These are the
 #: legitimate clock of the obs layer (``repro.obs.spans`` times spans with
 #: ``perf_counter_ns``) and of the benchmark harness, so — mirroring the
-#: obs-discipline rule's confinement — they are exempt inside the
-#: configured obs-allowed paths.  Absolute wall-clock reads
+#: obs-discipline rule's confinement — they are exempt inside
+#: :data:`~repro.lint.rules.obs.OBS_ALLOWED`.  Absolute wall-clock reads
 #: (``datetime.now`` & co.) stay banned everywhere.
 _PROCESS_TIMER_SUFFIXES = frozenset(
     {
@@ -82,7 +77,6 @@ def _contains_hash_call(node: ast.AST) -> ast.Call | None:
     return None
 
 
-@register
 class HashSeedRule(Rule):
     """No RNG seeds derived from the builtin ``hash()``."""
 
@@ -109,7 +103,6 @@ class HashSeedRule(Rule):
                 return
 
 
-@register
 class UnseededRngRule(Rule):
     """No module-level ``random.*`` usage and no unseeded ``Random()``."""
 
@@ -142,7 +135,6 @@ class UnseededRngRule(Rule):
             )
 
 
-@register
 class WallClockRule(Rule):
     """No wall-clock reads inside the analysis pipeline."""
 
@@ -162,7 +154,7 @@ class WallClockRule(Rule):
             if dotted == suffix or dotted.endswith("." + suffix):
                 if suffix in _PROCESS_TIMER_SUFFIXES and any(
                     ctx.rel_path.startswith(prefix)
-                    for prefix in ctx.config.obs_allowed_paths()
+                    for prefix in OBS_ALLOWED
                 ):
                     # Process timers are the obs layer's own clock; the
                     # obs-discipline rule governs them elsewhere.

@@ -3,8 +3,7 @@
 Geodesic distances and refractive-index latencies are chains of
 floating-point operations; comparing their results to a float literal with
 ``==`` is almost always a bug (the classic ``0.1 + 0.2 != 0.3``).  The rule
-is scoped to the numeric kernels (``geodesy/``, ``core/latency.py``,
-``metrics/`` by default) where such comparisons decide physics, not to the
+is scoped to the numeric kernels (:data:`FLOAT_EQ_PATHS`) where such comparisons decide physics, not to the
 whole tree — elsewhere float equality is rare enough to review by hand.
 
 Genuine exact-sentinel checks (e.g. Vincenty's ``sin_sigma == 0.0`` guard
@@ -17,8 +16,14 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.config import LintConfig
-from repro.lint.registry import FileContext, Rule, register
+from repro.lint.registry import FileContext, Rule
+
+#: Where the float-eq rule applies (project-root-relative prefixes).
+FLOAT_EQ_PATHS = (
+    "src/repro/geodesy/",
+    "src/repro/core/latency.py",
+    "src/repro/metrics/",
+)
 
 
 def _is_float_literal(node: ast.AST) -> bool:
@@ -32,7 +37,6 @@ def _is_float_literal(node: ast.AST) -> bool:
     )
 
 
-@register
 class FloatEqualityRule(Rule):
     """No ``==`` / ``!=`` against float literals in the numeric kernels."""
 
@@ -44,10 +48,10 @@ class FloatEqualityRule(Rule):
     )
     interests = (ast.Compare,)
 
-    def applies_to(self, rel_path: str, config: LintConfig) -> bool:
+    def applies_to(self, rel_path: str) -> bool:
         return any(
             rel_path == prefix or rel_path.startswith(prefix)
-            for prefix in config.float_eq_paths()
+            for prefix in FLOAT_EQ_PATHS
         )
 
     def visit(self, node: ast.AST, ctx: FileContext) -> None:

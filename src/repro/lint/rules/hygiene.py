@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.registry import FileContext, Rule, call_name, register
+from repro.lint.registry import FileContext, Rule, call_name
 
 #: Constructor names (bare or the trailing part of a dotted call) whose
 #: result is a fresh mutable container: ``dict()`` and
@@ -31,7 +31,6 @@ def _is_mutable_default(node: ast.AST) -> bool:
     )
 
 
-@register
 class MutableDefaultRule(Rule):
     """No list/dict/set literals (or constructors) as argument defaults."""
 
@@ -54,7 +53,6 @@ class MutableDefaultRule(Rule):
                 )
 
 
-@register
 class BroadExceptRule(Rule):
     """No bare ``except:`` and no ``except Exception/BaseException``."""
 

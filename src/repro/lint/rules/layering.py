@@ -1,7 +1,7 @@
 """Layering: imports point down the architecture's tiers, and never loop.
 
 The package is layered (constants/obs → geodesy → uls → core → … → cli,
-see :data:`repro.lint.config.DEFAULT_LAYERS`): a module may import its own
+see :data:`LAYERS`): a module may import its own
 tier or a lower one.  Every ``import`` counts, function-local ones
 included — a handler-local import still makes the lower tier depend on
 the higher one.  Modules matching no tier (``repro.lint``, the ``repro``
@@ -22,7 +22,27 @@ import ast
 from pathlib import Path
 
 from repro.lint.findings import Finding
-from repro.lint.registry import FileContext, Rule, register
+from repro.lint.registry import FileContext, Rule
+
+#: The import layering, lowest tier first.  A module may import same-tier
+#: or lower-tier modules; importing upward is a finding.  Modules matching
+#: no entry (``repro.lint``, the ``repro`` package itself) are untiered:
+#: they may be imported from anywhere and the rule stays silent about
+#: their own imports.
+LAYERS = (
+    ("repro.constants", "repro.obs"),
+    ("repro.geodesy",),
+    ("repro.uls",),
+    ("repro.core",),
+    ("repro.store",),
+    ("repro.leo", "repro.radio", "repro.synth"),
+    ("repro.scenarios",),
+    ("repro.metrics",),
+    ("repro.viz",),
+    ("repro.analysis", "repro.design"),
+    ("repro.serve",),
+    ("repro.cli", "repro.__main__"),
+)
 
 
 def module_name(path: Path) -> tuple[str, Path]:
@@ -35,12 +55,10 @@ def module_name(path: Path) -> tuple[str, Path]:
     return ".".join(reversed(parts)), directory
 
 
-def tier_of(
-    module: str, layers: tuple[tuple[str, ...], ...]
-) -> tuple[int, str] | None:
+def tier_of(module: str) -> tuple[int, str] | None:
     """``(tier, entry)`` of the longest layer entry ``module`` falls under."""
     best: tuple[int, str] | None = None
-    for tier, entries in enumerate(layers):
+    for tier, entries in enumerate(LAYERS):
         for entry in entries:
             if module == entry or module.startswith(entry + "."):
                 if best is None or len(entry) > len(best[1]):
@@ -48,7 +66,6 @@ def tier_of(
     return best
 
 
-@register
 class LayeringRule(Rule):
     """Imports respect the tier order; module-body imports form no cycle."""
 
@@ -68,8 +85,7 @@ class LayeringRule(Rule):
     def begin_file(self, ctx: FileContext) -> None:
         self._module, self._base = module_name(ctx.abs_path)
         self._is_package = ctx.abs_path.name == "__init__.py"
-        self._layers = ctx.config.layering_layers()
-        self._tier = tier_of(self._module, self._layers)
+        self._tier = tier_of(self._module)
         edges = [
             (dep, node.lineno, node.col_offset + 1)
             for node in ctx.tree.body
@@ -119,7 +135,7 @@ class LayeringRule(Rule):
         if importer is None:
             return
         for dep in self._imported(node):
-            imported = tier_of(dep, self._layers)
+            imported = tier_of(dep)
             if imported is not None and imported[0] > importer[0]:
                 ctx.report(
                     self,

@@ -15,8 +15,16 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.config import LintConfig
-from repro.lint.registry import FileContext, Rule, dotted_name, register
+from repro.lint.registry import FileContext, Rule, dotted_name
+
+#: Path prefixes allowed to read process timers directly; everything else
+#: must time through ``repro.obs`` spans.  The load generator measures
+#: client-observed latency — wall time is its product, like benchmarks.
+OBS_ALLOWED = (
+    "src/repro/obs/",
+    "benchmarks/",
+    "src/repro/serve/loadgen.py",
+)
 
 #: Process-timer reads: dotted-suffix → offending call.
 _TIMER_SUFFIXES = (
@@ -31,7 +39,6 @@ _TIMER_SUFFIXES = (
 )
 
 
-@register
 class ObsDisciplineRule(Rule):
     """Raw process-timer reads are confined to obs/ and benchmarks/."""
 
@@ -43,11 +50,8 @@ class ObsDisciplineRule(Rule):
     )
     interests = (ast.Call,)
 
-    def applies_to(self, rel_path: str, config: LintConfig) -> bool:
-        return not any(
-            rel_path.startswith(prefix)
-            for prefix in config.obs_allowed_paths()
-        )
+    def applies_to(self, rel_path: str) -> bool:
+        return not any(rel_path.startswith(prefix) for prefix in OBS_ALLOWED)
 
     def visit(self, node: ast.AST, ctx: FileContext) -> None:
         assert isinstance(node, ast.Call)

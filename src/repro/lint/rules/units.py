@@ -19,18 +19,23 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.registry import FileContext, Rule, register
+from repro.lint.registry import FileContext, Rule
 
+#: Unit-suffix vocabulary: suffixes within one group share a dimension and
+#: must not be mixed in a single additive expression or comparison.
+UNIT_GROUPS = (
+    ("_m", "_km"),
+    ("_s", "_ms", "_us"),
+)
 
-def _suffix_map(
-    groups: tuple[tuple[str, ...], ...]
-) -> dict[str, int]:
-    """suffix → dimension-group index, longest suffixes first."""
-    mapping: dict[str, int] = {}
-    for index, group in enumerate(groups):
-        for suffix in group:
-            mapping[suffix] = index
-    return mapping
+#: suffix → dimension-group index, longest suffixes first (so ``_ms`` is
+#: not mistaken for ``_s``).
+_SUFFIXES = sorted(
+    ((suffix, index) for index, group in enumerate(UNIT_GROUPS)
+     for suffix in group),
+    key=lambda entry: len(entry[0]),
+    reverse=True,
+)
 
 
 def _identifier_of(node: ast.AST) -> str | None:
@@ -44,7 +49,6 @@ def _identifier_of(node: ast.AST) -> str | None:
     return None
 
 
-@register
 class UnitSuffixRule(Rule):
     """No additive mixing of conflicting unit suffixes (``_m`` + ``_km``)."""
 
@@ -55,22 +59,20 @@ class UnitSuffixRule(Rule):
     )
     interests = (ast.BinOp, ast.Compare, ast.AugAssign)
 
-    def _unit_of(self, node: ast.AST, ctx: FileContext) -> tuple[str, int] | None:
+    def _unit_of(self, node: ast.AST) -> tuple[str, int] | None:
         identifier = _identifier_of(node)
         if identifier is None:
             return None
-        suffixes = _suffix_map(ctx.config.unit_groups())
-        # Longest suffix wins so ``_ms`` is not mistaken for ``_s``.
-        for suffix in sorted(suffixes, key=len, reverse=True):
+        for suffix, group in _SUFFIXES:
             if identifier.endswith(suffix) and len(identifier) > len(suffix):
-                return suffix, suffixes[suffix]
+                return suffix, group
         return None
 
     def _check_pair(
         self, left: ast.AST, right: ast.AST, node: ast.AST, ctx: FileContext
     ) -> None:
-        unit_left = self._unit_of(left, ctx)
-        unit_right = self._unit_of(right, ctx)
+        unit_left = self._unit_of(left)
+        unit_right = self._unit_of(right)
         if unit_left is None or unit_right is None:
             return
         (suffix_left, group_left) = unit_left

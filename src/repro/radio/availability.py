@@ -13,12 +13,7 @@ from __future__ import annotations
 import math
 
 from repro.radio.budget import LinkBudget
-from repro.radio.itu import (
-    percent_time_for_attenuation,
-    rain_attenuation_db,
-    specific_attenuation_db_per_km,
-    effective_path_length_km,
-)
+from repro.radio.itu import percent_time_for_attenuation, rain_attenuation_db
 
 #: Default 0.01%-exceedance rain rate for the US Midwest/Northeast
 #: corridor (ITU rain zone K is ~42 mm/h; the corridor spans K/N zones).
@@ -88,14 +83,3 @@ def rain_rate_to_kill_link_mm_h(
         else:
             low = mid
     return (low + high) / 2.0
-
-
-def specific_outage_summary(
-    frequency_ghz: float, distance_km: float, rain_rate_mm_h: float
-) -> dict[str, float]:
-    """Diagnostic bundle used by examples: γ, d_eff, attenuation."""
-    return {
-        "gamma_db_per_km": specific_attenuation_db_per_km(frequency_ghz, rain_rate_mm_h),
-        "effective_path_km": effective_path_length_km(distance_km, rain_rate_mm_h),
-        "attenuation_db": rain_attenuation_db(frequency_ghz, distance_km, rain_rate_mm_h),
-    }

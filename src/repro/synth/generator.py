@@ -150,17 +150,6 @@ def _bisect_amplitude(layout: ChainLayout, target_m: float, what: str) -> float:
 
 
 @dataclass
-class _BuiltLink:
-    """One microwave link to be licensed."""
-
-    a: GeoPoint
-    b: GeoPoint
-    kind: str  # "trunk" | "branch" | "bypass" | "spur"
-    era_index: int  # -1 = final era
-    chain: str = "trunk"  # trunk / branch target DC / spur
-
-
-@dataclass
 class _LicenseDraft:
     locations: list[GeoPoint]
     paths: list[tuple[int, int]]  # (tx index, rx index) into locations

@@ -175,11 +175,6 @@ class NetworkSpec:
         if count_dates != sorted(count_dates):
             raise ValueError("license count targets must be in date order")
 
-    @property
-    def tower_count_ny4(self) -> int:
-        """Expected tower count on the CME–NY4 route (Table 1 column)."""
-        return self.trunk_links + 1
-
     def era_boundaries(self) -> list[tuple[EraSpec, dt.date | None]]:
         """Each historic era with its end date (next era's start)."""
         boundaries: list[tuple[EraSpec, dt.date | None]] = []

@@ -92,10 +92,15 @@ class TestValidation:
     def test_link_validation(self):
         with pytest.raises(ValueError):
             MicrowaveLink("a", "a", 1000.0)
-        with pytest.raises(ValueError):
-            MicrowaveLink("a", "b", 0.0)
-        with pytest.raises(ValueError):
-            FiberTail("CME", "t1", -1.0)
+        # NaN passes every `<= 0.0` test, so non-finite lengths need
+        # their own cases.
+        for length_m in (0.0, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                MicrowaveLink("a", "b", length_m)
+        for length_m in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                FiberTail("CME", "t1", length_m)
+        assert FiberTail("CME", "t1", 0.0).length_m == 0.0
 
 
 class TestRouting:

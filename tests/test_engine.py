@@ -29,7 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.corridor import chicago_nj_corridor, london_frankfurt_corridor
-from repro.core.engine import CacheStats, CorridorEngine
+from repro.core.engine import CorridorEngine
 from repro.core.latency import LatencyModel
 from repro.core.reconstruction import NetworkReconstructor, reconstruct_all
 from repro.core.timeline import TimelinePoint, dense_date_grid, latency_timeline
@@ -235,16 +235,6 @@ def test_snapshot_cache_eviction(scenario):
     assert engine.stats.snapshot.size == 1
     engine.snapshot("New Line Networks", dt.date(2020, 4, 1))  # miss again
     assert engine.stats.snapshot.misses == 3
-
-
-def test_clear_caches_preserves_counters(scenario):
-    engine = CorridorEngine(scenario.database, scenario.corridor)
-    engine.route("New Line Networks", dt.date(2020, 4, 1), "CME", "NY4")
-    engine.clear_caches()
-    stats = engine.stats
-    assert isinstance(stats, CacheStats)
-    assert stats.snapshot.size == stats.route.size == stats.geodesic.size == 0
-    assert stats.snapshot.misses == 1  # lifetime counters survive
 
 
 def test_with_params_builds_distinct_engine(scenario):

@@ -1,6 +1,6 @@
 """The lint subsystem's infrastructure: driver, pragmas, reporters,
-configuration — and the meta-test that the repository itself lints
-clean."""
+project-root discovery — and the meta-test that the repository itself
+lints clean."""
 
 from __future__ import annotations
 
@@ -14,17 +14,14 @@ import pytest
 
 from repro.lint import (
     JSON_SCHEMA_VERSION,
-    LintConfig,
+    RULES,
     SYNTAX_RULE,
-    instantiate,
+    find_project_root,
     lint_file,
     lint_paths,
-    load_config,
-    registered_rules,
     render_json,
     render_text,
 )
-from repro.lint.config import LintConfigError, find_project_root
 from repro.lint.pragmas import parse_pragmas
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -36,19 +33,20 @@ def write_module(tmp_path: Path, source: str, name: str = "mod.py") -> Path:
     return path
 
 
-def run_lint(tmp_path: Path, source: str, **config_kwargs):
+def run_lint(tmp_path: Path, source: str):
     path = write_module(tmp_path, source)
-    config = LintConfig(root=tmp_path, **config_kwargs)
-    return lint_file(path, instantiate(), config)
+    return lint_file(path, [rule_cls() for rule_cls in RULES], tmp_path)
 
 
 # ----------------------------------------------------------------------
-# Registry and driver
+# Rules and driver
 # ----------------------------------------------------------------------
 
 class TestRegistry:
     def test_all_expected_rules_registered(self):
-        names = set(registered_rules())
+        names = [rule_cls.name for rule_cls in RULES]
+        # Ordered by name, each once: the order `--list-rules` prints.
+        assert names == sorted(set(names))
         assert {
             "hash-seed",
             "unseeded-rng",
@@ -58,16 +56,12 @@ class TestRegistry:
             "mutable-default",
             "broad-except",
             "unit-suffix",
-        } <= names
+        } <= set(names)
 
     def test_every_rule_has_description_and_interests(self):
-        for rule_cls in registered_rules().values():
+        for rule_cls in RULES:
             assert rule_cls.description
             assert rule_cls.interests
-
-    def test_unknown_rule_name_raises(self):
-        with pytest.raises(KeyError):
-            instantiate(["no-such-rule"])
 
 
 class TestDriver:
@@ -92,15 +86,13 @@ class TestDriver:
         assert findings[0].line < findings[1].line
 
     def test_missing_path_raises(self, tmp_path):
-        config = LintConfig(root=tmp_path)
         with pytest.raises(FileNotFoundError):
-            lint_paths([tmp_path / "nope"], config=config)
+            lint_paths([tmp_path / "nope"], root=tmp_path)
 
     def test_directory_expansion_dedupes(self, tmp_path):
         write_module(tmp_path, "x = 1\n", name="a.py")
         write_module(tmp_path, "y = 2\n", name="b.py")
-        config = LintConfig(root=tmp_path)
-        result = lint_paths([tmp_path, tmp_path / "a.py"], config=config)
+        result = lint_paths([tmp_path, tmp_path / "a.py"], root=tmp_path)
         assert result.files == ["a.py", "b.py"]
 
 
@@ -165,8 +157,7 @@ class TestReporters:
         path = write_module(
             tmp_path, "import random\na = random.random()\n"
         )
-        config = LintConfig(root=tmp_path)
-        return lint_paths([path], config=config)
+        return lint_paths([path], root=tmp_path)
 
     def test_text_report_has_location_and_summary(self, tmp_path):
         report = render_text(self._result(tmp_path))
@@ -189,79 +180,10 @@ class TestReporters:
 
 
 # ----------------------------------------------------------------------
-# Configuration
+# Project root (the linter has no configuration; paths hang off the root)
 # ----------------------------------------------------------------------
 
 class TestConfig:
-    def test_defaults_without_pyproject(self, tmp_path):
-        config = load_config(root=tmp_path)
-        assert config.enabled is None
-        assert config.default_paths == ("src/repro",)
-
-    def test_pyproject_overrides(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            textwrap.dedent(
-                """
-                [tool.repro.lint]
-                enable = ["float-eq"]
-                default_paths = ["pkg"]
-
-                [tool.repro.lint.float-eq]
-                paths = ["pkg/numeric/"]
-                """
-            )
-        )
-        config = load_config(root=tmp_path)
-        assert config.enabled == ("float-eq",)
-        assert config.default_paths == ("pkg",)
-        assert config.float_eq_paths() == ("pkg/numeric/",)
-
-    def test_bad_enable_raises(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro.lint]\nenable = 'float-eq'\n"
-        )
-        with pytest.raises(LintConfigError):
-            load_config(root=tmp_path)
-
-    def test_unknown_scalar_key_raises(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro.lint]\nbasline = 'typo.json'\n"
-        )
-        with pytest.raises(LintConfigError):
-            load_config(root=tmp_path)
-
-    def test_misspelt_rule_section_raises(self, tmp_path):
-        # `float_eq` for `float-eq` would leave float-eq on its default
-        # paths without a word.
-        (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro.lint.float_eq]\npaths = ['pkg/']\n"
-        )
-        with pytest.raises(LintConfigError, match="float_eq.*known rules: .*float-eq"):
-            load_config(root=tmp_path)
-
-    def test_unknown_enabled_rule_raises(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro.lint]\nenable = ['float-eq', 'float-eqq']\n"
-        )
-        with pytest.raises(LintConfigError, match=r"enable: \['float-eqq'\]"):
-            load_config(root=tmp_path)
-
-    def test_enabled_subset_only_runs_those_rules(self, tmp_path):
-        source = """
-            import random
-            a = random.random()
-            if 0.5 == a:
-                pass
-        """
-        path = write_module(tmp_path, source)
-        config = LintConfig(
-            root=tmp_path,
-            enabled=("float-eq",),
-            rule_options={"float-eq": {"paths": ["mod.py"]}},
-        )
-        result = lint_paths([path], config=config)
-        assert [f.rule for f in result.findings] == ["float-eq"]
-
     def test_find_project_root_walks_up(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text("[project]\nname='x'\n")
         nested = tmp_path / "a" / "b"
@@ -273,26 +195,21 @@ class TestConfig:
 # The repository itself
 # ----------------------------------------------------------------------
 
-#: A tmp project with one violation of every registered rule: the
-#: path-scoped rules (float-eq, layering) are configured onto ``pkg``.
+#: A tmp project with one violation of every rule.  Its tree mirrors the
+#: real one, so the path-scoped rules apply as they do to this repository:
+#: ``src/repro/geodesy/`` is in float-eq's scope, and geodesy (tier 1)
+#: importing core (tier 3) points upward and closes a two-module cycle.
 VIOLATING_PROJECT = {
-    "pyproject.toml": """
-        [tool.repro.lint]
-        default_paths = ["pkg"]
-
-        [tool.repro.lint.float-eq]
-        paths = ["pkg/"]
-
-        [tool.repro.lint.layering]
-        layers = [["pkg.low"], ["pkg.high"]]
-        """,
-    "pkg/__init__.py": "",
-    "pkg/high.py": "from pkg import low\n",
-    "pkg/low.py": """
+    "pyproject.toml": "[project]\nname = 'fixture'\n",
+    "src/repro/__init__.py": "",
+    "src/repro/core/__init__.py": "",
+    "src/repro/core/high.py": "from repro.geodesy import low\n",
+    "src/repro/geodesy/__init__.py": "",
+    "src/repro/geodesy/low.py": """
         import random
         import time
 
-        from pkg import high
+        from repro.core import high
 
         seed = random.Random(hash("name"))
         draw = random.random()
@@ -305,7 +222,7 @@ VIOLATING_PROJECT = {
 
         def handler(items=[]):
             try:
-                from pkg.high import late
+                from repro.core.high import late
             except Exception:
                 return items
         """,
@@ -332,8 +249,7 @@ def run_cli(cwd: Path, *argv: str) -> subprocess.CompletedProcess:
 class TestRepositoryLintsClean:
     def test_src_repro_lints_clean(self):
         """The acceptance meta-test: the shipped tree has zero findings."""
-        config = load_config(root=REPO_ROOT)
-        result = lint_paths(config=config)
+        result = lint_paths(root=REPO_ROOT)
         assert result.findings == [], render_text(result)
 
     def test_injected_violation_fails_cli(self, tmp_path):
@@ -345,12 +261,17 @@ class TestRepositoryLintsClean:
         flagged = {
             line.split(": ")[1]
             for line in process.stdout.splitlines()
-            if line.startswith("pkg/")
+            if line.startswith("src/repro/")
         }
-        assert flagged == set(registered_rules())
-        assert "pkg/low.py:7:" in process.stdout  # hash-seed
-        assert "pkg/low.py:18:" in process.stdout  # function-local import
-        assert "pkg/high.py:1:1: layering: import cycle" in process.stdout
+        assert flagged == {rule_cls.name for rule_cls in RULES}
+        low = "src/repro/geodesy/low.py"
+        assert f"{low}:5:1: layering: layering violation" in process.stdout
+        assert f"{low}:7:" in process.stdout  # hash-seed
+        assert f"{low}:18:" in process.stdout  # function-local import
+        assert (
+            "src/repro/core/high.py:1:1: layering: import cycle: "
+            "repro.core.high -> repro.geodesy.low -> repro.core.high"
+        ) in process.stdout
 
     def test_cli_writes_no_file(self, tmp_path):
         write_project(tmp_path, VIOLATING_PROJECT)
@@ -358,24 +279,6 @@ class TestRepositoryLintsClean:
         assert run_cli(tmp_path).returncode == 1
         assert run_cli(tmp_path, "--format", "json").returncode == 1
         assert sorted(tmp_path.rglob("*")) == before
-
-    @pytest.mark.parametrize(
-        "pyproject",
-        [
-            "[tool.repro.lint]\nenable = ['float-eqq']\n",
-            "[tool.repro.lint]\nenable = 'float-eq'\n",
-            "[tool.repro.lint.float_eq]\npaths = ['pkg/']\n",
-            "[tool.repro.lint\n",
-        ],
-    )
-    def test_cli_config_error_is_one_line_exit_2(self, tmp_path, pyproject):
-        write_project(tmp_path, {"pyproject.toml": pyproject, "pkg/mod.py": "x = 1\n"})
-        process = run_cli(tmp_path, "pkg")
-        assert process.returncode == 2
-        assert "Traceback" not in process.stderr
-        (line,) = process.stderr.splitlines()
-        assert line.startswith("lint: config error: ")
-        assert process.stdout == ""
 
     def test_cli_lints_clean_tree_exit_zero(self):
         process = subprocess.run(

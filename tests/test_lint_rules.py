@@ -5,29 +5,36 @@ from __future__ import annotations
 
 import textwrap
 from pathlib import Path
+from typing import Sequence
 
-from repro.lint import LintConfig, instantiate, lint_file, lint_paths
+import pytest
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from repro.lint import Rule, lint_file, lint_paths
+from repro.lint.rules.cache import CacheDisciplineRule
+from repro.lint.rules.determinism import HashSeedRule, UnseededRngRule, WallClockRule
+from repro.lint.rules.floats import FloatEqualityRule
+from repro.lint.rules.hygiene import BroadExceptRule, MutableDefaultRule
+from repro.lint.rules.layering import LAYERS
+from repro.lint.rules.obs import OBS_ALLOWED, ObsDisciplineRule
+from repro.lint.rules.units import UnitSuffixRule
 
 
 def findings_for(
-    tmp_path: Path,
+    root: Path,
     source: str,
     *,
+    rules: Sequence[Rule],
     name: str = "mod.py",
-    rules: tuple[str, ...] | None = None,
-    rule_options: dict | None = None,
 ) -> list:
-    path = tmp_path / name
+    """Findings of ``rules`` on ``source`` written at ``root / name``.
+
+    ``name`` is the project-root-relative path the path-scoped rules see,
+    so a fixture is in or out of a rule's scope by where it is written.
+    """
+    path = root / name
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(source), encoding="utf-8")
-    config = LintConfig(
-        root=tmp_path,
-        enabled=rules,
-        rule_options=rule_options or {},
-    )
-    return lint_file(path, instantiate(rules), config)
+    return lint_file(path, rules, root)
 
 
 def rule_names(findings) -> list[str]:
@@ -40,7 +47,7 @@ class TestHashSeed:
             import random
             rng = random.Random(hash(name) % 10_000)
         """
-        assert rule_names(findings_for(tmp_path, source, rules=("hash-seed",))) == [
+        assert rule_names(findings_for(tmp_path, source, rules=[HashSeedRule()])) == [
             "hash-seed"
         ]
 
@@ -49,7 +56,7 @@ class TestHashSeed:
             import random
             rng = random.Random(x=hash(name))
         """
-        assert rule_names(findings_for(tmp_path, source, rules=("hash-seed",))) == [
+        assert rule_names(findings_for(tmp_path, source, rules=[HashSeedRule()])) == [
             "hash-seed"
         ]
 
@@ -57,7 +64,7 @@ class TestHashSeed:
         source = """
             rng.seed(hash(key))
         """
-        assert rule_names(findings_for(tmp_path, source, rules=("hash-seed",))) == [
+        assert rule_names(findings_for(tmp_path, source, rules=[HashSeedRule()])) == [
             "hash-seed"
         ]
 
@@ -67,13 +74,13 @@ class TestHashSeed:
             import zlib
             rng = random.Random(zlib.crc32(name.encode()) % 10_000)
         """
-        assert findings_for(tmp_path, source, rules=("hash-seed",)) == []
+        assert findings_for(tmp_path, source, rules=[HashSeedRule()]) == []
 
     def test_hash_outside_seeding_ok(self, tmp_path):
         source = """
             key = hash((a, b))
         """
-        assert findings_for(tmp_path, source, rules=("hash-seed",)) == []
+        assert findings_for(tmp_path, source, rules=[HashSeedRule()]) == []
 
 
 class TestUnseededRng:
@@ -85,7 +92,7 @@ class TestUnseededRng:
             random.shuffle(items)
         """
         assert rule_names(
-            findings_for(tmp_path, source, rules=("unseeded-rng",))
+            findings_for(tmp_path, source, rules=[UnseededRngRule()])
         ) == ["unseeded-rng"] * 3
 
     def test_unseeded_random_instance_flagged(self, tmp_path):
@@ -94,7 +101,7 @@ class TestUnseededRng:
             rng = random.Random()
         """
         assert rule_names(
-            findings_for(tmp_path, source, rules=("unseeded-rng",))
+            findings_for(tmp_path, source, rules=[UnseededRngRule()])
         ) == ["unseeded-rng"]
 
     def test_seeded_instance_ok(self, tmp_path):
@@ -104,7 +111,7 @@ class TestUnseededRng:
             x = rng.random()
             rng.shuffle(items)
         """
-        assert findings_for(tmp_path, source, rules=("unseeded-rng",)) == []
+        assert findings_for(tmp_path, source, rules=[UnseededRngRule()]) == []
 
 
 class TestWallClock:
@@ -115,7 +122,7 @@ class TestWallClock:
             b = dt.date.today()
         """
         assert rule_names(
-            findings_for(tmp_path, source, rules=("wall-clock",))
+            findings_for(tmp_path, source, rules=[WallClockRule()])
         ) == ["wall-clock"] * 2
 
     def test_time_time_flagged(self, tmp_path):
@@ -124,7 +131,7 @@ class TestWallClock:
             t = time.time()
         """
         assert rule_names(
-            findings_for(tmp_path, source, rules=("wall-clock",))
+            findings_for(tmp_path, source, rules=[WallClockRule()])
         ) == ["wall-clock"]
 
     def test_explicit_dates_ok(self, tmp_path):
@@ -133,7 +140,7 @@ class TestWallClock:
             snapshot = dt.date(2020, 4, 1)
             parsed = dt.date.fromisoformat("2020-04-01")
         """
-        assert findings_for(tmp_path, source, rules=("wall-clock",)) == []
+        assert findings_for(tmp_path, source, rules=[WallClockRule()]) == []
 
     def test_process_timers_flagged_outside_obs_paths(self, tmp_path):
         source = """
@@ -143,7 +150,7 @@ class TestWallClock:
             c = time.monotonic_ns()
         """
         assert rule_names(
-            findings_for(tmp_path, source, rules=("wall-clock",))
+            findings_for(tmp_path, source, rules=[WallClockRule()])
         ) == ["wall-clock"] * 3
 
     def test_process_timers_exempt_inside_obs_allowed_paths(self, tmp_path):
@@ -156,10 +163,7 @@ class TestWallClock:
                 tmp_path,
                 source,
                 name="src/repro/obs/spans.py",
-                rules=("wall-clock",),
-                rule_options={
-                    "obs-discipline": {"allowed": ["src/repro/obs/"]}
-                },
+                rules=[WallClockRule()],
             )
             == []
         )
@@ -174,17 +178,12 @@ class TestWallClock:
                 tmp_path,
                 source,
                 name="src/repro/obs/spans.py",
-                rules=("wall-clock",),
-                rule_options={
-                    "obs-discipline": {"allowed": ["src/repro/obs/"]}
-                },
+                rules=[WallClockRule()],
             )
         ) == ["wall-clock"]
 
 
 class TestCacheDiscipline:
-    OPTIONS = {"cache-discipline": {"allowed": ["allowed/engine.py"]}}
-
     def test_kernel_construction_flagged_outside_allowed(self, tmp_path):
         source = """
             from repro.core.reconstruction import NetworkReconstructor
@@ -192,7 +191,7 @@ class TestCacheDiscipline:
         """
         findings = findings_for(
             tmp_path, source,
-            rules=("cache-discipline",), rule_options=self.OPTIONS,
+            rules=[CacheDisciplineRule()],
         )
         assert rule_names(findings) == ["cache-discipline"]
         assert "CorridorEngine" in findings[0].message
@@ -205,7 +204,7 @@ class TestCacheDiscipline:
         assert rule_names(
             findings_for(
                 tmp_path, source,
-                rules=("cache-discipline",), rule_options=self.OPTIONS,
+                rules=[CacheDisciplineRule()],
             )
         ) == ["cache-discipline"]
 
@@ -214,8 +213,8 @@ class TestCacheDiscipline:
             kernel = NetworkReconstructor(corridor)
         """
         assert findings_for(
-            tmp_path, source, name="allowed/engine.py",
-            rules=("cache-discipline",), rule_options=self.OPTIONS,
+            tmp_path, source, name="src/repro/core/engine.py",
+            rules=[CacheDisciplineRule()],
         ) == []
 
     def test_annotation_reference_ok(self, tmp_path):
@@ -228,19 +227,12 @@ class TestCacheDiscipline:
         """
         assert findings_for(
             tmp_path, source,
-            rules=("cache-discipline",), rule_options=self.OPTIONS,
+            rules=[CacheDisciplineRule()],
         ) == []
 
 
 class TestActiveOnDiscipline:
-    """active_on(...) is confined to the uls layer and the engine."""
-
-    OPTIONS = {
-        "cache-discipline": {
-            "allowed": ["allowed/engine.py"],
-            "active_on_allowed": ["src/repro/uls/", "src/repro/core/engine.py"],
-        }
-    }
+    """active_on(...) is confined to the uls layer."""
 
     def test_active_on_flagged_outside_allowed(self, tmp_path):
         source = """
@@ -249,7 +241,7 @@ class TestActiveOnDiscipline:
         """
         findings = findings_for(
             tmp_path, source, name="src/repro/analysis/driver.py",
-            rules=("cache-discipline",), rule_options=self.OPTIONS,
+            rules=[CacheDisciplineRule()],
         )
         assert rule_names(findings) == ["cache-discipline"]
         assert "temporal_index" in findings[0].message
@@ -261,18 +253,19 @@ class TestActiveOnDiscipline:
         """
         assert findings_for(
             tmp_path, source, name="src/repro/uls/database.py",
-            rules=("cache-discipline",), rule_options=self.OPTIONS,
+            rules=[CacheDisciplineRule()],
         ) == []
 
-    def test_active_on_allowed_in_engine(self, tmp_path):
+    def test_active_on_flagged_in_engine(self, tmp_path):
+        """The engine keys snapshots through the temporal index too."""
         source = """
             def fingerprint(db, date):
                 return frozenset(l.license_id for l in db.active_on(date))
         """
-        assert findings_for(
+        assert rule_names(findings_for(
             tmp_path, source, name="src/repro/core/engine.py",
-            rules=("cache-discipline",), rule_options=self.OPTIONS,
-        ) == []
+            rules=[CacheDisciplineRule()],
+        )) == ["cache-discipline"]
 
     def test_attribute_reference_without_call_ok(self, tmp_path):
         source = """
@@ -281,7 +274,7 @@ class TestActiveOnDiscipline:
         """
         assert findings_for(
             tmp_path, source, name="src/repro/analysis/driver.py",
-            rules=("cache-discipline",), rule_options=self.OPTIONS,
+            rules=[CacheDisciplineRule()],
         ) == []
 
     def test_temporal_index_lookup_ok(self, tmp_path):
@@ -291,7 +284,7 @@ class TestActiveOnDiscipline:
         """
         assert findings_for(
             tmp_path, source, name="src/repro/analysis/driver.py",
-            rules=("cache-discipline",), rule_options=self.OPTIONS,
+            rules=[CacheDisciplineRule()],
         ) == []
 
     def test_default_prefixes_apply_without_options(self, tmp_path):
@@ -301,20 +294,14 @@ class TestActiveOnDiscipline:
         """
         findings = findings_for(
             tmp_path, source, name="src/repro/metrics/thing.py",
-            rules=("cache-discipline",),
+            rules=[CacheDisciplineRule()],
         )
         assert rule_names(findings) == ["cache-discipline"]
 
 
 class TestColumnarStoreDiscipline:
-    """ColumnarLicenseStore(...) is confined to the uls layer and engine."""
-
-    OPTIONS = {
-        "cache-discipline": {
-            "allowed": ["allowed/engine.py"],
-            "columnar_allowed": ["src/repro/uls/", "src/repro/core/engine.py"],
-        }
-    }
+    """ColumnarLicenseStore(...) is confined to the uls layer and the
+    reconstruction kernel."""
 
     def test_store_construction_flagged_outside_allowed(self, tmp_path):
         source = """
@@ -325,7 +312,7 @@ class TestColumnarStoreDiscipline:
         """
         findings = findings_for(
             tmp_path, source, name="src/repro/analysis/driver.py",
-            rules=("cache-discipline",), rule_options=self.OPTIONS,
+            rules=[CacheDisciplineRule()],
         )
         assert rule_names(findings) == ["cache-discipline"]
         assert "columnar_store()" in findings[0].message
@@ -337,17 +324,17 @@ class TestColumnarStoreDiscipline:
         """
         assert findings_for(
             tmp_path, source, name="src/repro/uls/database.py",
-            rules=("cache-discipline",), rule_options=self.OPTIONS,
+            rules=[CacheDisciplineRule()],
         ) == []
 
-    def test_store_construction_allowed_in_engine(self, tmp_path):
+    def test_store_construction_allowed_in_reconstruction(self, tmp_path):
         source = """
             def ephemeral(licensee, license_list):
                 return ColumnarLicenseStore({licensee: license_list})
         """
         assert findings_for(
-            tmp_path, source, name="src/repro/core/engine.py",
-            rules=("cache-discipline",), rule_options=self.OPTIONS,
+            tmp_path, source, name="src/repro/core/reconstruction.py",
+            rules=[CacheDisciplineRule()],
         ) == []
 
     def test_cached_accessor_ok_anywhere(self, tmp_path):
@@ -357,19 +344,12 @@ class TestColumnarStoreDiscipline:
         """
         assert findings_for(
             tmp_path, source, name="src/repro/analysis/driver.py",
-            rules=("cache-discipline",), rule_options=self.OPTIONS,
+            rules=[CacheDisciplineRule()],
         ) == []
 
 
 class TestPersistentStoreDiscipline:
     """Raw store-layout access is confined to src/repro/store/."""
-
-    OPTIONS = {
-        "cache-discipline": {
-            "allowed": ["allowed/engine.py"],
-            "store_allowed": ["src/repro/store/"],
-        }
-    }
 
     def test_write_entry_flagged_outside_store_package(self, tmp_path):
         source = """
@@ -380,7 +360,7 @@ class TestPersistentStoreDiscipline:
         """
         findings = findings_for(
             tmp_path, source, name="src/repro/analysis/driver.py",
-            rules=("cache-discipline",), rule_options=self.OPTIONS,
+            rules=[CacheDisciplineRule()],
         )
         assert rule_names(findings) == ["cache-discipline"]
         assert "CacheStore" in findings[0].message
@@ -396,7 +376,7 @@ class TestPersistentStoreDiscipline:
         assert rule_names(
             findings_for(
                 tmp_path, source, name="src/repro/serve/service.py",
-                rules=("cache-discipline",), rule_options=self.OPTIONS,
+                rules=[CacheDisciplineRule()],
             )
         ) == ["cache-discipline"] * 2
 
@@ -410,7 +390,7 @@ class TestPersistentStoreDiscipline:
         """
         assert findings_for(
             tmp_path, source, name="src/repro/store/cachestore.py",
-            rules=("cache-discipline",), rule_options=self.OPTIONS,
+            rules=[CacheDisciplineRule()],
         ) == []
 
     def test_cachestore_api_ok_anywhere(self, tmp_path):
@@ -424,7 +404,7 @@ class TestPersistentStoreDiscipline:
         """
         assert findings_for(
             tmp_path, source, name="src/repro/analysis/driver.py",
-            rules=("cache-discipline",), rule_options=self.OPTIONS,
+            rules=[CacheDisciplineRule()],
         ) == []
 
     def test_attribute_reference_without_call_ok(self, tmp_path):
@@ -436,7 +416,7 @@ class TestPersistentStoreDiscipline:
         """
         assert findings_for(
             tmp_path, source, name="src/repro/analysis/driver.py",
-            rules=("cache-discipline",), rule_options=self.OPTIONS,
+            rules=[CacheDisciplineRule()],
         ) == []
 
     def test_default_prefixes_apply_without_options(self, tmp_path):
@@ -447,24 +427,12 @@ class TestPersistentStoreDiscipline:
         assert rule_names(
             findings_for(
                 tmp_path, source, name="src/repro/metrics/thing.py",
-                rules=("cache-discipline",),
+                rules=[CacheDisciplineRule()],
             )
         ) == ["cache-discipline"]
 
-    def test_default_prefixes_apply_without_options(self, tmp_path):
-        source = """
-            store = ColumnarLicenseStore(groups)
-        """
-        findings = findings_for(
-            tmp_path, source, name="src/repro/metrics/thing.py",
-            rules=("cache-discipline",),
-        )
-        assert rule_names(findings) == ["cache-discipline"]
-
 
 class TestFloatEq:
-    OPTIONS = {"float-eq": {"paths": ["numeric/"]}}
-
     def test_float_literal_equality_flagged_in_scope(self, tmp_path):
         source = """
             if distance == 0.0:
@@ -474,8 +442,8 @@ class TestFloatEq:
         """
         assert rule_names(
             findings_for(
-                tmp_path, source, name="numeric/kernel.py",
-                rules=("float-eq",), rule_options=self.OPTIONS,
+                tmp_path, source, name="src/repro/geodesy/kernel.py",
+                rules=[FloatEqualityRule()],
             )
         ) == ["float-eq"] * 2
 
@@ -486,8 +454,8 @@ class TestFloatEq:
         """
         assert rule_names(
             findings_for(
-                tmp_path, source, name="numeric/kernel.py",
-                rules=("float-eq",), rule_options=self.OPTIONS,
+                tmp_path, source, name="src/repro/geodesy/kernel.py",
+                rules=[FloatEqualityRule()],
             )
         ) == ["float-eq"]
 
@@ -497,8 +465,8 @@ class TestFloatEq:
                 pass
         """
         assert findings_for(
-            tmp_path, source, name="other/driver.py",
-            rules=("float-eq",), rule_options=self.OPTIONS,
+            tmp_path, source, name="src/repro/viz/driver.py",
+            rules=[FloatEqualityRule()],
         ) == []
 
     def test_ordering_comparisons_and_int_literals_ok(self, tmp_path):
@@ -507,8 +475,8 @@ class TestFloatEq:
                 pass
         """
         assert findings_for(
-            tmp_path, source, name="numeric/kernel.py",
-            rules=("float-eq",), rule_options=self.OPTIONS,
+            tmp_path, source, name="src/repro/geodesy/kernel.py",
+            rules=[FloatEqualityRule()],
         ) == []
 
 
@@ -519,7 +487,7 @@ class TestHygiene:
                 pass
         """
         assert rule_names(
-            findings_for(tmp_path, source, rules=("mutable-default",))
+            findings_for(tmp_path, source, rules=[MutableDefaultRule()])
         ) == ["mutable-default"] * 3
 
     def test_none_default_ok(self, tmp_path):
@@ -527,7 +495,7 @@ class TestHygiene:
             def f(items=None, name="x", count=0, point=(1, 2)):
                 pass
         """
-        assert findings_for(tmp_path, source, rules=("mutable-default",)) == []
+        assert findings_for(tmp_path, source, rules=[MutableDefaultRule()]) == []
 
     def test_constructor_defaults_flagged(self, tmp_path):
         source = """
@@ -535,7 +503,7 @@ class TestHygiene:
                 pass
         """
         assert rule_names(
-            findings_for(tmp_path, source, rules=("mutable-default",))
+            findings_for(tmp_path, source, rules=[MutableDefaultRule()])
         ) == ["mutable-default"] * 3
 
     def test_dotted_constructor_defaults_flagged(self, tmp_path):
@@ -550,7 +518,7 @@ class TestHygiene:
                 pass
         """
         assert rule_names(
-            findings_for(tmp_path, source, rules=("mutable-default",))
+            findings_for(tmp_path, source, rules=[MutableDefaultRule()])
         ) == ["mutable-default"] * 3
 
     def test_immutable_constructor_defaults_ok(self, tmp_path):
@@ -560,7 +528,7 @@ class TestHygiene:
             def f(zero=decimal.Decimal(0), empty=tuple(), label=str()):
                 pass
         """
-        assert findings_for(tmp_path, source, rules=("mutable-default",)) == []
+        assert findings_for(tmp_path, source, rules=[MutableDefaultRule()]) == []
 
     def test_bare_and_broad_except_flagged(self, tmp_path):
         source = """
@@ -574,7 +542,7 @@ class TestHygiene:
                 pass
         """
         assert rule_names(
-            findings_for(tmp_path, source, rules=("broad-except",))
+            findings_for(tmp_path, source, rules=[BroadExceptRule()])
         ) == ["broad-except"] * 2
 
     def test_specific_except_ok(self, tmp_path):
@@ -584,7 +552,7 @@ class TestHygiene:
             except (ValueError, KeyError) as error:
                 raise RuntimeError("context") from error
         """
-        assert findings_for(tmp_path, source, rules=("broad-except",)) == []
+        assert findings_for(tmp_path, source, rules=[BroadExceptRule()]) == []
 
 
 class TestUnitSuffix:
@@ -592,7 +560,7 @@ class TestUnitSuffix:
         source = """
             total = trunk_km + tail_m
         """
-        findings = findings_for(tmp_path, source, rules=("unit-suffix",))
+        findings = findings_for(tmp_path, source, rules=[UnitSuffixRule()])
         assert rule_names(findings) == ["unit-suffix"]
         assert "'_km'" in findings[0].message and "'_m'" in findings[0].message
 
@@ -602,7 +570,7 @@ class TestUnitSuffix:
                 pass
         """
         assert rule_names(
-            findings_for(tmp_path, source, rules=("unit-suffix",))
+            findings_for(tmp_path, source, rules=[UnitSuffixRule()])
         ) == ["unit-suffix"]
 
     def test_augmented_assignment_mix_flagged(self, tmp_path):
@@ -610,7 +578,7 @@ class TestUnitSuffix:
             length_m += extension_km
         """
         assert rule_names(
-            findings_for(tmp_path, source, rules=("unit-suffix",))
+            findings_for(tmp_path, source, rules=[UnitSuffixRule()])
         ) == ["unit-suffix"]
 
     def test_same_unit_and_cross_dimension_ok(self, tmp_path):
@@ -619,28 +587,28 @@ class TestUnitSuffix:
             rate = distance_km + 5.0
             weird = latency_ms + distance_km  # different dimensions: allowed
         """
-        assert findings_for(tmp_path, source, rules=("unit-suffix",)) == []
+        assert findings_for(tmp_path, source, rules=[UnitSuffixRule()]) == []
 
     def test_conversion_via_division_ok(self, tmp_path):
         source = """
             geodesic_km = corridor.geodesic_m(a, b) / 1000.0
             total_km = geodesic_km + bypass_km
         """
-        assert findings_for(tmp_path, source, rules=("unit-suffix",)) == []
+        assert findings_for(tmp_path, source, rules=[UnitSuffixRule()]) == []
 
     def test_call_results_carry_units(self, tmp_path):
         source = """
             stretch = corridor.geodesic_m(a, b) - route.length_km
         """
         assert rule_names(
-            findings_for(tmp_path, source, rules=("unit-suffix",))
+            findings_for(tmp_path, source, rules=[UnitSuffixRule()])
         ) == ["unit-suffix"]
 
     def test_ms_not_mistaken_for_s(self, tmp_path):
         source = """
             total_ms = latency_ms + overhead_ms
         """
-        assert findings_for(tmp_path, source, rules=("unit-suffix",)) == []
+        assert findings_for(tmp_path, source, rules=[UnitSuffixRule()]) == []
 
 
 class TestObsDiscipline:
@@ -650,7 +618,7 @@ class TestObsDiscipline:
             start = time.monotonic()
             elapsed = time.monotonic() - start
         """
-        findings = findings_for(tmp_path, source, rules=("obs-discipline",))
+        findings = findings_for(tmp_path, source, rules=[ObsDisciplineRule()])
         assert rule_names(findings) == ["obs-discipline", "obs-discipline"]
         assert "obs.span" in findings[0].message
 
@@ -660,7 +628,7 @@ class TestObsDiscipline:
             t0 = time.perf_counter_ns()
         """
         assert rule_names(
-            findings_for(tmp_path, source, rules=("obs-discipline",))
+            findings_for(tmp_path, source, rules=[ObsDisciplineRule()])
         ) == ["obs-discipline"]
 
     def test_obs_package_is_exempt(self, tmp_path):
@@ -670,7 +638,7 @@ class TestObsDiscipline:
         """
         assert findings_for(
             tmp_path, source, name="src/repro/obs/spans.py",
-            rules=("obs-discipline",),
+            rules=[ObsDisciplineRule()],
         ) == []
 
     def test_benchmarks_are_exempt(self, tmp_path):
@@ -680,18 +648,18 @@ class TestObsDiscipline:
         """
         assert findings_for(
             tmp_path, source, name="benchmarks/test_bench_obs.py",
-            rules=("obs-discipline",),
+            rules=[ObsDisciplineRule()],
         ) == []
 
-    def test_allowed_paths_overridable(self, tmp_path):
+    def test_loadgen_is_exempt(self, tmp_path):
+        """Client-observed latency is the load generator's product."""
         source = """
             import time
             t0 = time.perf_counter()
         """
         assert findings_for(
-            tmp_path, source, name="tools/profiler.py",
-            rules=("obs-discipline",),
-            rule_options={"obs-discipline": {"allowed": ["tools/"]}},
+            tmp_path, source, name="src/repro/serve/loadgen.py",
+            rules=[ObsDisciplineRule()],
         ) == []
 
     def test_span_timing_ok(self, tmp_path):
@@ -701,30 +669,29 @@ class TestObsDiscipline:
             with obs.span("engine.snapshot", licensee=name):
                 network = build()
         """
-        assert findings_for(tmp_path, source, rules=("obs-discipline",)) == []
+        assert findings_for(tmp_path, source, rules=[ObsDisciplineRule()]) == []
 
     def test_pragma_suppresses(self, tmp_path):
         source = """
             import time
             t0 = time.monotonic()  # lint: disable=obs-discipline
         """
-        assert findings_for(tmp_path, source, rules=("obs-discipline",)) == []
+        assert findings_for(tmp_path, source, rules=[ObsDisciplineRule()]) == []
 
 
-def layering_findings(
-    tmp_path: Path, files: dict[str, str], layers: list[list[str]]
-) -> list:
-    """``layering`` findings of one lint run over a fixture ``src/pkg``."""
+def layering_findings(tmp_path: Path, files: dict[str, str]) -> list:
+    """``layering`` findings of one lint run over a fixture ``src/repro``.
+
+    The fixture modules take real tier names (``repro.geodesy`` is tier 1,
+    ``repro.core`` tier 3, see :data:`LAYERS`); ``repro.pkg`` is untiered.
+    """
+    files = {"src/repro/__init__.py": "", **files}
     for rel, source in files.items():
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source), encoding="utf-8")
-    config = LintConfig(
-        root=tmp_path,
-        enabled=("layering",),
-        rule_options={"layering": {"layers": layers}},
-    )
-    return lint_paths([tmp_path / "src/pkg"], config=config).findings
+    result = lint_paths([tmp_path / "src/repro"], root=tmp_path)
+    return [f for f in result.findings if f.rule == "layering"]
 
 
 class TestLayeringRule:
@@ -732,29 +699,25 @@ class TestLayeringRule:
         findings = layering_findings(
             tmp_path,
             {
-                "src/pkg/__init__.py": "",
-                "src/pkg/low.py": "from pkg import high\n",
-                "src/pkg/high.py": "",
+                "src/repro/geodesy.py": "from repro import core\n",
+                "src/repro/core.py": "",
             },
-            [["pkg.low"], ["pkg.high"]],
         )
         assert rule_names(findings) == ["layering"]
-        assert findings[0].path == "src/pkg/low.py"
+        assert findings[0].path == "src/repro/geodesy.py"
         assert findings[0].message == (
-            "layering violation: pkg.low (tier 0, pkg.low) imports "
-            "pkg.high (tier 1, pkg.high); dependencies must point at the "
-            "same or a lower tier"
+            "layering violation: repro.geodesy (tier 1, repro.geodesy) "
+            "imports repro.core (tier 3, repro.core); dependencies must "
+            "point at the same or a lower tier"
         )
 
     def test_downward_import_ok(self, tmp_path):
         assert layering_findings(
             tmp_path,
             {
-                "src/pkg/__init__.py": "",
-                "src/pkg/low.py": "",
-                "src/pkg/high.py": "from pkg import low\n",
+                "src/repro/geodesy.py": "",
+                "src/repro/core.py": "from repro import geodesy\n",
             },
-            [["pkg.low"], ["pkg.high"]],
         ) == []
 
     def test_function_local_upward_import_flagged(self, tmp_path):
@@ -762,45 +725,40 @@ class TestLayeringRule:
         findings = layering_findings(
             tmp_path,
             {
-                "src/pkg/__init__.py": "",
-                "src/pkg/low.py": """
+                "src/repro/geodesy.py": """
                     def handler():
-                        from pkg.high import drive
+                        from repro.core import drive
 
                         return drive()
                     """,
-                "src/pkg/high.py": "def drive():\n    return 1\n",
+                "src/repro/core.py": "def drive():\n    return 1\n",
             },
-            [["pkg.low"], ["pkg.high"]],
         )
         assert [(f.path, f.line, f.rule) for f in findings] == [
-            ("src/pkg/low.py", 3, "layering")
+            ("src/repro/geodesy.py", 3, "layering")
         ]
-        assert "imports pkg.high (tier 1" in findings[0].message
+        assert "imports repro.core (tier 3" in findings[0].message
 
     def test_relative_upward_import_flagged(self, tmp_path):
         findings = layering_findings(
             tmp_path,
             {
-                "src/pkg/__init__.py": "",
-                "src/pkg/low/__init__.py": "from ..high import drive\n",
-                "src/pkg/high.py": "def drive():\n    return 1\n",
+                "src/repro/geodesy/__init__.py": "from ..core import drive\n",
+                "src/repro/core.py": "def drive():\n    return 1\n",
             },
-            [["pkg.low"], ["pkg.high"]],
         )
         assert [(f.path, f.line) for f in findings] == [
-            ("src/pkg/low/__init__.py", 1)
+            ("src/repro/geodesy/__init__.py", 1)
         ]
 
     def test_import_cycle_flagged_even_within_a_tier(self, tmp_path):
         findings = layering_findings(
             tmp_path,
             {
-                "src/pkg/__init__.py": "",
-                "src/pkg/x.py": "from pkg import y\n",
-                "src/pkg/y.py": "from pkg import x\n",
+                "src/repro/core/__init__.py": "",
+                "src/repro/core/x.py": "from repro.core import y\n",
+                "src/repro/core/y.py": "from repro.core import x\n",
             },
-            [["pkg"]],
         )
         assert rule_names(findings) == ["layering"]
         assert "import cycle" in findings[0].message
@@ -809,26 +767,29 @@ class TestLayeringRule:
         findings = layering_findings(
             tmp_path,
             {
-                "src/pkg/__init__.py": "",
-                "src/pkg/a.py": "import os\nfrom pkg import b\n",
-                "src/pkg/b.py": "from pkg.c import run\n",
-                "src/pkg/c.py": "import pkg.a\n\ndef run():\n    pass\n",
+                "src/repro/pkg/__init__.py": "",
+                "src/repro/pkg/a.py": "import os\nfrom repro.pkg import b\n",
+                "src/repro/pkg/b.py": "from repro.pkg.c import run\n",
+                "src/repro/pkg/c.py": "import repro.pkg.a\n\ndef run():\n    pass\n",
             },
-            [],
         )
         assert [(f.path, f.line, f.message) for f in findings] == [
-            ("src/pkg/a.py", 2, "import cycle: pkg.a -> pkg.b -> pkg.c -> pkg.a")
+            (
+                "src/repro/pkg/a.py",
+                2,
+                "import cycle: repro.pkg.a -> repro.pkg.b -> repro.pkg.c "
+                "-> repro.pkg.a",
+            )
         ]
 
     def test_function_local_import_breaks_a_cycle(self, tmp_path):
         assert layering_findings(
             tmp_path,
             {
-                "src/pkg/__init__.py": "",
-                "src/pkg/x.py": "from pkg import y\n",
-                "src/pkg/y.py": "def late():\n    from pkg import x\n",
+                "src/repro/pkg/__init__.py": "",
+                "src/repro/pkg/x.py": "from repro.pkg import y\n",
+                "src/repro/pkg/y.py": "def late():\n    from repro.pkg import x\n",
             },
-            [],
         ) == []
 
     def test_one_run_reports_tier_local_and_cycle(self, tmp_path):
@@ -837,101 +798,83 @@ class TestLayeringRule:
         findings = layering_findings(
             tmp_path,
             {
-                "src/pkg/__init__.py": "",
-                "src/pkg/low.py": """
-                    from pkg import high
+                "src/repro/geodesy.py": """
+                    from repro import core
 
                     def handler():
-                        from pkg import top
+                        from repro import uls
                     """,
-                "src/pkg/high.py": "from pkg import low\n",
-                "src/pkg/top.py": "",
+                "src/repro/core.py": "from repro import geodesy\n",
+                "src/repro/uls.py": "",
             },
-            [["pkg.low"], ["pkg.high", "pkg.top"]],
         )
         assert [(f.location(), f.rule) for f in findings] == [
-            ("src/pkg/high.py:1:1", "layering"),
-            ("src/pkg/low.py:2:1", "layering"),
-            ("src/pkg/low.py:5:5", "layering"),
+            ("src/repro/core.py:1:1", "layering"),
+            ("src/repro/geodesy.py:2:1", "layering"),
+            ("src/repro/geodesy.py:5:5", "layering"),
         ]
         assert findings[0].message == (
-            "import cycle: pkg.high -> pkg.low -> pkg.high"
+            "import cycle: repro.core -> repro.geodesy -> repro.core"
         )
-        assert "imports pkg.high" in findings[1].message
-        assert "imports pkg.top" in findings[2].message
+        assert "imports repro.core" in findings[1].message
+        assert "imports repro.uls" in findings[2].message
 
     def test_pragma_suppresses_a_cycle(self, tmp_path):
         assert layering_findings(
             tmp_path,
             {
-                "src/pkg/__init__.py": "",
-                "src/pkg/x.py": (
-                    "from pkg import y  # lint: disable=layering (fixture)\n"
+                "src/repro/pkg/__init__.py": "",
+                "src/repro/pkg/x.py": (
+                    "from repro.pkg import y  # lint: disable=layering (fixture)\n"
                 ),
-                "src/pkg/y.py": "from pkg import x\n",
+                "src/repro/pkg/y.py": "from repro.pkg import x\n",
             },
-            [],
         ) == []
 
 
 class TestServeTierFixtures:
     """The serve tier: above the analysis tiers, below the CLI."""
 
-    LAYERS = [["pkg.analysis"], ["pkg.serve"], ["pkg.cli"]]
-
     def test_serve_importing_cli_flagged(self, tmp_path):
         findings = layering_findings(
             tmp_path,
             {
-                "src/pkg/__init__.py": "",
-                "src/pkg/analysis.py": "",
-                "src/pkg/serve.py": "from pkg import cli\n",
-                "src/pkg/cli.py": "",
+                "src/repro/analysis.py": "",
+                "src/repro/serve.py": "from repro import cli\n",
+                "src/repro/cli.py": "",
             },
-            self.LAYERS,
         )
         assert rule_names(findings) == ["layering"]
-        assert findings[0].path == "src/pkg/serve.py"
-        assert "pkg.cli" in findings[0].message
+        assert findings[0].path == "src/repro/serve.py"
+        assert "repro.cli" in findings[0].message
 
     def test_cli_embeds_serve_and_serve_uses_analysis(self, tmp_path):
         assert layering_findings(
             tmp_path,
             {
-                "src/pkg/__init__.py": "",
-                "src/pkg/analysis.py": "",
-                "src/pkg/serve.py": "from pkg import analysis\n",
-                "src/pkg/cli.py": "from pkg import serve\n",
+                "src/repro/analysis.py": "",
+                "src/repro/serve.py": "from repro import analysis\n",
+                "src/repro/cli.py": "from repro import serve\n",
             },
-            self.LAYERS,
         ) == []
 
     def test_repo_config_wires_the_serve_tier(self):
-        from repro.lint.config import DEFAULT_LAYERS, load_config
-
-        tiers = list(DEFAULT_LAYERS)
+        tiers = list(LAYERS)
         serve_index = tiers.index(("repro.serve",))
         cli_index = next(
             index for index, tier in enumerate(tiers) if "repro.cli" in tier
         )
         assert serve_index == cli_index - 1
-
-        # pyproject.toml mirrors the defaults, entry for entry.
-        config = load_config(root=REPO_ROOT)
-        assert ("repro.serve",) in tuple(config.layering_layers())
-        assert "src/repro/serve/loadgen.py" in config.obs_allowed_paths()
+        assert "src/repro/serve/loadgen.py" in OBS_ALLOWED
 
     def test_repo_config_wires_the_scenarios_tier(self):
         """The scenario registry is tiered between synth and metrics.
 
         ``repro.scenarios`` imports the synth builders and is imported by
         analysis/serve/cli, so it must sit strictly above the synth tier
-        and strictly below analysis — in both the baked-in defaults and
-        the pyproject mirror (they must stay in lockstep).
+        and strictly below analysis.
         """
-        from repro.lint.config import DEFAULT_LAYERS, load_config
-
-        tiers = list(DEFAULT_LAYERS)
+        tiers = list(LAYERS)
         scenarios_index = tiers.index(("repro.scenarios",))
         synth_index = next(
             index for index, tier in enumerate(tiers) if "repro.synth" in tier
@@ -941,28 +884,90 @@ class TestServeTierFixtures:
         )
         assert synth_index < scenarios_index < analysis_index
 
-        config = load_config(root=REPO_ROOT)
-        assert tuple(config.layering_layers()) == tuple(DEFAULT_LAYERS)
-
     def test_registry_style_upward_import_flagged(self, tmp_path):
         """A registry-shaped mid-tier module importing upward is caught."""
         findings = layering_findings(
             tmp_path,
             {
-                "src/pkg/__init__.py": "",
-                "src/pkg/synth.py": "def build():\n    return 1\n",
-                "src/pkg/scenarios.py": """
-                    from pkg.analysis import drive
+                "src/repro/synth.py": "def build():\n    return 1\n",
+                "src/repro/scenarios.py": """
+                    from repro.analysis import drive
 
                     def resolve():
                         return drive()
                     """,
-                "src/pkg/analysis.py": """
+                "src/repro/analysis.py": """
                     def drive():
                         return 2
                     """,
             },
-            [["pkg.synth"], ["pkg.scenarios"], ["pkg.analysis"]],
         )
         assert rule_names(findings) == ["layering"]
-        assert "pkg.analysis" in findings[0].message
+        assert "repro.analysis" in findings[0].message
+
+
+#: One violating snippet per path-scoped rule.
+_SNIPPETS = {
+    "float-eq": (FloatEqualityRule, "exact = draw == 0.5\n"),
+    "cache-kernel": (CacheDisciplineRule, "network = reconstruct_all(db)\n"),
+    "cache-active-on": (CacheDisciplineRule, "ids = db.active_on(date)\n"),
+    "cache-columnar": (CacheDisciplineRule, "store = ColumnarLicenseStore(groups)\n"),
+    "cache-store": (CacheDisciplineRule, "data = read_entry(cache_dir, key)\n"),
+    "obs-discipline": (
+        ObsDisciplineRule, "import time\nt0 = time.perf_counter()\n"
+    ),
+}
+
+#: (snippet, root-relative path, whether the snippet is a finding there).
+#: Each scope constant gets a row per entry, so emptying it or dropping an
+#: entry fails; its neighbours are rows too, so widening it to a sibling
+#: or a parent prefix fails.
+_SCOPE_CASES = [
+    # FLOAT_EQ_PATHS: the numeric kernels only.
+    ("float-eq", "src/repro/geodesy/mod.py", True),
+    ("float-eq", "src/repro/core/latency.py", True),
+    ("float-eq", "src/repro/metrics/mod.py", True),
+    ("float-eq", "src/repro/core/routing.py", False),
+    ("float-eq", "src/repro/viz/mod.py", False),
+    ("float-eq", "src/repro/mod.py", False),
+    # CACHE_ALLOWED: the engine and the kernel build the kernel.
+    ("cache-kernel", "src/repro/core/engine.py", False),
+    ("cache-kernel", "src/repro/core/reconstruction.py", False),
+    ("cache-kernel", "src/repro/core/columnar.py", True),
+    ("cache-kernel", "src/repro/analysis/mod.py", True),
+    # ACTIVE_ON_ALLOWED: the uls layer scans.
+    ("cache-active-on", "src/repro/uls/database.py", False),
+    ("cache-active-on", "src/repro/core/engine.py", True),
+    ("cache-active-on", "src/repro/analysis/mod.py", True),
+    ("cache-active-on", "src/repro/mod.py", True),
+    # COLUMNAR_ALLOWED: the uls layer and the reconstructor build stores.
+    ("cache-columnar", "src/repro/uls/database.py", False),
+    ("cache-columnar", "src/repro/core/reconstruction.py", False),
+    ("cache-columnar", "src/repro/core/engine.py", True),
+    ("cache-columnar", "src/repro/core/columnar.py", True),
+    ("cache-columnar", "src/repro/analysis/mod.py", True),
+    # STORE_ALLOWED: the store package touches entry files.
+    ("cache-store", "src/repro/store/layout.py", False),
+    ("cache-store", "src/repro/core/engine.py", True),
+    ("cache-store", "src/repro/serve/mod.py", True),
+    ("cache-store", "src/repro/mod.py", True),
+    # OBS_ALLOWED: obs, the benchmarks and the load generator time.
+    ("obs-discipline", "src/repro/obs/spans.py", False),
+    ("obs-discipline", "benchmarks/test_bench_mod.py", False),
+    ("obs-discipline", "src/repro/serve/loadgen.py", False),
+    ("obs-discipline", "src/repro/serve/service.py", True),
+    ("obs-discipline", "src/repro/core/engine.py", True),
+    ("obs-discipline", "src/repro/mod.py", True),
+]
+
+
+@pytest.mark.parametrize(
+    ("snippet", "name", "flagged"),
+    _SCOPE_CASES,
+    ids=[f"{snippet}:{name}" for snippet, name, _ in _SCOPE_CASES],
+)
+def test_rule_scope(tmp_path, snippet, name, flagged):
+    """Each scope constant puts a path in or out of its rule's reach."""
+    rule_cls, source = _SNIPPETS[snippet]
+    findings = findings_for(tmp_path, source, rules=[rule_cls()], name=name)
+    assert rule_names(findings) == ([rule_cls.name] if flagged else [])

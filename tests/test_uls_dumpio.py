@@ -125,6 +125,18 @@ class TestErrors:
                 "LO|L1|1|41|45|0.0000|N|181|0|0.0000|W|200.0|90.0|site\n",
                 3,
             ),
+            # Non-finite seconds: a location every link length would
+            # inherit as NaN or infinity.
+            (
+                "HD|L1|W1|MG|FXO|2015-03-01|||\n"
+                "LO|L1|1|41|45|nan|N|87|0|0.0000|W|200.0|90.0|site\n",
+                2,
+            ),
+            (
+                "HD|L1|W1|MG|FXO|2015-03-01|||\n"
+                "LO|L1|1|41|45|0.0000|N|87|0|inf|W|200.0|90.0|site\n",
+                2,
+            ),
         ],
     )
     def test_malformed_line_names_its_line(self, text, line):
