@@ -41,7 +41,9 @@ def main() -> None:
         )
 
     # The paper's headline redundancy metric.
-    apa = repro.alternate_path_availability(network, "CME", "NY4")
+    apa = repro.alternate_path_availability(
+        network, network.lowest_latency_route("CME", "NY4")
+    )
     print(f"\nalternate path availability (CME-NY4): {apa:.0%}")
 
     out = Path("out")

@@ -86,9 +86,19 @@ store_runs() {
     fi
 }
 
-for cmd in funnel timeline table1 compare; do
+for cmd in funnel timeline table1 table3 compare; do
     rm -rf "$store_dir"
     store_runs "$cmd" "$cmd"
+    # The engine entry holds every route and APA value table1 and table3
+    # read: the warm run decides no link and searches no route.
+    if [ "$cmd" = table1 ] || [ "$cmd" = table3 ]; then
+        decided=$(awk '$1 == "counter" && $2 == "metrics.apa.bounded" {print $3}' "$out_dir/metrics")
+        routed=$(awk '$1 == "histogram" && $2 == "span.core.routing.us" {print $3}' "$out_dir/metrics")
+        if [ -n "$decided" ] || [ -n "$routed" ]; then
+            echo "check.sh: warm '$cmd' reports metrics.apa.bounded ${decided:-none} and span.core.routing ${routed:-none}, want neither" >&2
+            exit 1
+        fi
+    fi
     # A cold funnel publishes every entry it reads: the warm run misses
     # no entry and fetches no detail page.
     if [ "$cmd" = funnel ]; then

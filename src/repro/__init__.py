@@ -101,7 +101,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(
         ),
         "repro.core.yamlio": ("network_from_yaml", "network_to_yaml"),
         "repro.geodesy.earth": ("GeoPoint", "geodesic_distance"),
-        "repro.metrics.apa": ("alternate_path_availability",),
+        "repro.core.apa": ("alternate_path_availability",),
         "repro.metrics.rankings": (
             "rank_connected_networks",
             "top_networks_per_path",

@@ -12,8 +12,8 @@ parameter-distinct engine per knob value
 (:meth:`~repro.core.engine.CorridorEngine.with_params`), so snapshots
 computed under different parameterisations can never alias in a shared
 cache, and the scenario's own engine is left as it was.  The APA-slack
-sweep varies only a *metric* parameter, so it reads one snapshot from
-the scenario's default engine.
+sweep varies only a *metric* parameter, so it asks the scenario's
+default engine for each slack's APA over one snapshot and route.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import datetime as dt
 from dataclasses import dataclass
 
 from repro import obs
+from repro.core.apa import whole_percent
 from repro.core.latency import LatencyModel
-from repro.metrics.apa import apa_percent
 from repro.metrics.rankings import rank_connected_networks
 from repro.synth.scenario import Scenario
 
@@ -37,13 +37,16 @@ def apa_slack_sweep(
     """APA (CME–NY4) as a function of the latency-slack factor.
 
     The slack is a metric knob, not a reconstruction knob: every slack
-    value reads the same snapshot from the scenario's default engine.
+    value reads the same snapshot and route from the scenario's default
+    engine.
     """
     date = on_date or scenario.snapshot_date
     with obs.span("analysis.ablation", sweep="apa-slack", knobs=len(slacks)):
-        network = scenario.engine().snapshot(licensee, date)
+        engine = scenario.engine()
         return {
-            slack: apa_percent(network, "CME", "NY4", slack=slack)
+            slack: whole_percent(
+                engine.apa(licensee, date, "CME", "NY4", slack=slack)
+            )
             for slack in slacks
         }
 
@@ -65,10 +68,8 @@ def fiber_mode_comparison(
     with obs.span("analysis.ablation", sweep="fiber-mode", knobs=len(modes)):
         engine = scenario.engine()
         return {
-            mode: apa_percent(
-                engine.with_params(fiber_mode=mode).snapshot(licensee, date),
-                "CME",
-                "NY4",
+            mode: whole_percent(
+                engine.with_params(fiber_mode=mode).apa(licensee, date, "CME", "NY4")
             )
             for mode in modes
         }

@@ -6,7 +6,7 @@ import datetime as dt
 from dataclasses import dataclass
 
 from repro import obs
-from repro.metrics.apa import apa_percent
+from repro.core.apa import whole_percent
 from repro.metrics.rankings import (
     NetworkRanking,
     PathTopRanking,
@@ -68,7 +68,7 @@ def table3_apa(
     """Table 3: per-path APA for selected networks (default: the
     scenario's spotlight pair, the paper's NLN vs WH).
 
-    Each licensee's snapshot yields its full APA column; rows are
+    Each licensee's engine APA values make its column; rows are
     reassembled path-major.
     """
     if licensees is None:
@@ -79,9 +79,9 @@ def table3_apa(
     with obs.span("analysis.table3", date=date.isoformat()):
         columns = {}
         for name in licensees:
-            network = engine.snapshot(name, date)
             columns[name] = {
-                path: apa_percent(network, *path) for path in paths
+                path: whole_percent(engine.apa(name, date, *path))
+                for path in paths
             }
         return [
             ApaRow(

@@ -6,7 +6,11 @@
 
 The metric is adapted from Gvozdiev et al. (SIGCOMM 2018).  We evaluate it
 over the microwave links of the network's lowest-latency route (the links
-whose removal actually threatens the end-to-end service); a strict chain
+whose removal actually threatens the end-to-end service).  The caller
+passes that route in: this module never searches for it, so
+:meth:`repro.core.engine.CorridorEngine.route` stays the one route
+search, and :meth:`~repro.core.engine.CorridorEngine.apa` caches the
+result beside it per snapshot key (DESIGN.md §18).  A strict chain
 scores 0, a fully bypassed trunk scores 1.  Networks whose intact latency
 already exceeds the bound score 0 — consistent with Table 1, where every
 network slower than 1.05× the geodesic c-latency reports an APA of 0.
@@ -33,6 +37,7 @@ from repro.core.network import (
     Adjacency,
     Edge,
     HftNetwork,
+    Route,
     dijkstra,
 )
 from repro.geodesy import geodesic_distance
@@ -196,24 +201,28 @@ def removable_links(
 
 def alternate_path_availability(
     network: HftNetwork,
-    source: str,
-    target: str,
+    route: Route | None,
     slack: float = APA_SLACK_FACTOR,
     scope: str = "route",
 ) -> float:
     """The fraction of removable links, in [0, 1].
 
-    ``scope="route"`` (default) considers the microwave links on the
-    lowest-latency route; ``scope="network"`` considers every microwave
-    link (spur links then count as trivially removable, which rewards
-    disconnected decorations — kept only for sensitivity analysis).
+    ``route`` is the network's lowest-latency route between two of its
+    data centers, as :meth:`repro.core.engine.CorridorEngine.route`
+    returns it; ``None`` means no route, which scores 0.  Its endpoints
+    are APA's source and target.
+
+    ``scope="route"`` (default) considers the microwave links on that
+    route; ``scope="network"`` considers every microwave link (spur
+    links then count as trivially removable, which rewards disconnected
+    decorations — kept only for sensitivity analysis).
     """
     if scope not in ("route", "network"):
         raise ValueError(f"unknown scope: {scope!r}")
     _check_slack(slack)
-    route = network.lowest_latency_route(source, target)
     if route is None:
         return 0.0
+    source, target = route.source, route.target
     bound = latency_bound_s(network, source, target, slack)
     if route.latency_s > bound:
         return 0.0
@@ -237,14 +246,16 @@ def alternate_path_availability(
     return sum(verdicts) / len(candidates)
 
 
+def whole_percent(fraction: float) -> int:
+    """An APA fraction as the whole percentage the paper's tables print."""
+    return round(100.0 * fraction)
+
+
 def apa_percent(
     network: HftNetwork,
-    source: str,
-    target: str,
+    route: Route | None,
     slack: float = APA_SLACK_FACTOR,
     scope: str = "route",
 ) -> int:
     """APA as the whole percentage the paper's tables print."""
-    return round(
-        100.0 * alternate_path_availability(network, source, target, slack, scope)
-    )
+    return whole_percent(alternate_path_availability(network, route, slack, scope))

@@ -12,7 +12,7 @@ work.
 :class:`CorridorEngine` is the memoising layer the workload shape calls
 for.  It owns one :class:`~repro.uls.database.UlsDatabase`, one
 :class:`~repro.core.corridor.CorridorSpec`, one set of reconstruction
-parameters, and three caches:
+parameters, and four caches:
 
 * a **snapshot cache** keyed on ``(licensee, active-license fingerprint,
   reconstruction params)`` — two dates on which a licensee's active
@@ -22,14 +22,17 @@ parameters, and three caches:
   solutions — the hot path under stitching, fiber attachment and link
   measurement — into lookups;
 * a **route cache** for ``lowest_latency_route(source, target)`` per
-  cached snapshot.
+  cached snapshot;
+* an **APA cache** for the alternate path availability of each cached
+  route (:mod:`repro.core.apa`), per snapshot, endpoint pair and slack.
 
 Cached results are *bit-identical* to cache-free reconstruction (property-
-tested in ``tests/test_engine.py``): the memo stores exact solutions and
-the snapshot cache stores the exact network object.  Reconstruction
-parameters are part of every snapshot key, so engines built with different
-stitch tolerances, fiber modes or latency models can never alias — and the
-engine itself is parameter-immutable: build one engine per parameterisation
+tested in ``tests/test_engine.py``): the memo stores exact solutions, the
+snapshot cache stores the exact network object, and APA is computed from
+the cached network and route.  Reconstruction parameters are part of
+every snapshot key, so engines built with different stitch tolerances,
+fiber modes or latency models can never alias — and the engine itself is
+parameter-immutable: build one engine per parameterisation
 (see :meth:`repro.synth.scenario.Scenario.engine`).
 
 The :class:`NetworkReconstructor` holds the corridor and parameters and
@@ -49,6 +52,8 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 from repro import obs
+from repro.constants import APA_SLACK_FACTOR
+from repro.core.apa import alternate_path_availability
 from repro.core.corridor import CorridorSpec
 from repro.core.latency import LatencyModel
 from repro.core.network import HftNetwork, Route
@@ -63,7 +68,8 @@ from repro.uls.records import License
 #: analysis driver without eviction while bounding worst-case memory.
 DEFAULT_SNAPSHOT_CACHE_SIZE = 512
 
-#: Default bound on cached routes ((snapshot, source, target) triples).
+#: Default bound on cached routes ((snapshot, source, target) triples),
+#: and on cached APA values ((snapshot, source, target, slack)).
 DEFAULT_ROUTE_CACHE_SIZE = 4096
 
 _MISSING = object()
@@ -110,7 +116,7 @@ class CacheCounter:
 
 @dataclass(frozen=True, slots=True)
 class CacheStats:
-    """A point-in-time snapshot of all three engine caches.
+    """A point-in-time snapshot of all four engine caches.
 
     ``index_events`` is the temporal index's event count over the
     engine's database.
@@ -118,6 +124,7 @@ class CacheStats:
 
     snapshot: CacheCounter
     route: CacheCounter
+    apa: CacheCounter
     geodesic: CacheCounter
     index_events: int = 0
 
@@ -127,6 +134,7 @@ class CacheStats:
         for name, counter in (
             ("snapshot", self.snapshot),
             ("route", self.route),
+            ("apa", self.apa),
             ("geodesic", self.geodesic),
         ):
             lines.append(
@@ -143,10 +151,10 @@ class EncodedValue:
     """A cache value still in its pickled form, decoded on first hit.
 
     The persistent store seeds engines with these placeholders, so a
-    command pays to unpickle only the snapshots and routes it reads.  A
-    value never decoded is exported with its original bytes.  ``crc``
-    (CRC-32 of ``data``) is checked before unpickling, so a flipped byte
-    is a detected failure, never a silently different value.
+    command pays to unpickle only the snapshots, routes and APA values it
+    reads.  A value never decoded is exported with its original bytes.
+    ``crc`` (CRC-32 of ``data``) is checked before unpickling, so a
+    flipped byte is a detected failure, never a silently different value.
     """
 
     __slots__ = ("data", "crc")
@@ -268,14 +276,15 @@ class EngineCacheExport:
     (:mod:`repro.store`) persists one of these per (database, params) so
     a later process starts from this one's warm state.  Every entry is
     exact (memoised Vincenty solutions, the cached network/route objects
-    themselves), so seeding never perturbs results.  Snapshot and route
-    values may be :class:`EncodedValue` placeholders, decoded on first
-    hit.
+    themselves, the APA fractions computed from them), so seeding never
+    perturbs results.  Snapshot, route and APA values may be
+    :class:`EncodedValue` placeholders, decoded on first hit.
     """
 
     params_key: tuple
     snapshots: tuple[tuple[Hashable, HftNetwork], ...]
     routes: tuple[tuple[Hashable, Route | None], ...]
+    apa: tuple[tuple[Hashable, float], ...]
     geodesic: tuple[tuple[tuple, tuple], ...]
 
 
@@ -294,7 +303,8 @@ class CorridorEngine:
         every cache key, so differently-parameterised engines never share
         entries.
     snapshot_cache_size / route_cache_size / geodesic_memo_size:
-        Bounds on the three caches (LRU eviction).
+        Bounds on the caches (LRU eviction); ``route_cache_size`` bounds
+        the route cache and the APA cache alike.
 
     An engine starts without a persistent store (``store`` is ``None``);
     :meth:`repro.store.CacheStore.attach` is the only way to give it one.
@@ -335,6 +345,7 @@ class CorridorEngine:
         self.corridor = corridor
         self._snapshots = _LruCache(snapshot_cache_size, "engine.snapshot.hit")
         self._routes = _LruCache(route_cache_size, "engine.route.hit")
+        self._apa = _LruCache(route_cache_size, "engine.apa.hit")
         self._geodesic_memo = GeodesicMemo(geodesic_memo_size)
         # The engine's caches (LRU dicts and their counters) are not
         # internally synchronised; concurrent callers serialise through
@@ -525,7 +536,19 @@ class CorridorEngine:
         per date) and per endpoint pair.  The snapshot key is computed
         once and shared between the route lookup and any snapshot rebuild.
         """
-        snapshot_key = self.snapshot_key(licensee, on_date)
+        return self._route_for_key(
+            self.snapshot_key(licensee, on_date), licensee, on_date, source, target
+        )
+
+    def _route_for_key(
+        self,
+        snapshot_key: tuple,
+        licensee: str,
+        on_date: dt.date,
+        source: str,
+        target: str,
+    ) -> Route | None:
+        """The cached route for a resolved snapshot key."""
         key = (snapshot_key, source, target)
         route = self._routes.get(key, _MISSING)
         if route is _MISSING:
@@ -537,6 +560,35 @@ class CorridorEngine:
                 route = network.lowest_latency_route(source, target)
             self._routes.put(key, route)
         return route
+
+    def apa(
+        self,
+        licensee: str,
+        on_date: dt.date,
+        source: str,
+        target: str,
+        slack: float = APA_SLACK_FACTOR,
+    ) -> float:
+        """Alternate path availability over the ``source``→``target``
+        route (§5; route scope), in [0, 1].
+
+        The value is :func:`repro.core.apa.alternate_path_availability`
+        of the cached snapshot and the cached :meth:`route`, so APA never
+        searches for the route again.  It is cached, like the route, per
+        snapshot key and endpoint pair, and per ``slack``.
+        """
+        snapshot_key = self.snapshot_key(licensee, on_date)
+        key = (snapshot_key, source, target, slack)
+        fraction = self._apa.get(key)
+        if fraction is None:
+            obs.count("engine.apa.miss")
+            route = self._route_for_key(
+                snapshot_key, licensee, on_date, source, target
+            )
+            network = self._snapshot_for_key(snapshot_key, licensee, on_date)
+            fraction = alternate_path_availability(network, route, slack)
+            self._apa.put(key, fraction)
+        return fraction
 
     def is_connected(
         self, licensee: str, on_date: dt.date, source: str, target: str
@@ -601,11 +653,12 @@ class CorridorEngine:
 
     @property
     def stats(self) -> CacheStats:
-        """Hit/miss/eviction counters for all three caches (a snapshot)."""
+        """Hit/miss/eviction counters for all four caches (a snapshot)."""
         memo = self._geodesic_memo
         return CacheStats(
             snapshot=self._snapshots.counter(),
             route=self._routes.counter(),
+            apa=self._apa.counter(),
             geodesic=CacheCounter(
                 hits=memo.hits,
                 misses=memo.misses,
@@ -625,6 +678,7 @@ class CorridorEngine:
             params_key=self.params_key,
             snapshots=self._snapshots.items(),
             routes=self._routes.items(),
+            apa=self._apa.items(),
             geodesic=self._geodesic_memo.entries(),
         )
 
@@ -634,7 +688,8 @@ class CorridorEngine:
         Installation counts no hits or misses (it is not a lookup), and
         keys already cached keep their values; entries beyond a cache's
         capacity evict LRU-first as usual.  Afterwards the engine is
-        :attr:`dirty` iff it holds a snapshot or route the export lacks.
+        :attr:`dirty` iff it holds a snapshot, route or APA value the
+        export lacks.
         The export must have been taken under this engine's
         ``params_key``.
         """
@@ -647,13 +702,14 @@ class CorridorEngine:
             self._geodesic_memo.store(key, solution)
         self._snapshots.seed(export.snapshots)
         self._routes.seed(export.routes)
+        self._apa.seed(export.apa)
 
     @property
     def dirty(self) -> bool:
         """Whether the caches hold anything the last seed or checkpoint
-        did not: a new snapshot or route, or a seeded value that failed
-        to decode."""
-        return self._snapshots.dirty or self._routes.dirty
+        did not: a new snapshot, route or APA value, or a seeded value
+        that failed to decode."""
+        return self._snapshots.dirty or self._routes.dirty or self._apa.dirty
 
     def checkpoint(self):
         """Persist this engine's cache contents to its attached store.
@@ -671,7 +727,7 @@ class CorridorEngine:
             if not self.dirty:
                 return None
             path = self.store.save_from(self)
-            self._snapshots.dirty = self._routes.dirty = False
+            self._snapshots.dirty = self._routes.dirty = self._apa.dirty = False
             return path
 
     def with_params(self, **overrides) -> "CorridorEngine":
@@ -700,5 +756,6 @@ class CorridorEngine:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CorridorEngine(licensees={len(self.database.licensee_names())}, "
-            f"snapshots={len(self._snapshots)}, routes={len(self._routes)})"
+            f"snapshots={len(self._snapshots)}, routes={len(self._routes)}, "
+            f"apa={len(self._apa)})"
         )

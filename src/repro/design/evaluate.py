@@ -13,10 +13,10 @@ import datetime as dt
 from dataclasses import dataclass
 
 from repro.constants import SPEED_OF_LIGHT
+from repro.core.apa import alternate_path_availability
 from repro.core.corridor import DataCenterSite
 from repro.core.network import FiberTail, HftNetwork, MicrowaveLink, Tower
 from repro.geodesy import GeoPoint, geodesic_distance
-from repro.metrics.apa import alternate_path_availability
 from repro.synth.specs import CHANNEL_PLANS_MHZ
 from repro.synth.weather import random_storm, storm_latency_ms
 from repro.design.redundancy import Bypass
@@ -129,7 +129,7 @@ def evaluate_design(
     if route is None:
         raise ValueError("designed network is not connected")
     geodesic = geodesic_distance(design.west.point, design.east.point)
-    apa = alternate_path_availability(network, source, target)
+    apa = alternate_path_availability(network, route)
 
     survived = 0
     corridor = (design.west.point, design.east.point)

@@ -97,7 +97,13 @@ def parse_uls_coordinate(
 
     The ULS ``LO`` record stores latitude/longitude as separate
     degrees/minutes/seconds/direction columns; all arrive as strings.
+    A non-finite component (``nan``, ``inf``) is out of range.
     """
+    if not all(math.isfinite(float(part)) for part in (degrees, minutes, seconds)):
+        raise ValueError(
+            "coordinate components out of range: "
+            f"{degrees!r}, {minutes!r}, {seconds!r} must be finite"
+        )
     deg = int(degrees)
     minute = int(minutes)
     sec = float(seconds)

@@ -76,21 +76,27 @@ def _prefix_allowed(rel_path: str, prefixes: tuple[str, ...]) -> bool:
     )
 
 
+def _scope_text(paths: tuple[str, ...]) -> str:
+    """A scope constant as the rule's messages name it."""
+    return " and ".join(paths)
+
+
 class CacheDisciplineRule(Rule):
     """Kernel construction is confined to the engine and kernel modules,
-    and linear active-set scans to the uls layer and the engine."""
+    linear active-set scans to the uls layer, and columnar-store
+    construction to the uls layer and the reconstruction kernel."""
 
     name = "cache-discipline"
     description = (
-        "NetworkReconstructor(...)/reconstruct_all(...) outside the engine "
-        "and kernel modules bypasses the snapshot/route caches (use "
-        "CorridorEngine or Scenario.engine()); active_on(...) outside the "
-        "uls layer and the engine rescans every license (use "
+        "NetworkReconstructor(...)/reconstruct_all(...) outside "
+        f"{_scope_text(CACHE_ALLOWED)} bypasses the snapshot/route caches "
+        "(use CorridorEngine or Scenario.engine()); active_on(...) outside "
+        f"{_scope_text(ACTIVE_ON_ALLOWED)} rescans every license (use "
         "UlsDatabase.temporal_index()); ColumnarLicenseStore(...) outside "
-        "the uls layer and the engine risks stale columns (use "
+        f"{_scope_text(COLUMNAR_ALLOWED)} risks stale columns (use "
         "UlsDatabase.columnar_store()); store layout calls "
-        "(read_entry/write_entry/...) outside src/repro/store/ bypass "
-        "atomic publication and quarantine (use CacheStore)"
+        f"(read_entry/write_entry/...) outside {_scope_text(STORE_ALLOWED)} "
+        "bypass atomic publication and quarantine (use CacheStore)"
     )
     interests = (ast.Call,)
 
@@ -111,7 +117,7 @@ class CacheDisciplineRule(Rule):
                 node,
                 f"{name}(...) bypasses the CorridorEngine caches; "
                 "go through CorridorEngine / Scenario.engine() "
-                "(allowed only in the engine and kernel modules)",
+                f"(allowed only in {_scope_text(CACHE_ALLOWED)})",
             )
         elif name in _SCAN_CALLS and not _prefix_allowed(
             ctx.rel_path, ACTIVE_ON_ALLOWED
@@ -122,7 +128,7 @@ class CacheDisciplineRule(Rule):
                 "active_on(...) linear-scans and materialises the license "
                 "list; resolve active sets via "
                 "UlsDatabase.temporal_index().active_ids_at(...) "
-                "(allowed only under src/repro/uls/ and the engine)",
+                f"(allowed only in {_scope_text(ACTIVE_ON_ALLOWED)})",
             )
         elif name in _COLUMNAR_CALLS and not _prefix_allowed(
             ctx.rel_path, COLUMNAR_ALLOWED
@@ -130,9 +136,10 @@ class CacheDisciplineRule(Rule):
             ctx.report(
                 self,
                 node,
-                "ColumnarLicenseStore(...) built outside the uls layer and "
-                "the engine risks stale columns after a database mutation; "
-                "use UlsDatabase.columnar_store() (cached per generation)",
+                "ColumnarLicenseStore(...) built outside "
+                f"{_scope_text(COLUMNAR_ALLOWED)} risks stale columns after a "
+                "database mutation; use UlsDatabase.columnar_store() (cached "
+                "per generation)",
             )
         elif name in _STORE_CALLS and not _prefix_allowed(
             ctx.rel_path, STORE_ALLOWED
@@ -143,5 +150,5 @@ class CacheDisciplineRule(Rule):
                 f"{name}(...) touches the persistent store's entry files "
                 "directly, bypassing atomic publication and corrupt-entry "
                 "quarantine; go through repro.store.CacheStore "
-                "(allowed only under src/repro/store/)",
+                f"(allowed only in {_scope_text(STORE_ALLOWED)})",
             )

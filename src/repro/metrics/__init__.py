@@ -2,7 +2,8 @@
 
 * :mod:`repro.metrics.cdf` — empirical distribution utilities used by the
   Fig 4 plots.
-* :mod:`repro.metrics.apa` — alternate path availability (Table 1/3).
+* alternate path availability (Table 1/3) lives in :mod:`repro.core.apa`,
+  beside the engine that caches it; it is re-exported here.
 * :mod:`repro.metrics.link_lengths` — link-length distributions on
   near-optimal paths (Fig 4a).
 * :mod:`repro.metrics.frequencies` — operating-frequency distributions on
@@ -17,7 +18,7 @@ from repro import _lazy_exports
 __getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
-        "repro.metrics.apa": ("alternate_path_availability",),
+        "repro.core.apa": ("alternate_path_availability",),
         "repro.metrics.effective_latency": (
             "WeatherLatencyProfile",
             "route_availability",

@@ -13,12 +13,12 @@ matching the paper's per-frequency CDF.
 from __future__ import annotations
 
 from repro.constants import APA_SLACK_FACTOR
+from repro.core.apa import latency_bound_s
 from repro.core.network import HftNetwork
 from repro.core.routing import (
     alternate_edges,
     iterate_microwave_edges,
 )
-from repro.metrics.apa import latency_bound_s
 from repro.metrics.cdf import EmpiricalCdf
 
 

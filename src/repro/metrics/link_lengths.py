@@ -9,13 +9,13 @@
 from __future__ import annotations
 
 from repro.constants import APA_SLACK_FACTOR
+from repro.core.apa import latency_bound_s
 from repro.core.network import HftNetwork
 from repro.core.routing import (
     edges_within_latency_bound,
     enumerate_paths_within_bound,
     iterate_microwave_edges,
 )
-from repro.metrics.apa import latency_bound_s
 from repro.metrics.cdf import EmpiricalCdf
 
 

@@ -11,10 +11,10 @@ import datetime as dt
 from dataclasses import dataclass
 
 from repro.constants import APA_SLACK_FACTOR
+from repro.core.apa import whole_percent
 from repro.core.corridor import CorridorSpec
 from repro.core.engine import CorridorEngine
-from repro.core.network import HftNetwork, Route
-from repro.metrics.apa import apa_percent
+from repro.core.network import Route
 from repro.uls.database import UlsDatabase
 
 
@@ -46,7 +46,7 @@ def rank_connected_networks(
 
     ``licensees`` restricts the candidate set (the paper applies this to
     its 29 shortlisted licensees); by default every licensee in the
-    database is considered.  Pass ``engine`` to share snapshot/route
+    database is considered.  Pass ``engine`` to share snapshot/route/APA
     caches across rankings (e.g. over a date grid); without one the
     ranking runs on a private default-parameter engine.  Disconnected
     licensees drop out before the latency sort.
@@ -61,12 +61,13 @@ def rank_connected_networks(
         route = engine.route(name, on_date, source, target)
         if route is None:
             continue
-        network = engine.snapshot(name, on_date)
         rankings.append(
             NetworkRanking(
                 licensee=name,
                 latency_ms=route.latency_ms,
-                apa_percent=apa_percent(network, source, target, slack),
+                apa_percent=whole_percent(
+                    engine.apa(name, on_date, source, target, slack)
+                ),
                 tower_count=route.tower_count,
                 route=route,
             )

@@ -148,6 +148,8 @@ class EngineFacade:
                 "snapshot_misses": stats.snapshot.misses,
                 "route_hits": stats.route.hits,
                 "route_misses": stats.route.misses,
+                "apa_hits": stats.apa.hits,
+                "apa_misses": stats.apa.misses,
             },
         }
         store = self.engine.store

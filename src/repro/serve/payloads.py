@@ -18,13 +18,13 @@ import datetime as dt
 import json
 
 from repro.constants import CME_SEARCH_RADIUS_M
+from repro.core.apa import whole_percent
 from repro.core.engine import CorridorEngine
 from repro.core.timeline import (
     dense_date_grid,
     license_count_timeline,
     yearly_snapshot_dates,
 )
-from repro.metrics.apa import apa_percent
 from repro.metrics.rankings import rank_connected_networks
 from repro.synth.scenario import Scenario
 from repro.uls.search import UlsSearchService
@@ -132,7 +132,6 @@ def apa_payload(
     if licensees is None:
         licensees = scenario.spotlight_names
     paths = tuple(scenario.corridor.paths)
-    networks = {name: engine.snapshot(name, on_date) for name in licensees}
     return {
         "endpoint": "apa",
         "date": on_date.isoformat(),
@@ -142,7 +141,9 @@ def apa_payload(
                 "source": path[0],
                 "target": path[1],
                 "apa_percent": {
-                    name: apa_percent(networks[name], path[0], path[1])
+                    name: whole_percent(
+                        engine.apa(name, on_date, path[0], path[1])
+                    )
                     for name in licensees
                 },
             }

@@ -4,10 +4,10 @@
 content-addressed fingerprints (:mod:`repro.store.fingerprint`):
 
 * **engine** entries — an engine's :class:`~repro.core.engine
-  .EngineCacheExport` (snapshot cache, route cache, geodesic memo), so a
-  cold process (a CLI driver or a restarted server) starts from the
-  previous run's warm state instead of rebuilding it.  Each snapshot
-  and route value is pickled on its own inside the one entry file and
+  .EngineCacheExport` (snapshot, route and APA caches, geodesic memo), so
+  a cold process (a CLI driver or a restarted server) starts from the
+  previous run's warm state instead of rebuilding it.  Each snapshot,
+  route and APA value is pickled on its own inside the one entry file and
   seeded as an :class:`~repro.core.engine.EncodedValue`, so a command
   unpickles only what it reads;
 * **scenario** entries — opaque bytes a higher tier hands in
@@ -87,22 +87,24 @@ def _decode_values(triples) -> tuple:
 
 def _encode_export(export: EngineCacheExport) -> tuple:
     """An engine entry's body: keys and geodesic memo pickled in place,
-    each snapshot and route value as its own checksummed pickle."""
+    each snapshot, route and APA value as its own checksummed pickle."""
     return (
         export.params_key,
         _encode_values(export.snapshots),
         _encode_values(export.routes),
+        _encode_values(export.apa),
         export.geodesic,
     )
 
 
 def _decode_export(body: tuple) -> EngineCacheExport:
     """The export an engine body holds, values left as placeholders."""
-    params_key, snapshots, routes, geodesic = body
+    params_key, snapshots, routes, apa, geodesic = body
     return EngineCacheExport(
         params_key=params_key,
         snapshots=_decode_values(snapshots),
         routes=_decode_values(routes),
+        apa=_decode_values(apa),
         geodesic=geodesic,
     )
 
@@ -188,7 +190,7 @@ class CacheStore:
         export = self.load_export(self.fingerprint_for(engine))
         hit = export is not None and export.params_key == engine.params_key
         if not hit:
-            export = EngineCacheExport(engine.params_key, (), (), ())
+            export = EngineCacheExport(engine.params_key, (), (), (), ())
         engine.seed_cache_state(export)
         return hit
 
@@ -224,7 +226,7 @@ class CacheStore:
     def load_export(self, fingerprint: str) -> EngineCacheExport | None:
         """The engine export stored under ``fingerprint``, or ``None``.
 
-        Snapshot and route values come back as
+        Snapshot, route and APA values come back as
         :class:`~repro.core.engine.EncodedValue` placeholders.
         """
         return self.load_entry(fingerprint, "engine", _decode_export)

@@ -29,10 +29,11 @@ import hashlib
 from functools import lru_cache
 from pathlib import Path
 
-#: On-disk payload envelope version.  Bump when the pickled envelope
-#: layout (not the cached values) changes; old entries become stale
-#: misses.
-STORE_SCHEMA_VERSION = 1
+#: On-disk payload version.  Bump when the pickled envelope or an entry
+#: body's layout (not the cached values) changes: entries then live under
+#: a new ``v<schema>`` directory, and the old directory is never read.
+#: Version 2 added the engine entry's APA values.
+STORE_SCHEMA_VERSION = 2
 
 #: The ``repro`` package directory whose sources key every entry.
 _PACKAGE_ROOT = Path(__file__).resolve().parent.parent

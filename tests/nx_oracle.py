@@ -25,7 +25,7 @@ import networkx as nx
 
 from repro.constants import APA_SLACK_FACTOR
 from repro.core.network import HftNetwork, Route
-from repro.metrics.apa import latency_bound_s
+from repro.core.apa import latency_bound_s
 
 
 def edge_weight(network: HftNetwork, u: str, v: str, data: dict) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import datetime as dt
+import inspect
 import io
 import os
 import random
@@ -28,6 +29,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.analysis.ablations import apa_slack_sweep
+from repro.core.apa import alternate_path_availability
 from repro.core.corridor import chicago_nj_corridor, london_frankfurt_corridor
 from repro.core.engine import CorridorEngine
 from repro.core.latency import LatencyModel
@@ -35,6 +39,7 @@ from repro.core.reconstruction import NetworkReconstructor, reconstruct_all
 from repro.core.timeline import TimelinePoint, dense_date_grid, latency_timeline
 from repro.geodesy import GeoPoint, geodesic_inverse
 from repro.geodesy.memo import GeodesicMemo, active_memo, use_memo
+from repro.scenarios import resolve_scenario
 from repro.uls.database import UlsDatabase
 
 from tests import object_kernel
@@ -258,8 +263,6 @@ def test_timeline_matches_routes(scenario):
 
 
 def test_obs_counters_mirror_stats(scenario):
-    from repro import obs
-
     engine = CorridorEngine(scenario.database, scenario.corridor)
     with obs.capture() as captured:
         engine.timeline("New Line Networks", MONTHLY)
@@ -275,10 +278,74 @@ def test_describe_reports_caches_and_events(scenario):
     engine = CorridorEngine(scenario.database, scenario.corridor)
     engine.timeline("New Line Networks", MONTHLY[:6])
     text = engine.stats.describe()
-    for name in ("snapshot", "route", "geodesic"):
+    for name in ("snapshot", "route", "apa", "geodesic"):
         assert f"  {name} " in text
     assert "temporal index: events=" in text
     assert engine.stats.index_events == scenario.database.temporal_index().event_count
+
+
+# ----------------------------------------------------------------------
+# APA: one value per (snapshot key, path, slack), from the cached route
+# ----------------------------------------------------------------------
+
+#: The slacks the APA-slack ablation sweeps.
+_SWEEP_SLACKS = inspect.signature(apa_slack_sweep).parameters["slacks"].default
+
+_APA_SCENARIOS = ("paper2020", "synthetic:seed=1,networks=12")
+
+
+@pytest.mark.parametrize("ref", _APA_SCENARIOS)
+@settings(max_examples=4, deadline=None)
+@given(
+    dates=st.lists(
+        st.dates(dt.date(2013, 1, 1), dt.date(2020, 12, 31)),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_engine_apa_equals_apa_of_a_fresh_route(ref, dates):
+    """Every licensee × the drawn dates × the sweep's slacks: the cached
+    value equals APA of a fresh engine's snapshot and its own route
+    search."""
+    scenario = resolve_scenario(ref)
+    engine = _shared_engine(scenario)
+    fresh = CorridorEngine(scenario.database, scenario.corridor)
+    source, target = scenario.primary_path
+    for name in scenario.database.licensee_names():
+        for on_date in dates:
+            network = fresh.snapshot(name, on_date)
+            route = network.lowest_latency_route(source, target)
+            for slack in _SWEEP_SLACKS:
+                expected = alternate_path_availability(network, route, slack)
+                assert engine.apa(name, on_date, source, target, slack) == expected
+
+
+def test_apa_cache_hits_and_counts(scenario):
+    engine = CorridorEngine(scenario.database, scenario.corridor)
+    date = dt.date(2020, 4, 1)
+    with obs.capture() as captured:
+        first = engine.apa("New Line Networks", date, "CME", "NY4")
+        assert engine.apa("New Line Networks", date, "CME", "NY4") == first
+        engine.apa("New Line Networks", date, "CME", "NY4", slack=1.10)
+    counters = captured.counters()
+    assert (counters["engine.apa.miss"], counters["engine.apa.hit"]) == (2, 1)
+    stats = engine.stats
+    assert (stats.apa.misses, stats.apa.hits, stats.apa.size) == (2, 1, 2)
+    # The route was searched once, by engine.route, for both slacks.
+    assert stats.route.misses == 1
+    assert (
+        sum(record.name == "core.routing" for record in captured.spans) == 1
+    )
+    # No route scores 0, and that is cached too.
+    assert engine.apa("Pierce Broadband", dt.date(2015, 1, 1), "CME", "NY4") == 0.0
+    assert engine.stats.apa.misses == 3
+
+
+def test_apa_rejects_a_bad_slack_uncached(scenario):
+    engine = CorridorEngine(scenario.database, scenario.corridor)
+    with pytest.raises(ValueError, match="slack"):
+        engine.apa("New Line Networks", dt.date(2020, 4, 1), "CME", "NY4", slack=0.0)
+    assert engine.stats.apa.size == 0
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.corridor import london_frankfurt_corridor
 from repro.core.reconstruction import NetworkReconstructor
-from repro.metrics.apa import apa_percent
+from repro.core.apa import apa_percent
 from repro.metrics.rankings import rank_connected_networks
 from repro.scenarios import resolve_scenario
 from repro.synth.generator import build_network_licenses
@@ -104,4 +104,4 @@ class TestBypassShortcutRegression:
         assert route.latency_ms == pytest.approx(2.2800, abs=5e-5)
         assert route.tower_count == 13
         # And the bypasses still work as alternates.
-        assert apa_percent(network, "LD4", "FR2") == round(100 * 7 / 12)
+        assert apa_percent(network, route) == round(100 * 7 / 12)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +85,25 @@ class TestUlsCoordinate:
     def test_rejects_out_of_range_minutes(self):
         with pytest.raises(ValueError):
             parse_uls_coordinate(41, 60, 0.0, "N")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            ("41", "44", "nan"),
+            ("41", "44", "inf"),
+            ("41", "44", "-inf"),
+            ("nan", "44", "34.6"),
+            ("inf", "44", "34.6"),
+            ("41", "nan", "34.6"),
+            ("41", "inf", "34.6"),
+            (41, 44, math.nan),
+            (41, 44, math.inf),
+        ],
+    )
+    def test_rejects_non_finite_components(self, fields):
+        # Rejected here, not later by GeoPoint's "latitude out of range: nan".
+        with pytest.raises(ValueError, match="^coordinate components out of range: "):
+            parse_uls_coordinate(*fields, "N")
 
 
 class TestCoordinateKey:

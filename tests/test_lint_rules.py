@@ -10,7 +10,11 @@ from typing import Sequence
 import pytest
 
 from repro.lint import Rule, lint_file, lint_paths
-from repro.lint.rules.cache import CacheDisciplineRule
+from repro.lint.rules.cache import (
+    ACTIVE_ON_ALLOWED,
+    COLUMNAR_ALLOWED,
+    CacheDisciplineRule,
+)
 from repro.lint.rules.determinism import HashSeedRule, UnseededRngRule, WallClockRule
 from repro.lint.rules.floats import FloatEqualityRule
 from repro.lint.rules.hygiene import BroadExceptRule, MutableDefaultRule
@@ -346,6 +350,42 @@ class TestColumnarStoreDiscipline:
             tmp_path, source, name="src/repro/analysis/driver.py",
             rules=[CacheDisciplineRule()],
         ) == []
+
+
+@pytest.mark.parametrize(
+    "call, name, scope, in_message",
+    [
+        (
+            "db.active_on(date)",
+            "active_on",
+            ACTIVE_ON_ALLOWED,
+            "(allowed only in {scope})",
+        ),
+        (
+            "ColumnarLicenseStore({})",
+            "ColumnarLicenseStore",
+            COLUMNAR_ALLOWED,
+            "ColumnarLicenseStore(...) built outside {scope} risks",
+        ),
+    ],
+)
+def test_cache_discipline_text_names_the_real_scope(
+    tmp_path, call, name, scope, in_message
+):
+    """The description and the message name exactly the scope constant
+    the rule checks, so the text cannot drift from the scope again."""
+    expected = " and ".join(scope)
+    findings = findings_for(
+        tmp_path,
+        f"def probe(db, date):\n    return {call}\n",
+        name="src/repro/core/engine.py",
+        rules=[CacheDisciplineRule()],
+    )
+    assert len(findings) == 1
+    assert in_message.format(scope=expected) in findings[0].message
+    assert f"{name}(...) outside {expected} " in CacheDisciplineRule.description
+    assert "the engine" not in findings[0].message
+    assert "the engine" not in CacheDisciplineRule.description
 
 
 class TestPersistentStoreDiscipline:

@@ -15,7 +15,7 @@ from repro.core.corridor import DataCenterSite
 from repro.core.network import FiberTail, HftNetwork, MicrowaveLink, Tower
 from repro.geodesy import GeoPoint, geodesic_distance, geodesic_interpolate
 from repro.geodesy.path import offset_point
-from repro.metrics.apa import (
+from repro.core.apa import (
     alternate_path_availability,
     apa_percent,
     latency_bound_s,
@@ -58,24 +58,29 @@ def _network(n_links: int = 10, bypassed: tuple[int, ...] = (), stretch_amp: flo
     )
 
 
+def _route(network: HftNetwork):
+    return network.lowest_latency_route("CME", "NY4")
+
+
 class TestApa:
     def test_pure_chain_scores_zero(self):
-        assert alternate_path_availability(_network(), "CME", "NY4") == 0.0
+        network = _network()
+        assert alternate_path_availability(network, _route(network)) == 0.0
 
     def test_fully_bypassed_chain_scores_one(self):
         network = _network(n_links=6, bypassed=tuple(range(6)))
-        assert alternate_path_availability(network, "CME", "NY4") == 1.0
+        assert alternate_path_availability(network, _route(network)) == 1.0
 
     def test_partial_coverage_fraction(self):
         network = _network(n_links=10, bypassed=(2, 5, 7))
-        assert alternate_path_availability(network, "CME", "NY4") == pytest.approx(0.3)
-        assert apa_percent(network, "CME", "NY4") == 30
+        assert alternate_path_availability(network, _route(network)) == pytest.approx(0.3)
+        assert apa_percent(network, _route(network)) == 30
 
     def test_disconnected_network_scores_zero(self):
         network = _network()
         network.fiber_tails = network.fiber_tails[:1]
         network.__dict__.pop("graph", None)
-        assert alternate_path_availability(network, "CME", "NY4") == 0.0
+        assert alternate_path_availability(network, _route(network)) == 0.0
 
     def test_over_bound_network_scores_zero_even_with_bypasses(self):
         # A network whose intact latency exceeds 1.05x the geodesic bound
@@ -83,28 +88,28 @@ class TestApa:
         network = _network(n_links=6, bypassed=tuple(range(6)))
         bound = latency_bound_s(network, "CME", "NY4", slack=1.0000001)
         assert alternate_path_availability(
-            network, "CME", "NY4", slack=1.0000001
+            network, _route(network), slack=1.0000001
         ) == 0.0
 
     def test_slack_monotonicity(self):
         network = _network(n_links=10, bypassed=(2, 5))
-        loose = alternate_path_availability(network, "CME", "NY4", slack=1.10)
-        tight = alternate_path_availability(network, "CME", "NY4", slack=1.02)
+        loose = alternate_path_availability(network, _route(network), slack=1.10)
+        tight = alternate_path_availability(network, _route(network), slack=1.02)
         assert loose >= tight
 
     def test_network_scope_counts_all_links(self):
         # Scope "network" also counts the bypass links themselves (each is
         # removable: the direct link remains), so the fraction rises.
         network = _network(n_links=10, bypassed=(2,))
-        route_scope = alternate_path_availability(network, "CME", "NY4", scope="route")
-        network_scope = alternate_path_availability(
-            network, "CME", "NY4", scope="network"
-        )
+        route = _route(network)
+        route_scope = alternate_path_availability(network, route, scope="route")
+        network_scope = alternate_path_availability(network, route, scope="network")
         assert network_scope > route_scope
 
     def test_rejects_unknown_scope(self):
+        network = _network()
         with pytest.raises(ValueError):
-            alternate_path_availability(_network(), "CME", "NY4", scope="bogus")
+            alternate_path_availability(network, _route(network), scope="bogus")
 
     def test_rejects_nonpositive_slack(self):
         with pytest.raises(ValueError):
@@ -112,13 +117,13 @@ class TestApa:
 
     @pytest.mark.parametrize("slack", [-1.0, 0.0, math.nan, math.inf])
     def test_rejects_bad_slack_before_any_search(self, slack):
-        # A disconnected network has no route, so only an up-front check
-        # can refuse the slack.
+        # A disconnected network has no route (None), so only an up-front
+        # check can refuse the slack.
         disconnected = _network()
         disconnected.fiber_tails = disconnected.fiber_tails[:1]
         for network in (_network(), disconnected):
             with pytest.raises(ValueError, match="slack"):
-                alternate_path_availability(network, "CME", "NY4", slack=slack)
+                alternate_path_availability(network, _route(network), slack=slack)
         with pytest.raises(ValueError, match="slack"):
             latency_bound_s(_network(), "CME", "NY4", slack=slack)
 
@@ -217,8 +222,9 @@ class TestDecisions:
 
     def test_counters_from_the_public_metric(self):
         network = _network(n_links=10, bypassed=(2, 5, 7))
+        route = _route(network)
         with obs.capture() as captured:
-            assert alternate_path_availability(network, "CME", "NY4") == pytest.approx(0.3)
+            assert alternate_path_availability(network, route) == pytest.approx(0.3)
         assert captured.counters() == {"metrics.apa.bounded": 10, "metrics.apa.exact": 0}
 
     def test_fallback_when_the_bound_sits_inside_the_margin(self):

@@ -116,8 +116,9 @@ def test_import_and_help_load_only_the_cli():
 _WARM_BASE = frozenset(
     """
     repro repro.cli repro.constants
-    repro.core repro.core.corridor repro.core.engine repro.core.latency
-    repro.core.network repro.core.reconstruction repro.core.timeline
+    repro.core repro.core.apa repro.core.corridor repro.core.engine
+    repro.core.latency repro.core.network repro.core.reconstruction
+    repro.core.timeline
     repro.geodesy repro.geodesy.earth repro.geodesy.memo
     repro.obs repro.obs.metrics repro.obs.spans
     repro.scenarios repro.scenarios.registry
@@ -140,7 +141,7 @@ _WARM_FORBIDDEN = frozenset(
 _WARM_ALLOWED = {
     "table1": """
         repro.analysis repro.analysis.report repro.analysis.tables
-        repro.metrics repro.metrics.apa repro.metrics.rankings
+        repro.metrics repro.metrics.rankings
     """,
     "timeline --step weekly": """
         repro.analysis repro.analysis.figures repro.analysis.report
@@ -149,7 +150,7 @@ _WARM_ALLOWED = {
     "compare": """
         repro.analysis repro.analysis.compare repro.analysis.report
         repro.leo repro.leo.latency
-        repro.metrics repro.metrics.apa repro.metrics.rankings
+        repro.metrics repro.metrics.rankings
     """,
     # Only the funnel reads (cached) portal pages.
     "funnel": """

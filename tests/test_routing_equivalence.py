@@ -24,7 +24,7 @@ from repro.core.latency import LatencyModel
 from repro.core.network import FiberTail, HftNetwork, MicrowaveLink, Tower
 from repro.core.timeline import yearly_snapshot_dates
 from repro.geodesy import GeoPoint
-from repro.metrics.apa import alternate_path_availability
+from repro.core.apa import alternate_path_availability
 from repro.scenarios.registry import resolve_scenario
 
 from tests import nx_oracle
@@ -61,7 +61,7 @@ def _assert_matches_oracle(
     for slack in slacks:
         for scope in ("route", "network"):
             assert alternate_path_availability(
-                network, source, target, slack, scope
+                network, network.lowest_latency_route(source, target), slack, scope
             ) == nx_oracle.alternate_path_availability(
                 network, source, target, slack, scope
             )
@@ -170,7 +170,9 @@ def test_network_scope_counts_a_refiled_pair_once():
     tails = [FiberTail("CME", "t0", 50.0), FiberTail("NY4", "t1", 50.0)]
     network = _network(links, tails)
     _assert_matches_oracle(network, "CME", "NY4")
-    assert alternate_path_availability(network, "CME", "NY4", scope="network") == 0.5
+    assert alternate_path_availability(
+        network, network.lowest_latency_route("CME", "NY4"), scope="network"
+    ) == 0.5
 
 
 def test_source_equals_target_matches_oracle():
@@ -204,5 +206,5 @@ def test_random_networks_match_oracle(drawn):
     _assert_matches_oracle(network, "CME", "NY4")
     for scope in ("route", "network"):
         assert alternate_path_availability(
-            network, "CME", "NY4", slack, scope
+            network, network.lowest_latency_route("CME", "NY4"), slack, scope
         ) == nx_oracle.alternate_path_availability(network, "CME", "NY4", slack, scope)

@@ -32,6 +32,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.cli import main
 from repro.core.engine import CorridorEngine, EncodedValue, EngineCacheExport
 from repro.serve.service import CorridorQueryService
@@ -532,6 +533,103 @@ class TestEngineCacheTransplant:
 
 
 # ----------------------------------------------------------------------
+# APA values persist beside routes
+# ----------------------------------------------------------------------
+
+
+def _table3_apa(scenario, engine) -> dict:
+    """Table 3's APA values (spotlight pair × corridor paths), read
+    through ``engine``."""
+    date = scenario.snapshot_date
+    return {
+        (name, path): engine.apa(name, date, *path)
+        for name in scenario.spotlight_names
+        for path in scenario.corridor.paths
+    }
+
+
+class TestApaEntries:
+    def _published(self, scenario, tmp_path):
+        store = CacheStore(tmp_path)
+        engine = _engine(scenario, store=store)
+        values = _table3_apa(scenario, engine)
+        path = engine.checkpoint()
+        assert path is not None
+        return store, values, path
+
+    def test_seeded_engine_answers_table3_apa_without_searching(
+        self, scenario, tmp_path
+    ):
+        store, values, _ = self._published(scenario, tmp_path)
+        warm = _engine(scenario, store=CacheStore(tmp_path))
+        with obs.capture() as captured:
+            assert _table3_apa(scenario, warm) == values
+        counters = captured.counters()
+        assert [name for name in counters if name.startswith("metrics.apa.")] == []
+        assert [r.name for r in captured.spans if r.name == "core.routing"] == []
+        assert warm.stats.apa.hits == len(values)
+        assert (warm.stats.apa.misses, warm.stats.route.lookups) == (0, 0)
+        assert not warm.dirty
+
+    def test_flipped_apa_value_counts_corrupt_once_and_is_rebuilt(
+        self, scenario, tmp_path
+    ):
+        store, values, path = self._published(scenario, tmp_path)
+        envelope = pickle.loads(path.read_bytes())
+        params_key, snapshots, routes, apa, geodesic = envelope["body"]
+        assert len(apa) == len(values)
+        key, data, crc = apa[0]
+        flipped = bytearray(data)
+        flipped[len(flipped) // 2] ^= 0xFF
+        apa = ((key, bytes(flipped), crc), *apa[1:])
+        envelope["body"] = (params_key, snapshots, routes, apa, geodesic)
+        layout.write_entry(tmp_path, path.stem, pickle.dumps(envelope))
+
+        reader = CacheStore(tmp_path)
+        warm = _engine(scenario, store=reader)
+        assert _table3_apa(scenario, warm) == values
+        stats = warm.stats
+        assert (stats.apa.corrupt, stats.apa.misses) == (1, 1)
+        assert stats.apa.hits == len(values) - 1
+        # The entry itself read fine; the rebuilt value is republished.
+        assert (reader.counters()["hits"], reader.counters()["corrupt"]) == (1, 0)
+        assert warm.dirty
+        warm.checkpoint()
+        again = _engine(scenario, store=CacheStore(tmp_path))
+        assert _table3_apa(scenario, again) == values
+        assert (again.stats.apa.corrupt, again.stats.apa.misses) == (0, 0)
+
+    def test_schema_v1_entry_is_a_miss(self, scenario, tmp_path):
+        store, values, path = self._published(scenario, tmp_path)
+        params_key, snapshots, routes, _, geodesic = pickle.loads(
+            path.read_bytes()
+        )["body"]
+        v1_body = (params_key, snapshots, routes, geodesic)
+        for schema, outcome in ((1, "stale"), (STORE_SCHEMA_VERSION, "corrupt")):
+            # A v1 envelope (the four-part body, without APA values), and
+            # the same body under the current schema number.
+            layout.write_entry(
+                tmp_path,
+                path.stem,
+                pickle.dumps(
+                    {
+                        "schema": schema,
+                        "fingerprint": path.stem,
+                        "kind": "engine",
+                        "body": v1_body,
+                    }
+                ),
+            )
+            reader = CacheStore(tmp_path)
+            cold = CorridorEngine(scenario.database, scenario.corridor)
+            assert reader.load_into(cold) is False
+            assert reader.counters()[outcome] == 1
+            assert (reader.counters()["hits"], reader.counters()["misses"]) == (0, 1)
+            assert cold.stats.snapshot.size == 0
+            assert _table3_apa(scenario, cold) == values
+
+
+# ----------------------------------------------------------------------
 # CLI: --cache-dir and `cache {stat,gc,clear}`
 # ----------------------------------------------------------------------
 
@@ -688,11 +786,12 @@ class TestCacheCli:
         self._reset_default_engine()
         assert main(argv) == 0
         capsys.readouterr()
-        # The snapshots the warm run decoded are the ones table1 reads.
+        # The routes the warm run decoded are the ones table1 reads (its
+        # APA values come from the entry too, so it decodes no snapshot).
         engine = resolve_scenario("paper2020").engine()
         read = [
             key
-            for key, value in engine._snapshots.items()
+            for key, value in engine._routes.items()
             if type(value) is not EncodedValue
         ]
         assert read
@@ -700,16 +799,14 @@ class TestCacheCli:
         fingerprint = stores[-1].fingerprint_for(engine)
         path = layout.entry_path(tmp_path, fingerprint)
         envelope = pickle.loads(path.read_bytes())
-        params_key, snapshots, routes, geodesic = envelope["body"]
-        snapshots = list(snapshots)
-        index = next(
-            i for i, (key, _, _) in enumerate(snapshots) if key == read[0]
-        )
-        key, data, crc = snapshots[index]
+        params_key, snapshots, routes, *rest = envelope["body"]
+        routes = list(routes)
+        index = next(i for i, (key, _, _) in enumerate(routes) if key == read[0])
+        key, data, crc = routes[index]
         flipped = bytearray(data)
         flipped[len(flipped) // 2] ^= 0xFF
-        snapshots[index] = (key, bytes(flipped), crc)
-        envelope["body"] = (params_key, tuple(snapshots), routes, geodesic)
+        routes[index] = (key, bytes(flipped), crc)
+        envelope["body"] = (params_key, snapshots, tuple(routes), *rest)
         layout.write_entry(tmp_path, fingerprint, pickle.dumps(envelope))
 
         self._reset_default_engine()
@@ -718,7 +815,8 @@ class TestCacheCli:
         assert out == plain
         assert "Traceback" not in err
         stats = resolve_scenario("paper2020").engine().stats
-        assert (stats.snapshot.corrupt, stats.snapshot.misses) == (1, 1)
+        assert (stats.route.corrupt, stats.route.misses) == (1, 1)
+        assert (stats.snapshot.corrupt, stats.snapshot.misses) == (0, 0)
         assert "corrupt=1" in err
         counters = stores[-1].counters()
         # The entry itself read fine; the rebuilt value made the engine
@@ -735,7 +833,7 @@ class TestCacheCli:
         assert out == plain
         assert "corrupt=" not in err
         stats = resolve_scenario("paper2020").engine().stats
-        assert (stats.snapshot.corrupt, stats.snapshot.misses) == (0, 0)
+        assert (stats.route.corrupt, stats.route.misses) == (0, 0)
         counters = stores[-1].counters()
         assert (counters["hits"], counters["saves"]) == (1, 0)
 

@@ -398,14 +398,14 @@ class TestBoundedBisection:
 
 class TestStructure:
     def test_bypass_coverage_produces_apa(self):
-        from repro.metrics.apa import apa_percent
+        from repro.core.apa import apa_percent
 
         spec = _spec(trunk_bypass_covered=(2, 3, 6, 7, 9))
         licenses = build_network_licenses(spec, CORRIDOR)
         network = NetworkReconstructor(CORRIDOR).reconstruct(
             licenses, dt.date(2020, 4, 1)
         )
-        assert apa_percent(network, "CME", "NY4") == round(100 * 5 / 12)
+        assert apa_percent(network, network.lowest_latency_route("CME", "NY4")) == round(100 * 5 / 12)
 
     def test_history_eras_activate_in_sequence(self):
         spec = _spec(
