@@ -605,6 +605,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import signal
+
     from repro.serve import CorridorQueryService, run_server
 
     # A long-lived server must reclaim its request garbage.
@@ -614,7 +616,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     def announce(url: str) -> None:
         print(f"serving corridor analytics on {url}", flush=True)
 
-    run_server(service, host=args.host, port=args.port, announce=announce)
+    # Ctrl-C and SIGTERM both drain and exit 0, even when SIGINT was
+    # inherited as ignored (a background job of a non-interactive shell
+    # starts that way, and would otherwise only die to SIGKILL).
+    stops = (signal.SIGINT, signal.SIGTERM)
+    previous = [signal.signal(signum, signal.default_int_handler) for signum in stops]
+    try:
+        run_server(service, host=args.host, port=args.port, announce=announce)
+    finally:
+        for signum, handler in zip(stops, previous):
+            if handler is not None:
+                signal.signal(signum, handler)
     return 0
 
 

@@ -127,14 +127,20 @@ DEFAULT_BODY_CACHE_SIZE = 256
 
 
 class ResponseBodyCache:
-    """Rendered 200 response bodies, keyed on (endpoint, params).
+    """Rendered 200 response bodies, keyed on what the payload depends on.
 
-    One level above the facade: a hit skips request parsing, payload
-    building *and* JSON rendering.  Entries are scoped to one engine
-    generation — any database mutation bumps the generation and the
-    next lookup drops every cached body, so a stale body can never be
-    served (same invalidation rule as the engine's own caches).  Bodies
-    are immutable ``bytes``, safe to hand to any number of threads.
+    One level above the facade: a hit skips payload building *and* JSON
+    rendering.  A key is ``(path, canonical args, fingerprints)``, where
+    the fingerprints are the active license sets of the licensees a
+    dated payload reads (DESIGN.md §13, "The body cache").  The query
+    date is not part of the key: an entry is the body split at its date
+    value, ``(head, tail)``, and a hit is ``head + date + tail``.
+
+    Entries are scoped to one engine generation — any database mutation
+    bumps the generation and the next lookup drops every cached body, so
+    a stale body can never be served (same invalidation rule as the
+    engine's own caches).  Entries are immutable ``bytes`` pairs, safe
+    to hand to any number of threads.
     """
 
     def __init__(self, maxsize: int = DEFAULT_BODY_CACHE_SIZE) -> None:
@@ -143,7 +149,7 @@ class ResponseBodyCache:
         self.misses = 0
         self.invalidations = 0
         self._generation: int | None = None
-        self._entries: OrderedDict[tuple, bytes] = OrderedDict()
+        self._entries: OrderedDict[tuple, tuple[bytes, bytes]] = OrderedDict()
         self._lock = threading.Lock()
 
     def _sync_generation(self, generation: int) -> None:
@@ -153,23 +159,23 @@ class ResponseBodyCache:
                 self._entries.clear()
             self._generation = generation
 
-    def get(self, key: tuple, generation: int) -> bytes | None:
+    def get(self, key: tuple, generation: int) -> tuple[bytes, bytes] | None:
         with self._lock:
             self._sync_generation(generation)
-            body = self._entries.get(key)
-            if body is None:
+            entry = self._entries.get(key)
+            if entry is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return body
+            return entry
 
-    def put(self, key: tuple, generation: int, body: bytes) -> None:
+    def put(self, key: tuple, generation: int, entry: tuple[bytes, bytes]) -> None:
         with self._lock:
             self._sync_generation(generation)
             if key not in self._entries and len(self._entries) >= self.maxsize:
                 self._entries.popitem(last=False)
-            self._entries[key] = body
+            self._entries[key] = entry
             self._entries.move_to_end(key)
 
     def describe(self) -> dict:
@@ -181,6 +187,44 @@ class ResponseBodyCache:
                 "invalidations": self.invalidations,
                 "generation": self._generation,
             }
+
+
+#: Stands in for the query date while a dated payload renders, so the
+#: body splits at the date's one position.  It renders as ``"\u0000"``,
+#: which no payload text spells; a body that held it twice would not
+#: be cached.
+_DATE_SENTINEL = "\x00"
+_SENTINEL_TOKEN = render_payload(_DATE_SENTINEL).encode("utf-8")
+
+
+def _render(payload: dict) -> bytes:
+    return (render_payload(payload) + "\n").encode("utf-8")
+
+
+def _stamped(payload: dict, date_at: tuple[str, ...], value: str) -> dict:
+    """A copy of ``payload`` whose date slot holds ``value``.
+
+    ``date_at`` names the keys from the payload root down to the dict
+    whose ``"date"`` is the query date.  Only the dicts on that path are
+    copied; ``payload`` itself is never mutated (coalesced followers
+    share it).
+    """
+    if not date_at:
+        return {**payload, "date": value}
+    first, rest = date_at[0], date_at[1:]
+    return {**payload, first: _stamped(payload[first], rest, value)}
+
+
+def _split_at_date(payload: dict, date_at: tuple[str, ...]) -> tuple[bytes, bytes] | None:
+    """``payload``'s body as ``(head, tail)`` around its date value, so
+    ``head + date + tail`` is the body for any date; ``None`` if the
+    rendered body does not hold exactly one date slot."""
+    parts = _render(_stamped(payload, date_at, _DATE_SENTINEL)).split(
+        _SENTINEL_TOKEN
+    )
+    if len(parts) != 2:
+        return None
+    return parts[0], parts[1]
 
 
 class _ScenarioState:
@@ -248,6 +292,14 @@ class CorridorQueryService:
             "/search": self._search,
             "/map": self._map,
         }
+        # The dated endpoints: each one's query (see `_rankings_query`)
+        # and the keys leading to the dict whose "date" its payload
+        # echoes.  The body cache keys them by fingerprints, not date.
+        self._dated: dict[str, tuple[Callable, tuple[str, ...]]] = {
+            "/rankings": (self._rankings_query, ()),
+            "/apa": (self._apa_query, ()),
+            "/map": (self._map_query, ("properties",)),
+        }
 
     @property
     def facade(self) -> EngineFacade:
@@ -270,47 +322,71 @@ class CorridorQueryService:
         cache when possible; ``/healthz`` and ``/stats`` (live values)
         and every error path always render fresh.
         """
-        key = self._body_key(url)
-        state = self._body_state(key) if key is not None else None
-        if state is not None:
-            body = state.bodies.get(key, state.facade.engine.database.generation)
-            if body is not None:
-                obs.count("serve.body_cache.hit")
-                # A body hit is still a request for accounting purposes.
-                self.facade.enter_request()
-                self.facade.exit_request()
-                return 200, body
-            obs.count("serve.body_cache.miss")
+        lookup = self._body_lookup(url)
+        if lookup is None:
+            status, payload = self.handle_url(url)
+            return status, _render(payload)
+        state, key, generation, stamp = lookup
+        entry = state.bodies.get(key, generation)
+        if entry is not None:
+            obs.count("serve.body_cache.hit")
+            # A body hit is still a request for accounting purposes.
+            self.facade.enter_request()
+            self.facade.exit_request()
+            return 200, entry[0] + stamp + entry[1]
+        obs.count("serve.body_cache.miss")
         status, payload = self.handle_url(url)
-        body = (render_payload(payload) + "\n").encode("utf-8")
-        if state is not None and status == 200:
-            state.bodies.put(key, state.facade.engine.database.generation, body)
-        return status, body
+        if status != 200:
+            return status, _render(payload)
+        dated = self._dated.get(key[0])
+        if dated is None:
+            entry = (_render(payload), b"")
+        else:
+            entry = _split_at_date(payload, dated[1])
+            if entry is None:
+                return status, _render(payload)
+        state.bodies.put(key, generation, entry)
+        return status, entry[0] + stamp + entry[1]
 
-    def _body_state(self, key: tuple) -> _ScenarioState | None:
-        """The state whose body cache holds ``key``, or ``None``.
-
-        A bad scenario reference returns ``None`` so the request takes
-        the normal (error-rendering, uncached) path.
-        """
-        try:
-            return self._resolve_state(dict(key[1]).get("scenario"))
-        except ServiceError:
-            return None
-
-    def _body_key(self, url: str) -> tuple | None:
-        """The body-cache key for ``url``, or ``None`` if uncacheable.
+    def _body_lookup(
+        self, url: str
+    ) -> tuple[_ScenarioState, tuple, int, bytes] | None:
+        """Where ``url``'s body is cached: ``(state, key, generation,
+        stamp)``, or ``None`` if it is not cacheable.
 
         Only analysis endpoints cache — ``/healthz``/``/stats`` report
-        live state and unparseable requests take the error path.
+        live state, and a request that fails parsing, scenario
+        resolution or validation takes the (uncached) error path.  A
+        dated endpoint's key is ``(path, validated args, fingerprints)``
+        and its stamp is the rendered date spliced into the cached body;
+        any other endpoint keys on its sorted params with no
+        fingerprints and an empty stamp.
         """
         try:
             path, params = parse_request(url)
+            if path not in self.routes:
+                return None
+            state = self._resolve_state(params.pop("scenario", None))
+            dated = self._dated.get(path)
+            if dated is None:
+                key = (path, tuple(sorted(params.items())), ())
+                return state, key, state.facade.engine.database.generation, b""
+            self._local.state = state
+            try:
+                date, args, names = dated[0](params)
+            finally:
+                self._local.state = None
         except ServiceError:
             return None
-        if path not in self.routes:
-            return None
-        return (path, tuple(sorted(params.items())))
+        engine = state.facade.engine
+        # The temporal indices build lazily and mutate the database.
+        with engine.locked():
+            generation = engine.database.generation
+            fingerprints = tuple(
+                engine.active_fingerprint(name, date) for name in names
+            )
+        stamp = render_payload(date.isoformat()).encode("utf-8")
+        return state, (path, args, fingerprints), generation, stamp
 
     def handle_url(self, url: str) -> tuple[int, dict]:
         """One request target -> (status, payload dict); never raises."""
@@ -494,14 +570,26 @@ class CorridorQueryService:
             )
         return site
 
-    def _rankings(self, engine: CorridorEngine, params: dict[str, str]) -> dict:
+    # A dated endpoint's query validates its params and returns ``(date,
+    # args, licensees)``: everything its payload depends on besides the
+    # engine is ``args`` and the licensees' active sets on ``date``.
+
+    def _rankings_query(
+        self, params: dict[str, str]
+    ) -> tuple[dt.date, tuple, tuple[str, ...]]:
         _check_params(params, ("date", "source", "target"))
         scenario = self._current().scenario
         date = _date_param(params, "date", scenario.snapshot_date)
         default_source, default_target = scenario.primary_path
         source = self._site_param(params, "source", default_source)
         target = self._site_param(params, "target", default_target)
-        return payloads.rankings_payload(scenario, engine, date, source, target)
+        return date, (source, target), tuple(scenario.database.licensee_names())
+
+    def _rankings(self, engine: CorridorEngine, params: dict[str, str]) -> dict:
+        date, (source, target), _ = self._rankings_query(params)
+        return payloads.rankings_payload(
+            self._current().scenario, engine, date, source, target
+        )
 
     def _timeline(self, engine: CorridorEngine, params: dict[str, str]) -> dict:
         _check_params(params, ("step", "licensee"))
@@ -518,13 +606,19 @@ class CorridorQueryService:
             self._current().scenario, engine, step, names
         )
 
-    def _apa(self, engine: CorridorEngine, params: dict[str, str]) -> dict:
+    def _apa_query(
+        self, params: dict[str, str]
+    ) -> tuple[dt.date, tuple, tuple[str, ...]]:
         _check_params(params, ("date", "licensee"))
         scenario = self._current().scenario
         date = _date_param(params, "date", scenario.snapshot_date)
         licensee = self._licensee_param(params)
-        names = (licensee,) if licensee else None
-        return payloads.apa_payload(scenario, engine, date, names)
+        names = (licensee,) if licensee else tuple(scenario.spotlight_names)
+        return date, names, names
+
+    def _apa(self, engine: CorridorEngine, params: dict[str, str]) -> dict:
+        date, names, _ = self._apa_query(params)
+        return payloads.apa_payload(self._current().scenario, engine, date, names)
 
     def _search(self, engine: CorridorEngine, params: dict[str, str]) -> dict:
         _check_params(params, ("lat", "lon", "radius_m", "active_on"))
@@ -542,9 +636,15 @@ class CorridorQueryService:
             self._current().scenario, latitude, longitude, radius_m, active_on
         )
 
-    def _map(self, engine: CorridorEngine, params: dict[str, str]) -> dict:
+    def _map_query(
+        self, params: dict[str, str]
+    ) -> tuple[dt.date, tuple, tuple[str, ...]]:
         _check_params(params, ("licensee", "date"))
         scenario = self._current().scenario
         licensee = self._licensee_param(params, scenario.spotlight_names[0])
         date = _date_param(params, "date", scenario.snapshot_date)
-        return payloads.map_payload(scenario, engine, licensee, date)
+        return date, (licensee,), (licensee,)
+
+    def _map(self, engine: CorridorEngine, params: dict[str, str]) -> dict:
+        date, (licensee,), _ = self._map_query(params)
+        return payloads.map_payload(self._current().scenario, engine, licensee, date)

@@ -47,6 +47,7 @@ from repro.store.fingerprint import STORE_SCHEMA_VERSION, store_fingerprint
 from repro.store.layout import (
     default_cache_dir,
     list_entries,
+    orphaned_entries,
     quarantine_entry,
     read_entry,
     touch_entry,
@@ -64,6 +65,25 @@ class StoreEntry:
     path: Path
     size_bytes: int
     mtime_s: float
+
+
+def _described(paths) -> tuple[StoreEntry, ...]:
+    """A :class:`StoreEntry` per entry file still present."""
+    entries = []
+    for path in paths:
+        try:
+            info = path.stat()
+        except OSError:
+            continue
+        entries.append(
+            StoreEntry(
+                fingerprint=path.stem,
+                path=path,
+                size_bytes=info.st_size,
+                mtime_s=info.st_mtime,
+            )
+        )
+    return tuple(entries)
 
 
 class _StaleEntry(Exception):
@@ -317,21 +337,11 @@ class CacheStore:
 
     def stat(self) -> tuple[StoreEntry, ...]:
         """Published entries with sizes and mtimes, sorted by fingerprint."""
-        entries = []
-        for path in list_entries(self.cache_dir):
-            try:
-                info = path.stat()
-            except OSError:
-                continue
-            entries.append(
-                StoreEntry(
-                    fingerprint=path.stem,
-                    path=path,
-                    size_bytes=info.st_size,
-                    mtime_s=info.st_mtime,
-                )
-            )
-        return tuple(entries)
+        return _described(list_entries(self.cache_dir))
+
+    def _orphans(self) -> tuple[StoreEntry, ...]:
+        """Entries of other schema versions, which no load ever reads."""
+        return _described(orphaned_entries(self.cache_dir))
 
     def gc(
         self,
@@ -341,7 +351,9 @@ class CacheStore:
     ) -> tuple[StoreEntry, ...]:
         """Remove entries beyond a size or age bound; returns the removed.
 
-        Age is mtime, which every write and every hit refreshes.
+        Entries of other schema versions are always removed: no load
+        reads them.  Age is mtime, which every write and every hit
+        refreshes.
         ``max_bytes`` keeps the newest entries whose cumulative size fits
         the bound; ``max_age_s`` removes entries older than the bound
         relative to ``now_s``.  The store never reads the wall clock
@@ -365,23 +377,23 @@ class CacheStore:
                     removed[entry.fingerprint] = entry
                 else:
                     kept_bytes += entry.size_bytes
-        for entry in removed.values():
+        doomed = (*self._orphans(), *removed.values())
+        for entry in doomed:
             try:
                 entry.path.unlink()
             except OSError:
                 pass
-        return tuple(
-            sorted(removed.values(), key=lambda e: e.fingerprint)
-        )
+        return tuple(sorted(doomed, key=lambda e: e.fingerprint))
 
     def clear(self) -> int:
         """Remove every entry (quarantine included); returns the count.
 
-        Only counts published entries; quarantined and stale temp files
-        are swept as a side effect.
+        Only counts published entries, those of other schema versions
+        included; quarantined and stale temp files are swept as a side
+        effect.
         """
         count = 0
-        for entry in self.stat():
+        for entry in (*self._orphans(), *self.stat()):
             try:
                 entry.path.unlink()
             except OSError:

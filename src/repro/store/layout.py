@@ -7,6 +7,8 @@
             <fingerprint>.pkl        # published entries (atomic renames)
             .tmp-<fp>-<pid>-<tid>    # in-flight writes, never read
             quarantine/              # corrupt entries, moved aside
+        v<N>/                        # other schema versions: never read,
+                                     # removed by `cache gc` / `cache clear`
 
 Every path computation and raw file touch lives here — the
 cache-discipline lint rule confines calls to these functions to
@@ -22,6 +24,7 @@ rename wins; both payloads are equivalent by content-addressing).
 from __future__ import annotations
 
 import os
+import re
 import threading
 from pathlib import Path
 
@@ -122,12 +125,8 @@ def quarantine_entry(cache_dir: Path, fingerprint: str) -> Path | None:
     return destination
 
 
-def list_entries(cache_dir: Path) -> list[Path]:
-    """Published entry files, sorted by name (i.e. by fingerprint).
-
-    Temp files and the quarantine directory are not entries.
-    """
-    directory = entry_dir(cache_dir)
+def _entry_files(directory: Path) -> list[Path]:
+    """The published entry files directly in ``directory``, sorted."""
     try:
         children = sorted(directory.iterdir())
     except OSError:
@@ -137,3 +136,31 @@ def list_entries(cache_dir: Path) -> list[Path]:
         for child in children
         if child.suffix == ENTRY_SUFFIX and child.is_file()
     ]
+
+
+def list_entries(cache_dir: Path) -> list[Path]:
+    """Published entry files, sorted by name (i.e. by fingerprint).
+
+    Temp files and the quarantine directory are not entries.
+    """
+    return _entry_files(entry_dir(cache_dir))
+
+
+def orphaned_entries(cache_dir: Path) -> list[Path]:
+    """Published entries under every *other* ``v<N>`` directory, sorted.
+
+    A schema bump moves entries to a new version directory and never
+    reads the old one again, so these files only take space.
+    """
+    current = entry_dir(cache_dir)
+    try:
+        versions = sorted(
+            child
+            for child in Path(cache_dir).iterdir()
+            if child != current
+            and re.fullmatch(r"v\d+", child.name)
+            and child.is_dir()
+        )
+    except OSError:
+        return []
+    return [entry for directory in versions for entry in _entry_files(directory)]

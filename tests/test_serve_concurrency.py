@@ -1,6 +1,6 @@
 """Concurrency guarantees of the serve facade over one shared engine.
 
-Three nets, per the serve design (DESIGN.md §13):
+Four nets, per the serve design (DESIGN.md §13):
 
 * **Single-build coalescing** — N threads barrier-released on the same
   cold (date, params) key observe exactly one ``engine.snapshot.miss``
@@ -12,10 +12,15 @@ Three nets, per the serve design (DESIGN.md §13):
   no more lookups).
 * **Error coalescing** — followers behind a failing leader get the
   leader's error, and the in-flight slot is released for later requests.
+* **Shared fingerprints** — threads asking for different dates with one
+  active set each get their own date back from the body cache, and the
+  engine builds each snapshot once.
 """
 
 from __future__ import annotations
 
+import datetime as dt
+import json
 import threading
 import time
 
@@ -120,6 +125,52 @@ class TestCoalescingSingleBuild:
         assert not facade._inflight
         status, payload = service.handle_url("/fail")
         assert status == 503
+
+
+class TestSharedFingerprints:
+    #: Six paper2020 dates on which no license is granted or lapses.
+    DATES = [f"2018-02-{day:02d}" for day in range(6, 12)]
+
+    def test_each_thread_gets_its_own_date_and_one_build(self, scenario):
+        engine = CorridorEngine(scenario.database, scenario.corridor)
+        names = scenario.database.licensee_names()
+        fingerprints = {
+            tuple(
+                engine.active_fingerprint(name, dt.date.fromisoformat(date))
+                for name in names
+            )
+            for date in self.DATES
+        }
+        assert len(fingerprints) == 1
+        service = CorridorQueryService(scenario=scenario, engine=engine)
+        urls = [f"/rankings?date={date}" for date in self.DATES]
+        barrier = threading.Barrier(len(urls))
+        bodies: list = [None] * len(urls)
+
+        def worker(index: int) -> None:
+            barrier.wait()
+            bodies[index] = service.handle_http(urls[index])
+
+        threads = [
+            threading.Thread(target=worker, args=(index,))
+            for index in range(len(urls))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+        payloads = [json.loads(body) for _, body in bodies]
+        assert {status for status, _ in bodies} == {200}
+        assert [payload.pop("date") for payload in payloads] == self.DATES
+        assert all(payload == payloads[0] for payload in payloads)
+        # Every snapshot was built once: as many as one date alone needs.
+        serial = fresh_service(scenario)
+        serial.handle_http(urls[0])
+        assert (
+            engine.stats.snapshot.misses
+            == serial.facade.engine.stats.snapshot.misses
+        )
 
 
 REQUEST_POOL = (

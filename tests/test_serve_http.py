@@ -9,7 +9,12 @@ their own throwaway server so the shared one stays clean.
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+from pathlib import Path
 import urllib.error
 import urllib.request
 
@@ -151,6 +156,45 @@ class TestLifecycle:
         runner.join(timeout=30)
         assert not runner.is_alive()
         assert active_server() is None
+
+
+#: Starts `repro serve` with SIGINT ignored, as a background job of a
+#: non-interactive shell inherits it (`exec` keeps the disposition).
+IGNORING_SIGINT = (
+    "import os, signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+    "os.execv(sys.executable, [sys.executable, '-m', 'repro', 'serve', "
+    "'--port', '0'])"
+)
+
+
+class TestStopSignals:
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
+    def test_serve_drains_and_exits_zero_with_sigint_ignored(self, signum):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        env.pop("REPRO_CACHE_DIR", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", IGNORING_SIGINT],
+            cwd=root,
+            env=env,
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            banner = proc.stdout.readline()
+            assert banner.startswith("serving corridor analytics on "), banner
+            url = banner.split()[-1]
+            assert http_get(url + "/healthz")[0] == 200
+            proc.send_signal(signum)
+            assert proc.wait(timeout=10) == 0, proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
 
 
 class TestColdMode:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
+import json
 import os
 import pickle
 import shutil
@@ -419,6 +420,35 @@ class TestGc:
         assert store.clear() == 3
         assert store.stat() == ()
         assert not list(layout.quarantine_dir(store.cache_dir).glob("*"))
+
+    def _orphan(self, store) -> Path:
+        # A schema bump leaves the previous version's entries behind;
+        # `v1` is never the current version (schema 2 and later).
+        old = store.cache_dir / "v1" / "old.pkl"
+        old.parent.mkdir(parents=True, exist_ok=True)
+        old.write_bytes(b"x" * 50)
+        return old
+
+    def test_gc_removes_other_schema_versions(self, tmp_path):
+        store = CacheStore(tmp_path)
+        base = self._seed_entries(store)
+        old = self._orphan(store)
+        # No current entry is old enough to go; the orphan goes anyway.
+        removed = store.gc(max_age_s=1e9, now_s=base)
+        assert [e.path for e in removed] == [old]
+        assert not old.exists()
+        assert len(store.stat()) == 3
+        self._orphan(store)
+        assert len(store.gc(max_bytes=0)) == 4
+        assert not list(store.cache_dir.glob("v*/*.pkl"))
+
+    def test_clear_removes_other_schema_versions(self, tmp_path):
+        store = CacheStore(tmp_path)
+        self._seed_entries(store)
+        old = self._orphan(store)
+        assert store.clear() == 4
+        assert not old.exists()
+        assert store.stat() == ()
 
     def test_read_entry_survives_age_gc(self, scenario, tmp_path):
         # Clean runs read entries without rewriting them, so a hit must
@@ -1165,11 +1195,45 @@ class TestBodyCache:
         # Body hits still count as requests.
         assert service.facade.describe()["facade"]["requests"] == 2
 
+    @staticmethod
+    def _fingerprints(service, date: dt.date) -> tuple:
+        engine = service.facade.engine
+        return tuple(
+            engine.active_fingerprint(name, date)
+            for name in engine.database.licensee_names()
+        )
+
     def test_distinct_params_are_distinct_entries(self, scenario):
+        # Bodies are keyed by the licensees' active sets, not the date:
+        # dates whose fingerprints differ get an entry each.
         service, _ = self._service(scenario)
+        assert self._fingerprints(service, scenario.snapshot_date) != (
+            self._fingerprints(service, dt.date(2019, 1, 1))
+        )
         service.handle_http("/rankings")
         service.handle_http("/rankings?date=2019-01-01")
-        assert service.bodies.describe()["entries"] == 2
+        described = service.bodies.describe()
+        assert described["entries"] == 2
+        assert (described["hits"], described["misses"]) == (0, 2)
+
+    def test_equal_fingerprints_share_one_entry(self, scenario):
+        # Two dates five days apart on which no license is granted or
+        # lapses: the second is a hit, and echoes its own date.
+        service, _ = self._service(scenario)
+        first, second = dt.date(2018, 2, 6), dt.date(2018, 2, 11)
+        assert self._fingerprints(service, first) == self._fingerprints(
+            service, second
+        )
+        _, body1 = service.handle_http(f"/rankings?date={first}")
+        status, body2 = service.handle_http(f"/rankings?date={second}")
+        assert status == 200
+        assert body2 == body1.replace(
+            first.isoformat().encode(), second.isoformat().encode()
+        )
+        assert json.loads(body2)["date"] == second.isoformat()
+        described = service.bodies.describe()
+        assert described["entries"] == 1
+        assert (described["hits"], described["misses"]) == (1, 1)
 
     def test_generation_bump_invalidates_bodies(self, scenario):
         service, database = self._service(scenario)
