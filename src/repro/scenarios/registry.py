@@ -243,6 +243,31 @@ def _build(entry: ScenarioEntry, ref: ScenarioRef, kwargs: dict, store):
     return scenario
 
 
+def _normalised(ref: str | ScenarioRef) -> tuple[ScenarioEntry, ScenarioRef, dict]:
+    """``ref``'s registry entry, normalised reference and builder args."""
+    parsed = parse_scenario_ref(ref)
+    with _LOCK:
+        entry = _REGISTRY.get(parsed.name)
+    if entry is None:
+        known = ", ".join(scenario_names())
+        raise UnknownScenarioError(
+            f"unknown scenario {parsed.name!r} (registered: {known})"
+        )
+    normal, kwargs = entry.normalise(parsed)
+    return entry, normal, kwargs
+
+
+def normalise_ref(ref: str | ScenarioRef) -> ScenarioRef:
+    """``ref`` as the registry keys it, without building anything.
+
+    Every spelling of one scenario (``synthetic:seed=07,links=20`` and
+    ``synthetic:links=20,seed=7``) gives the same reference.  Raises
+    what :func:`resolve_scenario` raises for an unknown name or a
+    parameter that does not convert.
+    """
+    return _normalised(ref)[1]
+
+
 def resolve_scenario(ref: str | ScenarioRef, store=None) -> Scenario:
     """Resolve a reference to its (registry-memoised) :class:`Scenario`.
 
@@ -258,15 +283,7 @@ def resolve_scenario(ref: str | ScenarioRef, store=None) -> Scenario:
     Raises :class:`UnknownScenarioError` for unknown names and
     :class:`ScenarioParamError` for bad parameters.
     """
-    parsed = parse_scenario_ref(ref)
-    with _LOCK:
-        entry = _REGISTRY.get(parsed.name)
-    if entry is None:
-        known = ", ".join(scenario_names())
-        raise UnknownScenarioError(
-            f"unknown scenario {parsed.name!r} (registered: {known})"
-        )
-    normal, kwargs = entry.normalise(parsed)
+    entry, normal, kwargs = _normalised(ref)
     scenario = entry.memoised(normal)
     if scenario is None:
         scenario = entry.memoise(normal, _build(entry, normal, kwargs, store))

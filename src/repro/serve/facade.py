@@ -10,14 +10,14 @@ one engine safe to share:
   (:meth:`CorridorEngine.locked`), so snapshot resolution, route
   lookups and cache eviction are serialised exactly as in a
   single-threaded driver.
-* **Request coalescing** — identical in-flight requests (same canonical
-  key: endpoint path + sorted query params) collapse onto one
-  computation.  The first arrival becomes the *leader* and computes
-  under the engine lock; later arrivals become *followers*, wait on an
-  event, and receive the leader's payload (or its error) without
-  touching the engine.  N concurrent identical cache misses therefore
-  trigger exactly one cold build (``engine.snapshot.miss`` increments
-  once — pinned in ``tests/test_serve_concurrency.py``).
+* **Request coalescing** — in-flight requests with one key (the
+  service passes its body-cache key) collapse onto one computation.
+  The first arrival becomes the *leader* and computes under the engine
+  lock; later arrivals become *followers*, wait on an event, and
+  receive the leader's result (or its error) without touching the
+  engine.  N concurrent identical cache misses therefore trigger
+  exactly one cold build (``engine.snapshot.miss`` increments once —
+  pinned in ``tests/test_serve_concurrency.py``).
 
 The facade also keeps always-on service counters (requests, coalesce
 leader/follower splits, errors, peak concurrency) independent of any
@@ -67,9 +67,9 @@ class EngineFacade:
 
         All concurrent callers presenting the same ``key`` share one
         ``compute()`` invocation; every caller gets the identical return
-        value (payloads are immutable-by-convention dicts that handlers
-        never mutate after building).  If the leader raises, followers
-        re-raise the same exception object.
+        value, so it should be immutable (the service's is a pair of
+        ``bytes``).  If the leader raises, followers re-raise the same
+        exception object.
         """
         with self._inflight_lock:
             entry = self._inflight.get(key)

@@ -141,9 +141,10 @@ def run_server(
     server = CorridorServer(service, host=host, port=port)
     _ACTIVE_SERVER = server
     server.start()
-    if announce is not None:
-        announce(server.url)
     try:
+        # Inside the try: a stop signal can land while the banner prints.
+        if announce is not None:
+            announce(server.url)
         server.join()
     except KeyboardInterrupt:
         pass

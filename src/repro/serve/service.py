@@ -1,20 +1,19 @@
 """The corridor query service: validated endpoints over the facade.
 
 :class:`CorridorQueryService` is the transport-free core of the server
-— it maps ``(path, query params)`` to a JSON payload, with every
-engine-touching computation routed through a
+— :meth:`CorridorQueryService.handle_http` maps a request target to a
+status and a canonical JSON body, parsing, validating and keying it
+once, with every engine-touching computation routed through a
 :class:`~repro.serve.facade.EngineFacade` (lock-scoped, coalesced).
 The HTTP layer (:mod:`repro.serve.server`) is a thin adapter; tests
 exercise the service directly where the socket adds nothing.
 
 One service hosts *many* corridor scenarios: every analysis endpoint
 accepts ``?scenario=NAME[:k=v,...]`` (resolved through
-:mod:`repro.scenarios`), each resolved scenario gets its own
-facade-wrapped warm engine and its own rendered-body cache in an
-engine-per-scenario table built lazily on first request, and
-``/scenarios`` lists what the registry offers and what is already
-loaded.  Requests without the param hit the default scenario exactly
-as before.
+:mod:`repro.scenarios`), each hosted scenario gets its own
+facade-wrapped warm engine and rendered-body cache, loaded lazily on
+first request, and ``/scenarios`` lists what the registry offers and
+what is loaded.  Requests without the param hit the default scenario.
 
 Faults are values, not stack traces: every rejected request raises a
 :class:`ServiceError` carrying an HTTP status and a machine-readable
@@ -26,9 +25,10 @@ keeps serving.
 from __future__ import annotations
 
 import datetime as dt
+import json
 import threading
 from collections import OrderedDict
-from typing import Callable
+from typing import Callable, NamedTuple
 from urllib.parse import parse_qsl, urlsplit
 
 from repro import obs
@@ -130,8 +130,8 @@ class ResponseBodyCache:
     """Rendered 200 response bodies, keyed on what the payload depends on.
 
     One level above the facade: a hit skips payload building *and* JSON
-    rendering.  A key is ``(path, canonical args, fingerprints)``, where
-    the fingerprints are the active license sets of the licensees a
+    rendering.  A key is ``(path, canonical args, intervals)``, where
+    the intervals stand for the active license sets of the licensees a
     dated payload reads (DESIGN.md §13, "The body cache").  The query
     date is not part of the key: an entry is the body split at its date
     value, ``(head, tail)``, and a hit is ``head + date + tail``.
@@ -206,8 +206,7 @@ def _stamped(payload: dict, date_at: tuple[str, ...], value: str) -> dict:
 
     ``date_at`` names the keys from the payload root down to the dict
     whose ``"date"`` is the query date.  Only the dicts on that path are
-    copied; ``payload`` itself is never mutated (coalesced followers
-    share it).
+    copied; ``payload`` itself is never mutated.
     """
     if not date_at:
         return {**payload, "date": value}
@@ -215,16 +214,148 @@ def _stamped(payload: dict, date_at: tuple[str, ...], value: str) -> dict:
     return {**payload, first: _stamped(payload[first], rest, value)}
 
 
-def _split_at_date(payload: dict, date_at: tuple[str, ...]) -> tuple[bytes, bytes] | None:
-    """``payload``'s body as ``(head, tail)`` around its date value, so
-    ``head + date + tail`` is the body for any date; ``None`` if the
-    rendered body does not hold exactly one date slot."""
+def _body_parts(payload: dict, date_at: tuple[str, ...] | None) -> tuple | None:
+    """``payload``'s body as ``(head, tail)`` around its date slot, so
+    ``head + date + tail`` is the body for any date (``date_at`` is
+    ``None``: no slot, an empty tail); ``None`` if the rendered body
+    does not hold exactly one date slot."""
+    if date_at is None:
+        return _render(payload), b""
     parts = _render(_stamped(payload, date_at, _DATE_SENTINEL)).split(
         _SENTINEL_TOKEN
     )
     if len(parts) != 2:
         return None
     return parts[0], parts[1]
+
+
+# ----------------------------------------------------------------------
+# Endpoints: a validator and a builder each
+# ----------------------------------------------------------------------
+
+
+class Endpoint(NamedTuple):
+    """One analysis endpoint.
+
+    ``validate(scenario, params)`` checks the query and returns ``(date,
+    args, names)``: the payload depends on nothing but ``args`` and the
+    active license sets of ``names`` on ``date`` (``None`` names the
+    whole database; an undated endpoint has ``date=None``, no names).
+    ``build(scenario, engine, date, *args)`` makes the payload;
+    ``date_at`` names the keys from its root down to the dict whose
+    ``"date"`` echoes the query date.
+    """
+
+    validate: Callable[[Scenario, dict[str, str]], tuple]
+    build: Callable[..., dict]
+    date_at: tuple[str, ...] = ()
+
+
+def _licensee_param(
+    scenario: Scenario, params: dict[str, str], default: str | None = None
+) -> str | None:
+    name = params.get("licensee", default)
+    if name is not None and name not in scenario.database.licensee_names():
+        raise ServiceError(404, "unknown-licensee", f"unknown licensee: {name!r}")
+    return name
+
+
+def _site_param(
+    scenario: Scenario, params: dict[str, str], name: str, default: str
+) -> str:
+    site = params.get(name, default)
+    known = sorted({s for path in scenario.corridor.paths for s in path})
+    if site not in known:
+        raise ServiceError(
+            400, "unknown-site", f"{name!r} must be one of {known}, got {site!r}"
+        )
+    return site
+
+
+def _rankings_query(scenario: Scenario, params: dict[str, str]) -> tuple:
+    _check_params(params, ("date", "source", "target"))
+    date = _date_param(params, "date", scenario.snapshot_date)
+    default_source, default_target = scenario.primary_path
+    source = _site_param(scenario, params, "source", default_source)
+    target = _site_param(scenario, params, "target", default_target)
+    # Every licensee's active set: each license has one licensee, so the
+    # whole database's active set determines them all.
+    return date, (source, target), (None,)
+
+
+def _timeline_query(scenario: Scenario, params: dict[str, str]) -> tuple:
+    _check_params(params, ("step", "licensee"))
+    step = params.get("step", "paper")
+    if step not in ("paper", "monthly", "weekly"):
+        raise ServiceError(
+            400,
+            "bad-step",
+            f"'step' must be one of ['paper', 'monthly', 'weekly'], got {step!r}",
+        )
+    licensee = _licensee_param(scenario, params)
+    return None, (step, (licensee,) if licensee else None), ()
+
+
+def _apa_query(scenario: Scenario, params: dict[str, str]) -> tuple:
+    _check_params(params, ("date", "licensee"))
+    date = _date_param(params, "date", scenario.snapshot_date)
+    licensee = _licensee_param(scenario, params)
+    names = (licensee,) if licensee else tuple(scenario.spotlight_names)
+    # Two licensees with no license share interval 0, so the names are
+    # args too.
+    return date, (names,), names
+
+
+def _search_query(scenario: Scenario, params: dict[str, str]) -> tuple:
+    _check_params(params, ("lat", "lon", "radius_m", "active_on"))
+    latitude = _float_param(params, "lat", None)
+    longitude = _float_param(params, "lon", None)
+    if latitude is not None and not -90.0 <= latitude <= 90.0:
+        raise ServiceError(400, "bad-number", "'lat' must be in [-90, 90]")
+    if longitude is not None and not -180.0 <= longitude <= 180.0:
+        raise ServiceError(400, "bad-number", "'lon' must be in [-180, 180]")
+    radius_m = _float_param(params, "radius_m", None)
+    if radius_m is not None and radius_m <= 0:
+        raise ServiceError(400, "bad-number", "'radius_m' must be positive")
+    active_on = _date_param(params, "active_on", None)
+    # A key compares by ``==``, under which -0.0 is 0.0, but the payload
+    # echoes the sign: the repr tells the two apart.
+    center = (latitude, longitude, repr((latitude, longitude)))
+    return None, (*center, radius_m, active_on), ()
+
+
+def _map_query(scenario: Scenario, params: dict[str, str]) -> tuple:
+    _check_params(params, ("licensee", "date"))
+    licensee = _licensee_param(scenario, params, scenario.spotlight_names[0])
+    date = _date_param(params, "date", scenario.snapshot_date)
+    return date, (licensee,), (licensee,)
+
+
+#: The analysis endpoints.  Each service copies the table, so a test can
+#: add or wrap an endpoint on one service.
+ENDPOINTS: dict[str, Endpoint] = {
+    "/rankings": Endpoint(_rankings_query, payloads.rankings_payload),
+    "/timeline": Endpoint(
+        _timeline_query,
+        lambda scenario, engine, _, *args: payloads.timeline_payload(
+            scenario, engine, *args
+        ),
+    ),
+    "/apa": Endpoint(_apa_query, payloads.apa_payload),
+    "/search": Endpoint(
+        _search_query,
+        lambda scenario, engine, _, lat, lon, _sign, *args: (
+            payloads.search_payload(scenario, lat, lon, *args)
+        ),
+    ),
+    "/map": Endpoint(
+        _map_query,
+        lambda scenario, engine, date, licensee: payloads.map_payload(
+            scenario, engine, licensee, date
+        ),
+        ("properties",),
+    ),
+}
 
 
 class _ScenarioState:
@@ -246,15 +377,17 @@ class CorridorQueryService:
     scenario:
         The *default* corridor scenario — served when a request carries
         no ``scenario`` param (defaults to ``paper2020``).  Other
-        registered scenarios are loaded on demand into the
-        engine-per-scenario table.
+        registered scenarios are loaded on demand; the service hosts at
+        most :data:`repro.scenarios.registry.MEMO_SIZE` of them beside
+        the default, least recently requested dropped first.
     engine:
         The default scenario's shared warm engine behind its facade;
         defaults to the scenario's shared default engine.
     store:
         A :class:`repro.store.CacheStore` attached to the default engine
         and to every scenario engine loaded on demand, so a draining
-        :meth:`checkpoint` persists them all.
+        :meth:`checkpoint` persists them all.  A dropped scenario's
+        engine is checkpointed and detached.
     """
 
     def __init__(
@@ -273,32 +406,16 @@ class CorridorQueryService:
         if store is not None:
             store.attach(shared)
         self._default_state = _ScenarioState(self.scenario, EngineFacade(shared))
-        # Canonical scenario reference -> loaded state.  The default
-        # scenario sits under its own name, so `?scenario=<default>`
-        # routes to the very same engine and body cache.
-        self._states: dict[str, _ScenarioState] = {
-            self.scenario.name: self._default_state
-        }
-        self._states_lock = threading.Lock()
-        # The state the *current thread's* request resolved; handlers
-        # read it through `_current()`.  Thread-local because requests
-        # for different scenarios run concurrently, and the coalescing
-        # leader computes on the thread that set the value.
-        self._local = threading.local()
-        self.routes: dict[str, Callable[[CorridorEngine, dict], dict]] = {
-            "/rankings": self._rankings,
-            "/timeline": self._timeline,
-            "/apa": self._apa,
-            "/search": self._search,
-            "/map": self._map,
-        }
-        # The dated endpoints: each one's query (see `_rankings_query`)
-        # and the keys leading to the dict whose "date" its payload
-        # echoes.  The body cache keys them by fingerprints, not date.
-        self._dated: dict[str, tuple[Callable, tuple[str, ...]]] = {
-            "/rankings": (self._rankings_query, ()),
-            "/apa": (self._apa_query, ()),
-            "/map": (self._map_query, ("properties",)),
+        # Normalised scenario reference -> state, least recently
+        # requested first; the default is never here, nor dropped.
+        self._hosted: OrderedDict[str, _ScenarioState] = OrderedDict()
+        self._hosted_lock = threading.Lock()
+        self.endpoints: dict[str, Endpoint] = dict(ENDPOINTS)
+        # Live endpoints: never cached, no scenario, no params.
+        self._live: dict[str, Callable[[], dict]] = {
+            "/healthz": lambda: {"status": "ok"},
+            "/scenarios": self._scenarios_payload,
+            "/stats": self._stats_payload,
         }
 
     @property
@@ -318,201 +435,184 @@ class CorridorQueryService:
     def handle_http(self, url: str) -> tuple[int, bytes]:
         """One request target -> (status, canonical JSON body bytes).
 
-        Successful analysis responses are served from the rendered-body
-        cache when possible; ``/healthz`` and ``/stats`` (live values)
-        and every error path always render fresh.
+        Never raises: a rejected request is its structured 4xx, and an
+        unexpected fault a structured 500.
         """
-        lookup = self._body_lookup(url)
-        if lookup is None:
-            status, payload = self.handle_url(url)
-            return status, _render(payload)
-        state, key, generation, stamp = lookup
-        entry = state.bodies.get(key, generation)
-        if entry is not None:
-            obs.count("serve.body_cache.hit")
-            # A body hit is still a request for accounting purposes.
-            self.facade.enter_request()
-            self.facade.exit_request()
-            return 200, entry[0] + stamp + entry[1]
-        obs.count("serve.body_cache.miss")
-        status, payload = self.handle_url(url)
-        if status != 200:
-            return status, _render(payload)
-        dated = self._dated.get(key[0])
-        if dated is None:
-            entry = (_render(payload), b"")
-        else:
-            entry = _split_at_date(payload, dated[1])
-            if entry is None:
-                return status, _render(payload)
-        state.bodies.put(key, generation, entry)
-        return status, entry[0] + stamp + entry[1]
-
-    def _body_lookup(
-        self, url: str
-    ) -> tuple[_ScenarioState, tuple, int, bytes] | None:
-        """Where ``url``'s body is cached: ``(state, key, generation,
-        stamp)``, or ``None`` if it is not cacheable.
-
-        Only analysis endpoints cache — ``/healthz``/``/stats`` report
-        live state, and a request that fails parsing, scenario
-        resolution or validation takes the (uncached) error path.  A
-        dated endpoint's key is ``(path, validated args, fingerprints)``
-        and its stamp is the rendered date spliced into the cached body;
-        any other endpoint keys on its sorted params with no
-        fingerprints and an empty stamp.
-        """
-        try:
-            path, params = parse_request(url)
-            if path not in self.routes:
-                return None
-            state = self._resolve_state(params.pop("scenario", None))
-            dated = self._dated.get(path)
-            if dated is None:
-                key = (path, tuple(sorted(params.items())), ())
-                return state, key, state.facade.engine.database.generation, b""
-            self._local.state = state
-            try:
-                date, args, names = dated[0](params)
-            finally:
-                self._local.state = None
-        except ServiceError:
-            return None
-        engine = state.facade.engine
-        # The temporal indices build lazily and mutate the database.
-        with engine.locked():
-            generation = engine.database.generation
-            fingerprints = tuple(
-                engine.active_fingerprint(name, date) for name in names
-            )
-        stamp = render_payload(date.isoformat()).encode("utf-8")
-        return state, (path, args, fingerprints), generation, stamp
-
-    def handle_url(self, url: str) -> tuple[int, dict]:
-        """One request target -> (status, payload dict); never raises."""
         self.facade.enter_request()
         try:
-            path, params = parse_request(url)
-            return 200, self.handle(path, params)
+            return 200, self._respond(url)
         except ServiceError as error:
             self.facade.note_error()
-            return error.status, error.payload()
+            return error.status, _render(error.payload())
         except Exception as error:  # lint: disable=broad-except (server boundary: every handler fault must surface as structured JSON on the socket, never a traceback or a dead connection)
             self.facade.note_error()
-            return 500, {
-                "error": {
-                    "code": "internal",
-                    "message": f"{type(error).__name__}: {error}",
-                }
-            }
+            message = f"{type(error).__name__}: {error}"
+            return 500, _render(ServiceError(500, "internal", message).payload())
         finally:
             self.facade.exit_request()
 
-    def handle(self, path: str, params: dict[str, str]) -> dict:
-        """Dispatch a parsed request; raises :class:`ServiceError`."""
-        if path == "/healthz":
+    def handle_url(self, url: str) -> tuple[int, dict]:
+        """:meth:`handle_http` with the body decoded (for tests)."""
+        status, body = self.handle_http(url)
+        return status, json.loads(body)
+
+    def _respond(self, url: str) -> bytes:
+        """A 200 body for ``url``; raises :class:`ServiceError`.
+
+        The body-cache key is also the coalescing key: on a miss one
+        leader builds, renders and splits the body, and every request on
+        the key splices its own date into those bytes (DESIGN.md §13).
+        """
+        path, params = parse_request(url)
+        live = self._live.get(path)
+        if live is not None:
             _check_params(params, ())
-            return {"status": "ok"}
-        if path == "/stats":
-            _check_params(params, ())
-            stats = self.facade.describe()
-            stats["body_cache"] = self.bodies.describe()
-            stats["scenarios"] = self._scenario_stats()
-            return stats
-        if path == "/scenarios":
-            _check_params(params, ())
-            return self._scenarios_payload()
-        handler = self.routes.get(path)
-        if handler is None:
+            return _render(live())
+        endpoint = self.endpoints.get(path)
+        if endpoint is None:
             raise ServiceError(
                 404,
                 "unknown-endpoint",
                 f"no such endpoint: {path!r}; expected one of "
-                f"{sorted(self.routes) + ['/healthz', '/scenarios', '/stats']}",
+                f"{sorted(self.endpoints) + sorted(self._live)}",
             )
         state = self._resolve_state(params.pop("scenario", None))
-        key = (path, tuple(sorted(params.items())))
-        self._local.state = state
-        try:
-            with obs.span(
-                "serve.request", endpoint=path, scenario=state.scenario.name
-            ):
-                obs.count("serve.request" + path.replace("/", "."))
-                return state.facade.coalesced(
-                    key, lambda: handler(state.facade.engine, params)
-                )
-        finally:
-            self._local.state = None
+        scenario = state.scenario
+        date, args, names = endpoint.validate(scenario, params)
+        engine = state.facade.engine
+        database = engine.database
+        # A name's constant-active-set interval on `date` stands for its
+        # active set, for one bisect and no set built.  The temporal
+        # indices build lazily and mutate the database.
+        with engine.locked():
+            generation = database.generation
+            intervals = tuple(
+                database.temporal_index(name).interval_of(date) for name in names
+            )
+        key = (path, args, intervals)
+        stamp = b"" if date is None else render_payload(date.isoformat()).encode()
+        entry = state.bodies.get(key, generation)
+        if entry is not None:
+            obs.count("serve.body_cache.hit")
+            return entry[0] + stamp + entry[1]
+        obs.count("serve.body_cache.miss")
+        date_at = None if date is None else endpoint.date_at
+        with obs.span("serve.request", endpoint=path, scenario=scenario.name):
+            obs.count("serve.request" + path.replace("/", "."))
+            entry = state.facade.coalesced(
+                key,
+                lambda: _body_parts(
+                    endpoint.build(scenario, engine, date, *args), date_at
+                ),
+            )
+        if entry is None:
+            # No single date slot: the body is neither cached nor shared.
+            with engine.locked():
+                return _render(endpoint.build(scenario, engine, date, *args))
+        state.bodies.put(key, generation, entry)
+        return entry[0] + stamp + entry[1]
 
-    def _current(self) -> _ScenarioState:
-        """The state the current thread's request resolved to."""
-        return getattr(self._local, "state", None) or self._default_state
+    # ------------------------------------------------------------------
+    # Hosted scenarios
+    # ------------------------------------------------------------------
 
     def _resolve_state(self, text: str | None) -> _ScenarioState:
-        """The loaded state for a ``scenario`` query param (lazy table).
+        """The hosted state for a ``scenario`` query param.
 
-        ``None``/empty routes to the default.  A reference that resolves
-        to an already-hosted scenario reuses that scenario's facade and
-        body cache — coalescing and generation scoping stay per-engine
-        no matter how many spellings of the reference arrive.
+        ``None``/empty routes to the default.  Every spelling of one
+        reference shares one state, so coalescing and generation scoping
+        stay per-engine.  Past ``MEMO_SIZE`` hosted scenarios, the least
+        recently requested is dropped: its engine is checkpointed and
+        detached from the store, and a later request builds it afresh.
         """
-        if not text:
+        if not text or text == self.scenario.name:
             return self._default_state
-        from repro.scenarios import (
+        # A normalised reference normalises to itself, so the usual
+        # spellings skip the registry.
+        state = self._hosted_state(text)
+        if state is not None:
+            return state
+        from repro.scenarios.registry import (
+            MEMO_SIZE,
             ScenarioParamError,
             UnknownScenarioError,
-            parse_scenario_ref,
+            normalise_ref,
             resolve_scenario,
         )
 
         try:
-            canonical = parse_scenario_ref(text).canonical
-            with self._states_lock:
-                state = self._states.get(canonical)
+            ref = normalise_ref(text)
+            key = ref.canonical
+            if key == self.scenario.name:
+                return self._default_state
+            state = self._hosted_state(key)
             if state is not None:
                 return state
             # The store (if any) supplies the built scenario and is
             # attached to its engine outside the table lock.
-            scenario = resolve_scenario(canonical, store=self.store)
+            scenario = resolve_scenario(ref, store=self.store)
         except UnknownScenarioError as error:
             raise ServiceError(404, "unknown-scenario", str(error)) from None
         except ScenarioParamError as error:
             raise ServiceError(400, "bad-scenario", str(error)) from None
-        with self._states_lock:
-            state = self._states.get(canonical)
+        if scenario is self.scenario:
+            return self._default_state
+        # Hosting attaches and dropping detaches under one lock, so no race
+        # with a drop, or with a request whose scenario the registry has
+        # since rebuilt, leaves a hosted engine detached or another one
+        # attached.
+        with self._hosted_lock:
+            state = self._hosted.get(key)
+            if state is None:
+                engine = scenario.engine()
+                if self.store is not None:
+                    self.store.attach(engine)
+                state = _ScenarioState(scenario, EngineFacade(engine))
+                self._hosted[key] = state
+            elif state.scenario is not scenario and self.store is not None:
+                self.store.detach(scenario.engine())
+            self._hosted.move_to_end(key)
+            while len(self._hosted) > MEMO_SIZE:
+                engine = self._hosted.popitem(last=False)[1].facade.engine
+                engine.checkpoint()
+                if self.store is not None:
+                    self.store.detach(engine)
+        return state
+
+    def _hosted_state(self, key: str) -> _ScenarioState | None:
+        with self._hosted_lock:
+            state = self._hosted.get(key)
             if state is not None:
-                return state
-            for state in self._states.values():
-                if state.scenario is scenario:
-                    self._states[canonical] = state
-                    return state
-            state = _ScenarioState(scenario, EngineFacade(scenario.engine()))
-            self._states[canonical] = state
+                self._hosted.move_to_end(key)
             return state
 
-    def _scenario_stats(self) -> dict:
-        """Per-loaded-scenario facade + body-cache stats for ``/stats``."""
-        with self._states_lock:
-            states = dict(self._states)
-        return {
+    def _loaded(self) -> dict[str, _ScenarioState]:
+        """Every hosted state, the default first, by reference."""
+        with self._hosted_lock:
+            return {self.scenario.name: self._default_state, **self._hosted}
+
+    def _stats_payload(self) -> dict:
+        """``/stats``: the default facade, body cache and every scenario."""
+        stats = self.facade.describe()
+        stats["body_cache"] = self.bodies.describe()
+        stats["scenarios"] = {
             ref: {
                 "scenario": state.scenario.name,
                 "facade": state.facade.describe()["facade"],
                 "body_cache": state.bodies.describe(),
             }
-            for ref, state in states.items()
+            for ref, state in self._loaded().items()
         }
+        return stats
 
     def _scenarios_payload(self) -> dict:
         """``/scenarios``: the registry's offerings and what is loaded."""
         from repro.scenarios import registered_scenarios
 
-        with self._states_lock:
-            loaded = sorted(self._states)
         return {
             "endpoint": "scenarios",
             "default": self.scenario.name,
-            "loaded": loaded,
+            "loaded": sorted(self._loaded()),
             "scenarios": [
                 {
                     "name": entry.name,
@@ -525,126 +625,17 @@ class CorridorQueryService:
         }
 
     def checkpoint(self):
-        """Persist every loaded warm engine's caches to its store.
+        """Persist every hosted warm engine's caches to its store.
 
         The draining-shutdown hook: :meth:`repro.serve.server
         .CorridorServer.close` calls this after the last in-flight
         request completes, so the next server boot starts warm — for
-        every scenario the table loaded, not just the default.  A no-op
-        without a store.
+        every scenario the service hosts, not just the default.  A no-op
+        without a store; returns the default engine's checkpoint.
         """
-        with self._states_lock:
-            states = list(self._states.values())
         result = None
-        seen: set[int] = set()
-        for state in states:
-            engine = state.facade.engine
-            if id(engine) in seen:
-                continue
-            seen.add(id(engine))
-            checkpointed = engine.checkpoint()
+        for state in self._loaded().values():
+            checkpointed = state.facade.engine.checkpoint()
             if state is self._default_state:
                 result = checkpointed
         return result
-
-    # ------------------------------------------------------------------
-    # Endpoint handlers (validated params -> payload builders)
-    # ------------------------------------------------------------------
-
-    def _licensee_param(
-        self, params: dict[str, str], default: str | None = None
-    ) -> str | None:
-        scenario = self._current().scenario
-        name = params.get("licensee", default)
-        if name is not None and name not in scenario.database.licensee_names():
-            raise ServiceError(404, "unknown-licensee", f"unknown licensee: {name!r}")
-        return name
-
-    def _site_param(self, params: dict[str, str], name: str, default: str) -> str:
-        site = params.get(name, default)
-        scenario = self._current().scenario
-        known = sorted({s for path in scenario.corridor.paths for s in path})
-        if site not in known:
-            raise ServiceError(
-                400, "unknown-site", f"{name!r} must be one of {known}, got {site!r}"
-            )
-        return site
-
-    # A dated endpoint's query validates its params and returns ``(date,
-    # args, licensees)``: everything its payload depends on besides the
-    # engine is ``args`` and the licensees' active sets on ``date``.
-
-    def _rankings_query(
-        self, params: dict[str, str]
-    ) -> tuple[dt.date, tuple, tuple[str, ...]]:
-        _check_params(params, ("date", "source", "target"))
-        scenario = self._current().scenario
-        date = _date_param(params, "date", scenario.snapshot_date)
-        default_source, default_target = scenario.primary_path
-        source = self._site_param(params, "source", default_source)
-        target = self._site_param(params, "target", default_target)
-        return date, (source, target), tuple(scenario.database.licensee_names())
-
-    def _rankings(self, engine: CorridorEngine, params: dict[str, str]) -> dict:
-        date, (source, target), _ = self._rankings_query(params)
-        return payloads.rankings_payload(
-            self._current().scenario, engine, date, source, target
-        )
-
-    def _timeline(self, engine: CorridorEngine, params: dict[str, str]) -> dict:
-        _check_params(params, ("step", "licensee"))
-        step = params.get("step", "paper")
-        if step not in ("paper", "monthly", "weekly"):
-            raise ServiceError(
-                400,
-                "bad-step",
-                f"'step' must be one of ['paper', 'monthly', 'weekly'], got {step!r}",
-            )
-        licensee = self._licensee_param(params)
-        names = (licensee,) if licensee else None
-        return payloads.timeline_payload(
-            self._current().scenario, engine, step, names
-        )
-
-    def _apa_query(
-        self, params: dict[str, str]
-    ) -> tuple[dt.date, tuple, tuple[str, ...]]:
-        _check_params(params, ("date", "licensee"))
-        scenario = self._current().scenario
-        date = _date_param(params, "date", scenario.snapshot_date)
-        licensee = self._licensee_param(params)
-        names = (licensee,) if licensee else tuple(scenario.spotlight_names)
-        return date, names, names
-
-    def _apa(self, engine: CorridorEngine, params: dict[str, str]) -> dict:
-        date, names, _ = self._apa_query(params)
-        return payloads.apa_payload(self._current().scenario, engine, date, names)
-
-    def _search(self, engine: CorridorEngine, params: dict[str, str]) -> dict:
-        _check_params(params, ("lat", "lon", "radius_m", "active_on"))
-        latitude = _float_param(params, "lat", None)
-        longitude = _float_param(params, "lon", None)
-        if latitude is not None and not -90.0 <= latitude <= 90.0:
-            raise ServiceError(400, "bad-number", "'lat' must be in [-90, 90]")
-        if longitude is not None and not -180.0 <= longitude <= 180.0:
-            raise ServiceError(400, "bad-number", "'lon' must be in [-180, 180]")
-        radius_m = _float_param(params, "radius_m", None)
-        if radius_m is not None and radius_m <= 0:
-            raise ServiceError(400, "bad-number", "'radius_m' must be positive")
-        active_on = _date_param(params, "active_on", None)
-        return payloads.search_payload(
-            self._current().scenario, latitude, longitude, radius_m, active_on
-        )
-
-    def _map_query(
-        self, params: dict[str, str]
-    ) -> tuple[dt.date, tuple, tuple[str, ...]]:
-        _check_params(params, ("licensee", "date"))
-        scenario = self._current().scenario
-        licensee = self._licensee_param(params, scenario.spotlight_names[0])
-        date = _date_param(params, "date", scenario.snapshot_date)
-        return date, (licensee,), (licensee,)
-
-    def _map(self, engine: CorridorEngine, params: dict[str, str]) -> dict:
-        date, (licensee,), _ = self._map_query(params)
-        return payloads.map_payload(self._current().scenario, engine, licensee, date)

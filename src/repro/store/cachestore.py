@@ -143,9 +143,10 @@ class CacheStore:
     engine a store.  It registers the engine for :meth:`checkpoint_all`
     and immediately loads a matching entry if one exists;
     :meth:`detach_all` hands every engine back store-less, so no engine
-    outlives its command still writing here.  The CLI builds one store
-    per command and attaches scenario default engines through
-    :func:`repro.scenarios.resolve_scenario`.
+    outlives its command still writing here; :meth:`detach` does so for
+    one engine (the server drops a hosted scenario's engine this way).
+    The CLI builds one store per command and attaches scenario default
+    engines through :func:`repro.scenarios.resolve_scenario`.
     """
 
     def __init__(self, cache_dir: "Path | str | None" = None) -> None:
@@ -187,6 +188,14 @@ class CacheStore:
         self.load_into(engine)
         return engine
 
+    def detach(self, engine) -> None:
+        """Unregister ``engine`` and clear its ``store``; a no-op for an
+        engine this store does not hold."""
+        with self._lock:
+            self._engines = [held for held in self._engines if held is not engine]
+            if engine.store is self:
+                engine.store = None
+
     def detach_all(self) -> None:
         """Unregister every attached engine and clear its ``store``."""
         with self._lock:
@@ -211,7 +220,9 @@ class CacheStore:
         hit = export is not None and export.params_key == engine.params_key
         if not hit:
             export = EngineCacheExport(engine.params_key, (), (), (), ())
-        engine.seed_cache_state(export)
+        # A re-attached engine may be serving requests meanwhile.
+        with engine.locked():
+            engine.seed_cache_state(export)
         return hit
 
     def save_from(self, engine) -> Path:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import datetime as dt
 import random
+import threading
 import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -597,6 +598,10 @@ def non_mg_licenses(corridor: CorridorSpec) -> list[License]:
 # Scenario assembly
 # ----------------------------------------------------------------------
 
+#: Serialises the lazy creation of every scenario's default engine.
+_DEFAULT_ENGINE_LOCK = threading.Lock()
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A corridor plus its full synthetic ULS database.
@@ -656,8 +661,12 @@ class Scenario:
             return CorridorEngine(self.database, self.corridor, **params)
         cached = self.__dict__.get("_default_engine")
         if cached is None:
-            cached = CorridorEngine(self.database, self.corridor)
-            object.__setattr__(self, "_default_engine", cached)
+            # Two threads' first calls must not make two default engines.
+            with _DEFAULT_ENGINE_LOCK:
+                cached = self.__dict__.get("_default_engine")
+                if cached is None:
+                    cached = CorridorEngine(self.database, self.corridor)
+                    object.__setattr__(self, "_default_engine", cached)
         return cached
 
     def __getstate__(self) -> dict:

@@ -13,8 +13,8 @@ Four nets, per the serve design (DESIGN.md §13):
 * **Error coalescing** — followers behind a failing leader get the
   leader's error, and the in-flight slot is released for later requests.
 * **Shared fingerprints** — threads asking for different dates with one
-  active set each get their own date back from the body cache, and the
-  engine builds each snapshot once.
+  active set coalesce onto one leader, each gets its own date back, and
+  the engine builds each snapshot once.
 """
 
 from __future__ import annotations
@@ -31,11 +31,44 @@ from repro import obs
 from repro.core.engine import CorridorEngine
 from repro.serve import CorridorQueryService, ServiceError
 from repro.serve.payloads import render_payload
+from repro.serve.service import Endpoint
 
 
 def fresh_service(scenario) -> CorridorQueryService:
     engine = CorridorEngine(scenario.database, scenario.corridor)
     return CorridorQueryService(scenario=scenario, engine=engine)
+
+
+def gate_leader(service, path: str, followers: int) -> None:
+    """Hold ``path``'s build until ``followers`` requests coalesced
+    behind it, so the single-leader case is deterministic rather than a
+    race the fast path usually wins.
+
+    A request keys itself under the engine lock, which the leader holds
+    while it builds, so every request first waits at the body cache
+    until all of them hold their keys.
+    """
+    facade = service.facade
+    endpoint = service.endpoints[path]
+    keyed = threading.Barrier(followers + 1, timeout=10.0)
+    get = service.bodies.get
+
+    def gated_get(*args):
+        keyed.wait()
+        return get(*args)
+
+    service.bodies.get = gated_get
+
+    def gated(*args):
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            with facade._stats_lock:
+                if facade._followers >= followers:
+                    break
+            time.sleep(0.001)
+        return endpoint.build(*args)
+
+    service.endpoints[path] = endpoint._replace(build=gated)
 
 
 def run_threads(service, urls: list[str]) -> list[tuple[int, dict]]:
@@ -66,21 +99,7 @@ class TestCoalescingSingleBuild:
         facade = service.facade
         url = "/map?date=2018-05-01"
 
-        # Gate the leader's computation until every other thread has
-        # coalesced behind it, so the single-leader case is deterministic
-        # rather than a race the fast path usually wins.
-        original = service.routes["/map"]
-
-        def gated(engine, params):
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                with facade._stats_lock:
-                    if facade._followers >= self.N - 1:
-                        break
-                time.sleep(0.001)
-            return original(engine, params)
-
-        service.routes["/map"] = gated
+        gate_leader(service, "/map", self.N - 1)
 
         with obs.capture() as cap:
             results = run_threads(service, [url] * self.N)
@@ -105,7 +124,7 @@ class TestCoalescingSingleBuild:
         facade = service.facade
         n = 4
 
-        def failing(engine, params):
+        def failing(*_):
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
                 with facade._stats_lock:
@@ -114,7 +133,9 @@ class TestCoalescingSingleBuild:
                 time.sleep(0.001)
             raise ServiceError(503, "overloaded", "synthetic failure")
 
-        service.routes["/fail"] = failing
+        service.endpoints["/fail"] = Endpoint(
+            lambda scenario, params: (None, (), ()), failing
+        )
         results = run_threads(service, ["/fail"] * n)
         assert [status for status, _ in results] == [503] * n
         assert {payload["error"]["code"] for _, payload in results} == {
@@ -144,6 +165,7 @@ class TestSharedFingerprints:
         assert len(fingerprints) == 1
         service = CorridorQueryService(scenario=scenario, engine=engine)
         urls = [f"/rankings?date={date}" for date in self.DATES]
+        gate_leader(service, "/rankings", len(urls) - 1)
         barrier = threading.Barrier(len(urls))
         bodies: list = [None] * len(urls)
 
@@ -155,11 +177,16 @@ class TestSharedFingerprints:
             threading.Thread(target=worker, args=(index,))
             for index in range(len(urls))
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        with obs.capture() as cap:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
 
+        # One key for every date: one leader builds, the rest follow.
+        counters = cap.counters()
+        assert counters.get("serve.coalesce.leader") == 1
+        assert counters.get("serve.coalesce.follower") == len(urls) - 1
         payloads = [json.loads(body) for _, body in bodies]
         assert {status for status, _ in bodies} == {200}
         assert [payload.pop("date") for payload in payloads] == self.DATES

@@ -23,6 +23,12 @@ import pytest
 from repro.core.engine import CorridorEngine
 from repro.serve import CorridorQueryService, CorridorServer, active_server
 from repro.serve.server import run_server
+from repro.serve.service import Endpoint
+
+
+def _undated(scenario, params):
+    """An injected endpoint's validator: no params, no date."""
+    return None, (), ()
 
 
 def http_get(url: str) -> tuple[int, dict, dict]:
@@ -75,7 +81,7 @@ class TestHttpResponses:
 
     def test_handler_crash_is_a_structured_500(self, scenario, engine):
         service = CorridorQueryService(scenario=scenario, engine=engine)
-        service.routes["/boom"] = lambda engine, params: 1 / 0
+        service.endpoints["/boom"] = Endpoint(_undated, lambda *_: 1 / 0)
         with CorridorServer(service) as server:
             status, _, body = http_get(server.url + "/boom")
             assert status == 500
@@ -90,12 +96,12 @@ class TestLifecycle:
         entered = threading.Event()
         release = threading.Event()
 
-        def slow(engine, params):
+        def slow(*_):
             entered.set()
             release.wait(timeout=30)
             return {"slow": "done"}
 
-        service.routes["/slow"] = slow
+        service.endpoints["/slow"] = Endpoint(_undated, slow)
         server = CorridorServer(service).start()
         results: list = []
         client = threading.Thread(

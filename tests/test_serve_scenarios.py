@@ -133,9 +133,132 @@ class TestPerScenarioBodyCaches:
     def test_bad_scenario_bodies_never_cached(self, service):
         service.handle_http("/rankings?scenario=atlantis")
         service.handle_http("/rankings?scenario=atlantis")
-        for state in service._states.values():
+        for state in service._loaded().values():
             described = state.bodies.describe()
             assert described["entries"] == 0
+
+
+class TestHostedScenarioBound:
+    def test_distinct_seeds_do_not_grow_the_server(self, tmp_path, scenario):
+        from repro.core.engine import CorridorEngine
+        from repro.scenarios.registry import MEMO_SIZE
+        from repro.store import CacheStore
+
+        store = CacheStore(tmp_path)
+        service = CorridorQueryService(
+            scenario=scenario,
+            engine=CorridorEngine(scenario.database, scenario.corridor),
+            store=store,
+        )
+        url = "/rankings?scenario=synthetic:seed={},networks=1"
+        try:
+            first = service.handle_http(url.format(0))
+            evicted = service._resolve_state("synthetic:seed=0,networks=1")
+            for seed in range(40):
+                assert service.handle_http(url.format(seed))[0] == 200
+                assert len(service._loaded()) <= MEMO_SIZE + 1
+                assert len(store.engines()) <= MEMO_SIZE + 1
+            # Seed 0 was dropped: checkpointed, detached, not listed.
+            assert evicted.facade.engine.store is None
+            assert "synthetic:networks=1,seed=0" not in service._loaded()
+            assert service._default_state.facade.engine.store is store
+            # Asked again, under another spelling, it answers the same.
+            assert service.handle_http(url.format("00")) == first
+            assert len(service._loaded()) <= MEMO_SIZE + 1
+            assert len(store.engines()) <= MEMO_SIZE + 1
+        finally:
+            store.detach_all()
+
+
+    def test_concurrent_requests_keep_engines_attached_while_hosted(
+        self, tmp_path, scenario
+    ):
+        import random
+        import sys
+        import threading
+
+        from repro.core.engine import CorridorEngine
+        from repro.scenarios.registry import MEMO_SIZE
+        from repro.store import CacheStore
+
+        store = CacheStore(tmp_path)
+        service = CorridorQueryService(
+            scenario=scenario,
+            engine=CorridorEngine(scenario.database, scenario.corridor),
+            store=store,
+        )
+        statuses: list[int] = []
+
+        def client(seed: int) -> None:
+            order = list(range(MEMO_SIZE + 8))
+            random.Random(seed).shuffle(order)
+            for n in order:
+                statuses.append(
+                    service.handle_http(
+                        f"/search?scenario=synthetic:seed={n},networks=1&radius_m=1"
+                    )[0]
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(seed,)) for seed in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert statuses == [200] * 4 * (MEMO_SIZE + 8)
+            hosted = {id(s.facade.engine) for s in service._loaded().values()}
+            attached = {id(engine) for engine in store.engines()}
+            assert hosted == attached
+            assert len(hosted) <= MEMO_SIZE + 1
+        finally:
+            sys.setswitchinterval(interval)
+            store.detach_all()
+
+
+    def test_races_leave_the_store_holding_exactly_the_hosted_engines(
+        self, tmp_path, scenario, monkeypatch
+    ):
+        # Each race is staged inside resolve_scenario, between a
+        # request's table miss and its insert.
+        import dataclasses
+
+        from repro.core.engine import CorridorEngine
+        from repro.scenarios import registry
+        from repro.store import CacheStore
+
+        store = CacheStore(tmp_path)
+        service = CorridorQueryService(
+            scenario=scenario,
+            engine=CorridorEngine(scenario.database, scenario.corridor),
+            store=store,
+        )
+        resolve = registry.resolve_scenario
+
+        def dropped_meanwhile(ref, store=None):
+            resolved = resolve(ref, store=store)
+            store.detach(resolved.engine())
+            return resolved
+
+        def hosted_meanwhile(ref, store=None):
+            monkeypatch.setattr(registry, "resolve_scenario", resolve)
+            service._resolve_state(ref.canonical)
+            rebuilt = dataclasses.replace(resolve(ref))
+            store.attach(rebuilt.engine())
+            return rebuilt
+
+        try:
+            for race, seed in ((dropped_meanwhile, 1), (hosted_meanwhile, 2)):
+                monkeypatch.setattr(registry, "resolve_scenario", race)
+                service._resolve_state(f"synthetic:seed={seed},networks=1")
+                hosted = {id(s.facade.engine) for s in service._loaded().values()}
+                assert {id(engine) for engine in store.engines()} == hosted
+        finally:
+            store.detach_all()
 
 
 class TestCheckpointAll:

@@ -19,7 +19,12 @@ from repro.serve.payloads import (
     render_payload,
     timeline_dates,
 )
-from repro.serve.service import CorridorQueryService, ServiceError, parse_request
+from repro.serve.service import (
+    CorridorQueryService,
+    Endpoint,
+    ServiceError,
+    parse_request,
+)
 
 
 class TestParseRequest:
@@ -173,7 +178,9 @@ class TestFaultPaths:
 
     def test_handler_crash_becomes_structured_500(self, scenario, engine):
         service = CorridorQueryService(scenario=scenario, engine=engine)
-        service.routes["/boom"] = lambda engine, params: 1 / 0
+        service.endpoints["/boom"] = Endpoint(
+            lambda scenario, params: (None, (), ()), lambda *_: 1 / 0
+        )
         status, payload = service.handle_url("/boom")
         assert status == 500
         assert payload["error"]["code"] == "internal"
@@ -187,6 +194,46 @@ class TestFaultPaths:
         assert json.loads(render_payload(error.payload())) == {
             "error": {"code": "bad-date", "message": "nope"}
         }
+
+
+class TestOnePass:
+    @pytest.mark.parametrize(
+        "url, status, hit",
+        [
+            ("/rankings?date=2016-06-01", 200, False),
+            # The primed date's active sets: a body-cache hit.
+            ("/rankings?date=2018-02-11", 200, True),
+            ("/rankings?date=zzz", 400, False),
+        ],
+    )
+    def test_each_request_parses_and_validates_once(
+        self, scenario, engine, monkeypatch, url, status, hit
+    ):
+        from repro.serve import service as service_module
+
+        service = CorridorQueryService(scenario=scenario, engine=engine)
+        assert service.handle_http("/rankings?date=2018-02-06")[0] == 200
+        calls = {"parse": 0, "validate": 0}
+        parse = service_module.parse_request
+        endpoint = service.endpoints["/rankings"]
+
+        def counting_parse(target):
+            calls["parse"] += 1
+            return parse(target)
+
+        def counting_validate(*args):
+            calls["validate"] += 1
+            return endpoint.validate(*args)
+
+        monkeypatch.setattr(service_module, "parse_request", counting_parse)
+        service.endpoints["/rankings"] = endpoint._replace(
+            validate=counting_validate
+        )
+        hits = service.bodies.hits
+        assert service.handle_http(url)[0] == status
+        assert calls == {"parse": 1, "validate": 1}
+        assert service.bodies.hits == hits + hit
+        assert service.facade.describe()["facade"]["requests"] == 2
 
 
 class TestRenderPayload:

@@ -1235,6 +1235,16 @@ class TestBodyCache:
         assert described["entries"] == 1
         assert (described["hits"], described["misses"]) == (1, 1)
 
+    def test_signed_zero_coordinates_are_distinct_entries(self, scenario):
+        # Validated args compare -0.0 equal to 0.0, but /search echoes the
+        # sign: the two must not share an entry.
+        service, _ = self._service(scenario)
+        _, negative = service.handle_http("/search?lat=-0&radius_m=1")
+        _, positive = service.handle_http("/search?lat=0&radius_m=1")
+        assert b'"latitude":-0.0,' in negative
+        assert b'"latitude":0.0,' in positive
+        assert service.bodies.describe()["entries"] == 2
+
     def test_generation_bump_invalidates_bodies(self, scenario):
         service, database = self._service(scenario)
         service.handle_http("/rankings")
